@@ -184,10 +184,10 @@ def _cmd_stabilize(args) -> int:
     den, num = problem["plant"]
     ordering = problem["ordering"]
     roots = _parse_complex_list(args.gamma_ini_roots) if args.gamma_ini_roots else None
-    cfg = StabilizationConfig(
-        gamma_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
-        max_iterations=args.max_iter, tolerances=_tolerances(args))
     try:
+        cfg = StabilizationConfig(
+            gamma_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
+            max_iterations=args.max_iter, tolerances=_tolerances(args))
         result = run_algorithm1(den, num, cfg)
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -241,10 +241,10 @@ def _cmd_convert(args) -> int:
     pre = problem["controller"]
     ordering = problem["ordering"]
     roots = _parse_complex_list(args.alpha_ini_roots) if args.alpha_ini_roots else None
-    cfg = ConversionConfig(
-        alpha_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
-        max_iterations=args.max_iter, tolerances=_tolerances(args))
     try:
+        cfg = ConversionConfig(
+            alpha_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
+            max_iterations=args.max_iter, tolerances=_tolerances(args))
         conv = convert_controller(pre, den, num, cfg)
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -66,6 +66,8 @@ class ConversionConfig:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,44 @@ class SimulationResult(NamedTuple):
     steps: int
 
 
+#: steps per block: the state recursion runs a block at a time, then the
+#: block's outputs are formed and checked for divergence in one pass
+BLOCK_STEPS = 128
+
+
+def _closed_loop(plant: StateSpace, controller: StateSpace):
+    """Augmented closed loop ``z' = A z + b r`` over ``z = [x_plant; x_ctrl]``.
+
+    Returns ``[A | b]``, ``[c_y | d_y]`` and ``[c_u | d_u]``, each acting on
+    ``[z; r]``.  Well-posedness (``dp * dcy == 0``) makes the loop equation
+    ``u = dcy (Cp xp + dp u) + Cc xc + dcr r`` explicit, which covers both a
+    strictly proper plant and a biproper plant with a strictly proper
+    feedback channel.
+    """
+    n_p, n_c = plant.n_states, controller.n_states
+    dp = plant.D[0, 0]
+    dcy, dcr = controller.D[0]
+    bp, bcy, bcr = plant.B[:, 0], controller.B[:, 0], controller.B[:, 1]
+    cu = np.concatenate([dcy * plant.C[0], controller.C[0], [dcr]])
+    cy = np.concatenate([plant.C[0], np.zeros(n_c), [0.0]]) + dp * cu
+    ab = np.zeros((n_p + n_c, n_p + n_c + 1))
+    ab[:n_p, :n_p] = plant.A
+    ab[n_p:, n_p:-1] = controller.A
+    ab[n_p:, -1] = bcr
+    ab[:n_p] += np.outer(bp, cu)
+    ab[n_p:] += np.outer(bcy, cy)
+    return ab, cy, cu
+
+
+def _initial_state(x0: np.ndarray | None, n: int, name: str) -> np.ndarray:
+    if x0 is None:
+        return np.zeros(n)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x0.shape}")
+    return x0
+
+
 def simulate_loop(plant: StateSpace, controller: StateSpace,
                   reference: Sequence[float] | float, steps: int,
                   x0_plant: np.ndarray | None = None,
@@ -135,41 +173,51 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     """Run the feedback loop ``u = controller(y, r)``, ``y = plant(u)``.
 
     The loop must be well-posed: either the plant is strictly proper or the
-    controller's output-feedback channel is.  Divergence (|y| beyond the
-    limit) aborts with the flag set instead of overflowing silently.
+    controller's output-feedback channel is.  It is realized once as one
+    augmented system and stepped with one matrix-vector product per step.
+    Divergence (|y| beyond the limit, or not finite) truncates the run just
+    after the first offending sample and sets the flag instead of
+    overflowing silently.
     """
     if plant.n_inputs != 1 or plant.n_outputs != 1:
         raise ValueError("plant must be SISO")
     if controller.n_inputs != 2 or controller.n_outputs != 1:
         raise ValueError("controller must map (y, r) -> u")
-    dp = float(plant.D[0, 0])
-    dcy = float(controller.D[0, 0])
-    if dp != 0.0 and dcy != 0.0:
+    if plant.D[0, 0] != 0.0 and controller.D[0, 0] != 0.0:
         raise AlgebraicLoopError(
             "both plant and controller feedback channel have direct terms")
-    r_seq = (np.full(steps, float(reference))
-             if np.isscalar(reference) else np.asarray(reference, dtype=float))
+    r_seq = (np.full(steps, float(reference)) if np.ndim(reference) == 0
+             else np.asarray(reference, dtype=float))
     if r_seq.size < steps:
         raise ValueError("reference sequence shorter than the simulation")
-    xp = np.zeros(plant.n_states) if x0_plant is None else np.asarray(x0_plant, dtype=float)
-    xc = np.zeros(controller.n_states) if x0_ctrl is None else np.asarray(x0_ctrl, dtype=float)
-    y = np.zeros(steps)
-    u = np.zeros(steps)
-    for k in range(steps):
-        rk = r_seq[k]
-        if dp == 0.0:
-            yk = float((plant.C @ xp)[0])
-            uk = float((controller.C @ xc + controller.D @ np.array([yk, rk]))[0])
-        else:
-            uk = float((controller.C @ xc + controller.D @ np.array([0.0, rk]))[0])
-            yk = float((plant.C @ xp)[0]) + dp * uk
-        y[k] = yk
-        u[k] = uk
-        if abs(yk) > divergence_limit or not np.isfinite(yk):
-            return SimulationResult(y[: k + 1], u[: k + 1], r_seq[: k + 1],
-                                    True, k + 1)
-        xp = plant.A @ xp + plant.B[:, 0] * uk
-        xc = controller.A @ xc + controller.B @ np.array([yk, rk])
+    xp = _initial_state(x0_plant, plant.n_states, "x0_plant")
+    xc = _initial_state(x0_ctrl, controller.n_states, "x0_ctrl")
+    ab, cy, cu = _closed_loop(plant, controller)
+    n = ab.shape[0]
+    # rows hold [z_k; r_k] for one block plus the state that starts the next
+    w = np.zeros((BLOCK_STEPS + 1, n + 1))
+    w[0, :n] = np.concatenate([xp, xc])
+    pairs = [(w[j], w[j + 1, :n]) for j in range(BLOCK_STEPS)]
+    # |y| <= limit also rejects NaN; clamping keeps an infinite limit
+    # rejecting infinite outputs
+    limit = min(divergence_limit, np.finfo(float).max)
+    y = np.empty(steps)
+    u = np.empty(steps)
+    dot = np.dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, steps, BLOCK_STEPS):
+            m = min(BLOCK_STEPS, steps - k0)
+            w[:m, n] = r_seq[k0:k0 + m]
+            for z, z_next in pairs[:m]:
+                dot(ab, z, out=z_next)
+            dot(w[:m], cy, out=y[k0:k0 + m])
+            dot(w[:m], cu, out=u[k0:k0 + m])
+            bad = ~(np.abs(y[k0:k0 + m]) <= limit)
+            if bad.any():
+                k = k0 + int(bad.argmax())
+                return SimulationResult(y[: k + 1], u[: k + 1],
+                                        r_seq[: k + 1], True, k + 1)
+            w[0, :n] = w[m, :n]
     return SimulationResult(y, u, r_seq[:steps], False, steps)
 
 

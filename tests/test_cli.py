@@ -92,6 +92,15 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
     assert main(["stabilize", str(f), "--max-iter", "1"]) == 3
 
 
+@pytest.mark.parametrize("command", ["stabilize", "convert"])
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5")])
+def test_invalid_config_flag_is_a_validation_error(command, flag, value,
+                                                    capsys):
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    assert main([command, problem, flag, value]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_convert_cli_end_to_end(tmp_path):
     out = tmp_path / "result.json"
     code = main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,

@@ -196,3 +196,10 @@ def test_assemble_reports_cancelled_roots(pendulum, pre_controller):
     assert len(cancelled) == 6 + 4 * 4
     for re, im in cancelled:
         assert np.hypot(re, im) < 1.0
+
+
+@pytest.mark.parametrize("kw", [{"max_iterations": 0}, {"max_iterations": -3},
+                                {"mu": 1.0}, {"mu": 0.0}])
+def test_config_rejects_out_of_range(kw):
+    with pytest.raises(ValueError):
+        ConversionConfig(**kw)

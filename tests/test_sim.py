@@ -198,3 +198,107 @@ def test_csv_export_format():
     assert len(lines) == 6
     k, r, u, y = lines[1].split(",")
     assert k == "0" and float(r) == 1.0
+
+
+def two_system_loop(plant, ctrl, reference, steps, x0_plant=None,
+                    x0_ctrl=None):
+    """Reference simulator: plant and controller stepped as two systems,
+    one sample at a time, with simulate_loop's default divergence limit."""
+    dp = float(plant.D[0, 0])
+    r_seq = np.broadcast_to(np.asarray(reference, dtype=float), (steps,))
+    xp = np.zeros(plant.n_states) if x0_plant is None else np.asarray(x0_plant)
+    xc = np.zeros(ctrl.n_states) if x0_ctrl is None else np.asarray(x0_ctrl)
+    y, u = np.zeros(steps), np.zeros(steps)
+    for k in range(steps):
+        rk = r_seq[k]
+        if dp == 0.0:
+            yk = float((plant.C @ xp)[0])
+            uk = float((ctrl.C @ xc + ctrl.D @ np.array([yk, rk]))[0])
+        else:
+            uk = float((ctrl.C @ xc + ctrl.D @ np.array([0.0, rk]))[0])
+            yk = float((plant.C @ xp)[0]) + dp * uk
+        y[k], u[k] = yk, uk
+        if abs(yk) > 1e12 or not np.isfinite(yk):
+            return y[: k + 1], u[: k + 1], True, k + 1
+        xp = plant.A @ xp + plant.B[:, 0] * uk
+        xc = ctrl.A @ xc + ctrl.B @ np.array([yk, rk])
+    return y, u, False, steps
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(5)
+    lag = realize_tf(RationalTF(Polynomial([0.4]), Polynomial([-0.8, 1.0])))
+    # biproper plant (dp != 0) under a strictly proper feedback channel and a
+    # biproper reference channel
+    biproper = realize_tf(RationalTF(Polynomial([0.3, 1.0]),
+                                     Polynomial([0.06, -0.5, 1.0])))
+    strict_fb = realize_controller(Polynomial([-0.2, 1.0]), Polynomial([-0.3]),
+                                   Polynomial([0.1, 1.0]))
+    second = realize_controller(Polynomial([0.1, -0.3, 1.0]),
+                                Polynomial([0.05, -0.2]),
+                                Polynomial([0.0, 0.2, 0.5]))
+    static = realize_controller(Polynomial([1.0]), Polynomial([-0.5]),
+                                Polynomial([0.7]))
+    # closed-loop pole at -1.05: |y| passes 1e12 a few blocks in
+    unstable = realize_controller(Polynomial([1.0]), Polynomial([-4.625]),
+                                  Polynomial([1.0]))
+    return {
+        "biproper-plant": (biproper, strict_fb, 1.5, {}),
+        "initial-states": (biproper, second, 0.0,
+                           {"x0_plant": [0.7, -1.2], "x0_ctrl": [2.0, -0.5]}),
+        "time-varying-reference": (lag, second, rng.normal(size=700), {}),
+        "static-controller": (lag, static, np.sin(0.05 * np.arange(700)),
+                              {"x0_plant": [3.0]}),
+        "unstable-loop": (lag, unstable, 1.0, {}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+def test_matches_two_system_loop(case):
+    plant, ctrl, reference, kw = _equivalence_cases()[case]
+    steps = 700
+    out = simulate_loop(plant, ctrl, reference, steps, **kw)
+    y, u, diverged, ref_steps = two_system_loop(plant, ctrl, reference,
+                                                steps, **kw)
+    assert (out.diverged, out.steps) == (diverged, ref_steps)
+    assert out.diverged == (case == "unstable-loop")
+    for got, want in ((out.y, y), (out.u, u)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    assert out.r.size == out.steps
+
+
+def test_rejects_initial_state_of_wrong_length():
+    plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([0.1, -0.5, 1.0])))
+    ctrl = realize_controller(Polynomial([-0.2, 1.0]), Polynomial([0.3]),
+                              Polynomial([1.0]))
+    with pytest.raises(ValueError, match="x0_plant"):
+        simulate_loop(plant, ctrl, 1.0, 10, x0_plant=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="x0_ctrl"):
+        simulate_loop(plant, ctrl, 1.0, 10, x0_ctrl=[1.0, 2.0])
+
+
+def test_zero_dimensional_array_reference():
+    plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
+    ctrl = realize_controller(Polynomial([1, 1]), Polynomial([0.1]),
+                              Polynomial([0.2]))
+    out = simulate_loop(plant, ctrl, np.array(2.0), 300)
+    assert_allclose(out.r, np.full(300, 2.0))
+    assert out.y.tobytes() == simulate_loop(plant, ctrl, 2.0, 300).y.tobytes()
+
+
+def test_memory_is_linear_in_steps_not_in_states():
+    # y, u and r take 8 bytes per step each; storing every state of this
+    # 21-state loop would take 168 more
+    import tracemalloc
+    plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
+    ctrl = realize_controller(Polynomial.from_roots([0.0] * 20),
+                              Polynomial([0.1]), Polynomial([0.2]))
+    steps = 100_000
+    tracemalloc.start()
+    try:
+        out = simulate_loop(plant, ctrl, 1.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.steps == steps and not out.diverged
+    assert peak <= 3 * 8 * steps + 200_000
