@@ -10,7 +10,8 @@ are assigned from the integer target, never recomputed through arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,12 @@ class Tolerances:
     integer: float = 1e-6
     schur_margin: float = 1e-9
     imag: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"tolerance {f.name} must be nonnegative and "
+                                 f"finite, not {getattr(self, f.name)!r}")
 
 
 @dataclass(frozen=True)

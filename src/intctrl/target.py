@@ -10,9 +10,9 @@ invertible along the way.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -198,6 +198,23 @@ class TargetSearchConfig:
     #: try the all-zero target first (all controller poles at the origin)
     prefer_origin: bool = False
 
+    def __post_init__(self):
+        modes = (TargetMode.ROUND, TargetMode.SEARCH, TargetMode.FALLBACK,
+                 TargetMode.AUTO)
+        if self.mode not in modes:
+            raise ValueError(f"target mode must be one of {', '.join(modes)}, "
+                             f"not {self.mode!r}")
+        if self.max_radius < 0:
+            raise ValueError("max_radius must be >= 0")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
+        if self.segment_samples < 2:
+            raise ValueError("segment_samples must be >= 2")
+        for name in ("tol_active", "tol_side"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"not {getattr(self, name)!r}")
+
 
 class IntegerTarget(NamedTuple):
     x_star: np.ndarray
@@ -205,34 +222,82 @@ class IntegerTarget(NamedTuple):
     candidates_examined: int
 
 
-def _same_side(x0: np.ndarray, cand: np.ndarray, hset: HyperplaneSet,
-               active: Sequence[int], sides0: np.ndarray,
-               cfg: TargetSearchConfig) -> bool:
-    sup = float(np.max(np.abs(cand), initial=0.0))
-    for t in active:
-        plane = hset[t]
-        s1 = plane.side(cand)
-        margin = cfg.tol_side * (1.0 + vec_1norm(plane.normal) * max(1.0, sup))
-        if sides0[t] * s1 <= 0.0 or abs(s1) <= margin:
-            return False
-    # the endpoint test suffices in exact arithmetic (the feasible region is
-    # convex); sampling guards floating-point edge cases
-    for rho in np.linspace(0.0, 1.0, cfg.segment_samples):
-        xm = rho * x0 + (1.0 - rho) * cand
-        for t in active:
-            if sides0[t] * hset[t].side(xm) < 0.0:
-                return False
-    return True
+#: flat cube indices unravelled per block of the shell walk: one matrix
+#: product amortizes the per-call overhead over the block, and in dimension 8
+#: a block of offsets stays at 256 KiB however large the shell is.  The
+#: search time is flat from about 1024 to 16384 and grows on either side.
+SHELL_BLOCK = 4096
 
 
-def _shells(center: np.ndarray, max_radius: int, dim: int) -> Iterator[np.ndarray]:
-    """Integer points by expanding Chebyshev shells, lexicographic within
-    each shell."""
-    yield center.copy()
-    for radius in range(1, max_radius + 1):
-        for off in itertools.product(range(-radius, radius + 1), repeat=dim):
-            if max(abs(o) for o in off) == radius:
-                yield center + np.array(off, dtype=float)
+class _ActivePlanes:
+    """The active planes stacked for testing blocks of candidates at once,
+    with their signs at ``x0``."""
+
+    def __init__(self, x0: np.ndarray, hset: HyperplaneSet,
+                 active: Sequence[int], cfg: TargetSearchConfig):
+        self.x0 = x0
+        self.normals = np.array([hset[t].normal for t in active])
+        self.offsets = np.array([hset[t].offset for t in active])
+        self.norms = np.array([vec_1norm(hset[t].normal) for t in active])
+        self.sides0 = np.array([hset[t].side(x0) for t in active])
+        self.tol_side = cfg.tol_side
+        self.rho = np.linspace(0.0, 1.0, cfg.segment_samples)
+
+    def first_feasible(self, cands: np.ndarray) -> int | None:
+        """Index of the first row of ``cands`` strictly on the side of
+        ``x0`` of every plane, by a margin and along the segment to ``x0``."""
+        sides = cands @ self.normals.T - self.offsets
+        sup = np.maximum(1.0, np.max(np.abs(cands), axis=1))
+        margin = self.tol_side * (1.0 + sup[:, None] * self.norms)
+        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        for i in np.flatnonzero(~bad.any(axis=1)):
+            # the endpoint test suffices in exact arithmetic (the feasible
+            # region is convex); sampling guards floating-point edge cases
+            seg = np.outer(self.rho, self.x0) + np.outer(1.0 - self.rho, cands[i])
+            seg_sides = seg @ self.normals.T - self.offsets
+            if not np.any(self.sides0 * seg_sides < 0.0):
+                return int(i)
+        return None
+
+    def feasible(self, cand: np.ndarray) -> bool:
+        return self.first_feasible(cand[None, :]) is not None
+
+
+def _shell_blocks(radius: int, dim: int):
+    """Integer offsets of Chebyshev norm ``radius`` in ``itertools.product``
+    order, as int arrays of shape (k, dim) cut from flat index ranges of
+    at most ``SHELL_BLOCK`` cube points; the cube is never built whole."""
+    width = 2 * radius + 1
+    total = width ** dim
+    for start in range(0, total, SHELL_BLOCK):
+        # unravelled digit by digit: np.unravel_index rejects cubes of more
+        # than 2**63 points, which dimension 40 reaches at radius 1
+        rest = np.arange(start, min(start + SHELL_BLOCK, total))
+        off = np.empty((rest.size, dim), dtype=np.int64)
+        for k in range(dim - 1, -1, -1):
+            rest, off[:, k] = np.divmod(rest, width)
+        off -= radius
+        yield off[np.max(np.abs(off), axis=1) == radius]
+
+
+def _walk_shells(center: np.ndarray, planes: _ActivePlanes,
+                 cfg: TargetSearchConfig) -> tuple[np.ndarray | None, int]:
+    """First feasible point on the shells of radius 1 to ``cfg.max_radius``
+    around ``center``, and the number of points examined up to and including
+    it.  The caller has already examined ``center``, so at most
+    ``cfg.max_candidates - 1`` points are examined here."""
+    budget = cfg.max_candidates - 1
+    examined = 0
+    for radius in range(1, cfg.max_radius + 1):
+        for off in _shell_blocks(radius, center.size):
+            cands = center + off[:budget - examined]
+            hit = planes.first_feasible(cands)
+            if hit is not None:
+                return cands[hit].copy(), examined + hit + 1
+            examined += len(cands)
+            if examined == budget:
+                return None, examined
+    return None, examined
 
 
 def _fallback_center(x0: np.ndarray, num: Polynomial, hset: HyperplaneSet,
@@ -268,26 +333,23 @@ def find_integer_target(x0: np.ndarray, hset: HyperplaneSet,
     """
     cfg = cfg or TargetSearchConfig()
     x0 = np.asarray(x0, dtype=float)
-    sides0 = np.array([p.side(x0) for p in hset]) if len(hset) else np.zeros(0)
     active = tuple(active)
 
     if not active:
         return IntegerTarget(np.round(x0), "round", 1)
 
-    def feasible(cand: np.ndarray) -> bool:
-        return _same_side(x0, cand, hset, active, sides0, cfg)
-
+    planes = _ActivePlanes(x0, hset, active, cfg)
     examined = 0
     if cfg.prefer_origin:
         examined += 1
         origin = np.zeros_like(x0)
-        if feasible(origin):
+        if planes.feasible(origin):
             return IntegerTarget(origin, "origin", examined)
 
     rounded = np.round(x0)
     if cfg.mode in (TargetMode.ROUND, TargetMode.AUTO, TargetMode.SEARCH):
         examined += 1
-        if feasible(rounded):
+        if planes.feasible(rounded):
             return IntegerTarget(rounded, "round", examined)
         if cfg.mode == TargetMode.ROUND:
             raise TargetSearchError(
@@ -296,22 +358,23 @@ def find_integer_target(x0: np.ndarray, hset: HyperplaneSet,
                 margins=[hset[t].distance(rounded) for t in active])
 
     if cfg.mode in (TargetMode.SEARCH, TargetMode.AUTO):
-        for cand in itertools.islice(_shells(rounded, cfg.max_radius, hset.dim),
-                                     1, cfg.max_candidates):
-            examined += 1
-            if feasible(cand):
-                return IntegerTarget(cand, "shell", examined)
+        cand, count = _walk_shells(rounded, planes, cfg)
+        examined += count
+        if cand is not None:
+            return IntegerTarget(cand, "shell", examined)
         if cfg.mode == TargetMode.SEARCH:
             raise TargetSearchError(
                 f"no integer target within Chebyshev radius {cfg.max_radius} "
                 "of round(x0)", candidate=rounded)
 
     center = np.round(_fallback_center(x0, num, hset, active))
-    for cand in itertools.islice(_shells(center, cfg.max_radius, hset.dim),
-                                 cfg.max_candidates):
-        examined += 1
-        if feasible(cand):
-            return IntegerTarget(cand, "fallback", examined)
+    examined += 1
+    if planes.feasible(center):
+        return IntegerTarget(center, "fallback", examined)
+    cand, count = _walk_shells(center, planes, cfg)
+    examined += count
+    if cand is not None:
+        return IntegerTarget(cand, "fallback", examined)
     raise TargetSearchError(
         "integer-target search exhausted (existence is guaranteed for "
         "coprime inputs; check tolerances and max_radius)",

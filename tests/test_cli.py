@@ -93,12 +93,22 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
-@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5")])
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5"),
+                                         ("--max-radius", "-1")])
 def test_invalid_config_flag_is_a_validation_error(command, flag, value,
                                                     capsys):
     problem = PENDULUM if command == "stabilize" else CONVERSION
     assert main([command, problem, flag, value]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def test_negative_tolerance_flag_names_the_tolerance(capsys):
+    # a bad flag must not be reported as a plant close to sharing a factor
+    assert main(["stabilize", PENDULUM, "--tol-residual", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "tolerance residual" in err
+    assert "factor" not in err
 
 
 def test_convert_cli_end_to_end(tmp_path):

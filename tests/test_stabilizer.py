@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
                      SynthesisError, TargetSearchConfig, closed_loop_poly,
                      make_gamma_ini, preprocess_plant, run_algorithm1,
-                     schur_check, stabilize_proper, vec_1norm)
+                     schur_check, stabilize_proper, Tolerances, vec_1norm)
 from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
 
 from conftest import well_posed_plant
@@ -223,3 +223,14 @@ def test_prefer_origin_flag():
     if np.all(result.x_star == 0):
         roots = np.abs(np.roots(result.alpha.descending()))
         assert np.max(roots, initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["residual", "coprime", "imag"])
+def test_tolerances_reject_negative_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"tolerance {name}"):
+        Tolerances(**{name: value})
+
+
+def test_tolerances_accept_zero():
+    assert Tolerances(residual=0.0, trim=0.0).residual == 0.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,8 +9,13 @@ from intctrl import (DeltaFactors, Polynomial, TargetSearchConfig,
                      coprime_check, delta_matrix, find_integer_target,
                      monic_from_vector, schur_check, solve_diophantine,
                      solve_linear, vec_1norm, vector_from_monic)
+from intctrl import target
 from intctrl.numeric import SingularMatrixError
-from intctrl.target import InconsistentActiveSetError, TargetSearchError
+from intctrl.target import (InconsistentActiveSetError, IntegerTarget,
+                            TargetMode, TargetSearchError, _fallback_center,
+                            _shell_blocks)
+
+from conftest import random_plant
 
 
 def test_hyperplanes_constant_numerator_empty():
@@ -216,6 +223,242 @@ def test_find_target_fallback_recentre():
     assert found.strategy == "fallback"
     for t in active:
         assert hset[t].side(found.x_star) * hset[t].side(x0) > 0
+
+
+# Scalar reference search: one candidate at a time, one plane at a time.  The
+# block evaluation in intctrl.target must pick the same target after the
+# same number of candidates.
+
+def _oracle_same_side(x0, cand, hset, active, sides0, cfg):
+    sup = float(np.max(np.abs(cand), initial=0.0))
+    for t in active:
+        plane = hset[t]
+        s1 = plane.side(cand)
+        margin = cfg.tol_side * (1.0 + vec_1norm(plane.normal) * max(1.0, sup))
+        if sides0[t] * s1 <= 0.0 or abs(s1) <= margin:
+            return False
+    for rho in np.linspace(0.0, 1.0, cfg.segment_samples):
+        xm = rho * x0 + (1.0 - rho) * cand
+        for t in active:
+            if sides0[t] * hset[t].side(xm) < 0.0:
+                return False
+    return True
+
+
+def _oracle_shells(center, max_radius, dim):
+    yield center.copy()
+    for radius in range(1, max_radius + 1):
+        for off in itertools.product(range(-radius, radius + 1), repeat=dim):
+            if max(abs(o) for o in off) == radius:
+                yield center + np.array(off, dtype=float)
+
+
+def oracle_find_integer_target(x0, hset, active, num, cfg=None):
+    cfg = cfg or TargetSearchConfig()
+    x0 = np.asarray(x0, dtype=float)
+    sides0 = np.array([p.side(x0) for p in hset]) if len(hset) else np.zeros(0)
+    active = tuple(active)
+    if not active:
+        return IntegerTarget(np.round(x0), "round", 1)
+
+    def feasible(cand):
+        return _oracle_same_side(x0, cand, hset, active, sides0, cfg)
+
+    examined = 0
+    if cfg.prefer_origin:
+        examined += 1
+        origin = np.zeros_like(x0)
+        if feasible(origin):
+            return IntegerTarget(origin, "origin", examined)
+    rounded = np.round(x0)
+    if cfg.mode in (TargetMode.ROUND, TargetMode.AUTO, TargetMode.SEARCH):
+        examined += 1
+        if feasible(rounded):
+            return IntegerTarget(rounded, "round", examined)
+        if cfg.mode == TargetMode.ROUND:
+            raise TargetSearchError(
+                "round(x0) is not on the same side of every active plane")
+    if cfg.mode in (TargetMode.SEARCH, TargetMode.AUTO):
+        for cand in itertools.islice(_oracle_shells(rounded, cfg.max_radius,
+                                                    hset.dim),
+                                     1, cfg.max_candidates):
+            examined += 1
+            if feasible(cand):
+                return IntegerTarget(cand, "shell", examined)
+        if cfg.mode == TargetMode.SEARCH:
+            raise TargetSearchError(
+                f"no integer target within Chebyshev radius {cfg.max_radius} "
+                "of round(x0)")
+    center = np.round(_fallback_center(x0, num, hset, active))
+    for cand in itertools.islice(_oracle_shells(center, cfg.max_radius,
+                                                hset.dim),
+                                 cfg.max_candidates):
+        examined += 1
+        if feasible(cand):
+            return IntegerTarget(cand, "fallback", examined)
+    raise TargetSearchError(
+        "integer-target search exhausted (existence is guaranteed for "
+        "coprime inputs; check tolerances and max_radius)")
+
+
+def assert_matches_oracle(x0, hset, active, num, cfg=None):
+    """Same target bit for bit, same strategy and count, or the same error;
+    returns the oracle's target, or None when both raised."""
+    try:
+        want = oracle_find_integer_target(x0, hset, active, num, cfg)
+    except TargetSearchError as exc:
+        with pytest.raises(TargetSearchError) as got:
+            find_integer_target(x0, hset, active, num, cfg)
+        assert str(got.value) == str(exc)
+        return None
+    got = find_integer_target(x0, hset, active, num, cfg)
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.strategy == want.strategy
+    assert got.candidates_examined == want.candidates_examined
+    return want
+
+
+def _squeezed_3d():
+    # x0 between the planes of the nearby roots 0.31 and 0.33: the shell
+    # phase needs 22 points after round(x0), over several blocks
+    num = Polynomial.from_roots([0.31, 0.33, -0.5])
+    hset = build_hyperplanes(num, 3)
+    x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0, 0.1]), 3)
+    return x0, hset, active_index_set(x0, hset), num
+
+
+def test_block_search_matches_oracle_on_hand_cases(pendulum):
+    num = Polynomial.from_roots([0.8])
+    hset = build_hyperplanes(num, 1)
+    for mode in ("auto", "search", "fallback", "round"):
+        assert_matches_oracle(np.array([-0.75]), hset, (0,), num,
+                              TargetSearchConfig(mode=mode))
+
+    num = Polynomial.from_roots([0.31, 0.33], leading=1.0)
+    hset = build_hyperplanes(num, 2)
+    x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0]), 2)
+    active = active_index_set(x0, hset)
+    for cfg in (TargetSearchConfig(mode="fallback", max_radius=3),
+                TargetSearchConfig(), TargetSearchConfig(prefer_origin=True)):
+        assert_matches_oracle(x0, hset, active, num, cfg)
+
+    x0, hset, active, num = _squeezed_3d()
+    assert assert_matches_oracle(x0, hset, active, num).strategy == "shell"
+    # a numerator that is not the planes' own moves the fallback centre
+    # off the feasible region, so the fallback phase walks its shells
+    found = assert_matches_oracle(x0, hset, active, Polynomial([1.0]),
+                                  TargetSearchConfig(mode="fallback"))
+    assert found.strategy == "fallback" and found.candidates_examined > 100
+
+    den, num = pendulum
+    for gamma in (Polynomial.monomial(8), Polynomial.from_roots(
+            [-0.2616, 0.3728, 0.6769 + 0.649j, 0.6769 - 0.649j,
+             0.9168 + 0.199j, 0.9168 - 0.199j, 0.965 + 0.1j, 0.965 - 0.1j])):
+        x0 = vector_from_monic(solve_diophantine(den, gamma, num).r, 4)
+        hset = build_hyperplanes(num, 4)
+        assert_matches_oracle(x0, hset, active_index_set(x0, hset), num)
+
+
+def test_block_search_matches_oracle_on_random_plants():
+    # unfiltered random plants; a smaller budget keeps the scalar oracle
+    # fast and sends the deepest instances on to the fallback phase
+    rng = np.random.default_rng(5)
+    cfg = TargetSearchConfig(max_candidates=5000)
+    strategies = []
+    for _ in range(200):
+        den, num = random_plant(rng)
+        if abs(num(0.0)) < 1e-6:
+            continue
+        n = den.coeffs.size - 1
+        try:
+            r0 = solve_diophantine(den, Polynomial.monomial(2 * n), num).r
+            x0 = vector_from_monic(r0, n)
+            hset = build_hyperplanes(num, n)
+            active = active_index_set(x0, hset)
+        except ValueError:  # not coprime, or a real-root plane through x0
+            continue
+        found = assert_matches_oracle(x0, hset, active, num, cfg)
+        strategies.append(found.strategy if found else "raised")
+    assert strategies.count("shell") >= 40
+    assert strategies.count("round") >= 100
+    assert "fallback" in strategies
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, target.SHELL_BLOCK])
+def test_block_search_budget_matches_oracle(monkeypatch, block):
+    monkeypatch.setattr(target, "SHELL_BLOCK", block)
+    x0, hset, active, num = _squeezed_3d()
+    for max_candidates in range(1, 27):
+        assert_matches_oracle(x0, hset, active, num, TargetSearchConfig(
+            mode="search", max_candidates=max_candidates))
+    for max_candidates in (1, 2, 165, 166, 167, 168):
+        assert_matches_oracle(x0, hset, active, Polynomial([1.0]),
+                              TargetSearchConfig(mode="fallback",
+                                                 max_candidates=max_candidates))
+    # radius exhausted before the budget, in both phases
+    assert assert_matches_oracle(x0, hset, active, num, TargetSearchConfig(
+        mode="search", max_radius=0)) is None
+    assert assert_matches_oracle(x0, hset, active, Polynomial([1.0]),
+                                 TargetSearchConfig(mode="fallback",
+                                                    max_radius=2)) is None
+
+
+def test_budget_ends_on_and_inside_a_block(monkeypatch):
+    # the shell phase examines max_candidates - 1 points after round(x0);
+    # with blocks of 7 flat indices the radius-1 shell of dimension 3 comes
+    # in blocks of 7, 6, 7 and 6 points, and the target is the 22nd point
+    monkeypatch.setattr(target, "SHELL_BLOCK", 7)
+    x0, hset, active, num = _squeezed_3d()
+    edges = np.cumsum([len(b) for r in (1, 2) for b in _shell_blocks(r, 3)])
+    assert list(edges[:4]) == [7, 13, 20, 26]
+    on_edge = TargetSearchConfig(mode="search", max_candidates=21)
+    with pytest.raises(TargetSearchError):
+        find_integer_target(x0, hset, active, num, on_edge)
+    inside = TargetSearchConfig(mode="search", max_candidates=23)
+    found = find_integer_target(x0, hset, active, num, inside)
+    assert found.candidates_examined == 23
+    assert_matches_oracle(x0, hset, active, num, on_edge)
+    assert_matches_oracle(x0, hset, active, num, inside)
+
+
+@pytest.mark.parametrize("block", [1, 7, target.SHELL_BLOCK])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_shell_blocks_follow_product_order(monkeypatch, block, dim):
+    monkeypatch.setattr(target, "SHELL_BLOCK", block)
+    for radius in range(4):
+        want = [off for off in itertools.product(range(-radius, radius + 1),
+                                                 repeat=dim)
+                if max(abs(o) for o in off) == radius]
+        blocks = list(_shell_blocks(radius, dim))
+        assert all(b.dtype.kind == "i" and b.shape[1] == dim
+                   and len(b) <= block for b in blocks)
+        assert [tuple(int(v) for v in row) for b in blocks for row in b] == want
+
+
+def test_shell_blocks_beyond_index_range():
+    # 3**45 cube points overflow a 64-bit flat index; the first block must
+    # still follow the product order
+    first = next(_shell_blocks(1, 45))
+    want = itertools.islice((off for off in itertools.product((-1, 0, 1),
+                                                             repeat=45)
+                             if max(abs(o) for o in off) == 1), len(first))
+    assert [tuple(int(v) for v in row) for row in first] == list(want)
+
+
+@pytest.mark.parametrize("kw", [
+    {"mode": "bogus"}, {"max_radius": -1}, {"max_candidates": 0},
+    {"segment_samples": 1}, {"segment_samples": 0}, {"tol_active": -1e-9},
+    {"tol_side": -1.0}, {"tol_side": float("nan")},
+    {"tol_active": float("inf")}])
+def test_target_config_rejects_out_of_range(kw):
+    with pytest.raises(ValueError):
+        TargetSearchConfig(**kw)
+
+
+def test_target_config_accepts_edge_values():
+    cfg = TargetSearchConfig(mode="round", max_radius=0, max_candidates=1,
+                             segment_samples=2, tol_active=0.0, tol_side=0.0)
+    assert cfg.max_candidates == 1
 
 
 def test_control_input_at_target():
