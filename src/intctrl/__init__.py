@@ -7,13 +7,12 @@ with an integer-coefficient one while preserving the closed-loop transfer
 function from the reference to the plant output.
 """
 
-from .bezout import (CoprimalityResult, NotCoprimeError, bezout_identity,
-                     coprime_check, solve_diophantine)
+from .bezout import (CoprimalityResult, NotCoprimeError, coprime_check,
+                     solve_diophantine)
 from .converter import (ConversionConfig, ConvertedController, PreController,
                         assemble_converted, convert_controller, run_algorithm2)
-from .numeric import (RootSet, SchurResult, classify_roots, induced_1norm,
-                      jury_stable, poly_roots, schur_check, solve_linear,
-                      vec_1norm)
+from .numeric import (RootSet, SchurResult, classify_roots, jury_stable,
+                      poly_roots, schur_check, solve_linear, vec_1norm)
 from .poly import (Polynomial, RationalTF, monic_from_vector, toeplitz_stack,
                    vector_from_monic)
 from .sim import (SimulationResult, StateSpace, realize_controller, realize_tf,
@@ -37,13 +36,14 @@ __all__ = [
     "RationalTF", "RootSet", "SchurResult", "SimulationResult",
     "StabilizationConfig", "StabilizationResult", "StateSpace",
     "SynthesisError", "TargetSearchConfig", "TargetSearchError", "Tolerances",
-    "TraceStep", "active_index_set", "assemble_converted", "bezout_identity",
-    "build_hyperplanes", "certify_conversion", "certify_stabilization",
-    "classify_roots", "closed_loop_poly", "closed_loop_tf", "control_input",
+    "TraceStep", "active_index_set", "assemble_converted", "build_hyperplanes",
+    "certify_conversion", "certify_stabilization", "classify_roots",
+    "closed_loop_poly", "closed_loop_tf", "control_input",
     "convert_controller", "coprime_check", "delta_matrix",
-    "find_integer_target", "induced_1norm", "jury_stable", "make_gamma_ini",
-    "monic_from_vector", "poly_roots", "preprocess_plant", "realize_controller",
-    "realize_tf", "run_algorithm1", "run_algorithm2", "schur_check",
-    "simulate_loop", "solve_diophantine", "solve_linear", "stabilize_proper",
-    "tf_equal", "toeplitz_stack", "vec_1norm", "vector_from_monic",
+    "find_integer_target", "jury_stable", "make_gamma_ini",
+    "monic_from_vector", "poly_roots", "preprocess_plant",
+    "realize_controller", "realize_tf", "run_algorithm1", "run_algorithm2",
+    "schur_check", "simulate_loop", "solve_diophantine", "solve_linear",
+    "stabilize_proper", "tf_equal", "toeplitz_stack", "vec_1norm",
+    "vector_from_monic",
 ]

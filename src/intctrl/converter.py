@@ -10,16 +10,16 @@ reported in the certificate rather than compensated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
-from .poly import Polynomial, monic_from_vector, trim, vector_from_monic
-from .stabilizer import (Tolerances, TraceStep, _assert_loop_invariant,
-                         _closing_cofactor, _steer_to_integer)
-from .target import TargetSearchConfig
+from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
+                   vector_from_monic)
+from .stabilizer import (SteeringConfig, Tolerances, TraceStep, schur_factor,
+                         steer)
 from .verify import Certificate, certify_conversion
 
 
@@ -53,21 +53,10 @@ class ConvertedController:
 
 
 @dataclass(frozen=True)
-class ConversionConfig:
+class ConversionConfig(SteeringConfig):
     #: roots of the initial Schur factor; None selects the smallest monomial
     #: satisfying the degree requirement
     alpha_ini_roots: tuple[complex, ...] | None = None
-    mu: float = 0.99
-    target: TargetSearchConfig = field(default_factory=TargetSearchConfig)
-    max_iterations: int | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    verify_invariant: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,16 +80,7 @@ def _make_alpha_ini(n: int, ctrl_den: Polynomial, num: Polynomial,
     if len(roots) < min_degree:
         raise ValueError(f"initial factor needs degree >= {min_degree}, "
                          f"got {len(roots)} roots")
-    worst = max((abs(r) for r in roots), default=0.0)
-    if roots and worst >= 1.0 - tol.schur_margin:
-        raise ValueError(f"initial factor roots must be strictly Schur "
-                         f"(|root| max {worst})")
-    alpha = Polynomial.from_roots(roots)
-    ok, quality = coprime_check(alpha, num, tol.coprime) if roots else (True, 1.0)
-    if not ok:
-        raise NotCoprimeError(
-            f"initial factor shares a root with the numerator ({quality:.3e})")
-    return alpha
+    return schur_factor(roots, num, tol)
 
 
 def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
@@ -122,58 +102,33 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
         raise ValueError("plant numerator must be nonzero")
 
     # strip z^l so the steering geometry sees num(0) != 0
-    shift = 0
-    coeffs = num.coeffs
-    cut = tol.trim * num.max_abs()
-    while shift < coeffs.size - 1 and abs(coeffs[shift]) <= cut:
-        shift += 1
-    reduced = Polynomial(coeffs[shift:])
-
+    reduced, shift = split_z_power(num, tol.trim)
     ok, quality = coprime_check(ctrl_den, reduced, tol.coprime)
     if not ok:
         raise NotCoprimeError(
             f"controller denominator and plant numerator are not coprime "
             f"(quality {quality:.3e})")
 
-    alpha = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots, tol)
-    big_n = (alpha.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
+    alpha_ini = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots, tol)
+    big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     if big_n < 0:
         raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")
-    r0 = solve_diophantine(Polynomial.monomial(big_n), alpha * ctrl_den,
+    r0 = solve_diophantine(Polynomial.monomial(big_n), alpha_ini * ctrl_den,
                            reduced, tol.residual).r
     x0 = vector_from_monic(trim(r0, tol.trim), n, tol.monic)
-
-    state = {"alpha": alpha, "N": big_n}
-
-    def on_step(u_poly: Polynomial, k: int) -> int:
-        state["alpha"] = u_poly * state["alpha"]
-        state["N"] += n
-        return state["alpha"].coeffs.size - 1
-
-    invariant = None
-    if cfg.verify_invariant:
-        def invariant(x: np.ndarray, k: int):
-            _assert_loop_invariant(Polynomial.one(), reduced,
-                                   state["alpha"] * ctrl_den, state["N"], x, tol)
-
-    x_star, trace, warnings = _steer_to_integer(
-        x0, reduced, n, cfg.target, cfg.mu, cfg.max_iterations, on_step,
-        invariant)
-
-    alpha = state["alpha"]
-    gamma = monic_from_vector(x_star).shifted(state["N"])
-    # here the reduction runs the other way around: z^N r + s num = alpha*den
-    # with r the integer target, so gamma - alpha*den = -s*num
-    beta = -_closing_cofactor(Polynomial.monomial(state["N"]),
-                              alpha * ctrl_den, reduced, x_star, tol)
-
+    # the roles swap against the stabilizing synthesis: the Schur factors
+    # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
+    # target gives gamma = z^N r and beta = -s
+    alpha, big_n, x_star, s, trace, warnings = steer(
+        Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, cfg)
+    gamma = monic_from_vector(x_star).shifted(big_n)
     if shift:
         alpha = alpha.shifted(shift)
         gamma = gamma.shifted(shift)
-        warnings = warnings + [
+        warnings.append(
             f"plant numerator carries z^{shift}; the solution was lifted from "
-            "the reduced problem"]
-    return ConversionSolution(alpha, beta, gamma, x_star, len(trace),
+            "the reduced problem")
+    return ConversionSolution(alpha, -s, gamma, x_star, len(trace),
                               tuple(trace), tuple(warnings))
 
 

@@ -53,7 +53,9 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
         raise ValueError("A must be square")
     if A.shape[0] == 0:
         return np.zeros_like(b)
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    # getrf itself, not lu_factor: lu_factor warns on an exactly zero pivot,
+    # which the check below reports as an exception
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
     diag = np.abs(np.diag(lu))
     scale = float(np.max(diag))
     pivot = float(np.min(diag))
@@ -65,12 +67,6 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
 def vec_1norm(v: np.ndarray) -> float:
     """Sum of absolute entries."""
     return float(np.sum(np.abs(np.asarray(v))))
-
-
-def induced_1norm(M: np.ndarray) -> float:
-    """Max column absolute sum."""
-    M = np.atleast_2d(np.asarray(M))
-    return float(np.max(np.sum(np.abs(M), axis=0)))
 
 
 def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
@@ -114,13 +110,6 @@ class RootSet:
     @property
     def n_complex_pairs(self) -> int:
         return len(self.complex_pairs)
-
-    def reconstruct(self) -> Polynomial:
-        roots: list[complex] = list(self.real_roots)
-        for eta in self.complex_pairs:
-            roots += [eta, eta.conjugate()]
-        return Polynomial.from_roots(roots, leading=self.leading_coeff,
-                                     conj_tol=1e-7)
 
 
 def classify_roots(roots: Sequence[complex], leading_coeff: float = 1.0,

@@ -234,6 +234,16 @@ def trim(p: Polynomial, tol: float = TRIM_TOL) -> Polynomial:
     return _trimmed(p.coeffs.copy(), tol)
 
 
+def split_z_power(p: Polynomial, tol: float = TRIM_TOL) -> tuple[Polynomial, int]:
+    """``(p / z**l, l)`` for the largest ``l`` whose low-order coefficients are
+    at most ``tol * max|coeff|``; those coefficients count as exact zeros."""
+    cut = tol * p.max_abs()
+    shift = 0
+    while shift < p.coeffs.size - 1 and abs(p.coeffs[shift]) <= cut:
+        shift += 1
+    return Polynomial(p.coeffs[shift:]), shift
+
+
 class RationalTF(NamedTuple):
     """Transfer function as a numerator/denominator pair."""
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
 from .numeric import vec_1norm
-from .poly import Polynomial, monic_from_vector, trim, vector_from_monic
+from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
+                   vector_from_monic)
 from .target import (DeltaFactors, TargetSearchConfig, active_index_set,
                      build_hyperplanes, control_input, delta_matrix,
                      find_integer_target)
@@ -42,7 +43,6 @@ class Tolerances:
     coprime: float = COPRIME_QUALITY_MIN
     integer: float = 1e-6
     schur_margin: float = 1e-9
-    imag: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -51,11 +51,10 @@ class Tolerances:
                                  f"finite, not {getattr(self, f.name)!r}")
 
 
-@dataclass(frozen=True)
-class StabilizationConfig:
-    #: roots for the initial Schur target polynomial (degree must come out
-    #: at twice the plant order); None selects the all-at-origin default
-    gamma_ini_roots: tuple[complex, ...] | None = None
+@dataclass(frozen=True, kw_only=True)
+class SteeringConfig:
+    """Settings of the steering loop shared by both algorithms."""
+
     mu: float = 0.99
     target: TargetSearchConfig = field(default_factory=TargetSearchConfig)
     #: None derives the engineering cap 10*ceil(|x*-x0|_1) + 10
@@ -70,6 +69,13 @@ class StabilizationConfig:
             raise ValueError("mu must lie in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+
+
+@dataclass(frozen=True)
+class StabilizationConfig(SteeringConfig):
+    #: roots for the initial Schur target polynomial (degree must come out
+    #: at twice the plant order); None selects the all-at-origin default
+    gamma_ini_roots: tuple[complex, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,15 +140,26 @@ def preprocess_plant(den: Polynomial, num: Polynomial,
             f"plant denominator and numerator are not coprime "
             f"(quality {quality:.3e} <= {tol.coprime:.1e})")
     scale = den.leading
-    den_m = Polynomial(den.coeffs / scale)
-    num_m = trim(Polynomial(num.coeffs / scale), tol.trim)
-    cut = tol.trim * num_m.max_abs()
-    shift = 0
-    coeffs = num_m.coeffs
-    while shift < coeffs.size - 1 and abs(coeffs[shift]) <= cut:
-        shift += 1
-    return PreprocessedPlant(den_m, Polynomial(coeffs[shift:]), shift,
+    reduced, shift = split_z_power(
+        trim(Polynomial(num.coeffs / scale), tol.trim), tol.trim)
+    return PreprocessedPlant(Polynomial(den.coeffs / scale), reduced, shift,
                              float(scale), quality)
+
+
+def schur_factor(roots: Sequence[complex], num: Polynomial,
+                 tol: Tolerances) -> Polynomial:
+    """Monic polynomial with the given roots, which must lie strictly inside
+    the unit circle and share none with the numerator."""
+    worst = max((abs(r) for r in roots), default=0.0)
+    if roots and worst >= 1.0 - tol.schur_margin:
+        raise ValueError(f"initial factor roots must be strictly Schur "
+                         f"(|root| max {worst})")
+    factor = Polynomial.from_roots(roots)
+    ok, quality = coprime_check(factor, num, tol.coprime)
+    if not ok:
+        raise NotCoprimeError(f"initial factor shares a root with the "
+                              f"numerator (quality {quality:.3e})")
+    return factor
 
 
 def make_gamma_ini(n: int, num: Polynomial,
@@ -160,48 +177,42 @@ def make_gamma_ini(n: int, num: Polynomial,
     roots = tuple(complex(r) for r in roots)
     if len(roots) != 2 * n:
         raise ValueError(f"need exactly {2 * n} roots, got {len(roots)}")
-    worst = max(abs(r) for r in roots) if roots else 0.0
-    if worst >= 1.0 - tol.schur_margin:
-        raise ValueError(f"target roots must be strictly Schur (|root| max {worst})")
-    gamma = Polynomial.from_roots(roots)
-    ok, quality = coprime_check(gamma, num, tol.coprime)
-    if not ok:
-        raise NotCoprimeError(
-            f"initial target polynomial shares a root with the numerator "
-            f"(quality {quality:.3e})")
-    return gamma
+    return schur_factor(roots, num, tol)
 
 
-def _steer_to_integer(x0: np.ndarray, num: Polynomial, n: int,
-                      cfg_target: TargetSearchConfig, mu: float,
-                      max_iterations: int | None, on_step,
-                      invariant_check=None
-                      ) -> tuple[np.ndarray, list[TraceStep], list[str]]:
-    """Shared steering loop for both synthesis directions.
+def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
+          num: Polynomial, x0: np.ndarray, cfg: SteeringConfig
+          ) -> tuple[Polynomial, int, np.ndarray, Polynomial,
+                     list[TraceStep], list[str]]:
+    """Steering loop shared by both synthesis directions.
 
-    ``on_step(u_poly, k)`` accumulates the per-step Schur factor into
-    whichever polynomial the caller is growing and returns its new degree.
-    ``invariant_check(x, k)``, when given, is invoked on every post-update
-    state.  Returns the integer target, the trace and any warnings.
+    The state ``x`` is the quotient ``r = monic(x)`` of the reduction
+    ``z^shift * p * r + s * num = factor * q`` with ``deg(s) < shift +
+    deg(p)``, starting at ``x0``.  Each step multiplies its monic Schur
+    factor into ``factor`` and adds ``n = len(x0)`` to ``shift`` until ``x``
+    reaches an integer target; the closing solve of the final reduction
+    then yields the cofactor ``s``.  Returns ``(factor, shift, x_star, s,
+    trace, warnings)``.
     """
+    tol = cfg.tolerances
+    n = x0.size
     warnings: list[str] = []
     hset = build_hyperplanes(num, n)
-    active = active_index_set(x0, hset, cfg_target.tol_active)
+    active = active_index_set(x0, hset, cfg.target.tol_active)
     if len(active) < len(hset):
         skipped = sorted(set(range(len(hset))) - set(active))
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, hset, active, num, cfg_target)
+    found = find_integer_target(x0, hset, active, num, cfg.target)
     x_star = found.x_star
-    distance = vec_1norm(x_star - x0)
-    cap = (max_iterations if max_iterations is not None
-           else 10 * int(np.ceil(distance)) + 10)
+    cap = (cfg.max_iterations if cfg.max_iterations is not None
+           else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
     factors = DeltaFactors.from_numerator(num, n)
     trace: list[TraceStep] = []
     x = x0.copy()
-    k = 0
     while not np.array_equal(x, x_star):
+        k = len(trace)
         if k >= cap:
             raise SynthesisError(
                 f"iteration cap {cap} exceeded at distance "
@@ -209,18 +220,33 @@ def _steer_to_integer(x0: np.ndarray, num: Polynomial, n: int,
                 f"'{found.strategy}'); raise max_iterations or inspect the "
                 "plant conditioning")
         delta = delta_matrix(x, factors)
-        step = control_input(x, x_star, delta, mu)
-        u_poly = monic_from_vector(step.u)
-        gamma_degree = on_step(u_poly, k)
+        step = control_input(x, x_star, delta, cfg.mu)
+        factor = monic_from_vector(step.u) * factor
+        shift += n
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
-                               gamma_degree, vec_1norm(x_star - x)))
-        if invariant_check is not None:
-            invariant_check(x, k)
-        k += 1
-    return x_star, trace, warnings
+                               factor.coeffs.size - 1, vec_1norm(x_star - x)))
+        if cfg.verify_invariant and not solve_diophantine(
+                p.shifted(shift), factor * q, num,
+                tol.residual).r.allclose(monic_from_vector(x), 1e-7):
+            raise SynthesisError(
+                "loop invariant violated: steering state disagrees with the "
+                "polynomial-identity reduction")
+
+    # dividing the identity by the numerator would amplify the loop's
+    # floating drift by the reciprocal of its leading coefficient, so the
+    # cofactor comes from the final reduction, whose quotient must reproduce
+    # the integer target
+    sol = solve_diophantine(p.shifted(shift), factor * q, num, tol.residual)
+    target_poly = monic_from_vector(x_star)
+    if not sol.r.allclose(target_poly, 1e-6):
+        raise SynthesisError(
+            "closing reduction disagrees with the integer target "
+            f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
+            "breakdown in the final identity")
+    return factor, shift, x_star, trim(sol.s, tol.trim), trace, warnings
 
 
 def run_algorithm1(den: Polynomial, num: Polynomial,
@@ -239,37 +265,16 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     if n == 0:
         raise ValueError("plant denominator must have degree >= 1")
 
-    gamma = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots, tol)
-    alpha_ini = solve_diophantine(plant.den, gamma, plant.num,
+    gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots, tol)
+    alpha_ini = solve_diophantine(plant.den, gamma_ini, plant.num,
                                   tol.residual).r
     x0 = vector_from_monic(trim(alpha_ini, tol.trim), n, tol.monic)
-
-    state = {"gamma": gamma, "N": 0}
-
-    def on_step(u_poly: Polynomial, k: int) -> int:
-        state["gamma"] = u_poly * state["gamma"]
-        state["N"] += n
-        return state["gamma"].coeffs.size - 1
-
-    invariant = None
-    if cfg.verify_invariant:
-        def invariant(x: np.ndarray, k: int):
-            _assert_loop_invariant(plant.den, plant.num, state["gamma"],
-                                   state["N"], x, tol)
-
-    x_star, trace, warnings = _steer_to_integer(
-        x0, plant.num, n, cfg.target, cfg.mu, cfg.max_iterations, on_step,
-        invariant)
-
-    gamma = state["gamma"]
-    big_n = state["N"]
-    alpha = monic_from_vector(x_star).shifted(big_n)
-    beta = _closing_cofactor(plant.den.shifted(big_n), gamma, plant.num,
-                             x_star, tol)
+    gamma, big_n, x_star, beta, trace, warnings = steer(
+        plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, cfg)
 
     # lift the numerator's z^l factor back in: (z^l a, b, z^l g) solves the
     # original problem whenever (a, b, g) solves the reduced one
-    alpha = alpha.shifted(plant.power_shift)
+    alpha = monic_from_vector(x_star).shifted(big_n + plant.power_shift)
     gamma = gamma.shifted(plant.power_shift)
 
     cert = certify_stabilization(plant.den, Polynomial(num.coeffs / plant.scale),
@@ -284,43 +289,6 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
                                big_n + plant.power_shift, x_star,
                                len(trace), tuple(trace), cert,
                                tuple(cert.warnings), plant)
-
-
-def _closing_cofactor(shifted_den: Polynomial, gamma: Polynomial,
-                      num: Polynomial, x_star: np.ndarray,
-                      tol: Tolerances) -> Polynomial:
-    """Recover the identity cofactor at termination.
-
-    Dividing ``gamma - alpha*den`` by the numerator amplifies the steering
-    loop's floating drift by the reciprocal of the numerator's leading
-    coefficient, so the cofactor is taken from the terminal Diophantine
-    reduction instead: its quotient must reproduce the integer target (the
-    loop-correctness invariant) and its cofactor carries the degree bound
-    structurally.
-    """
-    sol = solve_diophantine(shifted_den, gamma, num, tol.residual)
-    target_poly = monic_from_vector(x_star)
-    if not sol.r.allclose(target_poly, 1e-6):
-        raise SynthesisError(
-            "closing reduction disagrees with the integer target "
-            f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
-            "breakdown in the final identity")
-    return trim(sol.s, tol.trim)
-
-
-def _assert_loop_invariant(den: Polynomial, num: Polynomial, gamma: Polynomial,
-                           big_n: int, x: np.ndarray, tol: Tolerances):
-    """Recompute the coefficient vector from the polynomial identity.
-
-    After every iteration the steering state must solve the Diophantine
-    reduction of the accumulated target against the shifted denominator.
-    """
-    lhs = monic_from_vector(np.asarray(x))
-    rhs = solve_diophantine(den.shifted(big_n), gamma, num, tol.residual).r
-    if not lhs.allclose(rhs, 1e-7):
-        raise SynthesisError(
-            "loop invariant violated: steering state disagrees with the "
-            "polynomial-identity reduction")
 
 
 def stabilize_proper(den: Polynomial, num: Polynomial,

@@ -190,7 +190,6 @@ class TargetMode:
 class TargetSearchConfig:
     mode: str = TargetMode.AUTO
     max_radius: int = 8
-    segment_samples: int = 64
     tol_active: float = ACTIVE_TOL
     tol_side: float = SIDE_TOL
     #: hard bound on examined integer candidates before giving up a phase
@@ -208,8 +207,6 @@ class TargetSearchConfig:
             raise ValueError("max_radius must be >= 0")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
-        if self.segment_samples < 2:
-            raise ValueError("segment_samples must be >= 2")
         for name in ("tol_active", "tol_side"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, "
@@ -235,29 +232,23 @@ class _ActivePlanes:
 
     def __init__(self, x0: np.ndarray, hset: HyperplaneSet,
                  active: Sequence[int], cfg: TargetSearchConfig):
-        self.x0 = x0
         self.normals = np.array([hset[t].normal for t in active])
         self.offsets = np.array([hset[t].offset for t in active])
         self.norms = np.array([vec_1norm(hset[t].normal) for t in active])
         self.sides0 = np.array([hset[t].side(x0) for t in active])
         self.tol_side = cfg.tol_side
-        self.rho = np.linspace(0.0, 1.0, cfg.segment_samples)
 
     def first_feasible(self, cands: np.ndarray) -> int | None:
         """Index of the first row of ``cands`` strictly on the side of
-        ``x0`` of every plane, by a margin and along the segment to ``x0``."""
+        ``x0`` of every plane, by a margin.  The plane functionals are
+        affine, so the whole segment from ``x0`` to that row stays on the
+        same sides too."""
         sides = cands @ self.normals.T - self.offsets
         sup = np.maximum(1.0, np.max(np.abs(cands), axis=1))
         margin = self.tol_side * (1.0 + sup[:, None] * self.norms)
         bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
-        for i in np.flatnonzero(~bad.any(axis=1)):
-            # the endpoint test suffices in exact arithmetic (the feasible
-            # region is convex); sampling guards floating-point edge cases
-            seg = np.outer(self.rho, self.x0) + np.outer(1.0 - self.rho, cands[i])
-            seg_sides = seg @ self.normals.T - self.offsets
-            if not np.any(self.sides0 * seg_sides < 0.0):
-                return int(i)
-        return None
+        good = np.flatnonzero(~bad.any(axis=1))
+        return int(good[0]) if good.size else None
 
     def feasible(self, cand: np.ndarray) -> bool:
         return self.first_feasible(cand[None, :]) is not None
@@ -327,9 +318,6 @@ def find_integer_target(x0: np.ndarray, hset: HyperplaneSet,
     around it.  ``cfg.mode`` restricts the phases: ``round`` tries only the
     rounding, ``search`` skips the fallback, ``fallback`` skips the shells
     around ``round(x0)``.
-
-    Every returned target additionally validates same-side signs on
-    ``cfg.segment_samples`` points of the segment from ``x0``.
     """
     cfg = cfg or TargetSearchConfig()
     x0 = np.asarray(x0, dtype=float)

@@ -1,11 +1,37 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from intctrl import Polynomial, bezout_identity, coprime_check, solve_diophantine
-from intctrl.bezout import NotCoprimeError, _dense_solve
+from intctrl import Polynomial, coprime_check, solve_diophantine
+from intctrl.bezout import NotCoprimeError, _dense_solve, _monomial_fast_path
+from intctrl.numeric import SingularMatrixError, solve_linear
 
 Z = Polynomial([0, 1])
+
+
+def bezout_identity(den, num):
+    """Oracle: the unique ``(u, v)`` with ``u*den + v*num = 1``,
+    ``deg(u) < deg(num)`` and ``deg(v) < deg(den)``, from the Sylvester
+    system."""
+    dd, dn = den.coeffs.size - 1, num.coeffs.size - 1
+    A = np.zeros((dd + dn, dd + dn))
+    for j in range(dn):
+        A[j : j + dd + 1, j] = den.coeffs
+    for i in range(dd):
+        A[i : i + dn + 1, dn + i] = num.coeffs
+    rhs = np.zeros(dd + dn)
+    rhs[0] = 1.0
+    try:
+        x = solve_linear(A, rhs)
+    except SingularMatrixError as exc:
+        raise NotCoprimeError(str(exc)) from exc
+    u, v = Polynomial(x[:dn]), Polynomial(x[dn:])
+    err = (u * den + v * num - Polynomial.one()).max_abs()
+    if err > 1e-10 * max(1.0, den.max_abs(), num.max_abs()):
+        raise NotCoprimeError(f"Bezout residual {err:.3e} above tolerance")
+    return u, v
 
 
 def test_diophantine_constant_modulus_is_division():
@@ -109,6 +135,22 @@ def test_diophantine_monomial_fast_path_matches_dense():
         assert fast.r.allclose(dense_r, 1e-7)
         assert fast.s.allclose(dense_s, 1e-7)
         checked += 1
+
+
+@pytest.mark.parametrize("k", [20, 200])
+def test_diophantine_overflowing_series_falls_back_to_dense(k):
+    # the inverse series of z + 0.01 grows like 100^i and overflows by
+    # i = 200; the dense solve then reports the near-common factor (the
+    # resultant of z^k and the modulus is 0.01^k) without a warning
+    p = Polynomial.monomial(k)
+    q = Polynomial(np.r_[np.ones(k + 1), 1.0])
+    m = Polynomial([0.01, 1.0])
+    if k == 200:
+        assert _monomial_fast_path(k, q, m) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotCoprimeError):
+            solve_diophantine(p, q, m)
 
 
 def test_diophantine_preconditions():

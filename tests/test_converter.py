@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
-                     PreController, RationalTF, TargetSearchConfig,
+                     PreController, RationalTF, StabilizationConfig,
+                     TargetSearchConfig,
                      assemble_converted, closed_loop_poly, convert_controller,
                      coprime_check, run_algorithm1, run_algorithm2,
                      schur_check, solve_diophantine, tf_equal, vec_1norm)
@@ -201,5 +202,43 @@ def test_assemble_reports_cancelled_roots(pendulum, pre_controller):
 @pytest.mark.parametrize("kw", [{"max_iterations": 0}, {"max_iterations": -3},
                                 {"mu": 1.0}, {"mu": 0.0}])
 def test_config_rejects_out_of_range(kw):
-    with pytest.raises(ValueError):
-        ConversionConfig(**kw)
+    for config in (StabilizationConfig, ConversionConfig):
+        with pytest.raises(ValueError):
+            config(**kw)
+
+
+def test_initial_roots_rejected_alike_by_both_algorithms():
+    # one validator checks gamma_ini and alpha_ini: a root on the unit circle
+    # is not Schur, a root of the plant numerator is not coprime
+    den = Polynomial.from_roots([0.5, 1.2])
+    num = Polynomial.from_roots([0.3], leading=0.8)
+    ctrl_den = Polynomial.from_roots([0.1, -0.2])
+    for roots, exc in (((1.0, 0.2, 0.0, 0.0), ValueError),
+                       ((0.3, 0.2, 0.0, 0.0), NotCoprimeError)):
+        with pytest.raises(exc) as stab:
+            run_algorithm1(den, num, StabilizationConfig(gamma_ini_roots=roots))
+        with pytest.raises(exc) as conv:
+            run_algorithm2(ctrl_den, num, 2,
+                           ConversionConfig(alpha_ini_roots=roots))
+        assert type(stab.value) is type(conv.value) is exc
+        assert str(stab.value) == str(conv.value)
+
+
+def test_invariant_check_leaves_conversion_unchanged(pendulum, pre_controller):
+    # z * num takes the lifting path; the checked run must match bitwise
+    den, num = pendulum
+    runs = [run_algorithm2(pre_controller.den, num.shifted(1), 4,
+                           ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
+                                            verify_invariant=check))
+            for check in (False, True)]
+    plain, checked = runs
+    assert plain.iterations == checked.iterations > 0
+    for name in ("alpha", "beta", "gamma"):
+        assert (getattr(plain, name).coeffs.tobytes()
+                == getattr(checked, name).coeffs.tobytes())
+    assert plain.x_star.tobytes() == checked.x_star.tobytes()
+    for a, b in zip(plain.trace, checked.trace):
+        assert (a.x.tobytes(), a.u.tobytes(), a.hit, a.gamma_degree) == \
+            (b.x.tobytes(), b.u.tobytes(), b.hit, b.gamma_degree)
+    assert plain.warnings == checked.warnings
+    assert any("z^1" in w for w in plain.warnings)

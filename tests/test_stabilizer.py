@@ -226,7 +226,7 @@ def test_prefer_origin_flag():
 
 
 @pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["residual", "coprime", "imag"])
+@pytest.mark.parametrize("name", ["residual", "coprime", "schur_margin"])
 def test_tolerances_reject_negative_or_non_finite(name, value):
     with pytest.raises(ValueError, match=f"tolerance {name}"):
         Tolerances(**{name: value})

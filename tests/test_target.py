@@ -237,7 +237,9 @@ def _oracle_same_side(x0, cand, hset, active, sides0, cfg):
         margin = cfg.tol_side * (1.0 + vec_1norm(plane.normal) * max(1.0, sup))
         if sides0[t] * s1 <= 0.0 or abs(s1) <= margin:
             return False
-    for rho in np.linspace(0.0, 1.0, cfg.segment_samples):
+    # the block search tests the endpoint only; walking the segment here
+    # shows that the endpoint test with its margin already decides
+    for rho in np.linspace(0.0, 1.0, 64):
         xm = rho * x0 + (1.0 - rho) * cand
         for t in active:
             if sides0[t] * hset[t].side(xm) < 0.0:
@@ -447,7 +449,8 @@ def test_shell_blocks_beyond_index_range():
 
 @pytest.mark.parametrize("kw", [
     {"mode": "bogus"}, {"max_radius": -1}, {"max_candidates": 0},
-    {"segment_samples": 1}, {"segment_samples": 0}, {"tol_active": -1e-9},
+    {"tol_side": float("inf")}, {"tol_active": float("nan")},
+    {"tol_active": -1e-9},
     {"tol_side": -1.0}, {"tol_side": float("nan")},
     {"tol_active": float("inf")}])
 def test_target_config_rejects_out_of_range(kw):
@@ -457,7 +460,7 @@ def test_target_config_rejects_out_of_range(kw):
 
 def test_target_config_accepts_edge_values():
     cfg = TargetSearchConfig(mode="round", max_radius=0, max_candidates=1,
-                             segment_samples=2, tol_active=0.0, tol_side=0.0)
+                             tol_active=0.0, tol_side=0.0)
     assert cfg.max_candidates == 1
 
 
@@ -480,7 +483,6 @@ def test_control_input_requires_valid_mu():
         control_input(np.zeros(1), np.ones(1), np.eye(1), 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_control_input_singular_delta_raises():
     with pytest.raises(SingularMatrixError):
         control_input(np.zeros(2), np.ones(2), np.zeros((2, 2)), 0.5)
