@@ -93,15 +93,20 @@ def _is_monomial(p: Polynomial) -> bool:
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
     dp = p.coeffs.size - 1
-    dm = modulus.coeffs.size - 1
     dq = q.coeffs.size - 1
     dr = dq - dp
     dim = dq + 1
+    # column j < dr + 1 holds p from row j down, column dr + 1 + i holds the
+    # modulus from row i down: coefficient k of either sits on a diagonal,
+    # which is one strided slice of the flat matrix
     A = np.zeros((dim, dim))
-    for j in range(dr + 1):
-        A[j : j + dp + 1, j] = p.coeffs
-    for i in range(dp):
-        A[i : i + dm + 1, dr + 1 + i] = modulus.coeffs
+    flat = A.reshape(-1)
+    step = dim + 1
+    for k, c in enumerate(p.coeffs):
+        flat[k * dim : k * dim + (dr + 1) * step : step] = c
+    for k, c in enumerate(modulus.coeffs):
+        start = k * dim + dr + 1
+        flat[start : start + dp * step : step] = c
     rhs = np.zeros(dim)
     rhs[: q.coeffs.size] = q.coeffs
     try:

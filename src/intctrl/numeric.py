@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .poly import Polynomial
 
@@ -55,18 +55,22 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
         return np.zeros_like(b)
     # getrf itself, not lu_factor: lu_factor warns on an exactly zero pivot,
     # which the check below reports as an exception
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
-    diag = np.abs(np.diag(lu))
-    scale = float(np.max(diag))
-    pivot = float(np.min(diag))
+    lu, piv, _ = dgetrf(A)
+    diag = np.abs(lu.diagonal())
+    scale = float(diag.max())
+    pivot = float(diag.min())
     if scale == 0.0 or pivot <= rcond * scale:
         raise SingularMatrixError(pivot, scale)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    # getrs itself, the call lu_solve makes, without its per-call checks
+    x, info = dgetrs(lu, piv, b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+    return x
 
 
 def vec_1norm(v: np.ndarray) -> float:
     """Sum of absolute entries."""
-    return float(np.sum(np.abs(np.asarray(v))))
+    return float(np.abs(v).sum())
 
 
 def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
@@ -78,16 +82,24 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
     """
     if p.is_zero or p.coeffs.size < 2:
         raise ValueError("root finding requires degree >= 1")
-    roots = np.roots(p.coeffs[::-1])
-    bad = []
-    for r in roots:
-        mags = np.abs(p.coeffs) * np.abs(r) ** np.arange(p.coeffs.size)
-        scale = float(np.sum(mags))
-        res = abs(p(complex(r)))
-        if res > tol_root * scale:
-            bad.append((complex(r), res / scale))
-    if bad:
-        raise RootFindingError(bad)
+    c = p.coeffs
+    roots = np.roots(c[::-1])
+    # sum_i |c_i| |r|^i, one row per root
+    scale = (np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size)).sum(axis=1)
+    # Horner for all roots at once on split real and imaginary parts, each
+    # product and sum its own operation as in scalar complex arithmetic, so
+    # the residuals equal those of a scalar Horner loop bit for bit
+    zr, zi = roots.real, roots.imag
+    re = np.zeros(roots.size)
+    im = np.zeros(roots.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ck in c[::-1].tolist():
+            re, im = re * zr - im * zi + ck, re * zi + im * zr
+        res = np.hypot(re, im)
+        bad = np.flatnonzero(res > tol_root * scale)
+    if bad.size:
+        raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
+                                for i in bad])
     return roots
 
 
@@ -170,7 +182,12 @@ def schur_check(p: Polynomial, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
         raise ValueError("zero polynomial has no stability verdict")
     if p.coeffs.size == 1:
         return SchurResult(True, 0.0, False)
-    radius = float(np.max(np.abs(poly_roots(p))))
+    return _schur_verdict(poly_roots(p), tol_margin)
+
+
+def _schur_verdict(roots: np.ndarray, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
+    """Verdict of :func:`schur_check` from roots already found."""
+    radius = float(np.max(np.abs(roots)))
     return SchurResult(radius < 1.0 - tol_margin, radius,
                        abs(radius - 1.0) <= BOUNDARY_BAND)
 

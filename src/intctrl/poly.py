@@ -35,15 +35,18 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __init__(self, coeffs: Iterable[float] = ()):
-        arr = np.atleast_1d(np.asarray(list(coeffs), dtype=float))
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not isinstance(coeffs, (np.ndarray, list, tuple)):
+            coeffs = list(coeffs)  # generators and other one-pass iterables
+        # np.array copies, so the caller's array is never aliased
+        arr = np.array(coeffs, dtype=float, ndmin=1)
+        if not np.isfinite(arr).all():
             raise ValueError("polynomial coefficients must be finite")
         # strip exact zeros from the top; tolerance-based trimming is applied
         # only by the arithmetic that can produce round-off dust
         end = arr.size
         while end > 0 and arr[end - 1] == 0.0:
             end -= 1
-        arr = arr[:end].copy()
+        arr = arr[:end]
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -72,7 +75,7 @@ class Polynomial:
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
 
     # -- constructors ------------------------------------------------------
 
@@ -222,7 +225,7 @@ def _trimmed(coeffs: np.ndarray, tol: float = TRIM_TOL) -> Polynomial:
     """Drop high-order coefficients below ``tol * max|coeff|``."""
     if coeffs.size == 0:
         return Polynomial.zero()
-    cut = tol * np.max(np.abs(coeffs))
+    cut = tol * np.abs(coeffs).max()
     end = coeffs.size
     while end > 0 and abs(coeffs[end - 1]) <= cut:
         end -= 1
@@ -301,16 +304,12 @@ def toeplitz_stack(a: Polynomial, n: int) -> np.ndarray:
     vector of a polynomial ``b`` with ``deg(b) < n`` yields the descending
     length-2n coefficient vector of ``a * b``.
     """
-    if a.is_zero:
-        deg = -1
-    else:
-        deg = a.coeffs.size - 1
+    deg = a.coeffs.size - 1
     if deg > n:
         raise ValueError(f"degree {deg} exceeds stack dimension {n}")
-    T = np.zeros((2 * n, n))
-    for j in range(1, n + 1):
-        for i in range(1, 2 * n + 1):
-            k = n - i + j
-            if 0 <= k <= deg:
-                T[i - 1, j - 1] = a.coeffs[k]
-    return T
+    # entry (i, j), 0-based, is coefficient n - i + j, read from a copy of
+    # the coefficients padded with n zeros below and enough zeros above
+    padded = np.zeros(3 * n + 1)
+    padded[n : n + deg + 1] = a.coeffs
+    rows = np.arange(2 * n, 0, -1)
+    return padded[rows[:, None] + np.arange(n)]

@@ -186,8 +186,12 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     if plant.D[0, 0] != 0.0 and controller.D[0, 0] != 0.0:
         raise AlgebraicLoopError(
             "both plant and controller feedback channel have direct terms")
-    r_seq = (np.full(steps, float(reference)) if np.ndim(reference) == 0
-             else np.asarray(reference, dtype=float))
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    ref = np.asarray(reference, dtype=float)
+    if not np.isfinite(ref).all():
+        raise ValueError("reference must be finite")
+    r_seq = np.full(steps, float(ref)) if ref.ndim == 0 else ref
     if r_seq.size < steps:
         raise ValueError("reference sequence shorter than the simulation")
     xp = _initial_state(x0_plant, plant.n_states, "x0_plant")

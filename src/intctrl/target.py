@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .numeric import classify_roots, poly_roots, solve_linear, vec_1norm
 from .poly import Polynomial, monic_from_vector, toeplitz_stack
@@ -174,8 +174,11 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
     n = factors.dim
     x = np.asarray(x, dtype=float)
     Tm = toeplitz_stack(monic_from_vector(x), n)
-    lower = scipy.linalg.solve_triangular(factors.bottom, Tm[n:], lower=False,
-                                          check_finite=False)
+    # trtrs on the transpose, the call solve_triangular makes for a C-ordered
+    # matrix, without its per-call checks
+    lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
     return Tm[:n] - factors.top @ lower
 
 

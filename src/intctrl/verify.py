@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .bezout import coprime_check
-from .numeric import poly_roots, schur_check
+from .numeric import _schur_verdict, poly_roots, schur_check
 from .poly import Polynomial, RationalTF
 
 IDENTITY_RTOL = 1e-8
@@ -169,7 +169,14 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, 1e-12)
     cert.witnesses["gamma_integer_deviation"] = int_dev
 
-    asch = schur_check(alpha)
+    # alpha's roots are found once: they give both its verdict and the
+    # cancelled pole-zero locations reported below
+    if alpha.coeffs.size > 1:
+        alpha_roots = poly_roots(alpha)
+        asch = _schur_verdict(alpha_roots)
+    else:
+        alpha_roots = np.zeros(0)
+        asch = schur_check(alpha)
     cert.conditions["alpha_schur"] = asch.is_schur
     cert.conditions["alpha_monic"] = alpha.is_monic()
     cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
@@ -203,11 +210,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
 
     # transient shaping is not compensated; report the cancelled pole-zero
     # locations (the Schur factor's roots) for inspection
-    if not alpha.is_zero and alpha.coeffs.size > 1:
-        cert.details["cancelled_roots"] = [
-            [float(r.real), float(r.imag)] for r in poly_roots(alpha)]
-    else:
-        cert.details["cancelled_roots"] = []
+    cert.details["cancelled_roots"] = [
+        [float(r.real), float(r.imag)] for r in alpha_roots]
 
     quality = coprime_check(pre.den, plant_num).quality
     cert.witnesses["den_num_coprimality_quality"] = quality

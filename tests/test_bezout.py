@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import Polynomial, coprime_check, solve_diophantine
+from intctrl import Polynomial, bezout, coprime_check, solve_diophantine
 from intctrl.bezout import NotCoprimeError, _dense_solve, _monomial_fast_path
+from intctrl.poly import _trimmed
 from intctrl.numeric import SingularMatrixError, solve_linear
 
 Z = Polynomial([0, 1])
@@ -134,6 +136,57 @@ def test_diophantine_monomial_fast_path_matches_dense():
         dense_r, dense_s = _dense_solve(p, q, m)
         assert fast.r.allclose(dense_r, 1e-7)
         assert fast.s.allclose(dense_s, 1e-7)
+        checked += 1
+
+
+def oracle_dense_system(p, q, modulus):
+    """The coefficient-matching matrix of ``_dense_solve``, filled one column
+    at a time, and its right-hand side."""
+    dp, dm, dq = p.coeffs.size - 1, modulus.coeffs.size - 1, q.coeffs.size - 1
+    dr = dq - dp
+    A = np.zeros((dq + 1, dq + 1))
+    for j in range(dr + 1):
+        A[j : j + dp + 1, j] = p.coeffs
+    for i in range(dp):
+        A[i : i + dm + 1, dr + 1 + i] = modulus.coeffs
+    rhs = np.zeros(dq + 1)
+    rhs[: q.coeffs.size] = q.coeffs
+    return A, rhs
+
+
+@pytest.mark.parametrize("dq_extra", [0, 3, 240])
+def test_dense_solve_matches_column_oracle(monkeypatch, dq_extra):
+    # dq_extra = 240 gives systems past dimension 200, the size of the
+    # closing solves, where p is a power of z; roots of p well inside the
+    # unit circle keep the long systems well conditioned.  The oracle solve
+    # goes through scipy's LU wrappers.
+    seen = []
+
+    def recording_solve(A, b):
+        seen.append((A.copy(), b.copy()))
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(bezout, "solve_linear", recording_solve)
+    rng = np.random.default_rng(61 + dq_extra)
+    checked = 0
+    while checked < 20:
+        dp = int(rng.integers(0, 9))
+        dm = int(rng.integers(0, 9))
+        p = Polynomial.from_roots(rng.uniform(-0.7, 0.7, dp))
+        m = Polynomial(rng.normal(size=dm + 1))
+        if dp and coprime_check(p, m).quality < 1e-4:
+            continue
+        dq = max(dp, dp - 1 + dm) + int(rng.integers(0, 3)) + dq_extra
+        q = Polynomial(np.concatenate([rng.normal(size=dq), [1.0]]))
+        seen.clear()
+        r, s = _dense_solve(p, q, m)
+        A, rhs = oracle_dense_system(p, q, m)
+        assert seen[0][0].tobytes() == A.tobytes()
+        assert seen[0][1].tobytes() == rhs.tobytes()
+        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
+        dr = dq - dp
+        assert r.coeffs.tobytes() == Polynomial(x[: dr + 1]).coeffs.tobytes()
+        assert s.coeffs.tobytes() == _trimmed(x[dr + 1 :]).coeffs.tobytes()
         checked += 1
 
 

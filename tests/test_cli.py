@@ -158,6 +158,17 @@ def test_simulate_cli_writes_csv(tmp_path):
     assert payload["diverged"] is False
 
 
+@pytest.mark.parametrize("flag, value, name", [("--steps", "-3", "steps"),
+                                               ("--reference", "nan", "reference")])
+def test_simulate_bad_flag_is_a_validation_error(flag, value, name, tmp_path,
+                                                 capsys):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", CONVERSION, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and name in err
+    assert not out.exists()
+
+
 def test_cli_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS,

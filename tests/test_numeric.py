@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from intctrl import (Polynomial, classify_roots, jury_stable, poly_roots,
                      schur_check, solve_linear, vec_1norm)
-from intctrl.numeric import ConjugatePairingError, SingularMatrixError
+from intctrl.numeric import (ConjugatePairingError, RootFindingError,
+                             SingularMatrixError)
 
 PRINTED_PENDULUM_NUM = Polynomial([0.0021, -0.0023, -0.0023, 0.0021])
 
@@ -34,6 +36,17 @@ def test_solve_singular_reports_pivot():
     assert err.value.pivot <= 1e-13 * err.value.scale
 
 
+def test_solve_matches_scipy_wrappers():
+    # the LU factors are solved with LAPACK getrs itself, the call
+    # scipy.linalg.lu_solve makes
+    rng = np.random.default_rng(13)
+    for n in range(1, 40):
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        b = rng.normal(size=n)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+        assert solve_linear(A, b).tobytes() == want.tobytes()
+
+
 def test_norms():
     assert vec_1norm(np.array([1.0, -2.0, 3.0])) == 6.0
 
@@ -52,6 +65,64 @@ def test_roots_printed_pendulum_numerator():
     # independent companion-eigenvalue values for the printed coefficients
     roots = sorted(r.real for r in poly_roots(PRINTED_PENDULUM_NUM))
     assert_allclose(roots, [-1.0000, 0.7354, 1.3599], atol=5e-5)
+
+
+def oracle_poly_roots(p, tol_root=1e-6):
+    """:func:`poly_roots` with each residual from a scalar Horner loop in
+    Python complex arithmetic."""
+    roots = np.roots(p.coeffs[::-1])
+    bad = []
+    for r in roots:
+        mags = np.abs(p.coeffs) * np.abs(r) ** np.arange(p.coeffs.size)
+        scale = float(np.sum(mags))
+        acc = 0.0 + 0.0j
+        for c in p.coeffs[::-1]:
+            acc = acc * complex(r) + c
+        res = abs(acc)
+        if res > tol_root * scale:
+            bad.append((complex(r), res / scale))
+    if bad:
+        raise RootFindingError(bad)
+    return roots
+
+
+def _roots_outcome(fn, p, tol_root):
+    try:
+        return fn(p, tol_root).tobytes()
+    except RootFindingError as exc:
+        return str(exc)
+
+
+def test_roots_match_scalar_horner_oracle():
+    # tol_root = 0 lists every nonzero residual in the message, so equal
+    # messages mean equal residuals to the last bit
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        deg = int(rng.integers(1, 41))
+        c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5, deg + 1)
+        p = Polynomial(c)
+        if p.coeffs.size < 2:
+            continue
+        for tol in (1e-6, 0.0):
+            assert (_roots_outcome(poly_roots, p, tol)
+                    == _roots_outcome(oracle_poly_roots, p, tol))
+
+
+def test_root_finding_error_matches_scalar_horner_oracle():
+    # 25 monic Schur factors with |u|_1 = 0.99 at n = 8: degree 200 with
+    # tight root clusters, whose computed roots miss the residual bound
+    rng = np.random.default_rng(0)
+    p = Polynomial.one()
+    for _ in range(25):
+        u = rng.normal(size=8)
+        u *= 0.99 / vec_1norm(u)
+        p = p * Polynomial(np.concatenate([u[::-1], [1.0]]))
+    with pytest.raises(RootFindingError) as err:
+        poly_roots(p)
+    with pytest.raises(RootFindingError) as want:
+        oracle_poly_roots(p)
+    assert str(err.value) == str(want.value)
+    assert err.value.residuals == want.value.residuals
 
 
 def test_roots_requires_degree():

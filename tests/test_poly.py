@@ -149,7 +149,66 @@ def test_monic_and_leading():
     assert Polynomial([5, 0, 2]).leading == 2
 
 
+@pytest.mark.parametrize("wrap", [list, tuple, np.array, lambda c: (x for x in c)],
+                         ids=["list", "tuple", "ndarray", "generator"])
+def test_constructor_accepts_any_iterable(wrap):
+    want = np.array([0.5, -2.0, 0.0, 3.0])
+    p = Polynomial(wrap([0.5, -2.0, 0.0, 3.0, 0.0, -0.0]))
+    assert p.coeffs.dtype == np.float64
+    assert p.coeffs.tobytes() == want.tobytes()
+
+
+def test_constructor_copies_and_freezes():
+    src = np.array([1.0, 2.0, 3.0])
+    p = Polynomial(src)
+    assert not np.shares_memory(p.coeffs, src)
+    src[0] = 99.0
+    assert p.coeffs[0] == 1.0
+    assert not p.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 5.0
+
+
+def test_constructor_strips_signed_zeros_from_the_top():
+    p = Polynomial(np.array([-0.0, 1.0, -0.0, 0.0, -0.0]))
+    assert p.coeffs.tobytes() == np.array([-0.0, 1.0]).tobytes()
+    assert Polynomial([-0.0, 0.0]).is_zero
+    assert Polynomial(np.zeros(0)).is_zero
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite(bad):
+    for wrap in (list, tuple, np.array):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial(wrap([1.0, bad, 2.0]))
+
+
 # -- stacked convolution matrix ---------------------------------------------
+
+
+def oracle_toeplitz_stack(a, n):
+    """The entry-by-entry construction of :func:`toeplitz_stack`."""
+    deg = a.coeffs.size - 1
+    T = np.zeros((2 * n, n))
+    for j in range(1, n + 1):
+        for i in range(1, 2 * n + 1):
+            k = n - i + j
+            if 0 <= k <= deg:
+                T[i - 1, j - 1] = a.coeffs[k]
+    return T
+
+
+def test_toeplitz_matches_loop_oracle():
+    # every degree from the zero polynomial to n, with signed zeros inside
+    rng = np.random.default_rng(41)
+    for n in range(1, 10):
+        for deg in range(-1, n + 1):
+            c = rng.normal(size=deg + 1)
+            c[rng.random(c.size) < 0.2] = -0.0
+            if c.size:
+                c[-1] = 1.5
+            a = Polynomial(c)
+            assert toeplitz_stack(a, n).tobytes() == oracle_toeplitz_stack(a, n).tobytes()
 
 
 def test_toeplitz_constant():

@@ -277,6 +277,20 @@ def test_rejects_initial_state_of_wrong_length():
         simulate_loop(plant, ctrl, 1.0, 10, x0_ctrl=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("steps, reference, name", [
+    (-3, 1.0, "steps"),
+    (10, float("nan"), "reference"),
+    (0, float("-inf"), "reference"),
+    (10, np.r_[np.ones(9), np.inf], "reference"),
+])
+def test_rejects_negative_steps_and_non_finite_reference(steps, reference, name):
+    plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
+    ctrl = realize_controller(Polynomial([1, 1]), Polynomial([0.1]),
+                              Polynomial([0.2]))
+    with pytest.raises(ValueError, match=name):
+        simulate_loop(plant, ctrl, reference, steps)
+
+
 def test_zero_dimensional_array_reference():
     plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
     ctrl = realize_controller(Polynomial([1, 1]), Polynomial([0.1]),

@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from intctrl import (DeltaFactors, Polynomial, TargetSearchConfig,
                      active_index_set, build_hyperplanes, control_input,
                      coprime_check, delta_matrix, find_integer_target,
                      monic_from_vector, schur_check, solve_diophantine,
-                     solve_linear, vec_1norm, vector_from_monic)
+                     solve_linear, toeplitz_stack, vec_1norm,
+                     vector_from_monic)
 from intctrl import target
 from intctrl.numeric import SingularMatrixError
 from intctrl.target import (InconsistentActiveSetError, IntegerTarget,
@@ -113,6 +115,23 @@ def test_delta_bottom_block_upper_triangular(pendulum):
     bottom = factors.bottom
     assert_allclose(bottom, np.triu(bottom))
     assert_allclose(np.diag(bottom), num(0.0) * np.ones(4))
+
+
+def test_delta_matches_solve_triangular_oracle():
+    # the bottom block is solved with LAPACK trtrs on its transpose, the
+    # call scipy.linalg.solve_triangular makes for a C-ordered matrix
+    rng = np.random.default_rng(37)
+    for n in range(1, 10):
+        for _ in range(20):
+            num = Polynomial(rng.normal(size=int(rng.integers(1, n + 2))))
+            if num.is_zero or num(0.0) == 0.0:
+                continue
+            factors = DeltaFactors.from_numerator(num, n)
+            x = rng.normal(size=n) * 3.0
+            Tm = toeplitz_stack(monic_from_vector(x), n)
+            lower = scipy.linalg.solve_triangular(factors.bottom, Tm[n:])
+            want = Tm[:n] - factors.top @ lower
+            assert delta_matrix(x, factors).tobytes() == want.tobytes()
 
 
 def test_delta_singular_iff_shared_root():

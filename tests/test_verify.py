@@ -3,6 +3,7 @@ import json
 import numpy as np
 from numpy.testing import assert_allclose
 
+from intctrl import verify
 from intctrl import (ConversionConfig, Polynomial, PreController, RationalTF,
                      TargetSearchConfig, certify_conversion,
                      certify_stabilization, closed_loop_poly, closed_loop_tf,
@@ -148,6 +149,36 @@ def test_conversion_dc_gain_report(pendulum, pre_controller):
                            target=TargetSearchConfig(mode="round"))
     conv = convert_controller(pre_controller, den, num, cfg)
     assert abs(conv.certificate.witnesses["dc_gain"] - 1.0) <= 1e-2
+
+
+def test_conversion_certificate_finds_alpha_roots_once(pendulum, pre_controller,
+                                                      monkeypatch):
+    # alpha's verdict, radius and cancelled roots all come from one root
+    # finding; schur_check still runs on the loop denominator
+    den, num = pendulum
+    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
+                           target=TargetSearchConfig(mode="round"))
+    conv = convert_controller(pre_controller, den, num, cfg)
+    rooted, checked = [], []
+    poly_roots = verify.poly_roots
+
+    def counting_roots(p):
+        rooted.append(p)
+        return poly_roots(p)
+
+    def counting_schur(p):
+        checked.append(p)
+        return schur_check(p)
+
+    monkeypatch.setattr(verify, "poly_roots", counting_roots)
+    monkeypatch.setattr(verify, "schur_check", counting_schur)
+    cert = verify.certify_conversion(den, num, pre_controller, conv)
+    assert rooted == [conv.alpha]
+    assert conv.alpha not in checked and len(checked) == 1
+    assert cert.to_dict() == conv.certificate.to_dict()
+    roots = np.array([complex(*r) for r in cert.details["cancelled_roots"]])
+    assert cert.witnesses["alpha_spectral_radius"] == float(np.max(np.abs(roots)))
+    assert cert.conditions["alpha_schur"]
 
 
 def test_certify_stabilization_closed_loop_consistency(pendulum):
