@@ -148,10 +148,11 @@ def sylvester_matrix(a: Polynomial, b: Polynomial) -> np.ndarray:
     if da < 1 or db < 1:
         raise ValueError("both polynomials must have degree >= 1")
     S = np.zeros((da + db, da + db))
+    a_desc, b_desc = a.descending(), b.descending()
     for i in range(db):
-        S[i : i + da + 1, i] = a.descending()
+        S[i : i + da + 1, i] = a_desc
     for i in range(da):
-        S[i : i + db + 1, db + i] = b.descending()
+        S[i : i + db + 1, db + i] = b_desc
     return S
 
 

@@ -1,8 +1,9 @@
 """Command-line interface: stabilize, convert, analyze, simulate.
 
 Exit codes: 0 success (and certificate pass), 2 input validation error,
-3 synthesis failure, 4 certificate failure.  Result JSON is byte-stable
-across runs for identical inputs and flags.
+3 synthesis failure, 4 certificate failure.  ``stabilize`` and ``convert``
+write their result JSON even when its certificate fails, then exit 4.
+Result JSON is byte-stable across runs for identical inputs and flags.
 """
 from __future__ import annotations
 
@@ -173,6 +174,16 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_certified(payload: dict, out: str | None, cert) -> int:
+    """Write a synthesis result; a failed certificate still writes it, then
+    exits 4."""
+    _emit(payload, out)
+    if not cert.passed:
+        print("certificate failed", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    return EXIT_OK
+
+
 def _trace_out(trace) -> list[dict]:
     return [{"k": s.k, "x": s.x.tolist(), "u": s.u.tolist(), "hit": s.hit,
              "gamma_degree": s.gamma_degree, "distance": s.distance}
@@ -218,17 +229,13 @@ def _cmd_stabilize(args) -> int:
         "certificate": result.certificate.to_dict(),
         "warnings": list(result.warnings),
     }
+    cert = result.certificate
     if args.verify:
-        fresh = certify_stabilization(result.plant.den,
-                                      Polynomial(num.coeffs / result.plant.scale),
-                                      result.alpha, result.beta, result.gamma)
-        payload["certificate"] = fresh.to_dict()
-        if not fresh.passed:
-            _emit(payload, args.out)
-            print("certificate failed", file=sys.stderr)
-            return EXIT_CERTIFICATE
-    _emit(payload, args.out)
-    return EXIT_OK
+        cert = certify_stabilization(result.plant.den,
+                                     Polynomial(num.coeffs / result.plant.scale),
+                                     result.alpha, result.beta, result.gamma)
+        payload["certificate"] = cert.to_dict()
+    return _emit_certified(payload, args.out, cert)
 
 
 def _cmd_convert(args) -> int:
@@ -270,15 +277,11 @@ def _cmd_convert(args) -> int:
         "certificate": conv.certificate.to_dict(),
         "warnings": list(conv.certificate.warnings),
     }
+    cert = conv.certificate
     if args.verify:
-        fresh = certify_conversion(den, num, pre, conv)
-        payload["certificate"] = fresh.to_dict()
-        if not fresh.passed:
-            _emit(payload, args.out)
-            print("certificate failed", file=sys.stderr)
-            return EXIT_CERTIFICATE
-    _emit(payload, args.out)
-    return EXIT_OK
+        cert = certify_conversion(den, num, pre, conv)
+        payload["certificate"] = cert.to_dict()
+    return _emit_certified(payload, args.out, cert)
 
 
 def _cmd_analyze(args) -> int:
@@ -350,7 +353,7 @@ def _add_common(sub, with_roots: str | None):
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in the output for reproducibility bookkeeping")
     sub.add_argument("--verify", action="store_true",
-                     help="re-certify outputs; failed certificate exits 4")
+                     help="recompute the certificate from the emitted polynomials")
     sub.add_argument("--out", type=str, default=None,
                      help="write result JSON here instead of stdout")
 

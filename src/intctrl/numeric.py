@@ -88,13 +88,23 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
     scale = (np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size)).sum(axis=1)
     # Horner for all roots at once on split real and imaginary parts, each
     # product and sum its own operation as in scalar complex arithmetic, so
-    # the residuals equal those of a scalar Horner loop bit for bit
-    zr, zi = roots.real, roots.imag
+    # the residuals equal those of a scalar Horner loop bit for bit.  A step
+    # is re, im = re*zr - im*zi + ck, re*zi + im*zr in buffers allocated
+    # once; im*zr + re*zi rounds as re*zi + im*zr, since addition commutes
+    zr, zi = roots.real.copy(), roots.imag.copy()
     re = np.zeros(roots.size)
     im = np.zeros(roots.size)
+    t = np.empty(roots.size)
+    u = np.empty(roots.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for ck in c[::-1].tolist():
-            re, im = re * zr - im * zi + ck, re * zi + im * zr
+            np.multiply(re, zr, out=t)
+            np.multiply(im, zi, out=u)
+            np.subtract(t, u, out=t)
+            np.multiply(re, zi, out=u)
+            np.add(t, ck, out=re)
+            np.multiply(im, zr, out=im)
+            np.add(im, u, out=im)
         res = np.hypot(re, im)
         bad = np.flatnonzero(res > tol_root * scale)
     if bad.size:
@@ -191,18 +201,3 @@ def _schur_verdict(roots: np.ndarray, tol_margin: float = SCHUR_MARGIN) -> Schur
     return SchurResult(radius < 1.0 - tol_margin, radius,
                        abs(radius - 1.0) <= BOUNDARY_BAND)
 
-
-def jury_stable(p: Polynomial) -> bool:
-    """Schur-Cohn (Jury) recursion on the coefficients; no root finding.
-
-    Cross-check oracle for :func:`schur_check`; reports strict unit-circle
-    stability.  Degree-0 polynomials are vacuously stable.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no stability verdict")
-    a = p.descending()
-    while a.size > 1:
-        if abs(a[-1]) >= abs(a[0]):
-            return False
-        a = a[0] * a[:-1] - a[-1] * a[::-1][:-1]
-    return True

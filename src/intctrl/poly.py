@@ -307,9 +307,16 @@ def toeplitz_stack(a: Polynomial, n: int) -> np.ndarray:
     deg = a.coeffs.size - 1
     if deg > n:
         raise ValueError(f"degree {deg} exceeds stack dimension {n}")
-    # entry (i, j), 0-based, is coefficient n - i + j, read from a copy of
-    # the coefficients padded with n zeros below and enough zeros above
     padded = np.zeros(3 * n + 1)
     padded[n : n + deg + 1] = a.coeffs
-    rows = np.arange(2 * n, 0, -1)
-    return padded[rows[:, None] + np.arange(n)]
+    return padded[_stack_index(n)]
+
+
+def _stack_index(n: int) -> np.ndarray:
+    """Gather index of :func:`toeplitz_stack`.
+
+    Entry ``(i, j)``, 0-based, is ``2n - i + j``: the position of
+    coefficient ``n - i + j`` in a copy of the coefficients padded with
+    ``n`` zeros below and ``n`` above, length ``3n + 1``.
+    """
+    return np.arange(2 * n, 0, -1)[:, None] + np.arange(n)

@@ -210,8 +210,12 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
     factors = DeltaFactors.from_numerator(num, n)
     trace: list[TraceStep] = []
-    x = x0.copy()
-    while not np.array_equal(x, x_star):
+    # the product of the Schur factors stays a bare array inside the loop:
+    # np.convolve(monic(u), product) is the call Polynomial.__mul__ makes
+    prod = factor.coeffs
+    monic_u = np.ones(n + 1)
+    x = x0
+    while not (x == x_star).all():
         k = len(trace)
         if k >= cap:
             raise SynthesisError(
@@ -221,20 +225,24 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
                 "plant conditioning")
         delta = delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
-        factor = monic_from_vector(step.u) * factor
+        monic_u[:n] = step.u[::-1]
+        prod = np.convolve(monic_u, prod)
+        if not np.isfinite(prod).all():
+            raise ValueError("polynomial coefficients must be finite")
         shift += n
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
         x = x_star.copy() if step.hit else x + delta @ step.u
-        trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
-                               factor.coeffs.size - 1, vec_1norm(x_star - x)))
+        trace.append(TraceStep(k, x, step.u, step.hit, prod.size - 1,
+                               vec_1norm(x_star - x)))
         if cfg.verify_invariant and not solve_diophantine(
-                p.shifted(shift), factor * q, num,
+                p.shifted(shift), Polynomial(prod) * q, num,
                 tol.residual).r.allclose(monic_from_vector(x), 1e-7):
             raise SynthesisError(
                 "loop invariant violated: steering state disagrees with the "
                 "polynomial-identity reduction")
 
+    factor = Polynomial(prod)
     # dividing the identity by the numerator would amplify the loop's
     # floating drift by the reciprocal of its leading coefficient, so the
     # cofactor comes from the final reduction, whose quotient must reproduce

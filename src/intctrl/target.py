@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .numeric import classify_roots, poly_roots, solve_linear, vec_1norm
-from .poly import Polynomial, monic_from_vector, toeplitz_stack
+from .poly import Polynomial, _stack_index, toeplitz_stack
 
 ACTIVE_TOL = 1e-9
 SIDE_TOL = 1e-9
@@ -150,18 +150,21 @@ class DeltaFactors:
     ``top``/``bottom`` are the upper and lower halves of the stacked
     convolution matrix of the numerator; ``bottom`` is upper triangular with
     the numerator's constant term down the diagonal, hence invertible.
+    ``index`` gathers the stacked convolution matrix of a monic polynomial
+    of degree ``dim`` from its padded coefficients.
     """
 
     top: np.ndarray
     bottom: np.ndarray
     dim: int
+    index: np.ndarray
 
     @staticmethod
     def from_numerator(num: Polynomial, n: int) -> "DeltaFactors":
         if num.is_zero or num(0.0) == 0.0:
             raise ValueError("numerator must be nonzero with num(0) != 0")
         T = toeplitz_stack(num, n)
-        return DeltaFactors(T[:n], T[n:], n)
+        return DeltaFactors(T[:n], T[n:], n, _stack_index(n))
 
 
 def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
@@ -173,7 +176,15 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
     """
     n = factors.dim
     x = np.asarray(x, dtype=float)
-    Tm = toeplitz_stack(monic_from_vector(x), n)
+    if not np.isfinite(x).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if x.size > n:
+        raise ValueError(f"degree {x.size} exceeds stack dimension {n}")
+    # the stacked convolution matrix of monic(x), as toeplitz_stack builds it
+    padded = np.zeros(3 * n + 1)
+    padded[n : n + x.size] = x[::-1]
+    padded[n + x.size] = 1.0
+    Tm = padded[factors.index]
     # trtrs on the transpose, the call solve_triangular makes for a C-ordered
     # matrix, without its per-call checks
     lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
@@ -247,14 +258,24 @@ class _ActivePlanes:
         affine, so the whole segment from ``x0`` to that row stays on the
         same sides too."""
         sides = cands @ self.normals.T - self.offsets
-        sup = np.maximum(1.0, np.max(np.abs(cands), axis=1))
+        sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
         margin = self.tol_side * (1.0 + sup[:, None] * self.norms)
         bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
-        good = np.flatnonzero(~bad.any(axis=1))
+        good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
         return int(good[0]) if good.size else None
 
     def feasible(self, cand: np.ndarray) -> bool:
         return self.first_feasible(cand[None, :]) is not None
+
+
+def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` for an exact, order-free ufunc (maximum,
+    logical or), one column at a time: numpy reduces a short inner axis
+    element by element, several times slower than whole-column calls."""
+    out = a[:, 0].copy()
+    for col in a.T[1:]:
+        ufunc(out, col, out=out)
+    return out
 
 
 def _shell_blocks(radius: int, dim: int):
@@ -271,7 +292,7 @@ def _shell_blocks(radius: int, dim: int):
         for k in range(dim - 1, -1, -1):
             rest, off[:, k] = np.divmod(rest, width)
         off -= radius
-        yield off[np.max(np.abs(off), axis=1) == radius]
+        yield off[_reduce_rows(np.maximum, np.abs(off)) == radius]
 
 
 def _walk_shells(center: np.ndarray, planes: _ActivePlanes,

@@ -88,9 +88,9 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     """Check ``alpha*plant_den + beta*plant_num = gamma`` and the side
     conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
     """
-    residual = (alpha * plant_den + beta * plant_num - gamma).max_abs()
-    scale = max(1.0, (alpha * plant_den).max_abs(), (beta * plant_num).max_abs(),
-                gamma.max_abs())
+    ad, bn = alpha * plant_den, beta * plant_num
+    residual = (ad + bn - gamma).max_abs()
+    scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
     cert = Certificate("stabilization", residual, residual_rtol * scale)
 
     int_dev = _integer_deviation(alpha)
@@ -158,9 +158,9 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     denominator factors through the original one by the Schur factor.
     """
     alpha, beta, gamma = conv.alpha, conv.beta, conv.gamma
-    residual = (alpha * pre.den + beta * plant_num - gamma).max_abs()
-    scale = max(1.0, (alpha * pre.den).max_abs(), (beta * plant_num).max_abs(),
-                gamma.max_abs())
+    ad, bn = alpha * pre.den, beta * plant_num
+    residual = (ad + bn - gamma).max_abs()
+    scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
     cert = Certificate("conversion", residual, residual_rtol * scale)
 
     int_dev = _integer_deviation(gamma)
@@ -205,7 +205,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["loop_factorization"] = fact_resid <= residual_rtol * fact_scale
     cert.witnesses["loop_factorization_residual"] = fact_resid / fact_scale
 
-    dc = t_conv.num(1.0) / t_conv.den(1.0) if abs(t_conv.den(1.0)) > 0 else float("inf")
+    den_at_1 = t_conv.den(1.0)
+    dc = t_conv.num(1.0) / den_at_1 if abs(den_at_1) > 0 else float("inf")
     cert.witnesses["dc_gain"] = float(np.real(dc))
 
     # transient shaping is not compensated; report the cancelled pole-zero

@@ -123,6 +123,19 @@ def test_convert_cli_end_to_end(tmp_path):
     assert all(c == 0.0 for c in den[5:])
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_convert_failed_certificate_exits_4(verify, tmp_path, capsys):
+    # the default initial factor yields a 78th-order controller whose loop
+    # is not Schur: the JSON is still written, and the exit code says so
+    out = tmp_path / "result.json"
+    assert main(["convert", CONVERSION, *verify, "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert payload["certificate"]["passed"] is False
+    assert payload["certificate"]["conditions"]["internally_stable"] is False
+    assert len(payload["controller"]["den"]) == 79
+    assert capsys.readouterr().err == "certificate failed\n"
+
+
 def test_convert_requires_controller_block(capsys):
     assert main(["convert", PENDULUM]) == 2
 

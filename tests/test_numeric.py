@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import (Polynomial, classify_roots, jury_stable, poly_roots,
-                     schur_check, solve_linear, vec_1norm)
+from intctrl import (Polynomial, classify_roots, poly_roots, schur_check,
+                     solve_linear, vec_1norm)
 from intctrl.numeric import (ConjugatePairingError, RootFindingError,
                              SingularMatrixError)
 
@@ -208,6 +208,20 @@ def test_schur_boundary_root():
 
 def test_schur_degree_zero_vacuous():
     assert schur_check(Polynomial([5.0])).is_schur
+
+
+def jury_stable(p: Polynomial) -> bool:
+    """Schur-Cohn (Jury) recursion on the coefficients; no root finding.
+
+    Cross-check oracle for :func:`schur_check`; reports strict unit-circle
+    stability.  Degree-0 polynomials are vacuously stable.
+    """
+    a = p.descending()
+    while a.size > 1:
+        if abs(a[-1]) >= abs(a[0]):
+            return False
+        a = a[0] * a[:-1] - a[-1] * a[::-1][:-1]
+    return True
 
 
 def test_jury_agrees_with_roots_fuzz():

@@ -1,0 +1,229 @@
+"""Bitwise oracles for the array-based steering loop and its kernels.
+
+``oracle_steer`` is the steering loop written on ``Polynomial`` objects:
+each step multiplies ``monic_from_vector(u)`` into the factor product and
+builds the update matrix from ``toeplitz_stack(monic_from_vector(x))``.
+``stabilizer.steer`` keeps the product as a bare array and gathers the
+update matrix from a precomputed index; both must make the same
+floating-point operations in the same order, so every output is compared
+byte for byte.
+"""
+import numpy as np
+import pytest
+from scipy.linalg.lapack import dtrtrs
+
+from intctrl import (ConversionConfig, DeltaFactors, Polynomial,
+                     StabilizationConfig, control_input, delta_matrix,
+                     monic_from_vector, run_algorithm1, run_algorithm2,
+                     solve_diophantine, toeplitz_stack, vec_1norm)
+from intctrl import converter, stabilizer
+from intctrl.bezout import sylvester_matrix
+from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
+                              PENDULUM_GAMMA_INI_ROOTS)
+from intctrl.poly import trim
+from intctrl.stabilizer import SynthesisError, TraceStep
+from intctrl.target import (active_index_set, build_hyperplanes,
+                            find_integer_target)
+
+from conftest import random_plant
+
+
+def oracle_delta_matrix(x, factors):
+    n = factors.dim
+    Tm = toeplitz_stack(monic_from_vector(np.asarray(x, dtype=float)), n)
+    lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
+    assert info == 0
+    return Tm[:n] - factors.top @ lower
+
+
+def oracle_steer(p, q, factor, shift, num, x0, cfg):
+    tol = cfg.tolerances
+    n = x0.size
+    warnings = []
+    hset = build_hyperplanes(num, n)
+    active = active_index_set(x0, hset, cfg.target.tol_active)
+    if len(active) < len(hset):
+        skipped = sorted(set(range(len(hset))) - set(active))
+        warnings.append(
+            f"hyperplane functional(s) {skipped} vanish at the initial vector "
+            "and are excluded from the same-side constraints")
+    found = find_integer_target(x0, hset, active, num, cfg.target)
+    x_star = found.x_star
+    cap = (cfg.max_iterations if cfg.max_iterations is not None
+           else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
+    factors = DeltaFactors.from_numerator(num, n)
+    trace = []
+    x = x0.copy()
+    while not np.array_equal(x, x_star):
+        k = len(trace)
+        if k >= cap:
+            raise SynthesisError(
+                f"iteration cap {cap} exceeded at distance "
+                f"{vec_1norm(x_star - x):.3e} (target strategy "
+                f"'{found.strategy}'); raise max_iterations or inspect the "
+                "plant conditioning")
+        delta = oracle_delta_matrix(x, factors)
+        step = control_input(x, x_star, delta, cfg.mu)
+        factor = monic_from_vector(step.u) * factor
+        shift += n
+        x = x_star.copy() if step.hit else x + delta @ step.u
+        trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
+                               factor.coeffs.size - 1, vec_1norm(x_star - x)))
+        if cfg.verify_invariant and not solve_diophantine(
+                p.shifted(shift), factor * q, num,
+                tol.residual).r.allclose(monic_from_vector(x), 1e-7):
+            raise SynthesisError(
+                "loop invariant violated: steering state disagrees with the "
+                "polynomial-identity reduction")
+    sol = solve_diophantine(p.shifted(shift), factor * q, num, tol.residual)
+    target_poly = monic_from_vector(x_star)
+    if not sol.r.allclose(target_poly, 1e-6):
+        raise SynthesisError(
+            "closing reduction disagrees with the integer target "
+            f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
+            "breakdown in the final identity")
+    return factor, shift, x_star, trim(sol.s, tol.trim), trace, warnings
+
+
+def fingerprint(run):
+    """Bytes of every output of a steering call, or its exception."""
+    if isinstance(run, Exception):
+        return type(run), str(run)
+    factor, shift, x_star, s, trace, warnings = run
+    steps = [(t.k, t.x.tobytes(), t.u.tobytes(), t.hit, t.gamma_degree,
+              t.distance) for t in trace]
+    return (factor.coeffs.tobytes(), shift, x_star.tobytes(),
+            s.coeffs.tobytes(), steps, tuple(warnings))
+
+
+@pytest.fixture
+def steer_calls(monkeypatch):
+    """Record the arguments and outcome of every ``steer`` call made by
+    either algorithm, as ``(args, fingerprint)``."""
+    calls = []
+    real = stabilizer.steer
+
+    def recording(*args):
+        # fingerprinted at once: the caller appends to the warnings list
+        try:
+            out = real(*args)
+        except Exception as exc:
+            calls.append((args, fingerprint(exc)))
+            raise
+        calls.append((args, fingerprint(out)))
+        return out
+
+    monkeypatch.setattr(stabilizer, "steer", recording)
+    monkeypatch.setattr(converter, "steer", recording)
+    return calls
+
+
+def assert_matches_oracle(calls):
+    assert calls
+    for args, out in calls:
+        try:
+            want = oracle_steer(*args)
+        except Exception as exc:
+            want = exc
+        assert out == fingerprint(want)
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("roots", [None, PENDULUM_GAMMA_INI_ROOTS])
+def test_steer_matches_oracle_pendulum_stabilization(pendulum, steer_calls,
+                                                     check, roots):
+    den, num = pendulum
+    result = run_algorithm1(den, num, StabilizationConfig(
+        gamma_ini_roots=roots, verify_invariant=check))
+    assert result.iterations > 0
+    assert_matches_oracle(steer_calls)
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("roots", [None, CONVERSION_ALPHA_INI_ROOTS])
+@pytest.mark.parametrize("z_power", [0, 1])
+def test_steer_matches_oracle_pendulum_conversion(pendulum, pre_controller,
+                                                  steer_calls, check, roots,
+                                                  z_power):
+    # z_power = 1 converts against z * num, the numerator-lifting path.
+    # With the default initial factor the long run breaks the invariant
+    # check; the oracle must then raise the same error
+    den, num = pendulum
+    try:
+        run_algorithm2(pre_controller.den, num.shifted(z_power), 4,
+                       ConversionConfig(alpha_ini_roots=roots,
+                                        verify_invariant=check))
+    except SynthesisError:
+        assert check and roots is None
+    assert_matches_oracle(steer_calls)
+
+
+def test_steer_matches_oracle_random_plants(steer_calls):
+    # unfiltered plants: runs that fail inside steer must fail alike
+    rng = np.random.default_rng(606)
+    plants = 0
+    while len(steer_calls) < 120:
+        den, num = random_plant(rng)
+        cfg = StabilizationConfig(verify_invariant=plants % 3 == 0)
+        plants += 1
+        try:
+            run_algorithm1(den, num, cfg)
+        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            pass  # the outcome is recorded and compared below
+    assert_matches_oracle(steer_calls)
+    returned = [out for _, out in steer_calls if len(out) > 2]
+    assert len(returned) < len(steer_calls)
+    assert sum(len(out[4]) for out in returned) > 200
+
+
+def test_delta_matrix_matches_oracle():
+    rng = np.random.default_rng(909)
+    for n in range(1, 10):
+        for _ in range(30):
+            num = Polynomial(rng.normal(size=int(rng.integers(1, n + 2))))
+            if num.is_zero or num(0.0) == 0.0:
+                continue
+            factors = DeltaFactors.from_numerator(num, n)
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            assert (delta_matrix(x, factors).tobytes()
+                    == oracle_delta_matrix(x, factors).tobytes())
+            # a vector short of the dimension stands for a lower degree
+            short = x[: int(rng.integers(0, n))]
+            assert (delta_matrix(short, factors).tobytes()
+                    == oracle_delta_matrix(short, factors).tobytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_delta_matrix_rejects_non_finite_vector_like_oracle(bad):
+    factors = DeltaFactors.from_numerator(Polynomial([0.5, 1.0]), 3)
+    x = np.array([0.25, bad, -1.0])
+    with pytest.raises(ValueError) as got:
+        delta_matrix(x, factors)
+    with pytest.raises(ValueError) as want:
+        oracle_delta_matrix(x, factors)
+    assert str(got.value) == str(want.value)
+
+
+def test_delta_matrix_rejects_vector_longer_than_dimension():
+    factors = DeltaFactors.from_numerator(Polynomial([0.5, 1.0]), 2)
+    with pytest.raises(ValueError, match="exceeds stack dimension"):
+        delta_matrix(np.ones(3), factors)
+
+
+def oracle_sylvester_matrix(a, b):
+    da, db = a.coeffs.size - 1, b.coeffs.size - 1
+    S = np.zeros((da + db, da + db))
+    for i in range(db):
+        S[i : i + da + 1, i] = a.descending()
+    for i in range(da):
+        S[i : i + db + 1, db + i] = b.descending()
+    return S
+
+
+def test_sylvester_matrix_matches_column_oracle():
+    rng = np.random.default_rng(313)
+    for _ in range(200):
+        a = Polynomial(rng.normal(size=int(rng.integers(2, 11))))
+        b = Polynomial(rng.normal(size=int(rng.integers(2, 11))))
+        assert (sylvester_matrix(a, b).tobytes()
+                == oracle_sylvester_matrix(a, b).tobytes())
