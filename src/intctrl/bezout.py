@@ -9,12 +9,13 @@ square system is well-posed exactly when the coprimality holds.
 """
 from __future__ import annotations
 
+from math import copysign
 from typing import NamedTuple
 
 import numpy as np
 
 from .numeric import SingularMatrixError, solve_linear
-from .poly import Polynomial, _trimmed
+from .poly import Polynomial, _sum_residual, _trimmed
 
 COPRIME_TOL = 1e-8
 
@@ -68,18 +69,15 @@ def solve_diophantine(p: Polynomial, q: Polynomial, modulus: Polynomial,
         raise ValueError("deg(p) - 1 + deg(modulus) must not exceed deg(q)")
 
     scale = max(1.0, q.max_abs())
-
-    def residual(r: Polynomial, s: Polynomial) -> float:
-        return (p * r + s * modulus - q).max_abs()
-
     if dp > 0 and _is_monomial(p):
         # power-series route can amplify when the modulus has roots well
         # inside the unit disk; fall back to the dense solve before failing
         fast = _monomial_fast_path(dp, q, modulus)
-        if fast is not None and residual(*fast) <= residual_tol * scale:
+        if (fast is not None
+                and _residual(p, *fast, modulus, q) <= residual_tol * scale):
             return DiophantineSolution(*fast)
     r, s = _dense_solve(p, q, modulus)
-    err = residual(r, s)
+    err = _residual(p, r, s, modulus, q)
     if err > residual_tol * scale:
         raise NotCoprimeError(
             f"Diophantine residual {err:.3e} exceeds {residual_tol:.1e} * {scale:.3e}; "
@@ -87,8 +85,21 @@ def solve_diophantine(p: Polynomial, q: Polynomial, modulus: Polynomial,
     return DiophantineSolution(r, s)
 
 
+def _product(a: Polynomial, b: Polynomial) -> np.ndarray:
+    """Coefficients of ``a * b`` before the Polynomial strips them."""
+    if a.is_zero or b.is_zero:
+        return np.zeros(0)
+    return np.convolve(a.coeffs, b.coeffs)
+
+
+def _residual(p: Polynomial, r: Polynomial, s: Polynomial,
+              modulus: Polynomial, q: Polynomial) -> float:
+    """``(p*r + s*modulus - q).max_abs()``."""
+    return _sum_residual(_product(p, r), _product(s, modulus), q.coeffs)
+
+
 def _is_monomial(p: Polynomial) -> bool:
-    return bool(np.all(p.coeffs[:-1] == 0.0))
+    return not np.logical_or.reduce(p.coeffs[:-1] != 0.0)
 
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
@@ -102,15 +113,16 @@ def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
     A = np.zeros((dim, dim))
     flat = A.reshape(-1)
     step = dim + 1
-    for k, c in enumerate(p.coeffs):
-        flat[k * dim : k * dim + (dr + 1) * step : step] = c
-    for k, c in enumerate(modulus.coeffs):
+    for k, c in enumerate(p.coeffs.tolist()):
+        # the matrix already holds +0.0, such as the z^shift zeros of the
+        # closing solve's p; a -0.0 is written like any other coefficient
+        if c or copysign(1.0, c) < 0.0:
+            flat[k * dim : k * dim + (dr + 1) * step : step] = c
+    for k, c in enumerate(modulus.coeffs.tolist()):
         start = k * dim + dr + 1
         flat[start : start + dp * step : step] = c
-    rhs = np.zeros(dim)
-    rhs[: q.coeffs.size] = q.coeffs
     try:
-        x = solve_linear(A, rhs)
+        x = solve_linear(A, q.coeffs)
     except SingularMatrixError as exc:
         raise NotCoprimeError(
             f"coefficient system singular to tolerance (pivot {exc.pivot:.3e}): "
@@ -144,11 +156,17 @@ def _monomial_fast_path(k: int, q: Polynomial, modulus: Polynomial):
 
 def sylvester_matrix(a: Polynomial, b: Polynomial) -> np.ndarray:
     """Classical Sylvester matrix of two nonconstant polynomials."""
-    da, db = a.coeffs.size - 1, b.coeffs.size - 1
-    if da < 1 or db < 1:
+    if a.coeffs.size < 2 or b.coeffs.size < 2:
         raise ValueError("both polynomials must have degree >= 1")
+    return _sylvester(a.coeffs, b.coeffs)
+
+
+def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`sylvester_matrix` of ascending coefficient arrays whose top
+    entries are nonzero."""
+    da, db = a.size - 1, b.size - 1
     S = np.zeros((da + db, da + db))
-    a_desc, b_desc = a.descending(), b.descending()
+    a_desc, b_desc = a[::-1], b[::-1]
     for i in range(db):
         S[i : i + da + 1, i] = a_desc
     for i in range(da):
@@ -170,8 +188,13 @@ def coprime_check(a: Polynomial, b: Polynomial,
         raise ValueError("coprimality of a zero polynomial is undefined")
     if a.coeffs.size == 1 or b.coeffs.size == 1:
         return CoprimalityResult(True, 1.0)
-    an = Polynomial(a.coeffs / a.max_abs())
-    bn = Polynomial(b.coeffs / b.max_abs())
-    sv = np.linalg.svd(sylvester_matrix(an, bn), compute_uv=False)
+    an = a.coeffs / a.max_abs()
+    bn = b.coeffs / b.max_abs()
+    if an[-1] == 0.0 or bn[-1] == 0.0:
+        # a top coefficient underflowed: the Polynomial strips it
+        S = sylvester_matrix(Polynomial(an), Polynomial(bn))
+    else:
+        S = _sylvester(an, bn)
+    sv = np.linalg.svd(S, compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     return CoprimalityResult(quality > tol, quality)

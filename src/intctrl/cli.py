@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and certificate pass), 2 input validation error,
 3 synthesis failure, 4 certificate failure.  ``stabilize`` and ``convert``
-write their result JSON even when its certificate fails, then exit 4.
+write their result JSON even when its certificate fails, then exit 4.  A
+root finding that breaks down (``RootFindingError``) makes them exit 3, and
+``analyze`` exit 4, without JSON.
 Result JSON is byte-stable across runs for identical inputs and flags.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check
 from .converter import ConversionConfig, PreController, convert_controller
-from .numeric import poly_roots, schur_check
+from .numeric import RootFindingError, poly_roots, schur_check
 from .poly import Polynomial, RationalTF
 from .sim import realize_controller, realize_tf, simulate_loop, write_trajectory_csv
 from .stabilizer import (StabilizationConfig, SynthesisError, Tolerances,
@@ -200,14 +202,16 @@ def _cmd_stabilize(args) -> int:
             gamma_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
             max_iterations=args.max_iter, tolerances=_tolerances(args))
         result = run_algorithm1(den, num, cfg)
+        cl = closed_loop_poly(den, num, result.controller_den,
+                              result.controller_num)
+        radius = schur_check(cl).spectral_radius
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SynthesisError, TargetSearchError) as exc:
+    except (SynthesisError, TargetSearchError, RootFindingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS
 
-    cl = closed_loop_poly(den, num, result.controller_den, result.controller_num)
     payload = {
         "command": "stabilize",
         "seed": args.seed,
@@ -225,7 +229,7 @@ def _cmd_stabilize(args) -> int:
         "x_star": result.x_star.tolist(),
         "iterations": result.iterations,
         "trace": _trace_out(result.trace),
-        "closed_loop": {"spectral_radius": schur_check(cl).spectral_radius},
+        "closed_loop": {"spectral_radius": radius},
         "certificate": result.certificate.to_dict(),
         "warnings": list(result.warnings),
     }
@@ -256,7 +260,7 @@ def _cmd_convert(args) -> int:
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SynthesisError, TargetSearchError) as exc:
+    except (SynthesisError, TargetSearchError, RootFindingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS
 
@@ -292,13 +296,17 @@ def _cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     den, num = problem["plant"]
     alpha, beta, gamma = problem["solution"]
-    cert = certify_stabilization(den, num, alpha, beta, gamma)
-    cl = closed_loop_poly(den, num, alpha, -beta)
+    try:
+        cert = certify_stabilization(den, num, alpha, beta, gamma)
+        radius = schur_check(closed_loop_poly(den, num, alpha, -beta)).spectral_radius
+    except RootFindingError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     payload = {
         "command": "analyze",
         "ordering": problem["ordering"],
         "certificate": cert.to_dict(),
-        "closed_loop": {"spectral_radius": schur_check(cl).spectral_radius},
+        "closed_loop": {"spectral_radius": radius},
     }
     _emit(payload, args.out)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE

@@ -10,7 +10,7 @@ reported in the certificate rather than compensated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,10 @@ class ConvertedController:
     beta: Polynomial
     gamma: Polynomial
     certificate: Certificate
+    #: the run that produced the solution, as in :class:`ConversionSolution`
+    x_star: np.ndarray | None = None
+    iterations: int = 0
+    trace: tuple[TraceStep, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,14 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
         num_r=alpha * pre.num_r,
         alpha=alpha, beta=beta, gamma=gamma,
         certificate=Certificate("conversion", 0.0, 1.0),
+        x_star=solution.x_star, iterations=solution.iterations,
+        trace=solution.trace,
     )
     cert = certify_conversion(plant_den, plant_num, pre, conv,
                               residual_rtol=tol.identity_rtol,
                               int_tol=tol.integer)
     cert.warnings.extend(solution.warnings)
-    return ConvertedController(conv.den, conv.num_y, conv.num_r,
-                               alpha, beta, gamma, cert)
+    return replace(conv, certificate=cert)
 
 
 def convert_controller(pre: PreController, plant_den: Polynomial,

@@ -57,8 +57,8 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
     # which the check below reports as an exception
     lu, piv, _ = dgetrf(A)
     diag = np.abs(lu.diagonal())
-    scale = float(diag.max())
-    pivot = float(diag.min())
+    scale = float(np.maximum.reduce(diag))
+    pivot = float(np.minimum.reduce(diag))
     if scale == 0.0 or pivot <= rcond * scale:
         raise SingularMatrixError(pivot, scale)
     # getrs itself, the call lu_solve makes, without its per-call checks
@@ -70,7 +70,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
 
 def vec_1norm(v: np.ndarray) -> float:
     """Sum of absolute entries."""
-    return float(np.abs(v).sum())
+    return float(np.add.reduce(np.abs(v)))
 
 
 def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
@@ -83,33 +83,49 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
     if p.is_zero or p.coeffs.size < 2:
         raise ValueError("root finding requires degree >= 1")
     c = p.coeffs
-    roots = np.roots(c[::-1])
+    # np.roots(c[::-1]) without its wrappers: the eigenvalues of the same
+    # companion matrix of c with its zero low-order coefficients split off,
+    # followed by one zero root per split coefficient
+    zeros = int((c != 0.0).argmax())
+    desc = c[zeros:][::-1]
+    if desc.size > 1:
+        A = np.zeros((desc.size - 1, desc.size - 1))
+        A.reshape(-1)[desc.size - 1 :: desc.size] = 1.0
+        A[0, :] = -desc[1:] / desc[0]
+        roots = np.linalg.eigvals(A)
+    else:
+        roots = np.zeros(0)
+    if zeros:
+        roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
+    # Horner for all roots at once on a stacked (real, imaginary) buffer,
+    # each product and sum its own operation as in scalar complex
+    # arithmetic, so the residuals equal those of a scalar Horner loop bit
+    # for bit.  A step is re, im = re*zr + im*(-zi) + ck, im*zr + re*zi:
+    # im*(-zi) is -(im*zi) exactly and a + (-b) is a - b, so the real part
+    # rounds as re*zr - im*zi + ck.  The multipliers are full (2, k) arrays:
+    # a broadcast operand costs more per call than the whole product
+    k = roots.size
+    real_mult = np.empty((2, k))
+    real_mult[:] = roots.real
+    cross_mult = roots.imag * np.array([[-1.0], [1.0]])
+    acc = np.zeros((2, k))
+    swapped, re = acc[::-1], acc[0]
+    prod = np.empty((2, k))
+    cross = np.empty((2, k))
     # sum_i |c_i| |r|^i, one row per root
-    scale = (np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size)).sum(axis=1)
-    # Horner for all roots at once on split real and imaginary parts, each
-    # product and sum its own operation as in scalar complex arithmetic, so
-    # the residuals equal those of a scalar Horner loop bit for bit.  A step
-    # is re, im = re*zr - im*zi + ck, re*zi + im*zr in buffers allocated
-    # once; im*zr + re*zi rounds as re*zi + im*zr, since addition commutes
-    zr, zi = roots.real.copy(), roots.imag.copy()
-    re = np.zeros(roots.size)
-    im = np.zeros(roots.size)
-    t = np.empty(roots.size)
-    u = np.empty(roots.size)
+    scale = np.add.reduce(np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size),
+                          axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         for ck in c[::-1].tolist():
-            np.multiply(re, zr, out=t)
-            np.multiply(im, zi, out=u)
-            np.subtract(t, u, out=t)
-            np.multiply(re, zi, out=u)
-            np.add(t, ck, out=re)
-            np.multiply(im, zr, out=im)
-            np.add(im, u, out=im)
-        res = np.hypot(re, im)
-        bad = np.flatnonzero(res > tol_root * scale)
-    if bad.size:
+            np.multiply(acc, real_mult, prod)
+            np.multiply(swapped, cross_mult, cross)
+            np.add(prod, cross, acc)
+            np.add(re, ck, re)
+        res = np.hypot(acc[0], acc[1])
+        bad = res > tol_root * scale
+    if np.logical_or.reduce(bad):
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
-                                for i in bad])
+                                for i in np.flatnonzero(bad)])
     return roots
 
 
@@ -197,7 +213,7 @@ def schur_check(p: Polynomial, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
 
 def _schur_verdict(roots: np.ndarray, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
     """Verdict of :func:`schur_check` from roots already found."""
-    radius = float(np.max(np.abs(roots)))
+    radius = float(np.maximum.reduce(np.abs(roots)))
     return SchurResult(radius < 1.0 - tol_margin, radius,
                        abs(radius - 1.0) <= BOUNDARY_BAND)
 

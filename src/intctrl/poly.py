@@ -39,14 +39,14 @@ class Polynomial:
             coeffs = list(coeffs)  # generators and other one-pass iterables
         # np.array copies, so the caller's array is never aliased
         arr = np.array(coeffs, dtype=float, ndmin=1)
-        if not np.isfinite(arr).all():
-            raise ValueError("polynomial coefficients must be finite")
+        _check_finite(arr)
         # strip exact zeros from the top; tolerance-based trimming is applied
         # only by the arithmetic that can produce round-off dust
-        end = arr.size
-        while end > 0 and arr[end - 1] == 0.0:
-            end -= 1
-        arr = arr[:end]
+        if arr.size and arr[-1] == 0.0:
+            end = arr.size - 1
+            while end > 0 and arr[end - 1] == 0.0:
+                end -= 1
+            arr = arr[:end]
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -75,7 +75,7 @@ class Polynomial:
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
+        return float(np.maximum.reduce(np.abs(self.coeffs), initial=0.0))
 
     # -- constructors ------------------------------------------------------
 
@@ -221,20 +221,57 @@ class Polynomial:
         return "".join(parts)
 
 
+def _check_finite(coeffs: np.ndarray) -> None:
+    # the ufunc reduction itself: ndarray.all first calls into Python
+    if not np.logical_and.reduce(np.isfinite(coeffs)):
+        raise ValueError("polynomial coefficients must be finite")
+
+
+def _trim_length(coeffs: np.ndarray, tol: float = TRIM_TOL) -> int:
+    """Length of ``coeffs`` without its high-order entries of magnitude at
+    most ``tol * max|coeff|``."""
+    if coeffs.size == 0:
+        return 0
+    mags = np.abs(coeffs)
+    cut = tol * np.maximum.reduce(mags)
+    end = coeffs.size
+    while end > 0 and mags[end - 1] <= cut:
+        end -= 1
+    return end
+
+
 def _trimmed(coeffs: np.ndarray, tol: float = TRIM_TOL) -> Polynomial:
     """Drop high-order coefficients below ``tol * max|coeff|``."""
-    if coeffs.size == 0:
-        return Polynomial.zero()
-    cut = tol * np.abs(coeffs).max()
-    end = coeffs.size
-    while end > 0 and abs(coeffs[end - 1]) <= cut:
-        end -= 1
-    return Polynomial(coeffs[:end])
+    return Polynomial(coeffs[: _trim_length(coeffs, tol)])
+
+
+def _sum_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """``(Polynomial(a) + Polynomial(b) - Polynomial(c)).max_abs()`` on bare
+    arrays.
+
+    The same sums and trims, and the same ValueError on a non-finite operand
+    or sum, without the intermediate Polynomials: the exact zeros those strip
+    from the top change no magnitude, hence neither a trim nor the result.
+    """
+    _check_finite(a)
+    _check_finite(b)
+    total = np.zeros(max(a.size, b.size))
+    total[: a.size] = a
+    total[: b.size] += b
+    end = _trim_length(total)
+    _check_finite(total[:end])
+    diff = np.zeros(max(end, c.size))
+    diff[:end] = total[:end]
+    diff[: c.size] -= c
+    end = _trim_length(diff)
+    _check_finite(diff[:end])
+    return float(np.maximum.reduce(np.abs(diff[:end]), initial=0.0))
 
 
 def trim(p: Polynomial, tol: float = TRIM_TOL) -> Polynomial:
     """Tolerance-trim a polynomial's spurious high-order dust."""
-    return _trimmed(p.coeffs.copy(), tol)
+    end = _trim_length(p.coeffs, tol)
+    return p if end == p.coeffs.size else Polynomial(p.coeffs[:end])
 
 
 def split_z_power(p: Polynomial, tol: float = TRIM_TOL) -> tuple[Polynomial, int]:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
 from .numeric import vec_1norm
-from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
-                   vector_from_monic)
+from .poly import (Polynomial, _check_finite, monic_from_vector,
+                   split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, TargetSearchConfig, active_index_set,
                      build_hyperplanes, control_input, delta_matrix,
                      find_integer_target)
@@ -215,7 +215,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     prod = factor.coeffs
     monic_u = np.ones(n + 1)
     x = x0
-    while not (x == x_star).all():
+    while not np.logical_and.reduce(x == x_star):
         k = len(trace)
         if k >= cap:
             raise SynthesisError(
@@ -227,8 +227,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         step = control_input(x, x_star, delta, cfg.mu)
         monic_u[:n] = step.u[::-1]
         prod = np.convolve(monic_u, prod)
-        if not np.isfinite(prod).all():
-            raise ValueError("polynomial coefficients must be finite")
+        _check_finite(prod)
         shift += n
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .numeric import classify_roots, poly_roots, solve_linear, vec_1norm
-from .poly import Polynomial, _stack_index, toeplitz_stack
+from .poly import Polynomial, _check_finite, _stack_index, toeplitz_stack
 
 ACTIVE_TOL = 1e-9
 SIDE_TOL = 1e-9
@@ -176,8 +176,7 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
     """
     n = factors.dim
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("polynomial coefficients must be finite")
+    _check_finite(x)
     if x.size > n:
         raise ValueError(f"degree {x.size} exceeds stack dimension {n}")
     # the stacked convolution matrix of monic(x), as toeplitz_stack builds it
@@ -271,7 +270,10 @@ class _ActivePlanes:
 def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for an exact, order-free ufunc (maximum,
     logical or), one column at a time: numpy reduces a short inner axis
-    element by element, several times slower than whole-column calls."""
+    element by element, several times slower than whole-column calls.  A
+    single row, such as one candidate, is one call of the reduction itself."""
+    if len(a) == 1:
+        return ufunc.reduce(a, axis=1)
     out = a[:, 0].copy()
     for col in a.T[1:]:
         ufunc(out, col, out=out)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bezout import coprime_check
 from .numeric import _schur_verdict, poly_roots, schur_check
-from .poly import Polynomial, RationalTF
+from .poly import Polynomial, RationalTF, _sum_residual
 
 IDENTITY_RTOL = 1e-8
 INT_TOL = 1e-6
@@ -73,7 +73,7 @@ def closed_loop_poly(plant_den: Polynomial, plant_num: Polynomial,
 def _integer_deviation(p: Polynomial) -> float:
     if p.is_zero:
         return 0.0
-    return float(np.max(np.abs(p.coeffs - np.round(p.coeffs))))
+    return float(np.maximum.reduce(np.abs(p.coeffs - p.coeffs.round())))
 
 
 def _deg(p: Polynomial) -> int:
@@ -89,7 +89,7 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
     """
     ad, bn = alpha * plant_den, beta * plant_num
-    residual = (ad + bn - gamma).max_abs()
+    residual = _sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
     scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
     cert = Certificate("stabilization", residual, residual_rtol * scale)
 
@@ -159,7 +159,7 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     """
     alpha, beta, gamma = conv.alpha, conv.beta, conv.gamma
     ad, bn = alpha * pre.den, beta * plant_num
-    residual = (ad + bn - gamma).max_abs()
+    residual = _sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
     scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
     cert = Certificate("conversion", residual, residual_rtol * scale)
 

@@ -1,5 +1,12 @@
 """Shared generators and fixture data for the suite."""
-import numpy as np
+import os
+
+# one BLAS thread, as CI and bench/run.py pin it, set before numpy loads
+# BLAS: the pivots quoted in large closing-solve errors depend on the count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from intctrl import (DeltaFactors, Polynomial, TargetSearchConfig,
@@ -94,3 +101,14 @@ def _predicted_iterations(x0, x_star, num, n, mu=0.99, samples=33):
             return 10 ** 9
         sigma = max(sigma, float(np.max(np.sum(np.abs(inv), axis=0))))
     return int(np.ceil(sigma * dist / mu))
+
+
+def schur_factor_product(rng, factors, n=8):
+    """Product of monic factors with |u|_1 = 0.99, the shape of a long
+    steering run's gamma."""
+    p = Polynomial.one()
+    for _ in range(factors):
+        u = rng.normal(size=n)
+        u *= 0.99 / vec_1norm(u)
+        p = p * Polynomial(np.concatenate([u[::-1], [1.0]]))
+    return p

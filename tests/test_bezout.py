@@ -190,6 +190,30 @@ def test_dense_solve_matches_column_oracle(monkeypatch, dq_extra):
         checked += 1
 
 
+def test_dense_solve_matrix_keeps_signed_zero_coefficients(monkeypatch):
+    # the closing solve's p is z^shift * den, and den / scale can hold -0.0:
+    # the system matrix must match the column oracle bit for bit either way
+    seen = []
+    monkeypatch.setattr(bezout, "solve_linear",
+                        lambda A, b: seen.append(A.copy()) or solve_linear(A, b))
+    rng = np.random.default_rng(89)
+    for shift in (0, 1, 7, 30):
+        for _ in range(10):
+            c = np.concatenate([rng.normal(size=int(rng.integers(1, 8))), [1.0]])
+            c[:-1][rng.random(c.size - 1) < 0.4] = -0.0
+            c[0] = rng.choice([c[0], 0.7])
+            p = Polynomial(c).shifted(shift)
+            m = Polynomial(rng.normal(size=int(rng.integers(1, 6))))
+            dq = p.coeffs.size - 1 + m.coeffs.size - 1 + int(rng.integers(0, 3))
+            q = Polynomial(np.concatenate([rng.normal(size=dq), [1.0]]))
+            seen.clear()
+            try:
+                _dense_solve(p, q, m)
+            except NotCoprimeError:
+                pass
+            assert seen[0].tobytes() == oracle_dense_system(p, q, m)[0].tobytes()
+
+
 @pytest.mark.parametrize("k", [20, 200])
 def test_diophantine_overflowing_series_falls_back_to_dense(k):
     # the inverse series of z + 0.01 grows like 100^i and overflows by
@@ -283,3 +307,50 @@ def test_coprime_planted_vs_perturbed_fuzz():
 def test_coprime_constant_is_always_coprime():
     ok, quality = coprime_check(Polynomial([3.0]), Polynomial([0, 0, 1]))
     assert ok and quality == 1.0
+
+
+def oracle_coprime_check(a, b, tol=bezout.COPRIME_TOL):
+    """:func:`coprime_check` through normalized Polynomials and the public
+    :func:`sylvester_matrix`."""
+    if a.is_zero or b.is_zero:
+        raise ValueError("coprimality of a zero polynomial is undefined")
+    if a.coeffs.size == 1 or b.coeffs.size == 1:
+        return bezout.CoprimalityResult(True, 1.0)
+    an = Polynomial(a.coeffs / a.max_abs())
+    bn = Polynomial(b.coeffs / b.max_abs())
+    sv = np.linalg.svd(bezout.sylvester_matrix(an, bn), compute_uv=False)
+    quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    return bezout.CoprimalityResult(quality > tol, quality)
+
+
+def _coprime_outcome(fn, a, b):
+    try:
+        ok, quality = fn(a, b)
+    except ValueError as exc:
+        return str(exc)
+    return ok, np.float64(quality).tobytes()
+
+
+def test_coprime_check_matches_polynomial_oracle():
+    # random pairs over ten decades of scale, shared roots, constants, the
+    # zero polynomial, and tops that underflow when normalized, so the
+    # Polynomial route strips them
+    rng = np.random.default_rng(83)
+    big, tiny = 1e300, 1e-30
+    cases = [(Polynomial([1.0, 2.0]), Polynomial.zero()),
+             (Polynomial([3.0]), Polynomial([1.0, 1.0])),
+             (Polynomial([big, 1.0, tiny]), Polynomial([1.0, 1.0])),
+             (Polynomial([big, tiny]), Polynomial([1.0, 1.0])),
+             (Polynomial([1.0, -1.0]), Polynomial([-1.0, 1.0]))]
+    for _ in range(300):
+        a = Polynomial(rng.normal(size=int(rng.integers(1, 13)))
+                       * 10.0 ** rng.integers(-5, 6))
+        b = Polynomial(rng.normal(size=int(rng.integers(1, 13)))
+                       * 10.0 ** rng.integers(-5, 6))
+        if rng.random() < 0.2:
+            shared = Polynomial([-float(rng.normal()), 1.0])
+            a, b = a * shared, b * shared
+        cases.append((a, b))
+    for a, b in cases:
+        assert (_coprime_outcome(coprime_check, a, b)
+                == _coprime_outcome(oracle_coprime_check, a, b))

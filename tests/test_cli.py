@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import random_plant, schur_factor_product
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 
@@ -92,6 +94,27 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
     assert main(["stabilize", str(f), "--max-iter", "1"]) == 3
 
 
+@pytest.mark.parametrize("index", [229, 77])
+def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
+    # seed-7 sweep plants: for plant 229 (n = 8) the roots of gamma miss the
+    # residual bound inside the certificate; plant 77 (n = 4) certifies, but
+    # the roots of its closed-loop polynomial, whose spectral radius the
+    # JSON reports, miss it.  A synthesis failure either way, no traceback
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        den, num = random_plant(rng, n_max=8)
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
+                                       "num": num.coeffs.tolist()},
+                             "ordering": "ascending"}))
+    out = tmp_path / "result.json"
+    assert main(["stabilize", str(f), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed: root residuals exceed tolerance")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5"),
                                          ("--max-radius", "-1")])
@@ -156,6 +179,23 @@ def test_analyze_pass_and_fail(tmp_path):
     f2 = tmp_path / "bad.json"
     f2.write_text(json.dumps(bad))
     assert main(["analyze", str(f2), "--out", str(out)]) == 4
+
+
+def test_analyze_root_finding_failure_exits_4(tmp_path, capsys):
+    # gamma: 25 monic factors with |u|_1 = 0.99 at n = 8, whose computed
+    # roots miss the residual bound
+    gamma = schur_factor_product(np.random.default_rng(0), 25)
+    f = tmp_path / "solution.json"
+    f.write_text(json.dumps({
+        "plant": {"den": [-0.5, 1.0], "num": [1.0]},
+        "solution": {"alpha": [0.0, 1.0], "beta": [0.0],
+                     "gamma": gamma.coeffs.tolist()},
+        "ordering": "ascending"}))
+    out = tmp_path / "res.json"
+    assert main(["analyze", str(f), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: root residuals exceed tolerance")
+    assert not out.exists()
 
 
 def test_simulate_cli_writes_csv(tmp_path):

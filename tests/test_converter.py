@@ -242,3 +242,24 @@ def test_invariant_check_leaves_conversion_unchanged(pendulum, pre_controller):
             (b.x.tobytes(), b.u.tobytes(), b.hit, b.gamma_degree)
     assert plain.warnings == checked.warnings
     assert any("z^1" in w for w in plain.warnings)
+
+
+@pytest.mark.parametrize("roots", [CONVERSION_ALPHA_INI_ROOTS, None])
+def test_converted_controller_keeps_run_data(pendulum, pre_controller, roots):
+    # x*, the iteration count and the trace reach the converted controller
+    # unchanged, with or without the fixture's initial factor roots
+    den, num = pendulum
+    cfg = ConversionConfig(alpha_ini_roots=roots)
+    solution = run_algorithm2(pre_controller.den, num, 4, cfg)
+    conv = convert_controller(pre_controller, den, num, cfg)
+    assert conv.x_star.tobytes() == solution.x_star.tobytes()
+    assert conv.iterations == solution.iterations > 0
+    assert len(conv.trace) == len(solution.trace) == conv.iterations
+    for got, want in zip(conv.trace, solution.trace):
+        assert (got.k, got.hit, got.gamma_degree, got.distance) == (
+            want.k, want.hit, want.gamma_degree, want.distance)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.u.tobytes() == want.u.tobytes()
+    assembled = assemble_converted(pre_controller, den, num, solution)
+    assert assembled.x_star is solution.x_star
+    assert assembled.trace is solution.trace

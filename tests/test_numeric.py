@@ -8,6 +8,8 @@ from intctrl import (Polynomial, classify_roots, poly_roots, schur_check,
 from intctrl.numeric import (ConjugatePairingError, RootFindingError,
                              SingularMatrixError)
 
+from conftest import schur_factor_product
+
 PRINTED_PENDULUM_NUM = Polynomial([0.0021, -0.0023, -0.0023, 0.0021])
 
 
@@ -111,18 +113,52 @@ def test_roots_match_scalar_horner_oracle():
 def test_root_finding_error_matches_scalar_horner_oracle():
     # 25 monic Schur factors with |u|_1 = 0.99 at n = 8: degree 200 with
     # tight root clusters, whose computed roots miss the residual bound
-    rng = np.random.default_rng(0)
-    p = Polynomial.one()
-    for _ in range(25):
-        u = rng.normal(size=8)
-        u *= 0.99 / vec_1norm(u)
-        p = p * Polynomial(np.concatenate([u[::-1], [1.0]]))
+    p = schur_factor_product(np.random.default_rng(0), 25)
     with pytest.raises(RootFindingError) as err:
         poly_roots(p)
     with pytest.raises(RootFindingError) as want:
         oracle_poly_roots(p)
     assert str(err.value) == str(want.value)
     assert err.value.residuals == want.value.residuals
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(29)
+    cases = []
+    # z^k * P, the shape of every gamma grown from the default z^(2n)
+    for k in (1, 2, 5, 16, 40):
+        cases.append(Polynomial(rng.normal(size=int(rng.integers(2, 12)))).shifted(k))
+    # pure and scaled monomials: only zero roots, no eigensolve
+    for k in (1, 2, 7, 30):
+        cases.append(Polynomial.monomial(k))
+        cases.append(Polynomial.monomial(k, -2.5))
+    # all-real roots (a real eigenvalue array) and all-complex roots
+    for deg in (1, 3, 8, 15):
+        cases.append(Polynomial.from_roots(list(rng.uniform(-1.5, 1.5, deg))))
+    for pairs in (1, 3, 7):
+        roots = rng.uniform(0.2, 1.4, pairs) * np.exp(1j * rng.uniform(0.1, 3.0, pairs))
+        cases.append(Polynomial.from_roots(list(roots) + list(roots.conj())))
+    cases.append(Polynomial.from_roots([0.5 + 0.5j, 0.5 - 0.5j]).shifted(3))
+    return cases
+
+
+def test_roots_match_oracle_on_structured_polynomials():
+    for p in _oracle_cases():
+        for tol in (1e-6, 0.0):
+            assert (_roots_outcome(poly_roots, p, tol)
+                    == _roots_outcome(oracle_poly_roots, p, tol))
+
+
+@pytest.mark.parametrize("factors", [13, 25, 40])
+def test_roots_match_oracle_on_long_schur_products(factors):
+    # degrees 120 (with z^16), 200 and 320: the largest gammas
+    # certification meets
+    p = schur_factor_product(np.random.default_rng(factors), factors)
+    if factors == 13:
+        p = p.shifted(16)
+    for tol in (1e-6, 0.0):
+        assert (_roots_outcome(poly_roots, p, tol)
+                == _roots_outcome(oracle_poly_roots, p, tol))
 
 
 def test_roots_requires_degree():

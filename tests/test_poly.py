@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import Polynomial, RationalTF, monic_from_vector, toeplitz_stack, vector_from_monic
-from intctrl.poly import trim
+from intctrl.poly import TRIM_TOL, _sum_residual, trim
 
 
 def test_mul_difference_of_squares():
@@ -159,14 +159,15 @@ def test_constructor_accepts_any_iterable(wrap):
 
 
 def test_constructor_copies_and_freezes():
-    src = np.array([1.0, 2.0, 3.0])
-    p = Polynomial(src)
-    assert not np.shares_memory(p.coeffs, src)
-    src[0] = 99.0
-    assert p.coeffs[0] == 1.0
-    assert not p.coeffs.flags.writeable
-    with pytest.raises(ValueError):
-        p.coeffs[0] = 5.0
+    # a nonzero top keeps the whole copy, a zero top a view of it
+    for src in (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 0.0, -0.0])):
+        p = Polynomial(src)
+        assert not np.shares_memory(p.coeffs, src)
+        src[0] = 99.0
+        assert p.coeffs[0] == 1.0
+        assert not p.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            p.coeffs[0] = 5.0
 
 
 def test_constructor_strips_signed_zeros_from_the_top():
@@ -181,6 +182,111 @@ def test_constructor_rejects_non_finite(bad):
     for wrap in (list, tuple, np.array):
         with pytest.raises(ValueError, match="finite"):
             Polynomial(wrap([1.0, bad, 2.0]))
+
+
+def oracle_polynomial_coeffs(coeffs):
+    """The coefficient array the constructor built with ``ndarray.all`` and
+    an unconditional top-zero scan."""
+    if not isinstance(coeffs, (np.ndarray, list, tuple)):
+        coeffs = list(coeffs)
+    arr = np.array(coeffs, dtype=float, ndmin=1)
+    if not np.isfinite(arr).all():
+        raise ValueError("polynomial coefficients must be finite")
+    end = arr.size
+    while end > 0 and arr[end - 1] == 0.0:
+        end -= 1
+    return arr[:end]
+
+
+def _construction_outcome(build, coeffs):
+    try:
+        arr = build(coeffs)
+    except ValueError as exc:
+        return str(exc)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def test_constructor_matches_oracle():
+    # random lengths with zeros, signed zeros and non-finite entries spread
+    # over the array and its top, and the all-zero and empty arrays
+    rng = np.random.default_rng(61)
+    cases = [[], [0.0], [-0.0], [0.0, -0.0, 0.0], np.zeros(5), np.zeros(0),
+             [1.0], [2.5, 0.0, 0.0], [np.nan], [0.0, np.inf], np.array(-0.0)]
+    for _ in range(300):
+        c = rng.normal(size=int(rng.integers(0, 12)))
+        pick = rng.random(c.size)
+        c[pick < 0.3] = 0.0
+        c[pick > 0.9] = -0.0
+        if c.size and rng.random() < 0.1:
+            c[int(rng.integers(0, c.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        cases.append(c)
+        cases.append(c.tolist())
+    for coeffs in cases:
+        got = _construction_outcome(lambda c: Polynomial(c).coeffs, coeffs)
+        assert got == _construction_outcome(oracle_polynomial_coeffs, coeffs)
+
+
+def oracle_trim(p, tol=TRIM_TOL):
+    """The tolerance trim on a fresh copy, as :func:`trim` did."""
+    c = p.coeffs.copy()
+    if c.size == 0:
+        return Polynomial.zero()
+    cut = tol * np.abs(c).max()
+    end = c.size
+    while end > 0 and abs(c[end - 1]) <= cut:
+        end -= 1
+    return Polynomial(c[:end])
+
+
+def test_trim_matches_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(300):
+        c = rng.normal(size=int(rng.integers(0, 10)))
+        dust = int(rng.integers(0, c.size + 1))
+        if dust:
+            c[-dust:] *= 10.0 ** -rng.integers(5, 14)
+        for tol in (TRIM_TOL, 1e-3, 0.0):
+            assert (trim(Polynomial(c), tol).coeffs.tobytes()
+                    == oracle_trim(Polynomial(c), tol).coeffs.tobytes())
+
+
+def _residual_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sum_residual_matches_polynomial_expression():
+    # (a + b - c).max_abs() through Polynomials, on products with cancelling
+    # tops (the trims decide), signed zeros, zero operands and overflow
+    rng = np.random.default_rng(71)
+    big = np.finfo(float).max
+    cases = [(np.zeros(0), np.zeros(0), np.array([1.0])),
+             (np.zeros(0), np.array([2.0, -0.0]), np.array([2.0])),
+             (np.array([1.0, -0.0]), np.array([0.0, 0.0, -0.0]), np.zeros(0)),
+             (np.array([big, big]), np.array([big]), np.array([1.0])),
+             (np.array([1.0, big]), np.array([0.0, big]), np.array([1.0])),
+             (np.array([big]), np.zeros(0), np.array([-big])),
+             (np.array([1.0, np.inf]), np.array([1.0]), np.array([1.0]))]
+    for _ in range(400):
+        a = rng.normal(size=int(rng.integers(0, 9)))
+        b = rng.normal(size=int(rng.integers(0, 9)))
+        m = min(a.size, b.size)
+        if m and rng.random() < 0.5:
+            # cancel the top coefficients to round-off or exactly
+            b[m - 1] = -a[m - 1] * (1.0 + rng.choice([0.0, 1e-12, 1e-6]))
+        c = a[: int(rng.integers(0, a.size + 1))] + rng.normal(scale=1e-9)
+        for v in (a, b, c):
+            v[rng.random(v.size) < 0.15] = -0.0
+        cases.append((a, b, c))
+    for a, b, c in cases:
+        # both routes overflow alike, each with its own warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _residual_outcome(_sum_residual, a, b, c)
+            want = _residual_outcome(
+                lambda: (Polynomial(a) + Polynomial(b) - Polynomial(c)).max_abs())
+        assert got == want
 
 
 # -- stacked convolution matrix ---------------------------------------------
