@@ -4,13 +4,16 @@ Exit codes: 0 success (and certificate pass), 2 input validation error,
 3 synthesis failure, 4 certificate failure.  ``stabilize`` and ``convert``
 write their result JSON even when its certificate fails, then exit 4.  A
 root finding that breaks down (``RootFindingError``) makes them exit 3, and
-``analyze`` exit 4, without JSON.
+``analyze`` exit 4, without JSON; only the closed-loop spectral radius that
+``stabilize`` and ``analyze`` report for information is written as null
+instead, with a warning, and the exit code follows the certificate.
 Result JSON is byte-stable across runs for identical inputs and flags.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,8 +50,15 @@ def _ordering(data: dict) -> str:
 
 
 def _poly_from(data, field: str, ordering: str, allow_zero=False) -> Polynomial:
-    if not isinstance(data, list) or not all(isinstance(c, (int, float)) for c in data):
+    # json reads true as a number and NaN, Infinity and 1e400 as floats
+    if not isinstance(data, list) or not all(type(c) in (int, float) for c in data):
         raise ProblemFileError(f"field '{field}': expected a list of numbers")
+    try:
+        finite = all(math.isfinite(c) for c in data)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ProblemFileError(f"field '{field}': coefficients must be finite")
     coeffs = data[::-1] if ordering == "descending" else data
     p = Polynomial(coeffs)
     if p.is_zero and not allow_zero:
@@ -186,6 +196,15 @@ def _emit_certified(payload: dict, out: str | None, cert) -> int:
     return EXIT_OK
 
 
+def _spectral_radius(cl: Polynomial) -> tuple[float | None, list[str]]:
+    """Spectral radius of a closed loop, reported for information only: when
+    its roots miss the residual bound, None and a warning quoting why."""
+    try:
+        return schur_check(cl).spectral_radius, []
+    except RootFindingError as exc:
+        return None, [f"closed-loop spectral radius not computed: {exc}"]
+
+
 def _trace_out(trace) -> list[dict]:
     return [{"k": s.k, "x": s.x.tolist(), "u": s.u.tolist(), "hit": s.hit,
              "gamma_degree": s.gamma_degree, "distance": s.distance}
@@ -202,9 +221,8 @@ def _cmd_stabilize(args) -> int:
             gamma_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
             max_iterations=args.max_iter, tolerances=_tolerances(args))
         result = run_algorithm1(den, num, cfg)
-        cl = closed_loop_poly(den, num, result.controller_den,
-                              result.controller_num)
-        radius = schur_check(cl).spectral_radius
+        radius, radius_warnings = _spectral_radius(closed_loop_poly(
+            den, num, result.controller_den, result.controller_num))
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -231,7 +249,7 @@ def _cmd_stabilize(args) -> int:
         "trace": _trace_out(result.trace),
         "closed_loop": {"spectral_radius": radius},
         "certificate": result.certificate.to_dict(),
-        "warnings": list(result.warnings),
+        "warnings": list(result.warnings) + radius_warnings,
     }
     cert = result.certificate
     if args.verify:
@@ -298,15 +316,16 @@ def _cmd_analyze(args) -> int:
     alpha, beta, gamma = problem["solution"]
     try:
         cert = certify_stabilization(den, num, alpha, beta, gamma)
-        radius = schur_check(closed_loop_poly(den, num, alpha, -beta)).spectral_radius
     except RootFindingError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    radius, warnings = _spectral_radius(closed_loop_poly(den, num, alpha, -beta))
     payload = {
         "command": "analyze",
         "ordering": problem["ordering"],
         "certificate": cert.to_dict(),
         "closed_loop": {"spectral_radius": radius},
+        "warnings": warnings,
     }
     _emit(payload, args.out)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE

@@ -1,13 +1,51 @@
 """Linear solves, norms, root finding, root classification and Schur tests."""
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+import scipy
 
 from .poly import Polynomial
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
+
+    ``scipy.linalg.lapack`` exports this extension's routines themselves
+    (``lapack.dgetrf is _flapack.dgetrf``), but ``scipy.linalg``'s own
+    import sets up scipy's array-API layer, which imports ``numpy.f2py``,
+    ``numpy.testing``, ``numpy.ma`` and ``numpy.random`` and made up more
+    than half of ``import intctrl``.  The extension is loaded from its file
+    under its own name; when it is not there, or ``scipy.linalg`` is
+    already loaded, it comes from the package as usual.
+    """
+    name = "scipy.linalg._flapack"
+    found = None
+    if "scipy.linalg" not in sys.modules:
+        found = PathFinder.find_spec(
+            "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    if found is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules; left there, a
+    # later ``import scipy.linalg`` would reuse the entry without making it
+    # an attribute of the package.  Loaded again, it gets the same function
+    # objects: the interpreter keeps the first load's module dict
+    sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
 
 SOLVE_RCOND = 1e-13
 

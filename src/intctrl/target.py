@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
-from .numeric import classify_roots, poly_roots, solve_linear, vec_1norm
+from .numeric import classify_roots, dtrtrs, poly_roots, solve_linear, vec_1norm
 from .poly import Polynomial, _check_finite, _stack_index, toeplitz_stack
 
 ACTIVE_TOL = 1e-9

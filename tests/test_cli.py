@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_plant, schur_factor_product
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
+from intctrl.stabilizer import run_algorithm1
 
 PENDULUM = str(fixture_path("pendulum.json"))
 CONVERSION = str(fixture_path("pendulum_conversion.json"))
@@ -94,23 +96,95 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
     assert main(["stabilize", str(f), "--max-iter", "1"]) == 3
 
 
-@pytest.mark.parametrize("index", [229, 77])
-def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
-    # seed-7 sweep plants: for plant 229 (n = 8) the roots of gamma miss the
-    # residual bound inside the certificate; plant 77 (n = 4) certifies, but
-    # the roots of its closed-loop polynomial, whose spectral radius the
-    # JSON reports, miss it.  A synthesis failure either way, no traceback
+def sweep_plant(index):
+    """Plant ``index`` of the seed-7 sweep of orders up to 8."""
     rng = np.random.default_rng(7)
     for _ in range(index + 1):
         den, num = random_plant(rng, n_max=8)
+    return den, num
+
+
+@pytest.mark.parametrize("index", [229, 77])
+def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
+    # seed-7 sweep plants: for plant 229 (n = 8) the roots of gamma miss the
+    # residual bound inside the certificate, a synthesis failure without
+    # JSON.  Plant 77 (n = 4) certifies, and only the roots of its
+    # closed-loop polynomial, whose spectral radius the JSON reports for
+    # information, miss it: the result is written with a null radius
+    den, num = sweep_plant(index)
     f = tmp_path / "plant.json"
     f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
                                        "num": num.coeffs.tolist()},
                              "ordering": "ascending"}))
     out = tmp_path / "result.json"
-    assert main(["stabilize", str(f), "--out", str(out)]) == 3
+    code = main(["stabilize", str(f), "--out", str(out)])
     err = capsys.readouterr().err
-    assert err.startswith("synthesis failed: root residuals exceed tolerance")
+    assert "Traceback" not in err
+    if index == 229:
+        assert code == 3
+        assert err.startswith("synthesis failed: root residuals exceed tolerance")
+        assert not out.exists()
+        return
+    assert code == 0 and err == ""
+    payload = json.loads(out.read_text())
+    assert payload["certificate"]["passed"] is True
+    assert payload["closed_loop"]["spectral_radius"] is None
+    assert payload["warnings"][-1].startswith(
+        "closed-loop spectral radius not computed: root residuals exceed tolerance")
+
+
+def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
+    # the certified solution of sweep plant 77, on its normalized plant: the
+    # certificate passes, the closed-loop roots miss the residual bound
+    den, num = sweep_plant(77)
+    result = run_algorithm1(den, num)
+    f = tmp_path / "solution.json"
+    f.write_text(json.dumps({
+        "plant": {"den": result.plant.den.coeffs.tolist(),
+                  "num": (num.coeffs / result.plant.scale).tolist()},
+        "solution": {k: getattr(result, k).coeffs.tolist()
+                     for k in ("alpha", "beta", "gamma")},
+        "ordering": "ascending"}))
+    out = tmp_path / "res.json"
+    assert main(["analyze", str(f), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text())
+    assert payload["certificate"]["passed"] is True
+    assert payload["closed_loop"]["spectral_radius"] is None
+    [warning] = payload["warnings"]
+    assert warning.startswith(
+        "closed-loop spectral radius not computed: root residuals exceed tolerance")
+
+
+ANALYZE_PROBLEM = {"plant": {"den": [1.0, 0.0], "num": [1.0]},
+                   "solution": {"alpha": [1.0, 0.0], "beta": [0.0],
+                                "gamma": [1.0, 0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   10 ** 400, True],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400-int", "true"])
+@pytest.mark.parametrize("command, field", [
+    ("stabilize", "plant.den"), ("convert", "plant.num"),
+    ("analyze", "plant.den"), ("simulate", "plant.num"),
+    ("convert", "controller.num_y"), ("simulate", "controller.den"),
+    ("analyze", "solution.gamma")])
+def test_non_finite_or_boolean_coefficient_is_a_validation_error(
+        command, field, value, tmp_path, capsys):
+    # json reads NaN and Infinity as floats and true as the number 1
+    if command == "analyze":
+        problem = json.loads(json.dumps(ANALYZE_PROBLEM))
+    else:
+        source = PENDULUM if command == "stabilize" else CONVERSION
+        problem = json.loads(Path(source).read_text())
+    block, key = field.split(".")
+    problem[block][key][0] = value
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(problem))
+    out = tmp_path / "res.json"
+    assert main([command, str(f), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: field '{field}'")
     assert "Traceback" not in err
     assert not out.exists()
 
