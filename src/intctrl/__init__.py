@@ -20,10 +20,9 @@ from .sim import (SimulationResult, StateSpace, realize_controller, realize_tf,
 from .stabilizer import (StabilizationConfig, StabilizationResult, Tolerances,
                          TraceStep, preprocess_plant, make_gamma_ini,
                          run_algorithm1, stabilize_proper, SynthesisError)
-from .target import (DeltaFactors, Hyperplane, HyperplaneSet, IntegerTarget,
-                     TargetSearchConfig, TargetSearchError, active_index_set,
-                     build_hyperplanes, control_input, delta_matrix,
-                     find_integer_target)
+from .target import (DeltaFactors, HyperplaneSet, IntegerTarget,
+                     TargetSearchError, active_index_set, build_hyperplanes,
+                     control_input, delta_matrix, find_integer_target)
 from .verify import (Certificate, certify_conversion, certify_stabilization,
                      closed_loop_poly, closed_loop_tf, tf_equal)
 
@@ -31,11 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "ConversionConfig", "ConvertedController",
-    "CoprimalityResult", "DeltaFactors", "Hyperplane", "HyperplaneSet",
+    "CoprimalityResult", "DeltaFactors", "HyperplaneSet",
     "IntegerTarget", "NotCoprimeError", "Polynomial", "PreController",
     "RationalTF", "RootSet", "SchurResult", "SimulationResult",
     "StabilizationConfig", "StabilizationResult", "StateSpace",
-    "SynthesisError", "TargetSearchConfig", "TargetSearchError", "Tolerances",
+    "SynthesisError", "TargetSearchError", "Tolerances",
     "TraceStep", "active_index_set", "assemble_converted", "build_hyperplanes",
     "certify_conversion", "certify_stabilization", "classify_roots",
     "closed_loop_poly", "closed_loop_tf", "control_input",

@@ -26,7 +26,7 @@ from .poly import Polynomial, RationalTF
 from .sim import realize_controller, realize_tf, simulate_loop, write_trajectory_csv
 from .stabilizer import (StabilizationConfig, SynthesisError, Tolerances,
                          run_algorithm1)
-from .target import TargetSearchConfig, TargetSearchError
+from .target import TargetSearchError
 from .verify import certify_conversion, certify_stabilization, closed_loop_poly
 
 EXIT_OK = 0
@@ -165,19 +165,6 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _target_cfg(args) -> TargetSearchConfig:
-    kw = {"mode": args.target}
-    if args.max_radius is not None:
-        kw["max_radius"] = args.max_radius
-    if getattr(args, "tol_active", None) is not None:
-        kw["tol_active"] = args.tol_active
-    if getattr(args, "tol_side", None) is not None:
-        kw["tol_side"] = args.tol_side
-    if args.prefer_origin:
-        kw["prefer_origin"] = True
-    return TargetSearchConfig(**kw)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -218,7 +205,7 @@ def _cmd_stabilize(args) -> int:
     roots = _parse_complex_list(args.gamma_ini_roots) if args.gamma_ini_roots else None
     try:
         cfg = StabilizationConfig(
-            gamma_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
+            gamma_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
             max_iterations=args.max_iter, tolerances=_tolerances(args))
         result = run_algorithm1(den, num, cfg)
         radius, radius_warnings = _spectral_radius(closed_loop_poly(
@@ -272,7 +259,7 @@ def _cmd_convert(args) -> int:
     roots = _parse_complex_list(args.alpha_ini_roots) if args.alpha_ini_roots else None
     try:
         cfg = ConversionConfig(
-            alpha_ini_roots=roots, mu=args.mu, target=_target_cfg(args),
+            alpha_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
             max_iterations=args.max_iter, tolerances=_tolerances(args))
         conv = convert_controller(pre, den, num, cfg)
     except (NotCoprimeError, ValueError) as exc:
@@ -369,13 +356,10 @@ def _add_common(sub, with_roots: str | None):
                          help="comma-separated complex roots, e.g. '0.5,0.1+0.2j'; "
                               "use the --flag=value form when the list starts "
                               "with a dash")
-    sub.add_argument("--target", choices=["auto", "round", "search", "fallback"],
-                     default="auto", help="integer-target search mode")
     sub.add_argument("--max-iter", type=int, default=None)
-    sub.add_argument("--max-radius", type=int, default=None)
     sub.add_argument("--prefer-origin", action="store_true",
                      help="try the all-poles-at-origin target first")
-    for tol in ("residual", "coprime", "monic", "trim", "integer", "active", "side"):
+    for tol in ("residual", "coprime", "monic", "trim", "integer"):
         sub.add_argument(f"--tol-{tol}", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in the output for reproducibility bookkeeping")

@@ -20,9 +20,8 @@ from .bezout import NotCoprimeError, coprime_check, solve_diophantine
 from .numeric import vec_1norm
 from .poly import (Polynomial, _check_finite, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
-from .target import (DeltaFactors, TargetSearchConfig, active_index_set,
-                     build_hyperplanes, control_input, delta_matrix,
-                     find_integer_target)
+from .target import (DeltaFactors, active_index_set, build_hyperplanes,
+                     control_input, delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
 
 COPRIME_QUALITY_MIN = 1e-8
@@ -56,7 +55,9 @@ class SteeringConfig:
     """Settings of the steering loop shared by both algorithms."""
 
     mu: float = 0.99
-    target: TargetSearchConfig = field(default_factory=TargetSearchConfig)
+    #: try the all-zero integer target first: a controller with every pole
+    #: at the origin
+    prefer_origin: bool = False
     #: None derives the engineering cap 10*ceil(|x*-x0|_1) + 10
     max_iterations: int | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -197,14 +198,14 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     tol = cfg.tolerances
     n = x0.size
     warnings: list[str] = []
-    hset = build_hyperplanes(num, n)
-    active = active_index_set(x0, hset, cfg.target.tol_active)
-    if len(active) < len(hset):
-        skipped = sorted(set(range(len(hset))) - set(active))
+    planes = build_hyperplanes(num, n)
+    active = active_index_set(x0, planes)
+    if len(active) < planes.offsets.size:
+        skipped = sorted(set(range(planes.offsets.size)) - set(active))
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, hset, active, num, cfg.target)
+    found = find_integer_target(x0, planes, active, num, cfg.prefer_origin)
     x_star = found.x_star
     cap = (cfg.max_iterations if cfg.max_iterations is not None
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)

@@ -10,9 +10,8 @@ invertible along the way.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,11 +23,13 @@ SIDE_TOL = 1e-9
 
 
 class TargetSearchError(RuntimeError):
-    """Integer-target search exhausted its budget.
+    """Integer-target search examined every candidate it may without finding
+    one on the side of ``x0`` of every active plane.
 
-    An integer target always exists for coprime inputs, so exhaustion
-    signals a tolerance or radius misconfiguration; the fallback candidate
-    and its margins are attached for diagnosis.
+    A target always exists for coprime inputs, so exhaustion is a numerical
+    breakdown of the plane geometry, reported by the CLI as a synthesis
+    failure (exit 3).  The fallback candidate and its distances to the
+    active planes are attached for diagnosis.
     """
 
     def __init__(self, message: str, candidate=None, margins=None):
@@ -42,57 +43,40 @@ class InconsistentActiveSetError(ValueError):
     contradicts the coprimality precondition."""
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine set ``{x : normal . x = offset}`` induced by a numerator root.
+@dataclass(frozen=True, eq=False)
+class HyperplaneSet:
+    """Affine planes ``{x : normals[t] . x = offsets[t]}`` induced by the
+    numerator roots: one row per real root, then two per conjugate pair.
 
-    ``kind`` records which functional the plane represents: the value of the
-    vector's polynomial at a real root, or the real/imaginary part of its
-    value at a complex root.
+    ``roots[t]`` is the source root of row ``t``.  The first ``n_real`` rows
+    are real-root rows, on which a vector's polynomial vanishes at the root;
+    a conjugate pair gives the real and then the imaginary part of its value
+    at the root.
     """
 
-    normal: np.ndarray
-    offset: float
-    kind: Literal["real-root", "complex-real-part", "complex-imag-part"]
-    source_root: complex
-
-    def side(self, x: np.ndarray) -> float:
-        """Signed functional ``normal . x - offset``."""
-        return float(self.normal @ x - self.offset)
-
-    def distance(self, x: np.ndarray) -> float:
-        """Infinity-norm distance from ``x`` to the plane (dual 1-norm)."""
-        return abs(self.side(x)) / vec_1norm(self.normal)
-
-
-@dataclass(frozen=True)
-class HyperplaneSet:
-    """Ordered planes: one per real root, then two per conjugate pair."""
-
-    planes: tuple[Hyperplane, ...]
-    dim: int
+    normals: np.ndarray
+    offsets: np.ndarray
+    roots: tuple[complex, ...]
     n_real: int
-    n_complex_pairs: int
 
-    def __len__(self) -> int:
-        return len(self.planes)
+    def sides(self, x: np.ndarray) -> np.ndarray:
+        """Signed functionals ``normals . x - offsets``, one dot product per
+        row: a single matrix-vector product would round differently."""
+        return np.array([row @ x for row in self.normals]) - self.offsets
 
-    def __iter__(self):
-        return iter(self.planes)
-
-    def __getitem__(self, t: int) -> Hyperplane:
-        return self.planes[t]
+    def norms(self) -> np.ndarray:
+        """Row 1-norms, the dual norms turning sides into distances."""
+        return np.array([vec_1norm(row) for row in self.normals])
 
 
-def build_hyperplanes(num: Polynomial, n: int,
-                      tol_imag: float = 1e-8) -> HyperplaneSet:
+def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     """Planes in R^n from the roots of ``num`` (one per real root, two per
     conjugate pair).
 
     Requires ``num(0) != 0`` and ``deg(num) <= n``.  For a real root ``lam``
     the plane row is the descending power row ``[lam^n, ..., lam, 1]`` split
     as ``[-offset, normal]``; for a complex root the analogous rows are its
-    real and imaginary parts, so that ``side(x)`` equals the real
+    real and imaginary parts, so that the side of ``x`` equals the real
     (resp. imaginary) part of the vector's polynomial evaluated at the root.
     """
     if num.is_zero:
@@ -102,44 +86,40 @@ def build_hyperplanes(num: Polynomial, n: int,
     deg = num.coeffs.size - 1
     if deg > n:
         raise ValueError(f"deg(num) = {deg} exceeds ambient dimension {n}")
-    if deg == 0:
-        return HyperplaneSet((), n, 0, 0)
-    rs = classify_roots(poly_roots(num), num.leading, tol_imag=tol_imag)
-    planes: list[Hyperplane] = []
-    for lam in rs.real_roots:
-        row = np.array([lam ** k for k in range(n, -1, -1)])
-        planes.append(Hyperplane(row[1:], -row[0], "real-root", complex(lam)))
+    rs = classify_roots(poly_roots(num) if deg else (), num.leading)
+    rows = [np.array([lam ** k for k in range(n, -1, -1)])
+            for lam in rs.real_roots]
+    roots = [complex(lam) for lam in rs.real_roots]
     for eta in rs.complex_pairs:
         row = np.array([eta ** k for k in range(n, -1, -1)])
-        planes.append(Hyperplane(row[1:].real.copy(), -row[0].real,
-                                 "complex-real-part", eta))
-        planes.append(Hyperplane(row[1:].imag.copy(), -row[0].imag,
-                                 "complex-imag-part", eta))
-    return HyperplaneSet(tuple(planes), n, rs.n_real, rs.n_complex_pairs)
+        rows += [row.real, row.imag]
+        roots += [eta, eta]
+    power = np.array(rows).reshape(len(rows), n + 1)
+    return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),
+                         rs.n_real)
 
 
-def active_index_set(x0: np.ndarray, hset: HyperplaneSet,
-                     tol_active: float = ACTIVE_TOL) -> tuple[int, ...]:
+def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
     """Indices of planes whose functional is nonzero at ``x0``.
 
-    A plane is active when ``|side(x0)| > tol_active * (1 + |normal|_1 |x0|_inf)``.
-    Only the imaginary/real parts of a complex pair may legitimately vanish;
-    a vanishing real-root plane contradicts the coprimality of the base
-    point's polynomial and raises :class:`InconsistentActiveSetError`.
+    A plane is active when ``|side(x0)| > ACTIVE_TOL * (1 + |normal|_1
+    max(1, |x0|_inf))``.  Only the imaginary/real parts of a complex pair may
+    legitimately vanish; a vanishing (or NaN) real-root side contradicts the
+    coprimality of the base point's polynomial and raises
+    :class:`InconsistentActiveSetError`.
     """
     x0 = np.asarray(x0, dtype=float)
     sup = float(np.max(np.abs(x0), initial=0.0))
-    active = []
-    for t, plane in enumerate(hset):
-        thresh = tol_active * (1.0 + vec_1norm(plane.normal) * max(1.0, sup))
-        if abs(plane.side(x0)) > thresh:
-            active.append(t)
-        elif plane.kind == "real-root":
-            raise InconsistentActiveSetError(
-                f"real-root plane {t} (root {plane.source_root.real:g}) passes "
-                "through the base point: its polynomial shares a root with the "
-                "numerator")
-    return tuple(active)
+    thresh = ACTIVE_TOL * (1.0 + planes.norms() * max(1.0, sup))
+    active = np.abs(planes.sides(x0)) > thresh
+    vanished = np.flatnonzero(~active[:planes.n_real])
+    if vanished.size:
+        t = int(vanished[0])
+        raise InconsistentActiveSetError(
+            f"real-root plane {t} (root {planes.roots[t].real:g}) passes "
+            "through the base point: its polynomial shares a root with the "
+            "numerator")
+    return tuple(np.flatnonzero(active).tolist())
 
 
 @dataclass(frozen=True)
@@ -191,40 +171,6 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
     return Tm[:n] - factors.top @ lower
 
 
-class TargetMode:
-    ROUND = "round"
-    SEARCH = "search"
-    FALLBACK = "fallback"
-    AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class TargetSearchConfig:
-    mode: str = TargetMode.AUTO
-    max_radius: int = 8
-    tol_active: float = ACTIVE_TOL
-    tol_side: float = SIDE_TOL
-    #: hard bound on examined integer candidates before giving up a phase
-    max_candidates: int = 200_000
-    #: try the all-zero target first (all controller poles at the origin)
-    prefer_origin: bool = False
-
-    def __post_init__(self):
-        modes = (TargetMode.ROUND, TargetMode.SEARCH, TargetMode.FALLBACK,
-                 TargetMode.AUTO)
-        if self.mode not in modes:
-            raise ValueError(f"target mode must be one of {', '.join(modes)}, "
-                             f"not {self.mode!r}")
-        if self.max_radius < 0:
-            raise ValueError("max_radius must be >= 0")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        for name in ("tol_active", "tol_side"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, "
-                                 f"not {getattr(self, name)!r}")
-
-
 class IntegerTarget(NamedTuple):
     x_star: np.ndarray
     strategy: str
@@ -236,19 +182,24 @@ class IntegerTarget(NamedTuple):
 #: a block of offsets stays at 256 KiB however large the shell is.  The
 #: search time is flat from about 1024 to 16384 and grows on either side.
 SHELL_BLOCK = 4096
+#: the shells walked around each centre, and the points examined per centre
+#: (itself included); both bound the search's time, not its answer, which
+#: exists for coprime inputs
+MAX_RADIUS = 8
+MAX_CANDIDATES = 200_000
 
 
 class _ActivePlanes:
     """The active planes stacked for testing blocks of candidates at once,
     with their signs at ``x0``."""
 
-    def __init__(self, x0: np.ndarray, hset: HyperplaneSet,
-                 active: Sequence[int], cfg: TargetSearchConfig):
-        self.normals = np.array([hset[t].normal for t in active])
-        self.offsets = np.array([hset[t].offset for t in active])
-        self.norms = np.array([vec_1norm(hset[t].normal) for t in active])
-        self.sides0 = np.array([hset[t].side(x0) for t in active])
-        self.tol_side = cfg.tol_side
+    def __init__(self, x0: np.ndarray, planes: HyperplaneSet,
+                 active: Sequence[int]):
+        rows = list(active)
+        self.normals = planes.normals[rows]
+        self.offsets = planes.offsets[rows]
+        self.norms = planes.norms()[rows]
+        self.sides0 = planes.sides(x0)[rows]
 
     def first_feasible(self, cands: np.ndarray) -> int | None:
         """Index of the first row of ``cands`` strictly on the side of
@@ -257,7 +208,7 @@ class _ActivePlanes:
         same sides too."""
         sides = cands @ self.normals.T - self.offsets
         sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
-        margin = self.tol_side * (1.0 + sup[:, None] * self.norms)
+        margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
         bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
         good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
         return int(good[0]) if good.size else None
@@ -296,103 +247,83 @@ def _shell_blocks(radius: int, dim: int):
         yield off[_reduce_rows(np.maximum, np.abs(off)) == radius]
 
 
-def _walk_shells(center: np.ndarray, planes: _ActivePlanes,
-                 cfg: TargetSearchConfig) -> tuple[np.ndarray | None, int]:
-    """First feasible point on the shells of radius 1 to ``cfg.max_radius``
-    around ``center``, and the number of points examined up to and including
-    it.  The caller has already examined ``center``, so at most
-    ``cfg.max_candidates - 1`` points are examined here."""
-    budget = cfg.max_candidates - 1
-    examined = 0
-    for radius in range(1, cfg.max_radius + 1):
+def _search_around(center: np.ndarray, planes: _ActivePlanes
+                   ) -> tuple[np.ndarray | None, int]:
+    """First feasible point among ``center`` and then its shells of radius
+    1 to ``MAX_RADIUS`` (in shell-lexicographic order, for determinism), and
+    the number of points examined up to and including it, at most
+    ``MAX_CANDIDATES``.  A count of 1 means ``center`` itself."""
+    if planes.feasible(center):
+        return center, 1
+    examined = 1
+    for radius in range(1, MAX_RADIUS + 1):
         for off in _shell_blocks(radius, center.size):
-            cands = center + off[:budget - examined]
+            cands = center + off[:MAX_CANDIDATES - examined]
             hit = planes.first_feasible(cands)
             if hit is not None:
                 return cands[hit].copy(), examined + hit + 1
             examined += len(cands)
-            if examined == budget:
+            if examined == MAX_CANDIDATES:
                 return None, examined
     return None, examined
 
 
-def _fallback_center(x0: np.ndarray, num: Polynomial, hset: HyperplaneSet,
-                     active: Sequence[int]) -> np.ndarray:
+def _fallback_center(x0: np.ndarray, num: Polynomial,
+                     planes: _ActivePlanes) -> np.ndarray:
     """Recentre using the constructive existence argument.
 
     The monic polynomial ``z^(n-m) * num / leading`` lies on every plane, so
     scaling the plane-free ball around ``x0`` out to unit radius around the
     recentred point keeps it entirely on the correct sides.
     """
-    n = hset.dim
+    n = x0.size
     m = num.coeffs.size - 1
     pv = Polynomial(num.coeffs / num.leading).shifted(n - m)
     v = pv.coeffs[-2::-1].copy()
-    dist = min(hset[t].distance(x0) for t in active)
+    dist = float(np.min(np.abs(planes.sides0) / planes.norms))
     return (x0 - v) / dist + v
 
 
-def find_integer_target(x0: np.ndarray, hset: HyperplaneSet,
+def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
                         active: Sequence[int], num: Polynomial,
-                        cfg: TargetSearchConfig | None = None) -> IntegerTarget:
+                        prefer_origin: bool = False) -> IntegerTarget:
     """Integer vector strictly on the same side as ``x0`` of every active plane.
 
-    Search order: ``round(x0)``; expanding Chebyshev-radius integer shells
-    around it (first feasible candidate in shell-lexicographic order wins,
-    for determinism); the constructive fallback recentre followed by shells
-    around it.  ``cfg.mode`` restricts the phases: ``round`` tries only the
-    rounding, ``search`` skips the fallback, ``fallback`` skips the shells
-    around ``round(x0)``.
+    Search order: the origin when ``prefer_origin`` is set (a controller
+    with every pole at the origin); ``round(x0)`` and the Chebyshev shells
+    around it; the constructive fallback recentre and the shells around it.
     """
-    cfg = cfg or TargetSearchConfig()
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
 
     if not active:
         return IntegerTarget(np.round(x0), "round", 1)
 
-    planes = _ActivePlanes(x0, hset, active, cfg)
+    stacked = _ActivePlanes(x0, planes, active)
     examined = 0
-    if cfg.prefer_origin:
+    if prefer_origin:
         examined += 1
         origin = np.zeros_like(x0)
-        if planes.feasible(origin):
+        if stacked.feasible(origin):
             return IntegerTarget(origin, "origin", examined)
 
-    rounded = np.round(x0)
-    if cfg.mode in (TargetMode.ROUND, TargetMode.AUTO, TargetMode.SEARCH):
-        examined += 1
-        if planes.feasible(rounded):
-            return IntegerTarget(rounded, "round", examined)
-        if cfg.mode == TargetMode.ROUND:
-            raise TargetSearchError(
-                "round(x0) is not on the same side of every active plane",
-                candidate=rounded,
-                margins=[hset[t].distance(rounded) for t in active])
+    cand, count = _search_around(np.round(x0), stacked)
+    examined += count
+    if cand is not None:
+        return IntegerTarget(cand, "round" if count == 1 else "shell", examined)
 
-    if cfg.mode in (TargetMode.SEARCH, TargetMode.AUTO):
-        cand, count = _walk_shells(rounded, planes, cfg)
-        examined += count
-        if cand is not None:
-            return IntegerTarget(cand, "shell", examined)
-        if cfg.mode == TargetMode.SEARCH:
-            raise TargetSearchError(
-                f"no integer target within Chebyshev radius {cfg.max_radius} "
-                "of round(x0)", candidate=rounded)
-
-    center = np.round(_fallback_center(x0, num, hset, active))
-    examined += 1
-    if planes.feasible(center):
-        return IntegerTarget(center, "fallback", examined)
-    cand, count = _walk_shells(center, planes, cfg)
+    center = np.round(_fallback_center(x0, num, stacked))
+    cand, count = _search_around(center, stacked)
     examined += count
     if cand is not None:
         return IntegerTarget(cand, "fallback", examined)
+    distances = np.abs(planes.sides(center)) / planes.norms()
     raise TargetSearchError(
-        "integer-target search exhausted (existence is guaranteed for "
-        "coprime inputs; check tolerances and max_radius)",
-        candidate=center,
-        margins=[hset[t].distance(center) for t in active])
+        "integer-target search exhausted: no integer point near round(x0) or "
+        "the fallback centre lies on the side of x0 of every active plane; "
+        "one exists for coprime inputs, so the plane geometry broke down "
+        "numerically",
+        candidate=center, margins=distances[list(active)].tolist())
 
 
 class ControlStep(NamedTuple):

@@ -9,10 +9,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from intctrl import (DeltaFactors, Polynomial, TargetSearchConfig,
-                     active_index_set, build_hyperplanes, coprime_check,
-                     delta_matrix, find_integer_target, solve_diophantine,
-                     vec_1norm, vector_from_monic)
+from intctrl import (DeltaFactors, Polynomial, active_index_set,
+                     build_hyperplanes, coprime_check, delta_matrix,
+                     find_integer_target, solve_diophantine, vec_1norm,
+                     vector_from_monic)
 from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 
@@ -75,11 +75,10 @@ def well_posed_plant(rng, n_max=6, quality_min=1e-4, pred_iter_max=6,
             continue
         if np.max(np.abs(x0), initial=0.0) > x0_sup_max:
             continue
-        hset = build_hyperplanes(num, n)
+        planes = build_hyperplanes(num, n)
         try:
-            active = active_index_set(x0, hset)
-            x_star = find_integer_target(x0, hset, active, num,
-                                         TargetSearchConfig()).x_star
+            active = active_index_set(x0, planes)
+            x_star = find_integer_target(x0, planes, active, num).x_star
         except Exception:
             continue
         if _predicted_iterations(x0, x_star, num, n) > pred_iter_max:

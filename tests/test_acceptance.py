@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from intctrl import (ConversionConfig, DeltaFactors, Polynomial,
-                     RationalTF, StabilizationConfig, TargetSearchConfig,
+                     RationalTF, StabilizationConfig,
                      closed_loop_poly, convert_controller, coprime_check,
                      delta_matrix, monic_from_vector, run_algorithm1,
                      schur_check, solve_diophantine, solve_linear, tf_equal,
@@ -35,7 +35,7 @@ def _report(name: str, passed: bool, detail: str = "") -> None:
 def test_c1_pendulum_stabilization_reproduction():
     den, num = pendulum_plant()
     cfg = StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS,
-                              mu=0.99, target=TargetSearchConfig(mode="round"))
+                              mu=0.99)
     t0 = time.perf_counter()
     result = run_algorithm1(den, num, cfg)
     elapsed = time.perf_counter() - t0
@@ -77,7 +77,7 @@ def test_c2_conversion_reproduction():
     den, num = pendulum_plant()
     pre = pendulum_pre_controller()
     cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                           mu=0.99, target=TargetSearchConfig(mode="round"))
+                           mu=0.99)
     t0 = time.perf_counter()
     conv = convert_controller(pre, den, num, cfg)
     elapsed = time.perf_counter() - t0
@@ -236,10 +236,8 @@ def test_c8_determinism(tmp_path):
     convf = str(fixture_path("pendulum_conversion.json"))
     payloads = []
     for args, out in (
-        (["stabilize", pend, "--gamma-ini-roots=" + gamma, "--target", "round",
-          "--seed", "0"], "s"),
-        (["convert", convf, "--alpha-ini-roots=" + alpha, "--target", "round",
-          "--seed", "0"], "c"),
+        (["stabilize", pend, "--gamma-ini-roots=" + gamma, "--seed", "0"], "s"),
+        (["convert", convf, "--alpha-ini-roots=" + alpha, "--seed", "0"], "c"),
     ):
         runs = []
         for attempt in ("one", "two"):

@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product
+from intctrl import target
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.stabilizer import run_algorithm1
@@ -67,7 +69,7 @@ def test_parse_rejects_improper(tmp_path):
 def test_stabilize_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = main(["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS,
-                 "--mu", "0.99", "--target", "round", "--verify",
+                 "--mu", "0.99", "--verify",
                  "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -94,6 +96,33 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
     }}))
     assert main(["stabilize", str(f)]) == 0
     assert main(["stabilize", str(f), "--max-iter", "1"]) == 3
+
+
+@pytest.mark.parametrize("command", ["stabilize", "convert"])
+def test_target_search_exhaustion_exits_3(command, monkeypatch, tmp_path,
+                                          capsys):
+    # a side margin no candidate clears and no shells to walk exhaust the
+    # target search: a numerical breakdown, not a validation error
+    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
+    monkeypatch.setattr(target, "MAX_RADIUS", 0)
+    out = tmp_path / "res.json"
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    assert main([command, problem, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed: integer-target search exhausted")
+    assert not out.exists()
+
+
+def test_prefer_origin_flag_picks_the_origin_target(tmp_path):
+    # den (z - 1.05)(z + 0.2), num 0.3 z + 1: round(x0) = [1, 1] by
+    # default, the origin when it is preferred
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": {"den": [1.0, -0.85, -0.21],
+                                       "num": [0.3, 1.0]}}))
+    out = tmp_path / "res.json"
+    for flags, x_star in (([], [1.0, 1.0]), (["--prefer-origin"], [0.0, 0.0])):
+        assert main(["stabilize", str(f), *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["x_star"] == x_star
 
 
 def sweep_plant(index):
@@ -190,8 +219,7 @@ def test_non_finite_or_boolean_coefficient_is_a_validation_error(
 
 
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
-@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5"),
-                                         ("--max-radius", "-1")])
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5")])
 def test_invalid_config_flag_is_a_validation_error(command, flag, value,
                                                     capsys):
     problem = PENDULUM if command == "stabilize" else CONVERSION
@@ -211,7 +239,7 @@ def test_negative_tolerance_flag_names_the_tolerance(capsys):
 def test_convert_cli_end_to_end(tmp_path):
     out = tmp_path / "result.json"
     code = main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,
-                 "--target", "round", "--verify", "--out", str(out)])
+                 "--verify", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["certificate"]["passed"] is True
@@ -299,7 +327,7 @@ def test_simulate_bad_flag_is_a_validation_error(flag, value, name, tmp_path,
 def test_cli_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS,
-            "--target", "round", "--seed", "7"]
+            "--seed", "7"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      PreController, RationalTF, StabilizationConfig,
-                     TargetSearchConfig,
                      assemble_converted, closed_loop_poly, convert_controller,
                      coprime_check, run_algorithm1, run_algorithm2,
                      schur_check, solve_diophantine, tf_equal, vec_1norm)
@@ -17,8 +16,7 @@ Z = Polynomial([0, 1])
 
 def conversion_config(**kw):
     return ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                            mu=0.99, target=TargetSearchConfig(mode="round"),
-                            **kw)
+                            mu=0.99, **kw)
 
 
 def stable_pre_loop(rng, n_max=4):

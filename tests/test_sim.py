@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (Polynomial, RationalTF, StabilizationConfig,
-                     TargetSearchConfig, convert_controller, realize_controller,
+                     convert_controller, realize_controller,
                      realize_tf, run_algorithm1, simulate_loop)
 from intctrl.converter import ConversionConfig
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
@@ -42,8 +42,7 @@ def test_realize_rejects_improper():
 
 def test_synthesized_controller_state_matrix_is_integer(pendulum):
     den, num = pendulum
-    cfg = StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS,
-                              target=TargetSearchConfig(mode="round"))
+    cfg = StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS)
     result = run_algorithm1(den, num, cfg)
     ss = realize_tf(RationalTF(result.controller_num, result.controller_den))
     assert np.max(np.abs(ss.A - np.round(ss.A))) == 0.0
@@ -115,8 +114,7 @@ def test_zero_everything_stays_zero(pendulum):
 
 def test_converted_pendulum_tracks_reference(pendulum, pre_controller):
     den, num = pendulum
-    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                           target=TargetSearchConfig(mode="round"))
+    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS)
     conv = convert_controller(pre_controller, den, num, cfg)
     plant = realize_tf(RationalTF(num, den))
     ctrl = realize_controller(conv.den, conv.num_y, conv.num_r)

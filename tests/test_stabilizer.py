@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
-                     SynthesisError, TargetSearchConfig, closed_loop_poly,
-                     make_gamma_ini, preprocess_plant, run_algorithm1,
-                     schur_check, stabilize_proper, Tolerances, vec_1norm)
+                     SynthesisError, closed_loop_poly,
+                     make_gamma_ini, monic_from_vector, preprocess_plant,
+                     run_algorithm1, schur_check, stabilize_proper,
+                     Tolerances, vec_1norm)
+from intctrl.stabilizer import steer
 from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
 
 from conftest import well_posed_plant
@@ -15,8 +17,7 @@ Z = Polynomial([0, 1])
 
 def pendulum_config(**kw):
     return StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS,
-                               mu=0.99,
-                               target=TargetSearchConfig(mode="round"), **kw)
+                               mu=0.99, **kw)
 
 
 def test_preprocess_strips_powers_of_z():
@@ -214,15 +215,33 @@ def test_stabilize_proper_pendulum(pendulum):
 
 def test_prefer_origin_flag():
     # a plant whose geometry admits the all-zero target yields a controller
-    # with every pole at the origin
+    # with every pole at the origin; without the flag round(x0) = [1, 1] wins
     den = Polynomial.from_roots([1.05, -0.2])
-    num = Polynomial([1.0, 0.3])
-    cfg = StabilizationConfig(target=TargetSearchConfig(prefer_origin=True))
-    result = run_algorithm1(den, num, cfg)
+    num = Polynomial([1.0, 0.3])  # 0.3 z + 1
+    result = run_algorithm1(den, num, StabilizationConfig(prefer_origin=True))
     assert result.certificate.passed
-    if np.all(result.x_star == 0):
-        roots = np.abs(np.roots(result.alpha.descending()))
-        assert np.max(roots, initial=0.0) == 0.0
+    assert result.x_star.tolist() == [0.0, 0.0]
+    assert result.alpha == Polynomial.monomial(6)
+    assert result.iterations == 2
+    default = run_algorithm1(den, num)
+    assert default.certificate.passed
+    assert default.x_star.tolist() == [1.0, 1.0]
+    assert default.iterations == 1
+
+
+def test_steer_warns_about_planes_vanishing_at_x0():
+    # num = z^2 + 1: the polynomial z^2 + 3 of x0 = [0, 3] is real at z = i,
+    # so the imaginary-part row of the conjugate pair leaves the search
+    num = Polynomial([1.0, 0.0, 1.0])
+    den = Polynomial([0.0, -0.5, 1.0])
+    x0 = np.array([0.0, 3.0])
+    gamma = den * monic_from_vector(x0)
+    *_, x_star, _, trace, warnings = steer(den, Polynomial.one(), gamma, 0,
+                                           num, x0, StabilizationConfig())
+    assert np.array_equal(x_star, x0) and trace == []
+    assert warnings == ["hyperplane functional(s) [1] vanish at the initial "
+                        "vector and are excluded from the same-side "
+                        "constraints"]
 
 
 @pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])

@@ -40,14 +40,14 @@ def oracle_steer(p, q, factor, shift, num, x0, cfg):
     tol = cfg.tolerances
     n = x0.size
     warnings = []
-    hset = build_hyperplanes(num, n)
-    active = active_index_set(x0, hset, cfg.target.tol_active)
-    if len(active) < len(hset):
-        skipped = sorted(set(range(len(hset))) - set(active))
+    planes = build_hyperplanes(num, n)
+    active = active_index_set(x0, planes)
+    if len(active) < planes.offsets.size:
+        skipped = sorted(set(range(planes.offsets.size)) - set(active))
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, hset, active, num, cfg.target)
+    found = find_integer_target(x0, planes, active, num, cfg.prefer_origin)
     x_star = found.x_star
     cap = (cfg.max_iterations if cfg.max_iterations is not None
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)

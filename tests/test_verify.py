@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from intctrl import verify
 from intctrl import (ConversionConfig, Polynomial, PreController, RationalTF,
-                     TargetSearchConfig, certify_conversion,
+                     certify_conversion,
                      certify_stabilization, closed_loop_poly, closed_loop_tf,
                      convert_controller, schur_check, tf_equal)
 from intctrl.converter import ConvertedController
@@ -145,8 +145,7 @@ def test_conversion_dc_gain_report(pendulum, pre_controller):
                        pre_controller.num_r)
     dc = t.num(1.0) / t.den(1.0)
     assert abs(dc - 1.0) <= 1e-2
-    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                           target=TargetSearchConfig(mode="round"))
+    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS)
     conv = convert_controller(pre_controller, den, num, cfg)
     assert abs(conv.certificate.witnesses["dc_gain"] - 1.0) <= 1e-2
 
@@ -156,8 +155,7 @@ def test_conversion_certificate_finds_alpha_roots_once(pendulum, pre_controller,
     # alpha's verdict, radius and cancelled roots all come from one root
     # finding; schur_check still runs on the loop denominator
     den, num = pendulum
-    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                           target=TargetSearchConfig(mode="round"))
+    cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS)
     conv = convert_controller(pre_controller, den, num, cfg)
     rooted, checked = [], []
     poly_roots = verify.poly_roots
