@@ -236,6 +236,24 @@ def test_negative_tolerance_flag_names_the_tolerance(capsys):
     assert "factor" not in err
 
 
+@pytest.mark.parametrize("command", ["stabilize", "convert"])
+@pytest.mark.parametrize("flag, value", [("--target", "round"),
+                                         ("--max-radius", "3"),
+                                         ("--tol-active", "1e-9"),
+                                         ("--tol-side", "1e-9")])
+def test_removed_search_flag_is_rejected(command, flag, value, tmp_path,
+                                         capsys):
+    # the target search has no settings: its old flags must not be accepted
+    # and silently ignored
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    out = tmp_path / "result.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, problem, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_cli_end_to_end(tmp_path):
     out = tmp_path / "result.json"
     code = main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,
