@@ -12,6 +12,7 @@ Result JSON is byte-stable across runs for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -140,7 +141,10 @@ def parse_problem_file(path: str) -> dict:
 def _shared_roots(a: Polynomial, b: Polynomial) -> list[str]:
     if a.coeffs.size < 2 or b.coeffs.size < 2:
         return []
-    ra, rb = poly_roots(a), poly_roots(b)
+    try:
+        ra, rb = poly_roots(a), poly_roots(b)
+    except RootFindingError:  # the hint is best effort
+        return []
     shared = []
     for r in ra:
         if np.min(np.abs(rb - r)) < 1e-6 * (1 + abs(r)):
@@ -400,8 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser as it was, so one serves every call of main
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProblemFileError as exc:

@@ -48,6 +48,10 @@ _flapack = _load_flapack()
 dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
 
 SOLVE_RCOND = 1e-13
+_EPS = 2.0 ** -52
+#: magnitudes of powers and coefficients inside which the residual screen
+#: of poly_roots is trusted
+_SCREEN_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 ROOT_TOL = 1e-6
 IMAG_TOL = 1e-8
@@ -111,6 +115,49 @@ def vec_1norm(v: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(v)))
 
 
+def _residuals_screened(c: np.ndarray, roots: np.ndarray, tol_root: float) -> bool:
+    """True when every root's residual, evaluated from one power table, is
+    so far inside the bound of :func:`poly_roots` that its Horner check
+    would pass too; False leaves the verdict to that check.
+
+    With u = eps/2 and d = c.size - 1, the table's powers r^i carry at most
+    2*sqrt(2)*(d-1)*u relative error, so the screened |p(r)| is within
+    (1 + 2*sqrt(2))*d*u + 3u of the scale S = sum |c_i| |r|^i, and the
+    screened scale within 4*(d+1)*u of S.  The Horner residual is within
+    (1 + 2*sqrt(2))*d*u + 2u of S, and its scale within 3*(d+1)*u.  For a
+    bound t <= 1 the two verdicts can part only where the screened ratio
+    exceeds t - 15*(d+1)*u; screening at t - 16*(d+1)*eps = t - 32*(d+1)*u
+    leaves a factor 2 to spare.  Exact residuals never exceed their scale,
+    so a bound above 1 is screened as 1.  The rounding model holds because
+    every power and every nonzero coefficient must lie within 2**+-500:
+    no product of the two leaves 2**+-1000, so nothing overflows, and an
+    underflow, an absolute error of at most 2**-1075 carried by at most
+    max(1, |r|^d), is negligible against S >= |c_d| |r|^d, which is at
+    least 2**-1000 * max(1, |r|^d).
+    """
+    bound = min(tol_root, 1.0) - 16.0 * c.size * _EPS
+    if not bound > 0.0:  # tol_root = 0 or NaN: only the Horner check decides
+        return False
+    if roots.size == 0:
+        return True
+    mag_c = np.abs(c)
+    mag_r = np.abs(roots)
+    lo, hi = _SCREEN_RANGE
+    # |r|^i lies between 1 and |r|^d: bounding |r|^d bounds every power
+    root_hi = hi ** (1.0 / (c.size - 1))
+    if not (np.maximum.reduce(mag_c) <= hi
+            and np.minimum.reduce(mag_c, initial=hi, where=mag_c != 0.0) >= lo
+            and np.maximum.reduce(mag_r) <= root_hi
+            and np.minimum.reduce(mag_r) >= 1.0 / root_hi):
+        return False
+    powers = np.empty((roots.size, c.size), roots.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = roots[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return bool(np.logical_and.reduce(
+        np.abs(powers @ c) <= bound * (np.abs(powers) @ mag_c)))
+
+
 def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
     """All roots of ``p`` with multiplicity, via companion-matrix eigenvalues.
 
@@ -133,8 +180,13 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
         roots = np.linalg.eigvals(A)
     else:
         roots = np.zeros(0)
+    # the split-off zero roots need no screen: at 0 the Horner residual and
+    # its scale are both |c_0| = 0, so they always pass
+    screened = _residuals_screened(c, roots, tol_root)
     if zeros:
         roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
+    if screened:
+        return roots
     # Horner for all roots at once on a stacked (real, imaginary) buffer,
     # each product and sum its own operation as in scalar complex
     # arithmetic, so the residuals equal those of a scalar Horner loop bit

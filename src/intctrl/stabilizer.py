@@ -10,6 +10,7 @@ are assigned from the integer target, never recomputed through arithmetic.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -151,6 +152,10 @@ def schur_factor(roots: Sequence[complex], num: Polynomial,
                  tol: Tolerances) -> Polynomial:
     """Monic polynomial with the given roots, which must lie strictly inside
     the unit circle and share none with the numerator."""
+    # a NaN fails no comparison and max skips it unless it comes first
+    bad = [r for r in roots if not cmath.isfinite(r)]
+    if bad:
+        raise ValueError(f"initial factor roots must be finite, got {bad}")
     worst = max((abs(r) for r in roots), default=0.0)
     if roots and worst >= 1.0 - tol.schur_margin:
         raise ValueError(f"initial factor roots must be strictly Schur "

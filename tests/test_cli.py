@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product
-from intctrl import target
-from intctrl.cli import main, parse_problem_file, ProblemFileError
+from intctrl import Polynomial, target
+from intctrl.cli import build_parser, main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.stabilizer import run_algorithm1
 
@@ -48,6 +48,24 @@ def test_parse_rejects_common_factor(tmp_path):
     }))
     with pytest.raises(ProblemFileError, match="0.5"):
         parse_problem_file(str(f))
+
+
+@pytest.mark.parametrize("command", ["stabilize", "convert", "analyze", "simulate"])
+def test_not_coprime_plant_whose_roots_miss_the_bound_is_a_validation_error(
+        command, tmp_path, capsys):
+    # den's roots miss the residual bound, so the shared-root hint is left
+    # out; the plant is still reported as not coprime
+    factor = Polynomial([-0.5, 1.0])
+    den = schur_factor_product(np.random.default_rng(0), 25) * factor
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
+                                       "num": factor.coeffs.tolist()},
+                             "ordering": "ascending"}))
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: field 'plant': den and num are "
+                          "not coprime (quality ")
+    assert "shared root" not in err and "Traceback" not in err
 
 
 def test_parse_rejects_unknown_field(tmp_path):
@@ -254,6 +272,23 @@ def test_removed_search_flag_is_rejected(command, flag, value, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, roots", [
+    ("stabilize", "--gamma-ini-roots", GAMMA_ROOTS),
+    ("convert", "--alpha-ini-roots", ALPHA_ROOTS)], ids=["stabilize", "convert"])
+@pytest.mark.parametrize("position", [0, 3], ids=["first", "later"])
+def test_non_finite_initial_root_is_a_validation_error(command, flag, roots,
+                                                       position, capsys):
+    # a NaN passes every comparison with the unit circle, and max skips it
+    # unless it comes first
+    tokens = roots.split(",")
+    tokens[position] = "nan"
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    assert main([command, problem, f"{flag}={','.join(tokens)}"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("validation error: initial factor roots must be finite, "
+                   "got [(nan+0j)]\n")
+
+
 def test_convert_cli_end_to_end(tmp_path):
     out = tmp_path / "result.json"
     code = main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,
@@ -349,3 +384,31 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main keeps one parser for the process: after a failed parse, every
+    # call repeats the exit code and output of the first call of its kind
+    analyze = tmp_path / "analyze.json"
+    analyze.write_text(json.dumps(ANALYZE_PROBLEM))
+    calls = {
+        "stabilize": ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS],
+        "stabilize-flags": ["stabilize", PENDULUM, "--prefer-origin",
+                            "--seed", "5", "--verify"],
+        "convert": ["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS],
+        "analyze": ["analyze", str(analyze)],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilize", PENDULUM, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    first = {}
+    for name in ["stabilize", "convert", "stabilize-flags", "analyze"] * 2:
+        outcome = main(calls[name]), capsys.readouterr()
+        assert outcome == first.setdefault(name, outcome), name
+    assert [first[name][0] for name in calls] == [0, 0, 0, 0]
+    assert json.loads(first["stabilize-flags"][1].out)["seed"] == 5
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()

@@ -161,6 +161,47 @@ def test_roots_match_oracle_on_long_schur_products(factors):
                 == _roots_outcome(oracle_poly_roots, p, tol))
 
 
+def _residual_ratios(p):
+    """Each root's residual ratio by the oracle, zero residuals left out."""
+    try:
+        oracle_poly_roots(p, 0.0)
+    except RootFindingError as exc:
+        return sorted({ratio for _, ratio in exc.residuals})
+    return []
+
+
+def _screen_boundary_cases():
+    rng = np.random.default_rng(43)
+    cases = {f"random-{i}": Polynomial(rng.normal(size=int(rng.integers(3, 25))))
+             for i in range(8)}
+    # every residual ratio between 2e-11 and 3e-10, far above the screen's
+    # margin: a screen with its comparison reversed would pass them all
+    cases["clustered"] = Polynomial.one()
+    for _ in range(16):
+        cases["clustered"] = cases["clustered"] * Polynomial([0.1, 0.0, 1.0])
+    cases["z^4*P"] = Polynomial(rng.normal(size=6)).shifted(4)
+    cases["z^30*P"] = Polynomial(rng.normal(size=12)).shifted(30)
+    cases["monomial"] = Polynomial.monomial(7, -2.5)
+    # roots near 1e200 and 1e-200: their squares overflow and underflow
+    cases["overflow"] = Polynomial([1.0, -1e200, 1.0])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_screen_boundary_cases()))
+def test_roots_match_oracle_at_each_residual_bound(name):
+    # tol_root at each root's residual ratio and one ulp either side: the
+    # residual screen must leave every verdict this close to the bound to
+    # the Horner check.  Both scales overflow on the overflow case and warn
+    p = _screen_boundary_cases()[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tols = [1e-6, 0.0]
+        for ratio in _residual_ratios(p):
+            tols += [np.nextafter(ratio, -np.inf), ratio, np.nextafter(ratio, np.inf)]
+        for tol in tols:
+            assert (_roots_outcome(poly_roots, p, tol)
+                    == _roots_outcome(oracle_poly_roots, p, tol)), tol
+
+
 def test_roots_requires_degree():
     with pytest.raises(ValueError):
         poly_roots(Polynomial([1.0]))
