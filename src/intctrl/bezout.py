@@ -99,7 +99,7 @@ def _residual(p: Polynomial, r: Polynomial, s: Polynomial,
 
 
 def _is_monomial(p: Polynomial) -> bool:
-    return not np.logical_or.reduce(p.coeffs[:-1] != 0.0)
+    return np.count_nonzero(p.coeffs[:-1]) == 0
 
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):

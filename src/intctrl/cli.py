@@ -307,6 +307,9 @@ def _cmd_analyze(args) -> int:
     alpha, beta, gamma = problem["solution"]
     try:
         cert = certify_stabilization(den, num, alpha, beta, gamma)
+    except ValueError as exc:  # the identity overflows the float range
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except RootFindingError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy
 
-from .poly import Polynomial
+from .poly import Polynomial, _max_abs
 
 
 def _load_flapack():
@@ -99,8 +99,8 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
     # which the check below reports as an exception
     lu, piv, _ = dgetrf(A)
     diag = np.abs(lu.diagonal())
-    scale = float(np.maximum.reduce(diag))
-    pivot = float(np.minimum.reduce(diag))
+    # argmin finds the entry np.minimum.reduce returns, NaN included, faster
+    scale, pivot = _max_abs(diag), float(diag[diag.argmin()])
     if scale == 0.0 or pivot <= rcond * scale:
         raise SingularMatrixError(pivot, scale)
     # getrs itself, the call lu_solve makes, without its per-call checks
@@ -145,17 +145,21 @@ def _residuals_screened(c: np.ndarray, roots: np.ndarray, tol_root: float) -> bo
     lo, hi = _SCREEN_RANGE
     # |r|^i lies between 1 and |r|^d: bounding |r|^d bounds every power
     root_hi = hi ** (1.0 / (c.size - 1))
-    if not (np.maximum.reduce(mag_c) <= hi
+    if not (mag_c[mag_c.argmax()] <= hi
             and np.minimum.reduce(mag_c, initial=hi, where=mag_c != 0.0) >= lo
-            and np.maximum.reduce(mag_r) <= root_hi
-            and np.minimum.reduce(mag_r) >= 1.0 / root_hi):
+            and mag_r[mag_r.argmax()] <= root_hi
+            and mag_r[mag_r.argmin()] >= 1.0 / root_hi):
         return False
     powers = np.empty((roots.size, c.size), roots.dtype)
     powers[:, 0] = 1.0
     powers[:, 1:] = roots[:, None]
     np.multiply.accumulate(powers, axis=1, out=powers)
-    return bool(np.logical_and.reduce(
-        np.abs(powers @ c) <= bound * (np.abs(powers) @ mag_c)))
+    passed = np.abs(powers @ c) <= bound * (np.abs(powers) @ mag_c)
+    return np.count_nonzero(passed) == roots.size
+
+
+def _eigvals_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
@@ -177,7 +181,14 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
         A = np.zeros((desc.size - 1, desc.size - 1))
         A.reshape(-1)[desc.size - 1 :: desc.size] = 1.0
         A[0, :] = -desc[1:] / desc[0]
-        roots = np.linalg.eigvals(A)
+        # np.linalg.eigvals(A) without the wrapper's checks, which cost more
+        # than a small solve; only the first row can be non-finite
+        if np.count_nonzero(np.isfinite(A[0])) != A.shape[1]:
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        with np.errstate(call=_eigvals_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            roots = np.linalg._umath_linalg.eigvals(A, signature="d->D")
+        roots = roots if np.count_nonzero(roots.imag) else roots.real
     else:
         roots = np.zeros(0)
     # the split-off zero roots need no screen: at 0 the Horner residual and
@@ -202,10 +213,10 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
     swapped, re = acc[::-1], acc[0]
     prod = np.empty((2, k))
     cross = np.empty((2, k))
-    # sum_i |c_i| |r|^i, one row per root
-    scale = np.add.reduce(np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size),
-                          axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
+        # sum_i |c_i| |r|^i, one row per root
+        scale = np.add.reduce(
+            np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size), axis=1)
         for ck in c[::-1].tolist():
             np.multiply(acc, real_mult, prod)
             np.multiply(swapped, cross_mult, cross)
@@ -213,7 +224,7 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
             np.add(re, ck, re)
         res = np.hypot(acc[0], acc[1])
         bad = res > tol_root * scale
-    if np.logical_or.reduce(bad):
+    if np.count_nonzero(bad):
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
                                 for i in np.flatnonzero(bad)])
     return roots
@@ -303,7 +314,7 @@ def schur_check(p: Polynomial, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
 
 def _schur_verdict(roots: np.ndarray, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
     """Verdict of :func:`schur_check` from roots already found."""
-    radius = float(np.maximum.reduce(np.abs(roots)))
+    radius = _max_abs(roots)
     return SchurResult(radius < 1.0 - tol_margin, radius,
                        abs(radius - 1.0) <= BOUNDARY_BAND)
 

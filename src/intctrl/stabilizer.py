@@ -80,6 +80,10 @@ class StabilizationConfig(SteeringConfig):
     gamma_ini_roots: tuple[complex, ...] | None = None
 
 
+#: the configuration of a call that passes none (frozen, so shared)
+_DEFAULT_CONFIG = StabilizationConfig()
+
+
 @dataclass(frozen=True)
 class TraceStep:
     k: int
@@ -221,7 +225,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     prod = factor.coeffs
     monic_u = np.ones(n + 1)
     x = x0
-    while not np.logical_and.reduce(x == x_star):
+    while np.count_nonzero(x != x_star):
         k = len(trace)
         if k >= cap:
             raise SynthesisError(
@@ -271,7 +275,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     loop's characteristic polynomial then equals ``gamma`` (scaled by the
     original leading denominator coefficient) and is Schur by construction.
     """
-    cfg = cfg or StabilizationConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     tol = cfg.tolerances
     plant = preprocess_plant(den, num, tol)
     n = plant.den.coeffs.size - 1

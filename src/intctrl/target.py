@@ -10,13 +10,14 @@ invertible along the way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .numeric import classify_roots, dtrtrs, poly_roots, solve_linear, vec_1norm
-from .poly import Polynomial, _check_finite, _stack_index, toeplitz_stack
+from .poly import (Polynomial, _check_finite, _max_abs, _stack_index,
+                   toeplitz_stack)
 
 ACTIVE_TOL = 1e-9
 SIDE_TOL = 1e-9
@@ -58,6 +59,11 @@ class HyperplaneSet:
     offsets: np.ndarray
     roots: tuple[complex, ...]
     n_real: int
+    #: row 1-norms, one reduction summing each row as vec_1norm does
+    _norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_norms", np.add.reduce(np.abs(self.normals), axis=1))
 
     def sides(self, x: np.ndarray) -> np.ndarray:
         """Signed functionals ``normals . x - offsets``, one dot product per
@@ -66,7 +72,7 @@ class HyperplaneSet:
 
     def norms(self) -> np.ndarray:
         """Row 1-norms, the dual norms turning sides into distances."""
-        return np.array([vec_1norm(row) for row in self.normals])
+        return self._norms.copy()
 
 
 def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
@@ -81,7 +87,8 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     """
     if num.is_zero:
         raise ValueError("numerator must be nonzero")
-    if num(0.0) == 0.0:
+    # the value at 0 of finite coefficients is the constant one
+    if num.coeffs[0] == 0.0:
         raise ValueError("numerator must not vanish at z = 0 (factor z^l first)")
     deg = num.coeffs.size - 1
     if deg > n:
@@ -109,17 +116,15 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
     :class:`InconsistentActiveSetError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    sup = float(np.max(np.abs(x0), initial=0.0))
-    thresh = ACTIVE_TOL * (1.0 + planes.norms() * max(1.0, sup))
-    active = np.abs(planes.sides(x0)) > thresh
-    vanished = np.flatnonzero(~active[:planes.n_real])
-    if vanished.size:
-        t = int(vanished[0])
+    thresh = ACTIVE_TOL * (1.0 + planes.norms() * max(1.0, _max_abs(x0)))
+    active = (np.abs(planes.sides(x0)) > thresh).tolist()
+    if False in active[:planes.n_real]:
+        t = active.index(False)
         raise InconsistentActiveSetError(
             f"real-root plane {t} (root {planes.roots[t].real:g}) passes "
             "through the base point: its polynomial shares a root with the "
             "numerator")
-    return tuple(np.flatnonzero(active).tolist())
+    return tuple(t for t, on in enumerate(active) if on)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class DeltaFactors:
 
     @staticmethod
     def from_numerator(num: Polynomial, n: int) -> "DeltaFactors":
-        if num.is_zero or num(0.0) == 0.0:
+        if num.is_zero or num.coeffs[0] == 0.0:
             raise ValueError("numerator must be nonzero with num(0) != 0")
         T = toeplitz_stack(num, n)
         return DeltaFactors(T[:n], T[n:], n, _stack_index(n))
@@ -214,16 +219,18 @@ class _ActivePlanes:
         return int(good[0]) if good.size else None
 
     def feasible(self, cand: np.ndarray) -> bool:
-        return self.first_feasible(cand[None, :]) is not None
+        # first_feasible of one candidate without the block machinery;
+        # max(sup, 1.0) keeps a NaN sup, as np.maximum(1.0, sup) does
+        sides = cand @ self.normals.T - self.offsets
+        margin = SIDE_TOL * (1.0 + max(_max_abs(cand), 1.0) * self.norms)
+        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        return np.count_nonzero(bad) == 0
 
 
 def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for an exact, order-free ufunc (maximum,
     logical or), one column at a time: numpy reduces a short inner axis
-    element by element, several times slower than whole-column calls.  A
-    single row, such as one candidate, is one call of the reduction itself."""
-    if len(a) == 1:
-        return ufunc.reduce(a, axis=1)
+    element by element, several times slower than whole-column calls."""
     out = a[:, 0].copy()
     for col in a.T[1:]:
         ufunc(out, col, out=out)

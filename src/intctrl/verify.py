@@ -12,9 +12,9 @@ from typing import Any
 
 import numpy as np
 
-from .bezout import coprime_check
+from .bezout import _product, coprime_check
 from .numeric import _schur_verdict, poly_roots, schur_check
-from .poly import Polynomial, RationalTF, _sum_residual
+from .poly import Polynomial, RationalTF, _max_abs, _sum_residual
 
 IDENTITY_RTOL = 1e-8
 INT_TOL = 1e-6
@@ -65,15 +65,17 @@ def closed_loop_poly(plant_den: Polynomial, plant_num: Polynomial,
 
     The feedback sign is baked into the controller numerator (a stabilizing
     synthesis returns the negated identity cofactor), so this combination is
-    the loop denominator as-is.
+    the loop denominator as-is.  Only a difference of equal degrees is
+    trimmed: else the leading coefficient is exact, however small.
     """
-    return plant_den * ctrl_den - plant_num * ctrl_num
+    top, low = plant_den * ctrl_den, plant_num * ctrl_num
+    if low.coeffs.size < top.coeffs.size:
+        return Polynomial(top.coeffs - low._padded(top.coeffs.size))
+    return top - low
 
 
 def _integer_deviation(p: Polynomial) -> float:
-    if p.is_zero:
-        return 0.0
-    return float(np.maximum.reduce(np.abs(p.coeffs - p.coeffs.round())))
+    return _max_abs(p.coeffs - p.coeffs.round())
 
 
 def _deg(p: Polynomial) -> int:
@@ -87,10 +89,11 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           int_tol: float = INT_TOL) -> Certificate:
     """Check ``alpha*plant_den + beta*plant_num = gamma`` and the side
     conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
+    Raises ValueError when the identity overflows the float range.
     """
-    ad, bn = alpha * plant_den, beta * plant_num
-    residual = _sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
-    scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
+    ad, bn = _product(alpha, plant_den), _product(beta, plant_num)
+    residual = _sum_residual(ad, bn, gamma.coeffs)
+    scale = max(1.0, _max_abs(ad), _max_abs(bn), gamma.max_abs())
     cert = Certificate("stabilization", residual, residual_rtol * scale)
 
     int_dev = _integer_deviation(alpha)

@@ -353,6 +353,50 @@ def test_analyze_root_finding_failure_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def _analyze(tmp_path, problem):
+    f = tmp_path / "solution.json"
+    f.write_text(json.dumps(problem))
+    out = tmp_path / "res.json"
+    code = main(["analyze", str(f), "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_analyze_overflowing_identity_is_a_validation_error(tmp_path, capsys):
+    # alpha*den + beta*num = [inf, 1e308, 1]: the sum used to trim to the
+    # zero polynomial, so the certificate passed with residual max|gamma|
+    # and the closed-loop radius raised with a traceback
+    code, payload = _analyze(tmp_path, {
+        "ordering": "ascending", "plant": {"den": [1e308, 1.0], "num": [1e308]},
+        "solution": {"alpha": [1.0, 1.0], "beta": [1.0],
+                     "gamma": [0.25, 0.0, 1.0]}})
+    assert code == 2 and payload is None
+    err = capsys.readouterr().err
+    assert err == "validation error: polynomial coefficients must be finite\n"
+
+
+def test_analyze_overflowing_root_scale_prints_no_warning(tmp_path, capsys):
+    # roots near 1e200 and 1e-200: the Horner check's scale overflows, and
+    # numpy's warning used to reach stderr
+    code, payload = _analyze(tmp_path, {
+        "ordering": "descending", "plant": {"den": [1, -1e200, 1], "num": [1]},
+        "solution": {"alpha": [1], "beta": [0], "gamma": [1, -1e200, 1]}})
+    assert code == 4
+    assert capsys.readouterr().err == ""
+    assert payload["closed_loop"]["spectral_radius"] == 1e200
+
+
+def test_analyze_closed_loop_radius_agrees_with_the_certificate(tmp_path):
+    # den = z^2 - 1e10 z + 1 with no feedback: the closed loop is den itself,
+    # whose leading 1 a relative trim against 1e10 used to drop
+    code, payload = _analyze(tmp_path, {
+        "ordering": "descending", "plant": {"den": [1, -1e10, 1], "num": [1]},
+        "solution": {"alpha": [1], "beta": [0], "gamma": [1, -1e10, 1]}})
+    assert code == 4
+    radius = payload["certificate"]["witnesses"]["gamma_spectral_radius"]
+    assert radius == 1e10
+    assert payload["closed_loop"]["spectral_radius"] == radius
+
+
 def test_simulate_cli_writes_csv(tmp_path):
     out_csv = tmp_path / "traj.csv"
     out = tmp_path / "sim.json"

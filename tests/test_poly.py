@@ -132,6 +132,13 @@ def test_subtraction_trims_dust():
     assert (a - b).degree == 1
 
 
+def test_sum_that_overflows_is_rejected_not_trimmed_away():
+    # an infinite maximum used to trim every entry below inf * tol, so this
+    # sum came out as the zero polynomial
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        Polynomial([1.0, 1e308]) + Polynomial([1.0, 1e308])
+
+
 def test_trim_relative():
     p = Polynomial([1e5, 1.0, 1e-6])
     # 1e-6 is below 1e-9 * 1e5

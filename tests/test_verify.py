@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import verify
@@ -23,6 +24,28 @@ def test_closed_loop_hand_case():
     # Dp = z, Dc = z, Np = Nc = 1 -> z^2 - 1
     out = closed_loop_poly(Z, Polynomial.one(), Z, Polynomial.one())
     assert_allclose(out.coeffs, [-1, 0, 1])
+
+
+def test_closed_loop_keeps_the_exact_leading_product():
+    # no feedback: the loop is den itself, however small its leading 1 is
+    # against 1e10; a relative trim of the difference used to drop it
+    den = Polynomial([1.0, -1e10, 1.0])
+    loop = closed_loop_poly(den, Polynomial.one(), Polynomial.one(),
+                            Polynomial.zero())
+    assert loop.coeffs.tobytes() == den.coeffs.tobytes()
+    # equal degrees may cancel at the top, which is trimmed:
+    # z * z - z * (z + 1e-12) = -1e-12 z
+    loop = closed_loop_poly(Z, Z, Z, Z + Polynomial([1e-12]))
+    assert loop.coeffs.tolist() == [0.0, -1e-12]
+
+
+def test_certify_rejects_an_overflowing_identity():
+    # alpha*den + beta*num = [inf, 1e308, 1]: the infinite sum used to trim
+    # to the zero polynomial, which left the residual at max|gamma| = 1
+    with pytest.raises(ValueError, match="must be finite"):
+        certify_stabilization(Polynomial([1e308, 1.0]), Polynomial([1e308]),
+                              Polynomial([1.0, 1.0]), Polynomial([1.0]),
+                              Polynomial([0.25, 0.0, 1.0]))
 
 
 def test_certify_trivial_pass():
