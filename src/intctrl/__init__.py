@@ -17,9 +17,9 @@ from .poly import (Polynomial, RationalTF, monic_from_vector, toeplitz_stack,
                    vector_from_monic)
 from .sim import (SimulationResult, StateSpace, realize_controller, realize_tf,
                   simulate_loop)
-from .stabilizer import (StabilizationConfig, StabilizationResult, Tolerances,
-                         TraceStep, preprocess_plant, make_gamma_ini,
-                         run_algorithm1, stabilize_proper, SynthesisError)
+from .stabilizer import (StabilizationConfig, StabilizationResult, TraceStep,
+                         preprocess_plant, make_gamma_ini, run_algorithm1,
+                         stabilize_proper, SynthesisError)
 from .target import (DeltaFactors, HyperplaneSet, IntegerTarget,
                      TargetSearchError, active_index_set, build_hyperplanes,
                      control_input, delta_matrix, find_integer_target)
@@ -34,8 +34,7 @@ __all__ = [
     "IntegerTarget", "NotCoprimeError", "Polynomial", "PreController",
     "RationalTF", "RootSet", "SchurResult", "SimulationResult",
     "StabilizationConfig", "StabilizationResult", "StateSpace",
-    "SynthesisError", "TargetSearchError", "Tolerances",
-    "TraceStep", "active_index_set", "assemble_converted", "build_hyperplanes",
+    "SynthesisError", "TargetSearchError", "TraceStep", "active_index_set", "assemble_converted", "build_hyperplanes",
     "certify_conversion", "certify_stabilization", "classify_roots",
     "closed_loop_poly", "closed_loop_tf", "control_input",
     "convert_controller", "coprime_check", "delta_matrix",

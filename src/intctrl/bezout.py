@@ -18,6 +18,8 @@ from .numeric import SingularMatrixError, solve_linear
 from .poly import Polynomial, _sum_residual, _trimmed
 
 COPRIME_TOL = 1e-8
+#: bound on a Diophantine solution's residual, relative to max(1, |q|)
+RESIDUAL_TOL = 1e-10
 
 
 class NotCoprimeError(ValueError):
@@ -40,8 +42,8 @@ class CoprimalityResult(NamedTuple):
     quality: float
 
 
-def solve_diophantine(p: Polynomial, q: Polynomial, modulus: Polynomial,
-                      residual_tol: float = 1e-10) -> DiophantineSolution:
+def solve_diophantine(p: Polynomial, q: Polynomial,
+                      modulus: Polynomial) -> DiophantineSolution:
     """Unique ``(r, s)`` with ``p*r + s*modulus = q`` and ``deg(s) < deg(p)``.
 
     Requires ``deg(q) >= deg(p)``, ``p`` monic and coprime to ``modulus``,
@@ -74,13 +76,13 @@ def solve_diophantine(p: Polynomial, q: Polynomial, modulus: Polynomial,
         # inside the unit disk; fall back to the dense solve before failing
         fast = _monomial_fast_path(dp, q, modulus)
         if (fast is not None
-                and _residual(p, *fast, modulus, q) <= residual_tol * scale):
+                and _residual(p, *fast, modulus, q) <= RESIDUAL_TOL * scale):
             return DiophantineSolution(*fast)
     r, s = _dense_solve(p, q, modulus)
     err = _residual(p, r, s, modulus, q)
-    if err > residual_tol * scale:
+    if err > RESIDUAL_TOL * scale:
         raise NotCoprimeError(
-            f"Diophantine residual {err:.3e} exceeds {residual_tol:.1e} * {scale:.3e}; "
+            f"Diophantine residual {err:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e}; "
             "inputs are close to sharing a factor")
     return DiophantineSolution(r, s)
 
@@ -174,14 +176,14 @@ def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return S
 
 
-def coprime_check(a: Polynomial, b: Polynomial,
-                  tol: float = COPRIME_TOL) -> CoprimalityResult:
+def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
     """Coprimality verdict with a scale-free quality scalar.
 
     ``quality`` is the reciprocal condition estimate (smallest / largest
     singular value) of the Sylvester matrix after each polynomial is scaled
     to unit coefficient magnitude, so the verdict reflects root separation
-    rather than units; the pair is declared coprime when ``quality > tol``.
+    rather than units; the pair is declared coprime when
+    ``quality > COPRIME_TOL``.
     Nonzero constants are coprime to everything.
     """
     if a.is_zero or b.is_zero:
@@ -197,4 +199,4 @@ def coprime_check(a: Polynomial, b: Polynomial,
         S = _sylvester(an, bn)
     sv = np.linalg.svd(S, compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return CoprimalityResult(quality > tol, quality)
+    return CoprimalityResult(quality > COPRIME_TOL, quality)

@@ -25,8 +25,7 @@ from .converter import ConversionConfig, PreController, convert_controller
 from .numeric import RootFindingError, poly_roots, schur_check
 from .poly import Polynomial, RationalTF
 from .sim import realize_controller, realize_tf, simulate_loop, write_trajectory_csv
-from .stabilizer import (StabilizationConfig, SynthesisError, Tolerances,
-                         run_algorithm1)
+from .stabilizer import StabilizationConfig, SynthesisError, run_algorithm1
 from .target import TargetSearchError
 from .verify import certify_conversion, certify_stabilization, closed_loop_poly
 
@@ -160,15 +159,6 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
         raise ProblemFileError(f"cannot parse root list {text!r}: {exc}")
 
 
-def _tolerances(args) -> Tolerances:
-    kw = {}
-    for name in ("residual", "coprime", "monic", "trim", "integer"):
-        val = getattr(args, f"tol_{name}", None)
-        if val is not None:
-            kw[name] = val
-    return Tolerances(**kw)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -210,7 +200,7 @@ def _cmd_stabilize(args) -> int:
     try:
         cfg = StabilizationConfig(
             gamma_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
-            max_iterations=args.max_iter, tolerances=_tolerances(args))
+            max_iterations=args.max_iter)
         result = run_algorithm1(den, num, cfg)
         radius, radius_warnings = _spectral_radius(closed_loop_poly(
             den, num, result.controller_den, result.controller_num))
@@ -264,7 +254,7 @@ def _cmd_convert(args) -> int:
     try:
         cfg = ConversionConfig(
             alpha_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
-            max_iterations=args.max_iter, tolerances=_tolerances(args))
+            max_iterations=args.max_iter)
         conv = convert_controller(pre, den, num, cfg)
     except (NotCoprimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -366,8 +356,6 @@ def _add_common(sub, with_roots: str | None):
     sub.add_argument("--max-iter", type=int, default=None)
     sub.add_argument("--prefer-origin", action="store_true",
                      help="try the all-poles-at-origin target first")
-    for tol in ("residual", "coprime", "monic", "trim", "integer"):
-        sub.add_argument(f"--tol-{tol}", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in the output for reproducibility bookkeeping")
     sub.add_argument("--verify", action="store_true",

@@ -18,8 +18,7 @@ import numpy as np
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
 from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
                    vector_from_monic)
-from .stabilizer import (SteeringConfig, Tolerances, TraceStep, schur_factor,
-                         steer)
+from .stabilizer import SteeringConfig, TraceStep, schur_factor, steer
 from .verify import Certificate, certify_conversion
 
 
@@ -75,8 +74,7 @@ class ConversionSolution:
 
 
 def _make_alpha_ini(n: int, ctrl_den: Polynomial, num: Polynomial,
-                    roots: Sequence[complex] | None,
-                    tol: Tolerances) -> Polynomial:
+                    roots: Sequence[complex] | None) -> Polynomial:
     min_degree = n - (ctrl_den.coeffs.size - 1)
     if roots is None:
         return Polynomial.monomial(max(1, min_degree))
@@ -84,7 +82,7 @@ def _make_alpha_ini(n: int, ctrl_den: Polynomial, num: Polynomial,
     if len(roots) < min_degree:
         raise ValueError(f"initial factor needs degree >= {min_degree}, "
                          f"got {len(roots)} roots")
-    return schur_factor(roots, num, tol)
+    return schur_factor(roots, num)
 
 
 def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
@@ -99,27 +97,26 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     ``(z^l alpha, beta, z^l gamma)``, which preserves every condition.
     """
     cfg = cfg or ConversionConfig()
-    tol = cfg.tolerances
-    if ctrl_den.is_zero or not ctrl_den.is_monic(tol.monic):
+    if ctrl_den.is_zero or not ctrl_den.is_monic():
         raise ValueError("controller denominator must be monic")
     if num.is_zero:
         raise ValueError("plant numerator must be nonzero")
 
     # strip z^l so the steering geometry sees num(0) != 0
-    reduced, shift = split_z_power(num, tol.trim)
-    ok, quality = coprime_check(ctrl_den, reduced, tol.coprime)
+    reduced, shift = split_z_power(num)
+    ok, quality = coprime_check(ctrl_den, reduced)
     if not ok:
         raise NotCoprimeError(
             f"controller denominator and plant numerator are not coprime "
             f"(quality {quality:.3e})")
 
-    alpha_ini = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots, tol)
+    alpha_ini = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots)
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     if big_n < 0:
         raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")
     r0 = solve_diophantine(Polynomial.monomial(big_n), alpha_ini * ctrl_den,
-                           reduced, tol.residual).r
-    x0 = vector_from_monic(trim(r0, tol.trim), n, tol.monic)
+                           reduced).r
+    x0 = vector_from_monic(trim(r0), n)
     # the roles swap against the stabilizing synthesis: the Schur factors
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s
@@ -138,8 +135,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
 
 def assemble_converted(pre: PreController, plant_den: Polynomial,
                        plant_num: Polynomial,
-                       solution: ConversionSolution,
-                       tol: Tolerances = Tolerances()) -> ConvertedController:
+                       solution: ConversionSolution) -> ConvertedController:
     """Build the integer-coefficient controller from a conversion solution.
 
     New denominator: the integer polynomial; reference channel scaled by the
@@ -157,9 +153,7 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
         x_star=solution.x_star, iterations=solution.iterations,
         trace=solution.trace,
     )
-    cert = certify_conversion(plant_den, plant_num, pre, conv,
-                              residual_rtol=tol.identity_rtol,
-                              int_tol=tol.integer)
+    cert = certify_conversion(plant_den, plant_num, pre, conv)
     cert.warnings.extend(solution.warnings)
     return replace(conv, certificate=cert)
 
@@ -170,5 +164,4 @@ def convert_controller(pre: PreController, plant_den: Polynomial,
     """Full conversion: solve the identity, then assemble and certify."""
     n = plant_den.coeffs.size - 1
     solution = run_algorithm2(pre.den, plant_num, n, cfg)
-    tol = (cfg or ConversionConfig()).tolerances
-    return assemble_converted(pre, plant_den, plant_num, solution, tol)
+    return assemble_converted(pre, plant_den, plant_num, solution)

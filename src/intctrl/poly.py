@@ -19,9 +19,6 @@ TRIM_TOL = 1e-9
 #: Tolerance on |leading - 1| for the monic predicate.
 MONIC_TOL = 1e-9
 
-#: Relative reconstruction tolerance for division.
-RESIDUAL_TOL = 1e-10
-
 
 class Polynomial:
     """Immutable univariate polynomial with real coefficients.
@@ -122,11 +119,16 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(self.coeffs.size, other.coeffs.size)
-        return _trimmed(self._padded(n) + other._padded(n))
+        # an overflowing sum is rejected as non-finite, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._padded(n) + other._padded(n)
+        return _trimmed(total)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(self.coeffs.size, other.coeffs.size)
-        return _trimmed(self._padded(n) - other._padded(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._padded(n) - other._padded(n)
+        return _trimmed(total)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-self.coeffs)

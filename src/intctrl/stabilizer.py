@@ -11,44 +11,23 @@ are assigned from the integer target, never recomputed through arithmetic.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bezout import NotCoprimeError, coprime_check, solve_diophantine
-from .numeric import vec_1norm
+from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
+                     solve_diophantine)
+from .numeric import SCHUR_MARGIN, vec_1norm
 from .poly import (Polynomial, _check_finite, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, active_index_set, build_hyperplanes,
                      control_input, delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
 
-COPRIME_QUALITY_MIN = 1e-8
-
 
 class SynthesisError(RuntimeError):
     """Numerical breakdown or exhausted iteration budget during synthesis."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of the pipeline's numeric tolerances (all overridable)."""
-
-    residual: float = 1e-10
-    identity_rtol: float = 1e-8
-    monic: float = 1e-9
-    trim: float = 1e-9
-    coprime: float = COPRIME_QUALITY_MIN
-    integer: float = 1e-6
-    schur_margin: float = 1e-9
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0.0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"tolerance {f.name} must be nonnegative and "
-                                 f"finite, not {getattr(self, f.name)!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,10 +40,6 @@ class SteeringConfig:
     prefer_origin: bool = False
     #: None derives the engineering cap 10*ceil(|x*-x0|_1) + 10
     max_iterations: int | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    #: re-derive the coefficient vector from the polynomial identity after
-    #: every iteration and compare (slow; for debugging and test suites)
-    verify_invariant: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
@@ -127,8 +102,7 @@ class StabilizationResult:
         return -self.beta
 
 
-def preprocess_plant(den: Polynomial, num: Polynomial,
-                     tol: Tolerances = Tolerances()) -> PreprocessedPlant:
+def preprocess_plant(den: Polynomial, num: Polynomial) -> PreprocessedPlant:
     """Monicize the denominator and strip the numerator's z^l factor.
 
     Both polynomials are divided by the denominator's leading coefficient;
@@ -140,20 +114,18 @@ def preprocess_plant(den: Polynomial, num: Polynomial,
         raise ValueError("plant polynomials must be nonzero")
     if num.coeffs.size > den.coeffs.size:
         raise ValueError("improper plant: deg(num) > deg(den)")
-    ok, quality = coprime_check(den, num, tol.coprime)
+    ok, quality = coprime_check(den, num)
     if not ok:
         raise NotCoprimeError(
             f"plant denominator and numerator are not coprime "
-            f"(quality {quality:.3e} <= {tol.coprime:.1e})")
+            f"(quality {quality:.3e} <= {COPRIME_TOL:.1e})")
     scale = den.leading
-    reduced, shift = split_z_power(
-        trim(Polynomial(num.coeffs / scale), tol.trim), tol.trim)
+    reduced, shift = split_z_power(trim(Polynomial(num.coeffs / scale)))
     return PreprocessedPlant(Polynomial(den.coeffs / scale), reduced, shift,
                              float(scale), quality)
 
 
-def schur_factor(roots: Sequence[complex], num: Polynomial,
-                 tol: Tolerances) -> Polynomial:
+def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
     """Monic polynomial with the given roots, which must lie strictly inside
     the unit circle and share none with the numerator."""
     # a NaN fails no comparison and max skips it unless it comes first
@@ -161,11 +133,11 @@ def schur_factor(roots: Sequence[complex], num: Polynomial,
     if bad:
         raise ValueError(f"initial factor roots must be finite, got {bad}")
     worst = max((abs(r) for r in roots), default=0.0)
-    if roots and worst >= 1.0 - tol.schur_margin:
+    if roots and worst >= 1.0 - SCHUR_MARGIN:
         raise ValueError(f"initial factor roots must be strictly Schur "
                          f"(|root| max {worst})")
     factor = Polynomial.from_roots(roots)
-    ok, quality = coprime_check(factor, num, tol.coprime)
+    ok, quality = coprime_check(factor, num)
     if not ok:
         raise NotCoprimeError(f"initial factor shares a root with the "
                               f"numerator (quality {quality:.3e})")
@@ -173,8 +145,7 @@ def schur_factor(roots: Sequence[complex], num: Polynomial,
 
 
 def make_gamma_ini(n: int, num: Polynomial,
-                   roots: Sequence[complex] | None = None,
-                   tol: Tolerances = Tolerances()) -> Polynomial:
+                   roots: Sequence[complex] | None = None) -> Polynomial:
     """Initial Schur monic target of degree 2n, coprime to the numerator.
 
     The default is ``z**(2n)``: Schur with radius zero, monic, and coprime
@@ -187,7 +158,7 @@ def make_gamma_ini(n: int, num: Polynomial,
     roots = tuple(complex(r) for r in roots)
     if len(roots) != 2 * n:
         raise ValueError(f"need exactly {2 * n} roots, got {len(roots)}")
-    return schur_factor(roots, num, tol)
+    return schur_factor(roots, num)
 
 
 def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
@@ -204,7 +175,6 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     then yields the cofactor ``s``.  Returns ``(factor, shift, x_star, s,
     trace, warnings)``.
     """
-    tol = cfg.tolerances
     n = x0.size
     warnings: list[str] = []
     planes = build_hyperplanes(num, n)
@@ -244,26 +214,20 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x, step.u, step.hit, prod.size - 1,
                                vec_1norm(x_star - x)))
-        if cfg.verify_invariant and not solve_diophantine(
-                p.shifted(shift), Polynomial(prod) * q, num,
-                tol.residual).r.allclose(monic_from_vector(x), 1e-7):
-            raise SynthesisError(
-                "loop invariant violated: steering state disagrees with the "
-                "polynomial-identity reduction")
 
     factor = Polynomial(prod)
     # dividing the identity by the numerator would amplify the loop's
     # floating drift by the reciprocal of its leading coefficient, so the
     # cofactor comes from the final reduction, whose quotient must reproduce
     # the integer target
-    sol = solve_diophantine(p.shifted(shift), factor * q, num, tol.residual)
+    sol = solve_diophantine(p.shifted(shift), factor * q, num)
     target_poly = monic_from_vector(x_star)
     if not sol.r.allclose(target_poly, 1e-6):
         raise SynthesisError(
             "closing reduction disagrees with the integer target "
             f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
             "breakdown in the final identity")
-    return factor, shift, x_star, trim(sol.s, tol.trim), trace, warnings
+    return factor, shift, x_star, trim(sol.s), trace, warnings
 
 
 def run_algorithm1(den: Polynomial, num: Polynomial,
@@ -276,16 +240,14 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     original leading denominator coefficient) and is Schur by construction.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    tol = cfg.tolerances
-    plant = preprocess_plant(den, num, tol)
+    plant = preprocess_plant(den, num)
     n = plant.den.coeffs.size - 1
     if n == 0:
         raise ValueError("plant denominator must have degree >= 1")
 
-    gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots, tol)
-    alpha_ini = solve_diophantine(plant.den, gamma_ini, plant.num,
-                                  tol.residual).r
-    x0 = vector_from_monic(trim(alpha_ini, tol.trim), n, tol.monic)
+    gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
+    alpha_ini = solve_diophantine(plant.den, gamma_ini, plant.num).r
+    x0 = vector_from_monic(trim(alpha_ini), n)
     gamma, big_n, x_star, beta, trace, warnings = steer(
         plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, cfg)
 
@@ -295,13 +257,8 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     gamma = gamma.shifted(plant.power_shift)
 
     cert = certify_stabilization(plant.den, Polynomial(num.coeffs / plant.scale),
-                                 alpha, beta, gamma,
-                                 residual_rtol=tol.identity_rtol,
-                                 int_tol=tol.integer)
+                                 alpha, beta, gamma)
     cert.warnings.extend(warnings)
-    if plant.quality < 1e-6:
-        cert.warnings.append(
-            f"plant coprimality quality {plant.quality:.3e} is marginal")
     return StabilizationResult(alpha, beta, gamma,
                                big_n + plant.power_shift, x_star,
                                len(trace), tuple(trace), cert,

@@ -19,7 +19,7 @@ from .poly import Polynomial, RationalTF, _max_abs, _sum_residual
 IDENTITY_RTOL = 1e-8
 INT_TOL = 1e-6
 TF_EQUAL_RTOL = 1e-6
-#: coprimality quality below which a warning is attached downstream
+#: coprimality quality below which a certificate warns of a marginal pair
 QUALITY_WARN = 1e-6
 
 
@@ -84,9 +84,7 @@ def _deg(p: Polynomial) -> int:
 
 def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           alpha: Polynomial, beta: Polynomial,
-                          gamma: Polynomial, *,
-                          residual_rtol: float = IDENTITY_RTOL,
-                          int_tol: float = INT_TOL) -> Certificate:
+                          gamma: Polynomial) -> Certificate:
     """Check ``alpha*plant_den + beta*plant_num = gamma`` and the side
     conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
     Raises ValueError when the identity overflows the float range.
@@ -94,11 +92,11 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     ad, bn = _product(alpha, plant_den), _product(beta, plant_num)
     residual = _sum_residual(ad, bn, gamma.coeffs)
     scale = max(1.0, _max_abs(ad), _max_abs(bn), gamma.max_abs())
-    cert = Certificate("stabilization", residual, residual_rtol * scale)
+    cert = Certificate("stabilization", residual, IDENTITY_RTOL * scale)
 
     int_dev = _integer_deviation(alpha)
-    cert.conditions["alpha_integer"] = int_dev <= int_tol
-    cert.conditions["alpha_monic"] = alpha.is_monic(int_tol)
+    cert.conditions["alpha_integer"] = int_dev <= INT_TOL
+    cert.conditions["alpha_monic"] = alpha.is_monic(INT_TOL)
     cert.witnesses["alpha_integer_deviation"] = int_dev
 
     gs = schur_check(gamma)
@@ -147,10 +145,7 @@ def closed_loop_tf(plant_den: Polynomial, plant_num: Polynomial,
 
 
 def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
-                       pre, conv, *,
-                       residual_rtol: float = IDENTITY_RTOL,
-                       int_tol: float = INT_TOL,
-                       tf_tol: float = TF_EQUAL_RTOL) -> Certificate:
+                       pre, conv) -> Certificate:
     """Certificate for an integer-coefficient conversion.
 
     ``pre`` and ``conv`` are the pre-designed and converted two-input
@@ -164,11 +159,11 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     ad, bn = alpha * pre.den, beta * plant_num
     residual = _sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
     scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
-    cert = Certificate("conversion", residual, residual_rtol * scale)
+    cert = Certificate("conversion", residual, IDENTITY_RTOL * scale)
 
     int_dev = _integer_deviation(gamma)
-    cert.conditions["converted_den_integer"] = int_dev <= int_tol
-    cert.conditions["converted_den_monic"] = gamma.is_monic(int_tol)
+    cert.conditions["converted_den_integer"] = int_dev <= INT_TOL
+    cert.conditions["converted_den_monic"] = gamma.is_monic(INT_TOL)
     cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, 1e-12)
     cert.witnesses["gamma_integer_deviation"] = int_dev
 
@@ -191,7 +186,7 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
 
     t_pre = closed_loop_tf(plant_den, plant_num, pre.den, pre.num_y, pre.num_r)
     t_conv = closed_loop_tf(plant_den, plant_num, conv.den, conv.num_y, conv.num_r)
-    cert.conditions["tf_preserved"] = tf_equal(t_pre, t_conv, tf_tol)
+    cert.conditions["tf_preserved"] = tf_equal(t_pre, t_conv)
 
     loop = t_conv.den
     ls = schur_check(loop)
@@ -205,7 +200,7 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     factored = alpha * t_pre.den
     fact_resid = (loop - factored).max_abs()
     fact_scale = max(1.0, loop.max_abs(), factored.max_abs())
-    cert.conditions["loop_factorization"] = fact_resid <= residual_rtol * fact_scale
+    cert.conditions["loop_factorization"] = fact_resid <= IDENTITY_RTOL * fact_scale
     cert.witnesses["loop_factorization_residual"] = fact_resid / fact_scale
 
     den_at_1 = t_conv.den(1.0)

@@ -10,9 +10,9 @@ import numpy as np  # noqa: E402
 import pytest
 
 from intctrl import (DeltaFactors, Polynomial, active_index_set,
-                     build_hyperplanes, coprime_check, delta_matrix,
-                     find_integer_target, solve_diophantine, vec_1norm,
-                     vector_from_monic)
+                     build_hyperplanes, converter, coprime_check, delta_matrix,
+                     find_integer_target, monic_from_vector, solve_diophantine,
+                     stabilizer, vec_1norm, vector_from_monic)
 from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 
@@ -24,6 +24,48 @@ def pendulum():
 @pytest.fixture(scope="session")
 def pre_controller():
     return pendulum_pre_controller()
+
+
+@pytest.fixture
+def steer_calls(monkeypatch):
+    """Arguments and outcome of every ``steer`` call made by either
+    algorithm, as ``(args, outcome)``: the returned tuple, or the exception
+    raised.  The warnings are copied at once, since the caller appends to
+    them."""
+    calls = []
+    real = stabilizer.steer
+
+    def recording(*args):
+        try:
+            out = real(*args)
+        except Exception as exc:
+            calls.append((args, exc))
+            raise
+        calls.append((args, out[:5] + (list(out[5]),)))
+        return out
+
+    monkeypatch.setattr(stabilizer, "steer", recording)
+    monkeypatch.setattr(converter, "steer", recording)
+    return calls
+
+
+def invariant_breach(args, trace):
+    """First step of a ``steer`` run whose state disagrees with its
+    polynomial identity, or None.
+
+    ``args`` are the call's ``(p, q, factor, shift, num, x0, cfg)`` and
+    ``trace`` its steps.  After step k the reduction ``z^shift p r + s num =
+    factor q`` is solved afresh from the factors of steps 0..k, and its
+    quotient ``r`` must match ``monic(x_k)`` to 1e-7.
+    """
+    p, q, factor, shift, num, x0, _ = args
+    for step in trace:
+        factor = monic_from_vector(step.u) * factor
+        shift += x0.size
+        r = solve_diophantine(p.shifted(shift), factor * q, num).r
+        if not r.allclose(monic_from_vector(step.x), 1e-7):
+            return step.k
+    return None
 
 
 def random_roots(rng, count, radius):

@@ -309,7 +309,7 @@ def test_coprime_constant_is_always_coprime():
     assert ok and quality == 1.0
 
 
-def oracle_coprime_check(a, b, tol=bezout.COPRIME_TOL):
+def oracle_coprime_check(a, b):
     """:func:`coprime_check` through normalized Polynomials and the public
     :func:`sylvester_matrix`."""
     if a.is_zero or b.is_zero:
@@ -320,7 +320,7 @@ def oracle_coprime_check(a, b, tol=bezout.COPRIME_TOL):
     bn = Polynomial(b.coeffs / b.max_abs())
     sv = np.linalg.svd(bezout.sylvester_matrix(an, bn), compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return bezout.CoprimalityResult(quality > tol, quality)
+    return bezout.CoprimalityResult(quality > bezout.COPRIME_TOL, quality)
 
 
 def _coprime_outcome(fn, a, b):

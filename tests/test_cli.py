@@ -245,24 +245,20 @@ def test_invalid_config_flag_is_a_validation_error(command, flag, value,
     assert "validation error" in capsys.readouterr().err
 
 
-def test_negative_tolerance_flag_names_the_tolerance(capsys):
-    # a bad flag must not be reported as a plant close to sharing a factor
-    assert main(["stabilize", PENDULUM, "--tol-residual", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("validation error:")
-    assert "tolerance residual" in err
-    assert "factor" not in err
-
-
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 @pytest.mark.parametrize("flag, value", [("--target", "round"),
                                          ("--max-radius", "3"),
                                          ("--tol-active", "1e-9"),
-                                         ("--tol-side", "1e-9")])
+                                         ("--tol-side", "1e-9"),
+                                         ("--tol-residual", "1e-10"),
+                                         ("--tol-coprime", "1e-8"),
+                                         ("--tol-monic", "1e-9"),
+                                         ("--tol-trim", "1e-9"),
+                                         ("--tol-integer", "1e-6")])
 def test_removed_search_flag_is_rejected(command, flag, value, tmp_path,
                                          capsys):
-    # the target search has no settings: its old flags must not be accepted
-    # and silently ignored
+    # the target search and the tolerances have no settings: their old flags
+    # must not be accepted and silently ignored
     problem = PENDULUM if command == "stabilize" else CONVERSION
     out = tmp_path / "result.json"
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      schur_check, solve_diophantine, tf_equal, vec_1norm)
 from intctrl.fixtures import CONVERSION_ALPHA_INI_ROOTS
 
-from conftest import random_roots
+from conftest import invariant_breach, random_roots
 
 Z = Polynomial([0, 1])
 
@@ -64,10 +64,11 @@ def test_trivial_conversion():
     assert solution.iterations == 0
 
 
-def test_pendulum_conversion_solution(pendulum, pre_controller):
+def test_pendulum_conversion_solution(pendulum, pre_controller, steer_calls):
     den, num = pendulum
-    solution = run_algorithm2(pre_controller.den, num, 4,
-                              conversion_config(verify_invariant=True))
+    solution = run_algorithm2(pre_controller.den, num, 4, conversion_config())
+    (args, out), = steer_calls
+    assert invariant_breach(args, out[4]) is None
     # integer part z^23 (z^4 - z^3 - 4 z^2 - 2 z + 4), four steering steps
     assert_allclose(solution.x_star, [-1.0, -4.0, -2.0, 4.0])
     assert solution.iterations == 4
@@ -222,24 +223,12 @@ def test_initial_roots_rejected_alike_by_both_algorithms():
         assert str(stab.value) == str(conv.value)
 
 
-def test_invariant_check_leaves_conversion_unchanged(pendulum, pre_controller):
-    # z * num takes the lifting path; the checked run must match bitwise
-    den, num = pendulum
-    runs = [run_algorithm2(pre_controller.den, num.shifted(1), 4,
-                           ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS,
-                                            verify_invariant=check))
-            for check in (False, True)]
-    plain, checked = runs
-    assert plain.iterations == checked.iterations > 0
-    for name in ("alpha", "beta", "gamma"):
-        assert (getattr(plain, name).coeffs.tobytes()
-                == getattr(checked, name).coeffs.tobytes())
-    assert plain.x_star.tobytes() == checked.x_star.tobytes()
-    for a, b in zip(plain.trace, checked.trace):
-        assert (a.x.tobytes(), a.u.tobytes(), a.hit, a.gamma_degree) == \
-            (b.x.tobytes(), b.u.tobytes(), b.hit, b.gamma_degree)
-    assert plain.warnings == checked.warnings
-    assert any("z^1" in w for w in plain.warnings)
+@pytest.mark.parametrize("config, kw", [
+    (StabilizationConfig, {"verify_invariant": True}),
+    (ConversionConfig, {"tolerances": {"residual": 1e-10}})])
+def test_removed_config_fields_are_rejected(config, kw):
+    with pytest.raises(TypeError):
+        config(**kw)
 
 
 @pytest.mark.parametrize("roots", [CONVERSION_ALPHA_INI_ROOTS, None])

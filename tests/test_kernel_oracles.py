@@ -355,7 +355,7 @@ def oracle_fast_path(k, q, modulus):
     return Polynomial(r), oracle_trimmed(s)
 
 
-def oracle_solve_diophantine(p, q, modulus, residual_tol=1e-10):
+def oracle_solve_diophantine(p, q, modulus):
     if p.is_zero or modulus.is_zero:
         raise ValueError("p and modulus must be nonzero")
     if not p.is_monic():
@@ -372,18 +372,18 @@ def oracle_solve_diophantine(p, q, modulus, residual_tol=1e-10):
     if dp > 0 and not np.logical_or.reduce(p.coeffs[:-1] != 0.0):
         fast = oracle_fast_path(dp, q, modulus)
         if (fast is not None
-                and oracle_residual(p, *fast, modulus, q) <= residual_tol * scale):
+                and oracle_residual(p, *fast, modulus, q) <= 1e-10 * scale):
             return DiophantineSolution(*fast)
     r, s = oracle_dense_solve(p, q, modulus)
     err = oracle_residual(p, r, s, modulus, q)
-    if err > residual_tol * scale:
+    if err > 1e-10 * scale:
         raise NotCoprimeError(
-            f"Diophantine residual {err:.3e} exceeds {residual_tol:.1e} * {scale:.3e}; "
+            f"Diophantine residual {err:.3e} exceeds 1.0e-10 * {scale:.3e}; "
             "inputs are close to sharing a factor")
     return DiophantineSolution(r, s)
 
 
-def oracle_coprime_check(a, b, tol=1e-8):
+def oracle_coprime_check(a, b):
     if a.is_zero or b.is_zero:
         raise ValueError("coprimality of a zero polynomial is undefined")
     if a.coeffs.size == 1 or b.coeffs.size == 1:
@@ -392,23 +392,22 @@ def oracle_coprime_check(a, b, tol=1e-8):
                          Polynomial(b.coeffs / oracle_max_abs(b)))
     sv = np.linalg.svd(S, compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return CoprimalityResult(quality > tol, quality)
+    return CoprimalityResult(quality > 1e-8, quality)
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def oracle_certify_stabilization(plant_den, plant_num, alpha, beta, gamma, *,
-                                 residual_rtol=1e-8, int_tol=1e-6):
+def oracle_certify_stabilization(plant_den, plant_num, alpha, beta, gamma):
     ad, bn = oracle_mul(alpha, plant_den), oracle_mul(beta, plant_num)
     residual = oracle_sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
     scale = max(1.0, oracle_max_abs(ad), oracle_max_abs(bn),
                 oracle_max_abs(gamma))
-    cert = Certificate("stabilization", residual, residual_rtol * scale)
+    cert = Certificate("stabilization", residual, 1e-8 * scale)
     int_dev = (float(np.maximum.reduce(np.abs(alpha.coeffs - alpha.coeffs.round())))
                if alpha.coeffs.size else 0.0)
-    cert.conditions["alpha_integer"] = int_dev <= int_tol
-    cert.conditions["alpha_monic"] = alpha.is_monic(int_tol)
+    cert.conditions["alpha_integer"] = int_dev <= 1e-6
+    cert.conditions["alpha_monic"] = alpha.is_monic(1e-6)
     cert.witnesses["alpha_integer_deviation"] = int_dev
     gs = oracle_schur_check(gamma)
     cert.conditions["gamma_schur"] = gs.is_schur

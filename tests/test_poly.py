@@ -134,9 +134,12 @@ def test_subtraction_trims_dust():
 
 def test_sum_that_overflows_is_rejected_not_trimmed_away():
     # an infinite maximum used to trim every entry below inf * tol, so this
-    # sum came out as the zero polynomial
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+    # sum came out as the zero polynomial; with warnings as errors, this
+    # also pins that the overflow is not warned about first
+    with pytest.raises(ValueError, match="finite"):
         Polynomial([1.0, 1e308]) + Polynomial([1.0, 1e308])
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial([1.0, 1e308]) - Polynomial([1.0, -1e308])
 
 
 def test_trim_relative():

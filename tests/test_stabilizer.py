@@ -6,11 +6,11 @@ from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
                      SynthesisError, closed_loop_poly,
                      make_gamma_ini, monic_from_vector, preprocess_plant,
                      run_algorithm1, schur_check, stabilize_proper,
-                     Tolerances, vec_1norm)
+                     vec_1norm)
 from intctrl.stabilizer import steer
 from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
 
-from conftest import well_posed_plant
+from conftest import invariant_breach, well_posed_plant
 
 Z = Polynomial([0, 1])
 
@@ -103,9 +103,16 @@ def test_trivial_integrator_plant():
     assert result.certificate.passed
 
 
-def test_pendulum_run(pendulum):
+def assert_invariant_kept(steer_calls):
+    assert steer_calls
+    for args, out in steer_calls:
+        assert invariant_breach(args, out[4]) is None
+
+
+def test_pendulum_run(pendulum, steer_calls):
     den, num = pendulum
-    result = run_algorithm1(den, num, pendulum_config(verify_invariant=True))
+    result = run_algorithm1(den, num, pendulum_config())
+    assert_invariant_kept(steer_calls)
     # single steering step that lands exactly on the integer target
     assert result.iterations == 1
     assert result.trace[0].hit
@@ -130,12 +137,14 @@ def test_pendulum_gamma_growth(pendulum):
     assert schur_check(result.gamma).is_schur
 
 
-def test_identity_holds_every_iteration():
+def test_identity_holds_every_iteration(steer_calls):
     # force a few iterations by a plant whose initialization is far from
     # integer, then check the identity and input bounds along the trace
     den = Polynomial.from_roots([1.1, -0.3, 0.6])
     num = Polynomial.from_roots([0.4, -0.9], leading=0.7)
-    result = run_algorithm1(den, num, StabilizationConfig(verify_invariant=True))
+    result = run_algorithm1(den, num)
+    assert result.iterations >= 2
+    assert_invariant_kept(steer_calls)
     assert result.certificate.passed
     for step in result.trace:
         assert vec_1norm(step.u) < 1.0
@@ -144,16 +153,32 @@ def test_identity_holds_every_iteration():
     assert np.array_equal(result.trace[-1].x, result.x_star)
 
 
-def test_fuzz_certificates(tmp_path):
+def test_fuzz_certificates(steer_calls):
     rng = np.random.default_rng(314)
     for _ in range(30):
         den, num = well_posed_plant(rng)
-        result = run_algorithm1(den, num,
-                                StabilizationConfig(verify_invariant=True))
+        result = run_algorithm1(den, num)
         cert = result.certificate
         assert cert.passed, (den, num, cert.conditions, cert.witnesses)
         for step in result.trace:
             assert vec_1norm(step.u) < 1.0
+    assert len(steer_calls) == 30
+    assert_invariant_kept(steer_calls)
+
+
+def test_marginal_plant_is_warned_about_once():
+    # a numerator root 3e-6 from a pole: quality about 4.4e-7, under the
+    # certificate's 1e-6 warning level and above the 1e-8 rejection level
+    den = Polynomial.from_roots([1.2, 0.5])
+    num = Polynomial.from_roots([0.5 + 3e-6])
+    result = run_algorithm1(den, num)
+    assert 1e-8 < result.plant.quality < 1e-6
+    assert result.certificate.passed
+    marginal = [w for w in result.warnings if "marginal" in w]
+    assert marginal == [w for w in result.certificate.warnings
+                        if "marginal" in w]
+    assert len(marginal) == 1
+    assert marginal[0].startswith("plant coprimality quality")
 
 
 def test_iteration_cap_raises():
@@ -243,13 +268,3 @@ def test_steer_warns_about_planes_vanishing_at_x0():
                         "vector and are excluded from the same-side "
                         "constraints"]
 
-
-@pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["residual", "coprime", "schur_margin"])
-def test_tolerances_reject_negative_or_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"tolerance {name}"):
-        Tolerances(**{name: value})
-
-
-def test_tolerances_accept_zero():
-    assert Tolerances(residual=0.0, trim=0.0).residual == 0.0

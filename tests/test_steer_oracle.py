@@ -16,7 +16,6 @@ from intctrl import (ConversionConfig, DeltaFactors, Polynomial,
                      StabilizationConfig, control_input, delta_matrix,
                      monic_from_vector, run_algorithm1, run_algorithm2,
                      solve_diophantine, toeplitz_stack, vec_1norm)
-from intctrl import converter, stabilizer
 from intctrl.bezout import sylvester_matrix
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
@@ -25,7 +24,7 @@ from intctrl.stabilizer import SynthesisError, TraceStep
 from intctrl.target import (active_index_set, build_hyperplanes,
                             find_integer_target)
 
-from conftest import random_plant
+from conftest import invariant_breach, random_plant
 
 
 def oracle_delta_matrix(x, factors):
@@ -37,7 +36,6 @@ def oracle_delta_matrix(x, factors):
 
 
 def oracle_steer(p, q, factor, shift, num, x0, cfg):
-    tol = cfg.tolerances
     n = x0.size
     warnings = []
     planes = build_hyperplanes(num, n)
@@ -69,20 +67,14 @@ def oracle_steer(p, q, factor, shift, num, x0, cfg):
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
                                factor.coeffs.size - 1, vec_1norm(x_star - x)))
-        if cfg.verify_invariant and not solve_diophantine(
-                p.shifted(shift), factor * q, num,
-                tol.residual).r.allclose(monic_from_vector(x), 1e-7):
-            raise SynthesisError(
-                "loop invariant violated: steering state disagrees with the "
-                "polynomial-identity reduction")
-    sol = solve_diophantine(p.shifted(shift), factor * q, num, tol.residual)
+    sol = solve_diophantine(p.shifted(shift), factor * q, num)
     target_poly = monic_from_vector(x_star)
     if not sol.r.allclose(target_poly, 1e-6):
         raise SynthesisError(
             "closing reduction disagrees with the integer target "
             f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
             "breakdown in the final identity")
-    return factor, shift, x_star, trim(sol.s, tol.trim), trace, warnings
+    return factor, shift, x_star, trim(sol.s), trace, warnings
 
 
 def fingerprint(run):
@@ -96,28 +88,6 @@ def fingerprint(run):
             s.coeffs.tobytes(), steps, tuple(warnings))
 
 
-@pytest.fixture
-def steer_calls(monkeypatch):
-    """Record the arguments and outcome of every ``steer`` call made by
-    either algorithm, as ``(args, fingerprint)``."""
-    calls = []
-    real = stabilizer.steer
-
-    def recording(*args):
-        # fingerprinted at once: the caller appends to the warnings list
-        try:
-            out = real(*args)
-        except Exception as exc:
-            calls.append((args, fingerprint(exc)))
-            raise
-        calls.append((args, fingerprint(out)))
-        return out
-
-    monkeypatch.setattr(stabilizer, "steer", recording)
-    monkeypatch.setattr(converter, "steer", recording)
-    return calls
-
-
 def assert_matches_oracle(calls):
     assert calls
     for args, out in calls:
@@ -125,55 +95,54 @@ def assert_matches_oracle(calls):
             want = oracle_steer(*args)
         except Exception as exc:
             want = exc
-        assert out == fingerprint(want)
+        assert fingerprint(out) == fingerprint(want)
 
 
-@pytest.mark.parametrize("check", [False, True])
 @pytest.mark.parametrize("roots", [None, PENDULUM_GAMMA_INI_ROOTS])
 def test_steer_matches_oracle_pendulum_stabilization(pendulum, steer_calls,
-                                                     check, roots):
+                                                     roots):
     den, num = pendulum
-    result = run_algorithm1(den, num, StabilizationConfig(
-        gamma_ini_roots=roots, verify_invariant=check))
+    result = run_algorithm1(den, num, StabilizationConfig(gamma_ini_roots=roots))
     assert result.iterations > 0
     assert_matches_oracle(steer_calls)
+    (args, out), = steer_calls
+    assert invariant_breach(args, out[4]) is None
 
 
-@pytest.mark.parametrize("check", [False, True])
 @pytest.mark.parametrize("roots", [None, CONVERSION_ALPHA_INI_ROOTS])
 @pytest.mark.parametrize("z_power", [0, 1])
 def test_steer_matches_oracle_pendulum_conversion(pendulum, pre_controller,
-                                                  steer_calls, check, roots,
-                                                  z_power):
-    # z_power = 1 converts against z * num, the numerator-lifting path.
-    # With the default initial factor the long run breaks the invariant
-    # check; the oracle must then raise the same error
+                                                  steer_calls, roots, z_power):
+    # z_power = 1 converts against z * num, the numerator-lifting path
     den, num = pendulum
-    try:
-        run_algorithm2(pre_controller.den, num.shifted(z_power), 4,
-                       ConversionConfig(alpha_ini_roots=roots,
-                                        verify_invariant=check))
-    except SynthesisError:
-        assert check and roots is None
+    solution = run_algorithm2(pre_controller.den, num.shifted(z_power), 4,
+                              ConversionConfig(alpha_ini_roots=roots))
+    assert any("z^1" in w for w in solution.warnings) == (z_power == 1)
     assert_matches_oracle(steer_calls)
+    (args, out), = steer_calls
+    # the default initial factor's 18-step run drifts from its identity,
+    # about tenfold every two steps: past 1e-7 at the last step, still
+    # within the 1e-6 the closing check allows
+    assert invariant_breach(args, out[4]) == (None if roots else 17)
 
 
 def test_steer_matches_oracle_random_plants(steer_calls):
-    # unfiltered plants: runs that fail inside steer must fail alike
+    # unfiltered plants: runs that fail inside steer must fail alike, and
+    # every run that returns must keep its identity at every step
     rng = np.random.default_rng(606)
-    plants = 0
     while len(steer_calls) < 120:
         den, num = random_plant(rng)
-        cfg = StabilizationConfig(verify_invariant=plants % 3 == 0)
-        plants += 1
         try:
-            run_algorithm1(den, num, cfg)
+            run_algorithm1(den, num)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             pass  # the outcome is recorded and compared below
     assert_matches_oracle(steer_calls)
-    returned = [out for _, out in steer_calls if len(out) > 2]
+    returned = [(args, out) for args, out in steer_calls
+                if not isinstance(out, Exception)]
     assert len(returned) < len(steer_calls)
-    assert sum(len(out[4]) for out in returned) > 200
+    assert sum(len(out[4]) for _, out in returned) > 200
+    assert [invariant_breach(args, out[4]) for args, out in returned] \
+        == [None] * len(returned)
 
 
 def test_delta_matrix_matches_oracle():
