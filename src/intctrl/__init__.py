@@ -11,8 +11,8 @@ from .bezout import (CoprimalityResult, NotCoprimeError, coprime_check,
                      solve_diophantine)
 from .converter import (ConversionConfig, ConvertedController, PreController,
                         assemble_converted, convert_controller, run_algorithm2)
-from .numeric import (RootSet, SchurResult, classify_roots, poly_roots,
-                      schur_check, solve_linear, vec_1norm)
+from .numeric import (RootSet, SchurFactors, SchurResult, classify_roots,
+                      poly_roots, schur_check, solve_linear, vec_1norm)
 from .poly import (Polynomial, RationalTF, monic_from_vector, toeplitz_stack,
                    vector_from_monic)
 from .sim import (SimulationResult, StateSpace, realize_controller, realize_tf,
@@ -32,7 +32,7 @@ __all__ = [
     "Certificate", "ConversionConfig", "ConvertedController",
     "CoprimalityResult", "DeltaFactors", "HyperplaneSet",
     "IntegerTarget", "NotCoprimeError", "Polynomial", "PreController",
-    "RationalTF", "RootSet", "SchurResult", "SimulationResult",
+    "RationalTF", "RootSet", "SchurFactors", "SchurResult", "SimulationResult",
     "StabilizationConfig", "StabilizationResult", "StateSpace",
     "SynthesisError", "TargetSearchError", "TraceStep", "active_index_set", "assemble_converted", "build_hyperplanes",
     "certify_conversion", "certify_stabilization", "classify_roots",

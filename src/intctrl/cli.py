@@ -3,8 +3,10 @@
 Exit codes: 0 success (and certificate pass), 2 input validation error,
 3 synthesis failure, 4 certificate failure.  ``stabilize`` and ``convert``
 write their result JSON even when its certificate fails, then exit 4.  A
-root finding that breaks down (``RootFindingError``) makes them exit 3, and
-``analyze`` exit 4, without JSON; only the closed-loop spectral radius that
+certificate's root finding that breaks down (``RootFindingError``) makes
+``convert`` exit 3, and ``analyze`` and ``stabilize --verify`` exit 4,
+without JSON; ``stabilize`` proves gamma from its factors and finds no
+root in its own certificate.  Only the closed-loop spectral radius that
 ``stabilize`` and ``analyze`` report for information is written as null
 instead, with a warning, and the exit code follows the certificate.
 Result JSON is byte-stable across runs for identical inputs and flags.
@@ -234,9 +236,13 @@ def _cmd_stabilize(args) -> int:
     }
     cert = result.certificate
     if args.verify:
-        cert = certify_stabilization(result.plant.den,
-                                     Polynomial(num.coeffs / result.plant.scale),
-                                     result.alpha, result.beta, result.gamma)
+        try:
+            cert = certify_stabilization(
+                result.plant.den, Polynomial(num.coeffs / result.plant.scale),
+                result.alpha, result.beta, result.gamma)
+        except RootFindingError as exc:
+            print(f"certificate failed: {exc}", file=sys.stderr)
+            return EXIT_CERTIFICATE
         payload["certificate"] = cert.to_dict()
     return _emit_certified(payload, args.out, cert)
 

@@ -18,12 +18,17 @@ import numpy as np
 
 from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
-from .numeric import SCHUR_MARGIN, vec_1norm
+from .numeric import SCHUR_MARGIN, SchurFactors, vec_1norm
 from .poly import (Polynomial, _check_finite, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, active_index_set, build_hyperplanes,
                      control_input, delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
+
+
+#: deviation, relative to the larger scale, of the closing reduction's
+#: quotient from the integer target before steering reports a breakdown
+CLOSING_RTOL = 1e-6
 
 
 class SynthesisError(RuntimeError):
@@ -222,7 +227,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     # the integer target
     sol = solve_diophantine(p.shifted(shift), factor * q, num)
     target_poly = monic_from_vector(x_star)
-    if not sol.r.allclose(target_poly, 1e-6):
+    if not sol.r.allclose(target_poly, CLOSING_RTOL):
         raise SynthesisError(
             "closing reduction disagrees with the integer target "
             f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
@@ -245,6 +250,8 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     if n == 0:
         raise ValueError("plant denominator must have degree >= 1")
 
+    base = (2 * n if cfg.gamma_ini_roots is None
+            else tuple(complex(r) for r in cfg.gamma_ini_roots))
     gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
     alpha_ini = solve_diophantine(plant.den, gamma_ini, plant.num).r
     x0 = vector_from_monic(trim(alpha_ini), n)
@@ -256,8 +263,15 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     alpha = monic_from_vector(x_star).shifted(big_n + plant.power_shift)
     gamma = gamma.shifted(plant.power_shift)
 
-    cert = certify_stabilization(plant.den, Polynomial(num.coeffs / plant.scale),
-                                 alpha, beta, gamma)
+    # gamma is proved Schur from the factors steer multiplied, and the
+    # plant's coprimality quality is the one preprocess_plant measured
+    steps = np.ones((len(trace), n + 1))
+    if trace:
+        steps[:, :n] = np.array([s.u for s in trace])[:, ::-1]
+    cert = certify_stabilization(
+        plant.den, Polynomial(num.coeffs / plant.scale), alpha, beta, gamma,
+        factors=SchurFactors(base, steps, plant.power_shift),
+        quality=plant.quality)
     cert.warnings.extend(warnings)
     return StabilizationResult(alpha, beta, gamma,
                                big_n + plant.power_shift, x_star,

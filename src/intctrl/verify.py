@@ -13,12 +13,16 @@ from typing import Any
 import numpy as np
 
 from .bezout import _product, coprime_check
-from .numeric import _schur_verdict, poly_roots, schur_check
+from .numeric import (SchurFactors, _schur_verdict, poly_roots, schur_check,
+                      schur_product_proof)
 from .poly import Polynomial, RationalTF, _max_abs, _sum_residual
 
 IDENTITY_RTOL = 1e-8
 INT_TOL = 1e-6
 TF_EQUAL_RTOL = 1e-6
+#: coefficient difference, relative to the larger scale, under which a
+#: converted controller's denominator matches its solution's gamma
+DEN_MATCH_RTOL = 1e-12
 #: coprimality quality below which a certificate warns of a marginal pair
 QUALITY_WARN = 1e-6
 
@@ -84,10 +88,21 @@ def _deg(p: Polynomial) -> int:
 
 def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           alpha: Polynomial, beta: Polynomial,
-                          gamma: Polynomial) -> Certificate:
+                          gamma: Polynomial, *,
+                          factors: SchurFactors | None = None,
+                          quality: float | None = None) -> Certificate:
     """Check ``alpha*plant_den + beta*plant_num = gamma`` and the side
     conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
     Raises ValueError when the identity overflows the float range.
+
+    With the ``factors`` that built gamma, gamma is proved Schur by
+    :func:`schur_product_proof` without finding a root, and the witness
+    ``gamma_min_modulus_bound`` is the proved lower bound of min|gamma| on
+    ``|z| = 1 - SCHUR_MARGIN`` (0 when not proved, with a warning saying
+    why).  Without them gamma's roots decide, with the witness
+    ``gamma_spectral_radius``; a root finding that breaks down raises
+    ``RootFindingError``.  ``quality`` is the plant pair's coprimality
+    quality when the caller has measured it.
     """
     ad, bn = _product(alpha, plant_den), _product(beta, plant_num)
     residual = _sum_residual(ad, bn, gamma.coeffs)
@@ -99,20 +114,29 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["alpha_monic"] = alpha.is_monic(INT_TOL)
     cert.witnesses["alpha_integer_deviation"] = int_dev
 
-    gs = schur_check(gamma)
-    cert.conditions["gamma_schur"] = gs.is_schur
+    if factors is None:
+        gs = schur_check(gamma)
+        cert.conditions["gamma_schur"] = gs.is_schur
+        cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
+        if gs.near_boundary:
+            cert.warnings.append(
+                f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
+                "near-unit-circle band; the stability verdict is fragile")
+    else:
+        proof = schur_product_proof(gamma.coeffs, factors)
+        cert.conditions["gamma_schur"] = proof.min_modulus > 0.0
+        cert.witnesses["gamma_min_modulus_bound"] = proof.min_modulus
+        if proof.reason:
+            cert.warnings.append("gamma is not proved Schur on |z| = 1 - "
+                                 f"SCHUR_MARGIN: {proof.reason}")
     cert.conditions["gamma_monic"] = gamma.is_monic()
-    cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
-    if gs.near_boundary:
-        cert.warnings.append(
-            f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
-            "near-unit-circle band; the stability verdict is fragile")
 
     cert.conditions["degree_gap"] = _deg(beta) < _deg(alpha)
     cert.witnesses["alpha_degree"] = float(_deg(alpha))
     cert.witnesses["beta_degree"] = float(_deg(beta))
 
-    quality = coprime_check(plant_den, plant_num).quality
+    if quality is None:
+        quality = coprime_check(plant_den, plant_num).quality
     cert.witnesses["plant_coprimality_quality"] = quality
     if quality < QUALITY_WARN:
         cert.warnings.append(
@@ -164,7 +188,7 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     int_dev = _integer_deviation(gamma)
     cert.conditions["converted_den_integer"] = int_dev <= INT_TOL
     cert.conditions["converted_den_monic"] = gamma.is_monic(INT_TOL)
-    cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, 1e-12)
+    cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, DEN_MATCH_RTOL)
     cert.witnesses["gamma_integer_deviation"] = int_dev
 
     # alpha's roots are found once: they give both its verdict and the

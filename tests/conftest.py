@@ -144,6 +144,15 @@ def _predicted_iterations(x0, x_star, num, n, mu=0.99, samples=33):
     return int(np.ceil(sigma * dist / mu))
 
 
+def sweep_plant(index):
+    """Plant ``index`` of the seed-7 sweep of orders up to 8 (the
+    benchmark's ``random-sweep`` plants)."""
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        den, num = random_plant(rng, n_max=8)
+    return den, num
+
+
 def schur_factor_product(rng, factors, n=8):
     """Product of monic factors with |u|_1 = 0.99, the shape of a long
     steering run's gamma."""

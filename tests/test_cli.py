@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_plant, schur_factor_product
+from conftest import random_plant, schur_factor_product, sweep_plant
 from intctrl import Polynomial, target
 from intctrl.cli import build_parser, main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
@@ -143,21 +143,15 @@ def test_prefer_origin_flag_picks_the_origin_target(tmp_path):
         assert json.loads(out.read_text())["x_star"] == x_star
 
 
-def sweep_plant(index):
-    """Plant ``index`` of the seed-7 sweep of orders up to 8."""
-    rng = np.random.default_rng(7)
-    for _ in range(index + 1):
-        den, num = random_plant(rng, n_max=8)
-    return den, num
-
-
 @pytest.mark.parametrize("index", [229, 77])
 def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
-    # seed-7 sweep plants: for plant 229 (n = 8) the roots of gamma miss the
-    # residual bound inside the certificate, a synthesis failure without
-    # JSON.  Plant 77 (n = 4) certifies, and only the roots of its
-    # closed-loop polynomial, whose spectral radius the JSON reports for
-    # information, miss it: the result is written with a null radius
+    # seed-7 sweep plants whose roots miss the residual bound.  For plant
+    # 229 (n = 8) they were gamma's, inside the certificate, which now proves
+    # gamma from its factors without roots: that proof does not decide, so
+    # the result is written and fails its certificate.  Plant 77 (n = 4)
+    # certifies, and only the roots of its closed-loop polynomial, whose
+    # spectral radius the JSON reports for information, miss it: the result
+    # is written with a null radius
     den, num = sweep_plant(index)
     f = tmp_path / "plant.json"
     f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
@@ -167,17 +161,36 @@ def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
     code = main(["stabilize", str(f), "--out", str(out)])
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    payload = json.loads(out.read_text())
     if index == 229:
-        assert code == 3
-        assert err.startswith("synthesis failed: root residuals exceed tolerance")
-        assert not out.exists()
+        assert code == 4 and err == "certificate failed\n"
+        cert = payload["certificate"]
+        assert cert["passed"] is False
+        assert cert["conditions"]["gamma_schur"] is False
+        assert cert["witnesses"]["gamma_min_modulus_bound"] == 0.0
+        assert any(w.startswith("gamma is not proved Schur") for w in cert["warnings"])
         return
     assert code == 0 and err == ""
-    payload = json.loads(out.read_text())
     assert payload["certificate"]["passed"] is True
     assert payload["closed_loop"]["spectral_radius"] is None
     assert payload["warnings"][-1].startswith(
         "closed-loop spectral radius not computed: root residuals exceed tolerance")
+
+
+def test_stabilize_verify_root_finding_failure_exits_4(tmp_path, capsys):
+    # --verify judges the emitted triple by its roots, which carries no
+    # factorization: on sweep plant 229 they miss the residual bound
+    den, num = sweep_plant(229)
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
+                                       "num": num.coeffs.tolist()},
+                             "ordering": "ascending"}))
+    out = tmp_path / "result.json"
+    assert main(["stabilize", str(f), "--verify", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: root residuals exceed tolerance")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):

@@ -7,7 +7,12 @@ reductions through ``ufunc.reduce``, a sum residual checked for
 finiteness at every step.  Every call that a synthesis makes to one of these
 kernels is recorded with its outcome and replayed against the oracle;
 results, or the exception class and message, must agree byte for byte.
+The one exception is the lower bound of min|gamma| that a synthesis
+certificate proves from gamma's factors: its scalar reference below rounds
+differently, so the verdict must agree and the bound only within the
+error that the reference derives.
 """
+import math
 from collections import Counter
 from math import copysign
 
@@ -15,10 +20,10 @@ import numpy as np
 import pytest
 
 from intctrl import (Certificate, ConversionConfig, DeltaFactors,
-                     HyperplaneSet, Polynomial, StabilizationConfig,
-                     build_hyperplanes, classify_roots, closed_loop_poly,
-                     convert_controller, run_algorithm1, run_algorithm2,
-                     toeplitz_stack, vec_1norm)
+                     HyperplaneSet, Polynomial, SchurFactors,
+                     StabilizationConfig, build_hyperplanes, classify_roots,
+                     closed_loop_poly, convert_controller, run_algorithm1,
+                     run_algorithm2, toeplitz_stack, vec_1norm)
 from intctrl import bezout, converter, numeric, stabilizer, target, verify
 from intctrl.bezout import (CoprimalityResult, DiophantineSolution,
                             NotCoprimeError, sylvester_matrix)
@@ -398,7 +403,130 @@ def oracle_coprime_check(a, b):
 # -- verify -------------------------------------------------------------------
 
 
-def oracle_certify_stabilization(plant_den, plant_num, alpha, beta, gamma):
+U, EPS = 2.0 ** -53, 2.0 ** -52
+RHO = 1.0 - 1e-9
+GAP = 1.0 - RHO
+DOWN, UP = 1.0 - 2.0 ** -48, 1.0 + 2.0 ** -48
+
+
+def rho_power_lo(m):
+    return max(1.0 - m * (GAP * 1.001), 0.0)
+
+
+def norm_up(values):
+    return sum(abs(v) for v in values) * (1.0 + (len(values) + 4) * EPS)
+
+
+def reference_schur_bound(p, factors):
+    """``numeric.schur_product_proof`` one scalar at a time: ``(bound,
+    allowance, reason)``, where ``allowance`` bounds how far two evaluations
+    of the bound that round differently can part.  Each evaluation computes
+    a factor's modulus within its slack of the exact one, so two of them
+    part by at most twice the slack, plus relative rounding of the rates and
+    error terms; ``allowance`` carries those differences through the
+    recursion, weighted by its terms' magnitudes."""
+    rows = factors.steps.tolist()
+    n = factors.steps.shape[1] - 1
+    if isinstance(factors.base, int):
+        roots = None
+        prod = np.zeros(factors.base + 1)
+        prod[-1] = 1.0
+        base_lo, base_err = rho_power_lo(factors.base), 0.0
+    else:
+        roots = list(factors.base)
+        inner = [(RHO - abs(r) * UP) * DOWN for r in roots]
+        if not all(d > 0.0 for d in inner):
+            return 0.0, 0.0, "an initial root is not inside the circle"
+        expanded = np.array([1.0], dtype=complex)
+        base_err = 0.0
+        for r in roots:
+            base_err = ((base_err + 6 * U * norm_up(expanded.tolist()))
+                        * ((1.0 + abs(r) * UP) * UP) * UP)
+            expanded = np.convolve(expanded, np.array([-r, 1.0]))
+        base_err = (base_err + norm_up(expanded.imag.tolist())) * UP
+        prod = expanded.real
+        base_lo = (math.prod(inner) * (1.0 - len(roots) * EPS) * DOWN
+                   - base_err * UP)
+    scale = 1.0 + (n + 6) * EPS
+    sums, norms, lipschitz = [], [], []
+    for k, row in enumerate(rows):
+        sums.append(sum(abs(a) * (UP / (1.0 - (n - i) * (GAP * 1.001)) * scale)
+                        for i, a in enumerate(row[:n])))
+        norms.append(sum(abs(a) for a in row) * scale)
+        lipschitz.append(sum(i * abs(a) for i, a in enumerate(row)) * scale)
+        if not (sums[-1] < 1.0 and row[n] == 1.0):
+            return 0.0, 0.0, (f"the roots of factor {k + 1} of {len(rows)} are "
+                              "not proved inside the circle")
+    floors = [max((DOWN - s * UP) * rho_power_lo(n) * DOWN, 0.0) for s in sums]
+    errs, sizes = [], []
+    gamma = (n + 1) * U / (1.0 - (n + 1) * U)
+    for f, norm in zip(factors.steps, norms):
+        errs.append(gamma * norm * norm_up(prod.tolist()) * UP)
+        sizes.append(prod.size)
+        prod = np.convolve(f, prod)
+    shift = factors.shift
+    if not (p.size == prod.size + shift and not p[:shift].any()
+            and p[shift:].tobytes() == prod.tobytes()):
+        return 0.0, 0.0, "it is not the product of its factors"
+    slack = [(4 * n + 4) * U * norm * UP for norm in norms]
+
+    def run(rates_at, base, base_size):
+        # the bound, its magnitude without cancellation and the allowance
+        bound, size, allow = base, abs(base) + base_err, 64 * U * base_size
+        for k, (rate, delta) in enumerate(rates_at):
+            e = errs[k]
+            tol = (n + sizes[k] + 64) * U
+            allow = (rate * allow + delta * size
+                     + tol * (rate * size + e))
+            size = rate * size + e
+            bound = rate * bound * DOWN - e
+        return bound, allow
+
+    bound, allow = run([(fl, (n + 64) * U * fl) for fl in floors], base_lo,
+                       base_lo + base_err)
+    if bound > 0.0:
+        lift = rho_power_lo(shift)
+        return bound * lift * DOWN, allow, ""
+    m = numeric.ARC_SAMPLES
+    while True:
+        reach = (math.pi / (2 * m) + 2.0 ** -40) * UP
+        least, least_allow, hopeless = math.inf, 0.0, False
+        for j in range(m):
+            theta = (j + 0.5) * (math.pi / m)
+            w = complex(RHO * math.cos(theta), RHO * math.sin(theta))
+            powers = [1.0 + 0j]
+            for _ in range(n):
+                powers.append(powers[-1] * w)
+            rates, sampled_rates = [], []
+            for k, row in enumerate(rows):
+                modulus = abs(sum(a * z for a, z in zip(row, powers)))
+                rate = max(modulus * DOWN
+                           - (slack[k] + lipschitz[k] * reach) * UP,
+                           floors[k]) * DOWN
+                rates.append((rate, 2 * slack[k] + (n + 64) * U * rate))
+                sampled_rates.append((modulus, 0.0))
+            if roots is None:
+                base, sampled_base = base_lo, base_lo
+            else:
+                dist = [min(abs(w - r), abs(w - r.conjugate())) for r in roots]
+                arc = [max(d * DOWN - reach * UP, i) for d, i in zip(dist, inner)]
+                base = (math.prod(arc) * (1.0 - len(roots) * EPS) * DOWN
+                        - base_err * UP)
+                sampled_base = math.prod(dist) - base_err
+            bound, allow = run(rates, base, abs(base) + base_err)
+            if bound < least:
+                least, least_allow = bound, allow
+            hopeless |= not run(sampled_rates, sampled_base, 0.0)[0] > 0.0
+        if least > 0.0:
+            return least * rho_power_lo(shift) * DOWN, least_allow, ""
+        if hopeless or m >= numeric.ARC_SAMPLES_MAX:
+            return 0.0, 0.0, ("the stepwise Rouche bound of its modulus on the "
+                              "circle does not stay positive")
+        m *= 2
+
+
+def oracle_certify_stabilization(plant_den, plant_num, alpha, beta, gamma, *,
+                                 factors=None, quality=None):
     ad, bn = oracle_mul(alpha, plant_den), oracle_mul(beta, plant_num)
     residual = oracle_sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
     scale = max(1.0, oracle_max_abs(ad), oracle_max_abs(bn),
@@ -409,19 +537,29 @@ def oracle_certify_stabilization(plant_den, plant_num, alpha, beta, gamma):
     cert.conditions["alpha_integer"] = int_dev <= 1e-6
     cert.conditions["alpha_monic"] = alpha.is_monic(1e-6)
     cert.witnesses["alpha_integer_deviation"] = int_dev
-    gs = oracle_schur_check(gamma)
-    cert.conditions["gamma_schur"] = gs.is_schur
-    cert.conditions["gamma_monic"] = gamma.is_monic()
-    cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
-    if gs.near_boundary:
-        cert.warnings.append(
-            f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
-            "near-unit-circle band; the stability verdict is fragile")
+    if factors is None:
+        gs = oracle_schur_check(gamma)
+        cert.conditions["gamma_schur"] = gs.is_schur
+        cert.conditions["gamma_monic"] = gamma.is_monic()
+        cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
+        if gs.near_boundary:
+            cert.warnings.append(
+                f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
+                "near-unit-circle band; the stability verdict is fragile")
+    else:
+        bound, _, reason = reference_schur_bound(gamma.coeffs, factors)
+        cert.conditions["gamma_schur"] = bound > 0.0
+        cert.conditions["gamma_monic"] = gamma.is_monic()
+        cert.witnesses["gamma_min_modulus_bound"] = bound
+        if reason:
+            cert.warnings.append(
+                f"gamma is not proved Schur on |z| = 1 - SCHUR_MARGIN: {reason}")
     deg = verify._deg
     cert.conditions["degree_gap"] = deg(beta) < deg(alpha)
     cert.witnesses["alpha_degree"] = float(deg(alpha))
     cert.witnesses["beta_degree"] = float(deg(beta))
-    quality = oracle_coprime_check(plant_den, plant_num).quality
+    if quality is None:
+        quality = oracle_coprime_check(plant_den, plant_num).quality
     cert.witnesses["plant_coprimality_quality"] = quality
     if quality < 1e-6:
         cert.warnings.append(
@@ -454,7 +592,11 @@ def fingerprint(obj):
         return (fingerprint(obj.top), fingerprint(obj.bottom), obj.dim,
                 fingerprint(obj.index))
     if isinstance(obj, Certificate):
-        return repr(obj.to_dict())
+        # the bound proved from gamma's factors is compared apart, within the
+        # reference's allowance
+        record = obj.to_dict()
+        bound = record["witnesses"].pop("gamma_min_modulus_bound", None)
+        return repr(record), bound
     if isinstance(obj, tuple):
         return tuple(fingerprint(o) for o in obj)
     return type(obj).__name__, repr(obj)
@@ -519,7 +661,14 @@ def assert_match_oracles(calls) -> Counter:
             want = fingerprint(ORACLES[name](*args, **kwargs))
         except Exception as exc:
             want = fingerprint(exc)
-        assert got == want, (name, args, kwargs)
+        if kwargs.get("factors") is not None and got[0] != "raised":
+            _, allowance, _ = reference_schur_bound(args[4].coeffs,
+                                                    kwargs["factors"])
+            assert got[0] == want[0], (name, args, kwargs)
+            assert abs(got[1] - want[1]) <= allowance, (got[1], want[1], allowance)
+            seen["schur_product_proof"] += 1
+        else:
+            assert got == want, (name, args, kwargs)
         seen[name] += 1
     return seen
 
@@ -534,7 +683,7 @@ def test_kernels_match_oracles_on_pendulum(pendulum, pre_controller,
         convert_controller(pre_controller, den, num,
                            ConversionConfig(alpha_ini_roots=roots))
     seen = assert_match_oracles(kernel_calls)
-    assert set(seen) == set(ORACLES)
+    assert set(seen) == set(ORACLES) | {"schur_product_proof"}
 
 
 def test_kernels_match_oracles_on_random_plants(kernel_calls):
@@ -550,7 +699,8 @@ def test_kernels_match_oracles_on_random_plants(kernel_calls):
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             outcomes[type(exc).__name__] += 1
     seen = assert_match_oracles(kernel_calls)
-    assert set(seen) == set(ORACLES)
+    # gamma is proved from its factors: a synthesis no longer finds its roots
+    assert set(seen) == set(ORACLES) - {"schur_check"} | {"schur_product_proof"}
     assert outcomes[True] > 60 and len(outcomes) > 3, outcomes
     assert seen["find_integer_target"] > 100
 
@@ -725,3 +875,28 @@ def test_overflowing_companion_row_is_rejected_like_oracle():
                     == _outcome(oracle_poly_roots, p)
                     == fingerprint(np.linalg.LinAlgError(
                         "Array must not contain infs or NaNs")))
+
+
+def _factored(base, steps, shift):
+    prod = (Polynomial.from_roots(base).coeffs if isinstance(base, tuple)
+            else np.concatenate([np.zeros(base), [1.0]]))
+    for f in steps:
+        prod = np.convolve(f, prod)
+    return np.concatenate([np.zeros(shift), prod]), SchurFactors(base, steps, shift)
+
+
+@pytest.mark.parametrize("base, steps, shift", [
+    (4, [[0.1, -0.2, 1.0], [0.3, 0.1, 1.0]], 3),           # whole-circle bound
+    (PENDULUM_GAMMA_INI_ROOTS[:4], [[0.2, 0.3, 1.0]] * 3, 2),
+    (4, [[0.45, -0.5, 1.0]] * 12, 1),                       # arcs
+    (2, [[-0.98, 1.0]] * 16, 0),                            # not proved
+    ((0.6, 0.3 + 0.5j, 0.3 - 0.5j), [[0.45, -0.5, 1.0]] * 10, 5),
+], ids=["floors", "roots-floors", "arcs", "undecided", "roots-arcs"])
+def test_schur_proof_matches_reference_on_hand_cases(base, steps, shift):
+    # shifts and root bases, which the synthesis calls above do not reach
+    p, factors = _factored(base, np.array(steps), shift)
+    got = numeric.schur_product_proof(p, factors)
+    bound, allowance, reason = reference_schur_bound(p, factors)
+    assert got.reason == reason
+    assert (got.min_modulus > 0.0) == (bound > 0.0)
+    assert abs(got.min_modulus - bound) <= allowance
