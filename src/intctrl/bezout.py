@@ -116,8 +116,8 @@ def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
     flat = A.reshape(-1)
     step = dim + 1
     for k, c in enumerate(p.coeffs.tolist()):
-        # the matrix already holds +0.0, such as the z^shift zeros of the
-        # closing solve's p; a -0.0 is written like any other coefficient
+        # the matrix already holds +0.0, such as the zeros of a p = z^N;
+        # a -0.0 is written like any other coefficient
         if c or copysign(1.0, c) < 0.0:
             flat[k * dim : k * dim + (dr + 1) * step : step] = c
     for k, c in enumerate(modulus.coeffs.tolist()):

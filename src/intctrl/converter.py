@@ -114,14 +114,14 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     if big_n < 0:
         raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")
-    r0 = solve_diophantine(Polynomial.monomial(big_n), alpha_ini * ctrl_den,
-                           reduced).r
+    r0, s0 = solve_diophantine(Polynomial.monomial(big_n),
+                               alpha_ini * ctrl_den, reduced)
     x0 = vector_from_monic(trim(r0), n)
     # the roles swap against the stabilizing synthesis: the Schur factors
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s
     alpha, big_n, x_star, s, trace, warnings = steer(
-        Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, cfg)
+        Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, s0, cfg)
     gamma = monic_from_vector(x_star).shifted(big_n)
     if shift:
         alpha = alpha.shifted(shift)

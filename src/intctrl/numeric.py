@@ -103,12 +103,12 @@ class ConjugatePairingError(ValueError):
     pass
 
 
-def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np.ndarray:
+def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` by pivoted LU factorisation.
 
     Raises :class:`SingularMatrixError` carrying the offending pivot
-    magnitude when the factorisation is singular to ``rcond`` relative to
-    the largest pivot.
+    magnitude when the factorisation is singular to ``SOLVE_RCOND``
+    relative to the largest pivot.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -122,7 +122,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RCOND) -> np
     diag = np.abs(lu.diagonal())
     # argmin finds the entry np.minimum.reduce returns, NaN included, faster
     scale, pivot = _max_abs(diag), float(diag[diag.argmin()])
-    if scale == 0.0 or pivot <= rcond * scale:
+    if scale == 0.0 or pivot <= SOLVE_RCOND * scale:
         raise SingularMatrixError(pivot, scale)
     # getrs itself, the call lu_solve makes, without its per-call checks
     x, info = dgetrs(lu, piv, b)
@@ -183,10 +183,10 @@ def _eigvals_failed(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
+def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` with multiplicity, via companion-matrix eigenvalues.
 
-    Each returned root ``r`` satisfies ``|p(r)| <= tol_root * sum_i |c_i| |r|^i``
+    Each returned root ``r`` satisfies ``|p(r)| <= ROOT_TOL * sum_i |c_i| |r|^i``
     (relative backward error at the evaluation scale); gross violations raise
     :class:`RootFindingError`.
     """
@@ -214,7 +214,7 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
         roots = np.zeros(0)
     # the split-off zero roots need no screen: at 0 the Horner residual and
     # its scale are both |c_0| = 0, so they always pass
-    screened = _residuals_screened(c, roots, tol_root)
+    screened = _residuals_screened(c, roots, ROOT_TOL)
     if zeros:
         roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
     if screened:
@@ -244,7 +244,7 @@ def poly_roots(p: Polynomial, tol_root: float = ROOT_TOL) -> np.ndarray:
             np.add(prod, cross, acc)
             np.add(re, ck, re)
         res = np.hypot(acc[0], acc[1])
-        bad = res > tol_root * scale
+        bad = res > ROOT_TOL * scale
     if np.count_nonzero(bad):
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
                                 for i in np.flatnonzero(bad)])
@@ -272,11 +272,11 @@ class RootSet:
         return len(self.complex_pairs)
 
 
-def classify_roots(roots: Sequence[complex], leading_coeff: float = 1.0,
-                   tol_imag: float = IMAG_TOL) -> RootSet:
+def classify_roots(roots: Sequence[complex],
+                   leading_coeff: float = 1.0) -> RootSet:
     """Split a conjugation-closed root list into reals and conjugate pairs.
 
-    Roots with ``|Im| <= tol_imag * (1 + |root|)`` collapse to real; the rest
+    Roots with ``|Im| <= IMAG_TOL * (1 + |root|)`` collapse to real; the rest
     are greedily matched with their nearest conjugate.  An unmatched complex
     root raises :class:`ConjugatePairingError`.
     """
@@ -285,7 +285,7 @@ def classify_roots(roots: Sequence[complex], leading_coeff: float = 1.0,
     lower: list[complex] = []
     for r in roots:
         r = complex(r)
-        if abs(r.imag) <= tol_imag * (1.0 + abs(r)):
+        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r)):
             reals.append(r.real)
         elif r.imag > 0:
             upper.append(r)
@@ -319,8 +319,8 @@ class SchurResult(NamedTuple):
     near_boundary: bool
 
 
-def schur_check(p: Polynomial, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
-    """Largest root modulus and the verdict ``radius < 1 - tol_margin``.
+def schur_check(p: Polynomial) -> SchurResult:
+    """Largest root modulus and the verdict ``radius < 1 - SCHUR_MARGIN``.
 
     Degree-0 polynomials are vacuously Schur.  Polynomials within the margin
     of the unit circle are reported not Schur together with the
@@ -330,13 +330,13 @@ def schur_check(p: Polynomial, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
         raise ValueError("zero polynomial has no stability verdict")
     if p.coeffs.size == 1:
         return SchurResult(True, 0.0, False)
-    return _schur_verdict(poly_roots(p), tol_margin)
+    return _schur_verdict(poly_roots(p))
 
 
-def _schur_verdict(roots: np.ndarray, tol_margin: float = SCHUR_MARGIN) -> SchurResult:
+def _schur_verdict(roots: np.ndarray) -> SchurResult:
     """Verdict of :func:`schur_check` from roots already found."""
     radius = _max_abs(roots)
-    return SchurResult(radius < 1.0 - tol_margin, radius,
+    return SchurResult(radius < 1.0 - SCHUR_MARGIN, radius,
                        abs(radius - 1.0) <= BOUNDARY_BAND)
 
 

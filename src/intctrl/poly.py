@@ -288,10 +288,11 @@ def trim(p: Polynomial, tol: float = TRIM_TOL) -> Polynomial:
     return p if end == p.coeffs.size else Polynomial(p.coeffs[:end])
 
 
-def split_z_power(p: Polynomial, tol: float = TRIM_TOL) -> tuple[Polynomial, int]:
+def split_z_power(p: Polynomial) -> tuple[Polynomial, int]:
     """``(p / z**l, l)`` for the largest ``l`` whose low-order coefficients are
-    at most ``tol * max|coeff|``; those coefficients count as exact zeros."""
-    cut = tol * p.max_abs()
+    at most ``TRIM_TOL * max|coeff|``; those coefficients count as exact
+    zeros."""
+    cut = TRIM_TOL * p.max_abs()
     shift = 0
     while shift < p.coeffs.size - 1 and abs(p.coeffs[shift]) <= cut:
         shift += 1
@@ -324,15 +325,14 @@ class RationalTF(NamedTuple):
 # -- coefficient-vector / matrix boundary -----------------------------------
 
 
-def vector_from_monic(p: Polynomial, n: int | None = None,
-                      tol: float = MONIC_TOL) -> np.ndarray:
+def vector_from_monic(p: Polynomial, n: int | None = None) -> np.ndarray:
     """Descending coefficient vector of a monic polynomial, leading 1 stripped.
 
     A monic ``z^n + a_{n-1} z^{n-1} + ... + a_0`` maps to the length-``n``
-    vector ``[a_{n-1}, ..., a_0]``.  Raises when the input is not monic or
-    (when ``n`` is given) has the wrong degree.
+    vector ``[a_{n-1}, ..., a_0]``.  Raises when the input is not monic to
+    ``MONIC_TOL`` or (when ``n`` is given) has the wrong degree.
     """
-    if p.is_zero or not p.is_monic(tol):
+    if p.is_zero or not p.is_monic():
         raise ValueError(f"expected a monic polynomial, got {p!r}")
     deg = p.coeffs.size - 1
     if n is not None and deg != n:

@@ -26,11 +26,6 @@ from .target import (DeltaFactors, active_index_set, build_hyperplanes,
 from .verify import Certificate, certify_stabilization
 
 
-#: deviation, relative to the larger scale, of the closing reduction's
-#: quotient from the integer target before steering reports a breakdown
-CLOSING_RTOL = 1e-6
-
-
 class SynthesisError(RuntimeError):
     """Numerical breakdown or exhausted iteration budget during synthesis."""
 
@@ -167,18 +162,40 @@ def make_gamma_ini(n: int, num: Polynomial,
 
 
 def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
-          num: Polynomial, x0: np.ndarray, cfg: SteeringConfig
+          num: Polynomial, x0: np.ndarray, s0: Polynomial, cfg: SteeringConfig
           ) -> tuple[Polynomial, int, np.ndarray, Polynomial,
                      list[TraceStep], list[str]]:
     """Steering loop shared by both synthesis directions.
 
     The state ``x`` is the quotient ``r = monic(x)`` of the reduction
     ``z^shift * p * r + s * num = factor * q`` with ``deg(s) < shift +
-    deg(p)``, starting at ``x0``.  Each step multiplies its monic Schur
-    factor into ``factor`` and adds ``n = len(x0)`` to ``shift`` until ``x``
-    reaches an integer target; the closing solve of the final reduction
-    then yields the cofactor ``s``.  Returns ``(factor, shift, x_star, s,
-    trace, warnings)``.
+    deg(p)``, starting at ``x0`` and ``s0``; ``deg(p) <= n = len(x0)``.
+    Each step multiplies its monic Schur factor into ``factor`` and adds
+    ``n`` to ``shift`` until ``x`` reaches an integer target.  Returns
+    ``(factor, shift, x_star, s, trace, warnings)``.
+
+    The cofactor is carried, never solved for.  A step with ``f =
+    monic(u) = z^n + u(z)`` multiplies the identity by ``f``.  Split ``f*r
+    = z^n h + t`` with ``deg(t) < n``, so ``t = (u(z)*r) mod z^n``, and let
+    ``a = t * num^-1 mod z^n`` (``num(0) != 0``).  Then ``z^n`` divides ``t
+    - num*a``, and the monic ``r' = h + (t - num*a)/z^n`` satisfies
+
+        z^(shift+n) p r' + (f s + z^shift p a) num = (f factor) q,
+
+    so ``s' = f*s + z^shift*p*a`` and ``deg(s') < shift + n + deg(p)``.
+    With ``Tm`` the stacked convolution matrix of ``r``, ``Tm[n:] @ u`` is
+    ``t`` and ``bottom @ a`` is ``num*a mod z^n`` (descending), so ``a =
+    lower @ u`` for the triangular solve ``lower = bottom^-1 Tm[n:]`` that
+    ``delta_matrix`` makes, and ``r'`` is ``monic(x + delta @ u)``, the
+    state update.  The loop keeps each ``a_k`` (one n-by-n product per
+    step), so a run that hits the iteration cap pays only those.  ``s`` is
+    accumulated after the loop: per step the convolutions ``f*s`` and
+    ``p*a`` and one slice-add.  Padded with zeros to ``shift + n``
+    coefficients, ``s`` grows by ``n`` per step as ``shift`` does, so the
+    ``n + deg(p)`` coefficients of ``z^shift*p*a`` always land inside it,
+    also from the zero cofactor of ``shift + deg(p) = 0``.  On a hit the
+    state is set to the integer target exactly, off the carried quotient
+    by the rounding of the step's linear solve.
     """
     n = x0.size
     warnings: list[str] = []
@@ -195,6 +212,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
     factors = DeltaFactors.from_numerator(num, n)
     trace: list[TraceStep] = []
+    increments: list[np.ndarray] = []
     # the product of the Schur factors stays a bare array inside the loop:
     # np.convolve(monic(u), product) is the call Polynomial.__mul__ makes
     prod = factor.coeffs
@@ -208,31 +226,27 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
                 f"{vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}'); raise max_iterations or inspect the "
                 "plant conditioning")
-        delta = delta_matrix(x, factors)
+        delta, lower = delta_matrix(x, factors, with_lower=True)
         step = control_input(x, x_star, delta, cfg.mu)
+        increments.append(lower @ step.u)
         monic_u[:n] = step.u[::-1]
         prod = np.convolve(monic_u, prod)
         _check_finite(prod)
-        shift += n
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x, step.u, step.hit, prod.size - 1,
                                vec_1norm(x_star - x)))
 
-    factor = Polynomial(prod)
-    # dividing the identity by the numerator would amplify the loop's
-    # floating drift by the reciprocal of its leading coefficient, so the
-    # cofactor comes from the final reduction, whose quotient must reproduce
-    # the integer target
-    sol = solve_diophantine(p.shifted(shift), factor * q, num)
-    target_poly = monic_from_vector(x_star)
-    if not sol.r.allclose(target_poly, CLOSING_RTOL):
-        raise SynthesisError(
-            "closing reduction disagrees with the integer target "
-            f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
-            "breakdown in the final identity")
-    return factor, shift, x_star, trim(sol.s), trace, warnings
+    s = np.zeros(shift + n)
+    s[:s0.coeffs.size] = s0.coeffs
+    width = n + p.coeffs.size - 1
+    for step, a in zip(trace, increments):
+        monic_u[:n] = step.u[::-1]
+        s = np.convolve(monic_u, s)
+        s[shift : shift + width] += np.convolve(p.coeffs, a[::-1])
+        shift += n
+    return Polynomial(prod), shift, x_star, Polynomial(s), trace, warnings
 
 
 def run_algorithm1(den: Polynomial, num: Polynomial,
@@ -253,10 +267,11 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     base = (2 * n if cfg.gamma_ini_roots is None
             else tuple(complex(r) for r in cfg.gamma_ini_roots))
     gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
-    alpha_ini = solve_diophantine(plant.den, gamma_ini, plant.num).r
+    alpha_ini, beta_ini = solve_diophantine(plant.den, gamma_ini, plant.num)
     x0 = vector_from_monic(trim(alpha_ini), n)
     gamma, big_n, x_star, beta, trace, warnings = steer(
-        plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, cfg)
+        plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, beta_ini,
+        cfg)
 
     # lift the numerator's z^l factor back in: (z^l a, b, z^l g) solves the
     # original problem whenever (a, b, g) solves the reduced one

@@ -151,12 +151,15 @@ class DeltaFactors:
         return DeltaFactors(T[:n], T[n:], n, _stack_index(n))
 
 
-def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
+def delta_matrix(x: np.ndarray, factors: DeltaFactors,
+                 with_lower: bool = False):
     """Update matrix: unit-lower-triangular part minus the numerator coupling.
 
     Assembled with two triangular solves against the upper-triangular bottom
     block; no explicit inverse is formed.  Singular exactly when the
-    polynomial of ``x`` shares a root with the numerator.
+    polynomial of ``x`` shares a root with the numerator.  ``with_lower``
+    also returns the solve's result ``bottom^-1 Tm[n:]``, which maps an
+    input to the cofactor increment of its step (see ``steer``).
     """
     n = factors.dim
     x = np.asarray(x, dtype=float)
@@ -173,7 +176,8 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors) -> np.ndarray:
     lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
-    return Tm[:n] - factors.top @ lower
+    delta = Tm[:n] - factors.top @ lower
+    return (delta, lower) if with_lower else delta
 
 
 class IntegerTarget(NamedTuple):

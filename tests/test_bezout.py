@@ -156,10 +156,9 @@ def oracle_dense_system(p, q, modulus):
 
 @pytest.mark.parametrize("dq_extra", [0, 3, 240])
 def test_dense_solve_matches_column_oracle(monkeypatch, dq_extra):
-    # dq_extra = 240 gives systems past dimension 200, the size of the
-    # closing solves, where p is a power of z; roots of p well inside the
-    # unit circle keep the long systems well conditioned.  The oracle solve
-    # goes through scipy's LU wrappers.
+    # dq_extra = 240 gives systems past dimension 200; roots of p well
+    # inside the unit circle keep the long systems well conditioned.  The
+    # oracle solve goes through scipy's LU wrappers.
     seen = []
 
     def recording_solve(A, b):
@@ -191,8 +190,8 @@ def test_dense_solve_matches_column_oracle(monkeypatch, dq_extra):
 
 
 def test_dense_solve_matrix_keeps_signed_zero_coefficients(monkeypatch):
-    # the closing solve's p is z^shift * den, and den / scale can hold -0.0:
-    # the system matrix must match the column oracle bit for bit either way
+    # a p such as z^shift * den / scale can hold -0.0: the system matrix
+    # must match the column oracle bit for bit either way
     seen = []
     monkeypatch.setattr(bezout, "solve_linear",
                         lambda A, b: seen.append(A.copy()) or solve_linear(A, b))

@@ -143,12 +143,12 @@ def test_prefer_origin_flag_picks_the_origin_target(tmp_path):
         assert json.loads(out.read_text())["x_star"] == x_star
 
 
-@pytest.mark.parametrize("index", [229, 77])
+@pytest.mark.parametrize("index", [229, 16])
 def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
     # seed-7 sweep plants whose roots miss the residual bound.  For plant
     # 229 (n = 8) they were gamma's, inside the certificate, which now proves
     # gamma from its factors without roots: that proof does not decide, so
-    # the result is written and fails its certificate.  Plant 77 (n = 4)
+    # the result is written and fails its certificate.  Plant 16 (n = 6)
     # certifies, and only the roots of its closed-loop polynomial, whose
     # spectral radius the JSON reports for information, miss it: the result
     # is written with a null radius
@@ -194,9 +194,9 @@ def test_stabilize_verify_root_finding_failure_exits_4(tmp_path, capsys):
 
 
 def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
-    # the certified solution of sweep plant 77, on its normalized plant: the
+    # the certified solution of sweep plant 16, on its normalized plant: the
     # certificate passes, the closed-loop roots miss the residual bound
-    den, num = sweep_plant(77)
+    den, num = sweep_plant(16)
     result = run_algorithm1(den, num)
     f = tmp_path / "solution.json"
     f.write_text(json.dumps({
@@ -310,12 +310,29 @@ def test_convert_cli_end_to_end(tmp_path):
     assert all(c == 0.0 for c in den[5:])
 
 
+def test_convert_default_initial_factor_certifies(tmp_path, capsys):
+    # the default initial factor yields a 78th-order controller whose loop
+    # is proved stable
+    out = tmp_path / "result.json"
+    assert main(["convert", CONVERSION, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text())
+    assert payload["certificate"]["passed"] is True
+    assert payload["certificate"]["conditions"]["internally_stable"] is True
+    assert len(payload["controller"]["den"]) == 79
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_convert_failed_certificate_exits_4(verify, tmp_path, capsys):
-    # the default initial factor yields a 78th-order controller whose loop
-    # is not Schur: the JSON is still written, and the exit code says so
+    # the commonly printed 4-5 digit rounding of the pre-designed output
+    # channel leaves the original loop unstable, and the converted loop with
+    # it: the JSON is still written, and the exit code says so
+    problem = json.loads(Path(CONVERSION).read_text())
+    problem["controller"]["num_y"] = [-1556.0, 5821.9, -8132.4, 5023.0, -1156.6]
+    f = tmp_path / "rounded.json"
+    f.write_text(json.dumps(problem))
     out = tmp_path / "result.json"
-    assert main(["convert", CONVERSION, *verify, "--out", str(out)]) == 4
+    assert main(["convert", str(f), *verify, "--out", str(out)]) == 4
     payload = json.loads(out.read_text())
     assert payload["certificate"]["passed"] is False
     assert payload["certificate"]["conditions"]["internally_stable"] is False

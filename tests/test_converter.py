@@ -8,8 +8,9 @@ from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      coprime_check, run_algorithm1, run_algorithm2,
                      schur_check, solve_diophantine, tf_equal, vec_1norm)
 from intctrl.fixtures import CONVERSION_ALPHA_INI_ROOTS
+from intctrl.verify import IDENTITY_RTOL
 
-from conftest import invariant_breach, random_roots
+from conftest import invariant_breach, random_roots, sweep_conversion
 
 Z = Polynomial([0, 1])
 
@@ -82,6 +83,48 @@ def test_pendulum_conversion_solution(pendulum, pre_controller, steer_calls):
              - solution.gamma).max_abs()
     assert resid <= 1e-8 * solution.gamma.max_abs()
     assert (solution.beta.coeffs.size - 1) < (solution.gamma.coeffs.size - 1) - 4
+
+
+def assert_solves_identity(solution, ctrl_den, num, n):
+    """``alpha*ctrl_den + beta*num = gamma`` within the certificate's bound,
+    and ``deg(beta) < deg(gamma) - n``."""
+    ad, bn = solution.alpha * ctrl_den, solution.beta * num
+    scale = max(1.0, ad.max_abs(), bn.max_abs(), solution.gamma.max_abs())
+    assert (ad + bn - solution.gamma).max_abs() <= IDENTITY_RTOL * scale
+    assert solution.beta.coeffs.size < solution.gamma.coeffs.size - n
+
+
+@pytest.mark.parametrize("ctrl_den, steps", [
+    (Polynomial.from_roots([0.5, -0.3, 0.25]), 2),
+    (Polynomial([0.0, -1.0, 0.0, 1.0]), 0)])
+def test_conversion_from_the_zero_cofactor(pendulum, steer_calls, ctrl_den,
+                                           steps):
+    # deg(ctrl_den) = n - 1 and the default initial factor z give N = 0: the
+    # initial reduction z^0 r + s num = z ctrl_den has the zero cofactor,
+    # which stays zero when z ctrl_den is already integer
+    den, num = pendulum
+    solution = run_algorithm2(ctrl_den, num, 4)
+    (args, out), = steer_calls
+    p, _, _, shift, _, _, s0, _ = args
+    assert p == Polynomial.one() and shift == 0 and s0.is_zero
+    assert solution.iterations == steps
+    assert solution.beta.is_zero == (steps == 0)
+    assert invariant_breach(args, out[4]) is None
+    assert_solves_identity(solution, ctrl_den, num, 4)
+
+
+@pytest.mark.parametrize("index", [5, 40])
+def test_sweep_conversions_that_broke_down_in_the_closing_solve(index,
+                                                                steer_calls):
+    # a dense closing solve of the final reduction raised NotCoprimeError on
+    # these designs; the carried cofactor needs no such solve
+    ctrl_den, den, num = sweep_conversion(index)
+    n = den.coeffs.size - 1
+    solution = run_algorithm2(ctrl_den, num, n)
+    (args, out), = steer_calls
+    assert solution.iterations > 0
+    assert invariant_breach(args, out[4]) is None
+    assert_solves_identity(solution, ctrl_den, num, n)
 
 
 def test_pendulum_conversion_certificate(pendulum, pre_controller):

@@ -10,7 +10,7 @@ from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
 from intctrl.stabilizer import steer
 from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
 
-from conftest import invariant_breach, well_posed_plant
+from conftest import invariant_breach, sweep_plant, well_posed_plant
 
 Z = Polynomial([0, 1])
 
@@ -262,9 +262,23 @@ def test_steer_warns_about_planes_vanishing_at_x0():
     x0 = np.array([0.0, 3.0])
     gamma = den * monic_from_vector(x0)
     *_, x_star, _, trace, warnings = steer(den, Polynomial.one(), gamma, 0,
-                                           num, x0, StabilizationConfig())
+                                           num, x0, Polynomial.zero(),
+                                           StabilizationConfig())
     assert np.array_equal(x_star, x0) and trace == []
     assert warnings == ["hyperplane functional(s) [1] vanish at the initial "
                         "vector and are excluded from the same-side "
                         "constraints"]
 
+
+
+@pytest.mark.parametrize("index", [10, 38, 178, 275])
+def test_sweep_plants_that_broke_down_in_the_closing_solve_certify(
+        index, steer_calls):
+    # a dense closing solve of the final reduction raised NotCoprimeError on
+    # plants 10, 38 and 178, and returned a quotient off the integer target
+    # on plant 275; the carried cofactor needs no such solve
+    den, num = sweep_plant(index)
+    result = run_algorithm1(den, num)
+    assert result.certificate.passed, result.certificate.conditions
+    (args, out), = steer_calls
+    assert invariant_breach(args, out[4]) is None

@@ -2,9 +2,10 @@
 
 ``oracle_steer`` is the steering loop written on ``Polynomial`` objects:
 each step multiplies ``monic_from_vector(u)`` into the factor product and
-builds the update matrix from ``toeplitz_stack(monic_from_vector(x))``.
-``stabilizer.steer`` keeps the product as a bare array and gathers the
-update matrix from a precomputed index; both must make the same
+builds the update matrix from ``toeplitz_stack(monic_from_vector(x))``,
+and it updates the cofactor inside the loop.  ``stabilizer.steer`` keeps
+the product as a bare array, gathers the update matrix from a precomputed
+index and accumulates the cofactor after the loop; both must make the same
 floating-point operations in the same order, so every output is compared
 byte for byte.
 """
@@ -15,11 +16,10 @@ from scipy.linalg.lapack import dtrtrs
 from intctrl import (ConversionConfig, DeltaFactors, Polynomial,
                      StabilizationConfig, control_input, delta_matrix,
                      monic_from_vector, run_algorithm1, run_algorithm2,
-                     solve_diophantine, toeplitz_stack, vec_1norm)
+                     toeplitz_stack, vec_1norm)
 from intctrl.bezout import sylvester_matrix
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
-from intctrl.poly import trim
 from intctrl.stabilizer import SynthesisError, TraceStep
 from intctrl.target import (active_index_set, build_hyperplanes,
                             find_integer_target)
@@ -27,15 +27,16 @@ from intctrl.target import (active_index_set, build_hyperplanes,
 from conftest import invariant_breach, random_plant
 
 
-def oracle_delta_matrix(x, factors):
+def oracle_delta_matrix(x, factors, with_lower=False):
     n = factors.dim
     Tm = toeplitz_stack(monic_from_vector(np.asarray(x, dtype=float)), n)
     lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
     assert info == 0
-    return Tm[:n] - factors.top @ lower
+    delta = Tm[:n] - factors.top @ lower
+    return (delta, lower) if with_lower else delta
 
 
-def oracle_steer(p, q, factor, shift, num, x0, cfg):
+def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
     n = x0.size
     warnings = []
     planes = build_hyperplanes(num, n)
@@ -51,6 +52,8 @@ def oracle_steer(p, q, factor, shift, num, x0, cfg):
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
     factors = DeltaFactors.from_numerator(num, n)
     trace = []
+    # the cofactor's coefficients below z^(shift + n), as steer pads them
+    s = np.concatenate([s0.coeffs, np.zeros(shift + n - s0.coeffs.size)])
     x = x0.copy()
     while not np.array_equal(x, x_star):
         k = len(trace)
@@ -60,21 +63,19 @@ def oracle_steer(p, q, factor, shift, num, x0, cfg):
                 f"{vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}'); raise max_iterations or inspect the "
                 "plant conditioning")
-        delta = oracle_delta_matrix(x, factors)
+        delta, lower = oracle_delta_matrix(x, factors, with_lower=True)
         step = control_input(x, x_star, delta, cfg.mu)
-        factor = monic_from_vector(step.u) * factor
+        f = monic_from_vector(step.u)
+        factor = f * factor
+        # s' = f s + z^shift p a, a = lower u
+        s = np.convolve(f.coeffs, s)
+        lift = np.convolve(p.coeffs, (lower @ step.u)[::-1])
+        s[shift : shift + lift.size] += lift
         shift += n
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
                                factor.coeffs.size - 1, vec_1norm(x_star - x)))
-    sol = solve_diophantine(p.shifted(shift), factor * q, num)
-    target_poly = monic_from_vector(x_star)
-    if not sol.r.allclose(target_poly, 1e-6):
-        raise SynthesisError(
-            "closing reduction disagrees with the integer target "
-            f"(max deviation {(sol.r - target_poly).max_abs():.3e}); numerical "
-            "breakdown in the final identity")
-    return factor, shift, x_star, trim(sol.s), trace, warnings
+    return factor, shift, x_star, Polynomial(s), trace, warnings
 
 
 def fingerprint(run):
@@ -120,10 +121,10 @@ def test_steer_matches_oracle_pendulum_conversion(pendulum, pre_controller,
     assert any("z^1" in w for w in solution.warnings) == (z_power == 1)
     assert_matches_oracle(steer_calls)
     (args, out), = steer_calls
-    # the default initial factor's 18-step run drifts from its identity,
-    # about tenfold every two steps: past 1e-7 at the last step, still
-    # within the 1e-6 the closing check allows
-    assert invariant_breach(args, out[4]) == (None if roots else 17)
+    # the default initial factor's 18-step run keeps its identity too: the
+    # drift a dense re-solve of the reduction once reported at step 17 was
+    # that solve's own error
+    assert invariant_breach(args, out[4]) is None
 
 
 def test_steer_matches_oracle_random_plants(steer_calls):
@@ -156,6 +157,9 @@ def test_delta_matrix_matches_oracle():
             x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
             assert (delta_matrix(x, factors).tobytes()
                     == oracle_delta_matrix(x, factors).tobytes())
+            got = delta_matrix(x, factors, with_lower=True)
+            want = oracle_delta_matrix(x, factors, with_lower=True)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             # a vector short of the dimension stands for a lower degree
             short = x[: int(rng.integers(0, n))]
             assert (delta_matrix(short, factors).tobytes()
