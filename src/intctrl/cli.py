@@ -1,12 +1,13 @@
 """Command-line interface: stabilize, convert, analyze, simulate.
 
 Exit codes: 0 success (and certificate pass), 2 input validation error,
-3 synthesis failure, 4 certificate failure.  ``stabilize`` and ``convert``
-write their result JSON even when its certificate fails, then exit 4.  A
-certificate's root finding that breaks down (``RootFindingError``) makes
-``convert`` exit 3, and ``analyze`` and ``stabilize --verify`` exit 4,
-without JSON; ``stabilize`` proves gamma from its factors and finds no
-root in its own certificate.  Only the closed-loop spectral radius that
+3 synthesis failure (a numerical breakdown included), 4 certificate
+failure.  ``stabilize`` and ``convert`` write their result JSON even when
+its certificate fails, then exit 4.  A certificate's root finding that
+breaks down (``RootFindingError`` or a failed eigensolve) makes ``convert``
+exit 3, and ``analyze`` and ``stabilize --verify`` exit 4, without JSON;
+``stabilize`` proves gamma from its factors and finds no root in its own
+certificate.  Only the closed-loop spectral radius that
 ``stabilize`` and ``analyze`` report for information is written as null
 instead, with a warning, and the exit code follows the certificate.
 Result JSON is byte-stable across runs for identical inputs and flags.
@@ -22,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezout import NotCoprimeError, coprime_check
+from .bezout import coprime_check
 from .converter import ConversionConfig, PreController, convert_controller
 from .numeric import RootFindingError, poly_roots, schur_check
 from .poly import Polynomial, RationalTF
 from .sim import realize_controller, realize_tf, simulate_loop, write_trajectory_csv
 from .stabilizer import StabilizationConfig, SynthesisError, run_algorithm1
-from .target import TargetSearchError
+from .target import InconsistentActiveSetError, TargetSearchError
 from .verify import certify_conversion, certify_stabilization, closed_loop_poly
 
 EXIT_OK = 0
@@ -37,6 +38,13 @@ EXIT_SYNTHESIS = 3
 EXIT_CERTIFICATE = 4
 
 _KNOWN_TOP_KEYS = {"plant", "controller", "solution", "ordering", "name", "notes"}
+
+#: errors a command reports as a synthesis failure: numerical breakdowns.
+#: An inconsistent active set and a singular or failed LAPACK call subclass
+#: ValueError, so main tests them before the validation errors (exit 2),
+#: NotCoprimeError among those
+_SYNTHESIS_ERRORS = (SynthesisError, TargetSearchError, RootFindingError,
+                     InconsistentActiveSetError, np.linalg.LinAlgError)
 
 
 class ProblemFileError(ValueError):
@@ -199,20 +207,12 @@ def _cmd_stabilize(args) -> int:
     den, num = problem["plant"]
     ordering = problem["ordering"]
     roots = _parse_complex_list(args.gamma_ini_roots) if args.gamma_ini_roots else None
-    try:
-        cfg = StabilizationConfig(
-            gamma_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
-            max_iterations=args.max_iter)
-        result = run_algorithm1(den, num, cfg)
-        radius, radius_warnings = _spectral_radius(closed_loop_poly(
-            den, num, result.controller_den, result.controller_num))
-    except (NotCoprimeError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SynthesisError, TargetSearchError, RootFindingError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
-
+    cfg = StabilizationConfig(
+        gamma_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
+        max_iterations=args.max_iter)
+    result = run_algorithm1(den, num, cfg)
+    radius, radius_warnings = _spectral_radius(closed_loop_poly(
+        den, num, result.controller_den, result.controller_num))
     payload = {
         "command": "stabilize",
         "seed": args.seed,
@@ -240,7 +240,7 @@ def _cmd_stabilize(args) -> int:
             cert = certify_stabilization(
                 result.plant.den, Polynomial(num.coeffs / result.plant.scale),
                 result.alpha, result.beta, result.gamma)
-        except RootFindingError as exc:
+        except (RootFindingError, np.linalg.LinAlgError) as exc:
             print(f"certificate failed: {exc}", file=sys.stderr)
             return EXIT_CERTIFICATE
         payload["certificate"] = cert.to_dict()
@@ -250,25 +250,15 @@ def _cmd_stabilize(args) -> int:
 def _cmd_convert(args) -> int:
     problem = parse_problem_file(args.problem)
     if "controller" not in problem:
-        print("validation error: convert requires a 'controller' block",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ProblemFileError("convert requires a 'controller' block")
     den, num = problem["plant"]
     pre = problem["controller"]
     ordering = problem["ordering"]
     roots = _parse_complex_list(args.alpha_ini_roots) if args.alpha_ini_roots else None
-    try:
-        cfg = ConversionConfig(
-            alpha_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
-            max_iterations=args.max_iter)
-        conv = convert_controller(pre, den, num, cfg)
-    except (NotCoprimeError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SynthesisError, TargetSearchError, RootFindingError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
-
+    cfg = ConversionConfig(
+        alpha_ini_roots=roots, mu=args.mu, prefer_origin=args.prefer_origin,
+        max_iterations=args.max_iter)
+    conv = convert_controller(pre, den, num, cfg)
     payload = {
         "command": "convert",
         "seed": args.seed,
@@ -296,17 +286,12 @@ def _cmd_convert(args) -> int:
 def _cmd_analyze(args) -> int:
     problem = parse_problem_file(args.problem)
     if "solution" not in problem:
-        print("validation error: analyze requires a 'solution' block",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ProblemFileError("analyze requires a 'solution' block")
     den, num = problem["plant"]
     alpha, beta, gamma = problem["solution"]
     try:
         cert = certify_stabilization(den, num, alpha, beta, gamma)
-    except ValueError as exc:  # the identity overflows the float range
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except RootFindingError as exc:
+    except (RootFindingError, np.linalg.LinAlgError) as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     radius, warnings = _spectral_radius(closed_loop_poly(den, num, alpha, -beta))
@@ -324,18 +309,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     problem = parse_problem_file(args.problem)
     if "controller" not in problem:
-        print("validation error: simulate requires a 'controller' block",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ProblemFileError("simulate requires a 'controller' block")
     den, num = problem["plant"]
     pre = problem["controller"]
-    try:
-        plant_ss = realize_tf(RationalTF(num, den))
-        ctrl_ss = realize_controller(pre.den, pre.num_y, pre.num_r)
-        result = simulate_loop(plant_ss, ctrl_ss, args.reference, args.steps)
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    plant_ss = realize_tf(RationalTF(num, den))
+    ctrl_ss = realize_controller(pre.den, pre.num_y, pre.num_r)
+    result = simulate_loop(plant_ss, ctrl_ss, args.reference, args.steps)
     if args.out_csv:
         with open(args.out_csv, "w") as fp:
             write_trajectory_csv(fp, result)
@@ -370,7 +349,9 @@ def _add_common(sub, with_roots: str | None):
                      help="write result JSON here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser as it was, so one serves every call of main
     parser = argparse.ArgumentParser(
         prog="intctrl",
         description="Integer-denominator controller synthesis and conversion")
@@ -401,17 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves a parser as it was, so one serves every call of main
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
+    except _SYNTHESIS_ERRORS as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_SYNTHESIS
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

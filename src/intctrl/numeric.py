@@ -1,13 +1,12 @@
-"""Linear solves, norms, root finding, root classification and Schur tests."""
+"""Linear solves, norms, root finding and Schur tests."""
 from __future__ import annotations
 
 import functools
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -97,10 +96,6 @@ class RootFindingError(RuntimeError):
     def __init__(self, residuals):
         self.residuals = residuals
         super().__init__(f"root residuals exceed tolerance: {residuals}")
-
-
-class ConjugatePairingError(ValueError):
-    pass
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,66 +244,6 @@ def poly_roots(p: Polynomial) -> np.ndarray:
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
                                 for i in np.flatnonzero(bad)])
     return roots
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a real polynomial split into real ones and conjugate pairs.
-
-    ``complex_pairs`` keeps one representative per pair, with positive
-    imaginary part.
-    """
-
-    real_roots: tuple[float, ...]
-    complex_pairs: tuple[complex, ...]
-    leading_coeff: float
-
-    @property
-    def n_real(self) -> int:
-        return len(self.real_roots)
-
-    @property
-    def n_complex_pairs(self) -> int:
-        return len(self.complex_pairs)
-
-
-def classify_roots(roots: Sequence[complex],
-                   leading_coeff: float = 1.0) -> RootSet:
-    """Split a conjugation-closed root list into reals and conjugate pairs.
-
-    Roots with ``|Im| <= IMAG_TOL * (1 + |root|)`` collapse to real; the rest
-    are greedily matched with their nearest conjugate.  An unmatched complex
-    root raises :class:`ConjugatePairingError`.
-    """
-    reals: list[float] = []
-    upper: list[complex] = []
-    lower: list[complex] = []
-    for r in roots:
-        r = complex(r)
-        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r)):
-            reals.append(r.real)
-        elif r.imag > 0:
-            upper.append(r)
-        else:
-            lower.append(r)
-    if len(upper) != len(lower):
-        raise ConjugatePairingError(
-            f"unpaired complex roots: {len(upper)} upper vs {len(lower)} lower")
-    pairs: list[complex] = []
-    remaining = list(lower)
-    for u in sorted(upper, key=lambda z: (z.real, z.imag)):
-        if not remaining:
-            raise ConjugatePairingError("conjugate pairing failed")
-        dists = [abs(u.conjugate() - w) for w in remaining]
-        j = int(np.argmin(dists))
-        cand = remaining.pop(j)
-        if dists[j] > 1e-3 * (1.0 + abs(u)):
-            raise ConjugatePairingError(
-                f"no conjugate found for {u} (nearest {cand})")
-        pairs.append(u)
-    return RootSet(tuple(sorted(reals)),
-                   tuple(sorted(pairs, key=lambda z: (z.real, z.imag))),
-                   float(leading_coeff))
 
 
 class SchurResult(NamedTuple):

@@ -19,6 +19,10 @@ TRIM_TOL = 1e-9
 #: Tolerance on |leading - 1| for the monic predicate.
 MONIC_TOL = 1e-9
 
+#: Imaginary part, relative to the coefficient scale, that an expansion of
+#: roots may leave before they count as not closed under conjugation.
+CONJ_TOL = 1e-9
+
 
 class Polynomial:
     """Immutable univariate polynomial with real coefficients.
@@ -85,28 +89,27 @@ class Polynomial:
         return Polynomial((1.0,))
 
     @staticmethod
-    def monomial(power: int, coeff: float = 1.0) -> "Polynomial":
-        """``coeff * z**power``."""
+    def monomial(power: int) -> "Polynomial":
+        """``z**power``."""
         if power < 0:
             raise ValueError("power must be nonnegative")
         c = np.zeros(power + 1)
-        c[power] = coeff
+        c[power] = 1.0
         return Polynomial(c)
 
     @staticmethod
-    def from_roots(roots: Sequence[complex], leading: float = 1.0,
-                   conj_tol: float = 1e-9) -> "Polynomial":
+    def from_roots(roots: Sequence[complex], leading: float = 1.0) -> "Polynomial":
         """Expand ``leading * prod (z - root)``.
 
         The root list must be closed under conjugation so the product has
         real coefficients; the residual imaginary part is checked against
-        ``conj_tol`` relative to the coefficient scale.
+        ``CONJ_TOL`` relative to the coefficient scale.
         """
         p = np.array([leading], dtype=complex)
         for r in roots:
             p = np.convolve(p, np.array([-r, 1.0]))
         scale = max(1.0, float(np.max(np.abs(p))))
-        if np.max(np.abs(p.imag)) > conj_tol * scale:
+        if np.max(np.abs(p.imag)) > CONJ_TOL * scale:
             raise ValueError("roots are not closed under conjugation")
         return Polynomial(p.real)
 
@@ -236,25 +239,25 @@ def _max_abs(coeffs: np.ndarray) -> float:
     return float(mags[mags.argmax()])
 
 
-def _trim_length(coeffs: np.ndarray, tol: float = TRIM_TOL) -> int:
+def _trim_length(coeffs: np.ndarray) -> int:
     """Length of ``coeffs`` without its high-order entries of magnitude at
-    most ``tol * max|coeff|``; a non-finite maximum trims nothing."""
+    most ``TRIM_TOL * max|coeff|``; a non-finite maximum trims nothing."""
     if coeffs.size == 0:
         return 0
     mags = np.abs(coeffs)
     top = mags[mags.argmax()]
     if not top < np.inf:
         return coeffs.size
-    cut = tol * top
+    cut = TRIM_TOL * top
     end = coeffs.size
     while end > 0 and mags[end - 1] <= cut:
         end -= 1
     return end
 
 
-def _trimmed(coeffs: np.ndarray, tol: float = TRIM_TOL) -> Polynomial:
-    """Drop high-order coefficients below ``tol * max|coeff|``."""
-    return Polynomial(coeffs[: _trim_length(coeffs, tol)])
+def _trimmed(coeffs: np.ndarray) -> Polynomial:
+    """Drop high-order coefficients below ``TRIM_TOL * max|coeff|``."""
+    return Polynomial(coeffs[: _trim_length(coeffs)])
 
 
 def _sum_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -282,9 +285,9 @@ def _sum_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     return top
 
 
-def trim(p: Polynomial, tol: float = TRIM_TOL) -> Polynomial:
+def trim(p: Polynomial) -> Polynomial:
     """Tolerance-trim a polynomial's spurious high-order dust."""
-    end = _trim_length(p.coeffs, tol)
+    end = _trim_length(p.coeffs)
     return p if end == p.coeffs.size else Polynomial(p.coeffs[:end])
 
 

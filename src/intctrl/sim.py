@@ -130,6 +130,8 @@ class SimulationResult(NamedTuple):
 #: steps per block: the state recursion runs a block at a time, then the
 #: block's outputs are formed and checked for divergence in one pass
 BLOCK_STEPS = 128
+#: |y| beyond which a run counts as diverged
+DIVERGENCE_LIMIT = 1e12
 
 
 def _closed_loop(plant: StateSpace, controller: StateSpace):
@@ -168,16 +170,15 @@ def _initial_state(x0: np.ndarray | None, n: int, name: str) -> np.ndarray:
 def simulate_loop(plant: StateSpace, controller: StateSpace,
                   reference: Sequence[float] | float, steps: int,
                   x0_plant: np.ndarray | None = None,
-                  x0_ctrl: np.ndarray | None = None,
-                  divergence_limit: float = 1e12) -> SimulationResult:
+                  x0_ctrl: np.ndarray | None = None) -> SimulationResult:
     """Run the feedback loop ``u = controller(y, r)``, ``y = plant(u)``.
 
     The loop must be well-posed: either the plant is strictly proper or the
     controller's output-feedback channel is.  It is realized once as one
     augmented system and stepped with one matrix-vector product per step.
-    Divergence (|y| beyond the limit, or not finite) truncates the run just
-    after the first offending sample and sets the flag instead of
-    overflowing silently.
+    Divergence (|y| beyond ``DIVERGENCE_LIMIT``, or not finite) truncates
+    the run just after the first offending sample and sets the flag
+    instead of overflowing silently.
     """
     if plant.n_inputs != 1 or plant.n_outputs != 1:
         raise ValueError("plant must be SISO")
@@ -202,9 +203,6 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     w = np.zeros((BLOCK_STEPS + 1, n + 1))
     w[0, :n] = np.concatenate([xp, xc])
     pairs = [(w[j], w[j + 1, :n]) for j in range(BLOCK_STEPS)]
-    # |y| <= limit also rejects NaN; clamping keeps an infinite limit
-    # rejecting infinite outputs
-    limit = min(divergence_limit, np.finfo(float).max)
     y = np.empty(steps)
     u = np.empty(steps)
     dot = np.dot
@@ -216,7 +214,8 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
                 dot(ab, z, out=z_next)
             dot(w[:m], cy, out=y[k0:k0 + m])
             dot(w[:m], cu, out=u[k0:k0 + m])
-            bad = ~(np.abs(y[k0:k0 + m]) <= limit)
+            # |y| <= limit also rejects NaN
+            bad = ~(np.abs(y[k0:k0 + m]) <= DIVERGENCE_LIMIT)
             if bad.any():
                 k = k0 + int(bad.argmax())
                 return SimulationResult(y[: k + 1], u[: k + 1],

@@ -226,7 +226,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
                 f"{vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}'); raise max_iterations or inspect the "
                 "plant conditioning")
-        delta, lower = delta_matrix(x, factors, with_lower=True)
+        delta, lower = delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         increments.append(lower @ step.u)
         monic_u[:n] = step.u[::-1]
@@ -293,29 +293,3 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
                                len(trace), tuple(trace), cert,
                                tuple(cert.warnings), plant)
 
-
-def stabilize_proper(den: Polynomial, num: Polynomial,
-                     num_factor: Polynomial,
-                     cfg: StabilizationConfig | None = None
-                     ) -> tuple[Polynomial, Polynomial, StabilizationResult]:
-    """Proper (not necessarily strictly proper) controller variant.
-
-    Runs the synthesis against ``(den, num_factor * num)`` for a degree-1
-    ``num_factor`` coprime to ``den``; the controller is then
-    ``den = alpha`` with numerator ``-num_factor * beta``, whose degree may
-    equal the denominator's.  Returns (controller_den, controller_num,
-    full result of the underlying run).
-    """
-    if num_factor.is_zero or num_factor.coeffs.size != 2:
-        raise ValueError("num_factor must have degree exactly 1")
-    ok, quality = coprime_check(num_factor, den)
-    if not ok:
-        raise NotCoprimeError(
-            f"num_factor shares a root with the plant denominator "
-            f"(quality {quality:.3e})")
-    result = run_algorithm1(den, num_factor * num, cfg)
-    ctrl_num = -(num_factor * result.beta)
-    if not ctrl_num.is_zero and ctrl_num.coeffs.size > result.alpha.coeffs.size:
-        raise SynthesisError("properness violated: controller numerator degree "
-                             "exceeds denominator degree")
-    return result.alpha, ctrl_num, result

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import classify_roots, dtrtrs, poly_roots, solve_linear, vec_1norm
+from .numeric import IMAG_TOL, dtrtrs, poly_roots, solve_linear, vec_1norm
 from .poly import (Polynomial, _check_finite, _max_abs, _stack_index,
                    toeplitz_stack)
 
@@ -84,6 +84,12 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     as ``[-offset, normal]``; for a complex root the analogous rows are its
     real and imaginary parts, so that the side of ``x`` equals the real
     (resp. imaginary) part of the vector's polynomial evaluated at the root.
+
+    A root with ``|Im| <= IMAG_TOL * (1 + |root|)`` counts as real.  The
+    eigensolver returns the other roots of a real polynomial in exact
+    conjugate pairs, and each pair is kept by its member of positive
+    imaginary part.  Real rows come first, sorted by root, then the pairs,
+    sorted by (real, imag).
     """
     if num.is_zero:
         raise ValueError("numerator must be nonzero")
@@ -93,17 +99,23 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     deg = num.coeffs.size - 1
     if deg > n:
         raise ValueError(f"deg(num) = {deg} exceeds ambient dimension {n}")
-    rs = classify_roots(poly_roots(num) if deg else (), num.leading)
-    rows = [np.array([lam ** k for k in range(n, -1, -1)])
-            for lam in rs.real_roots]
-    roots = [complex(lam) for lam in rs.real_roots]
-    for eta in rs.complex_pairs:
+    reals, pairs = [], []
+    for r in poly_roots(num).tolist() if deg else ():
+        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r)):
+            reals.append(r.real)
+        elif r.imag > 0.0:
+            pairs.append(r)
+    reals.sort()
+    pairs.sort(key=lambda z: (z.real, z.imag))
+    rows = [np.array([lam ** k for k in range(n, -1, -1)]) for lam in reals]
+    roots = [complex(lam) for lam in reals]
+    for eta in pairs:
         row = np.array([eta ** k for k in range(n, -1, -1)])
         rows += [row.real, row.imag]
         roots += [eta, eta]
     power = np.array(rows).reshape(len(rows), n + 1)
     return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),
-                         rs.n_real)
+                         len(reals))
 
 
 def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
@@ -151,15 +163,16 @@ class DeltaFactors:
         return DeltaFactors(T[:n], T[n:], n, _stack_index(n))
 
 
-def delta_matrix(x: np.ndarray, factors: DeltaFactors,
-                 with_lower: bool = False):
-    """Update matrix: unit-lower-triangular part minus the numerator coupling.
+def delta_matrix(x: np.ndarray, factors: DeltaFactors
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Update matrix, unit-lower-triangular part minus the numerator
+    coupling, and the triangular solve ``bottom^-1 Tm[n:]`` it is built
+    from, which maps an input to the cofactor increment of its step (see
+    ``steer``).
 
     Assembled with two triangular solves against the upper-triangular bottom
     block; no explicit inverse is formed.  Singular exactly when the
-    polynomial of ``x`` shares a root with the numerator.  ``with_lower``
-    also returns the solve's result ``bottom^-1 Tm[n:]``, which maps an
-    input to the cofactor increment of its step (see ``steer``).
+    polynomial of ``x`` shares a root with the numerator.
     """
     n = factors.dim
     x = np.asarray(x, dtype=float)
@@ -177,7 +190,7 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors,
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
     delta = Tm[:n] - factors.top @ lower
-    return (delta, lower) if with_lower else delta
+    return delta, lower
 
 
 class IntegerTarget(NamedTuple):

@@ -145,19 +145,19 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     return cert
 
 
-def tf_equal(t1: RationalTF, t2: RationalTF, tol: float = TF_EQUAL_RTOL) -> bool:
+def tf_equal(t1: RationalTF, t2: RationalTF) -> bool:
     """Equality of transfer functions by cross-multiplication.
 
-    ``num1*den2 - num2*den1`` must vanish to ``tol`` relative to the larger
-    product's coefficient scale; common factors (including unstable or
-    mis-scaled ones) cancel without any root finding.
+    ``num1*den2 - num2*den1`` must vanish to ``TF_EQUAL_RTOL`` relative to
+    the larger product's coefficient scale; common factors (including
+    unstable or mis-scaled ones) cancel without any root finding.
     """
     if t1.den.is_zero or t2.den.is_zero:
         raise ValueError("transfer function denominators must be nonzero")
     left = t1.num * t2.den
     right = t2.num * t1.den
     scale = max(1.0, left.max_abs(), right.max_abs())
-    return (left - right).max_abs() <= tol * scale
+    return (left - right).max_abs() <= TF_EQUAL_RTOL * scale
 
 
 def closed_loop_tf(plant_den: Polynomial, plant_num: Polynomial,

@@ -12,10 +12,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from intctrl import (DeltaFactors, Polynomial, active_index_set,
-                     build_hyperplanes, converter, coprime_check, delta_matrix,
-                     find_integer_target, monic_from_vector, solve_diophantine,
-                     stabilizer, vec_1norm, vector_from_monic)
+from intctrl import Polynomial, converter, stabilizer
+from intctrl.bezout import coprime_check, solve_diophantine
+from intctrl.numeric import vec_1norm
+from intctrl.poly import monic_from_vector, vector_from_monic
+from intctrl.target import (DeltaFactors, active_index_set, build_hyperplanes,
+                            delta_matrix, find_integer_target)
 from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 
@@ -211,7 +213,7 @@ def _predicted_iterations(x0, x_star, num, n, mu=0.99, samples=33):
     for rho in np.linspace(0.0, 1.0, samples):
         x = rho * x0 + (1.0 - rho) * x_star
         try:
-            inv = np.linalg.inv(delta_matrix(x, factors))
+            inv = np.linalg.inv(delta_matrix(x, factors)[0])
         except np.linalg.LinAlgError:
             return 10 ** 9
         sigma = max(sigma, float(np.max(np.sum(np.abs(inv), axis=0))))

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import Polynomial, bezout, coprime_check, solve_diophantine
-from intctrl.bezout import NotCoprimeError, _dense_solve, _monomial_fast_path
-from intctrl.poly import _trimmed
+from intctrl import Polynomial, bezout
+from intctrl.bezout import (NotCoprimeError, _dense_solve, _monomial_fast_path,
+                            coprime_check, solve_diophantine)
 from intctrl.numeric import SingularMatrixError, solve_linear
+from intctrl.poly import _trimmed
 
 Z = Polynomial([0, 1])
 

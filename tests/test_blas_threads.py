@@ -18,7 +18,8 @@ SWEEP_DIGEST = """
 import hashlib
 import numpy as np
 from conftest import random_plant
-from intctrl import Polynomial, run_algorithm1, run_algorithm2
+from intctrl import Polynomial, run_algorithm1
+from intctrl.converter import run_algorithm2
 
 # the plants and designs of conftest's sweep_plant and sweep_conversion
 plants, roots = np.random.default_rng(7), np.random.default_rng(99)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product, sweep_plant
-from intctrl import Polynomial, target
-from intctrl.cli import build_parser, main, parse_problem_file, ProblemFileError
+from intctrl import Polynomial, numeric, stabilizer, target
+from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
+from intctrl.numeric import SingularMatrixError
 from intctrl.stabilizer import run_algorithm1
 
 PENDULUM = str(fixture_path("pendulum.json"))
@@ -128,6 +129,37 @@ def test_target_search_exhaustion_exits_3(command, monkeypatch, tmp_path,
     assert main([command, problem, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("synthesis failed: integer-target search exhausted")
+    assert not out.exists()
+
+
+def test_stabilize_inconsistent_active_set_exits_3(tmp_path, capsys):
+    # sweep plant 5 passes the coprimality check, yet a real-root plane
+    # passes through its initial vector: a numerical breakdown
+    den, num = sweep_plant(5)
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
+                                       "num": num.coeffs.tolist()},
+                             "ordering": "ascending"}))
+    out = tmp_path / "res.json"
+    assert main(["stabilize", str(f), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed: real-root plane 2 ")
+    assert err.endswith("shares a root with the numerator\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stabilize", "convert"])
+def test_singular_steering_step_exits_3(command, monkeypatch, tmp_path, capsys):
+    def singular(*args):
+        raise SingularMatrixError(0.0, 1.0)
+
+    monkeypatch.setattr(stabilizer, "control_input", singular)
+    out = tmp_path / "res.json"
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    assert main([command, problem, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "synthesis failed: matrix singular to tolerance (pivot 0.000e+00, "
+        "scale 1.000e+00)\n")
     assert not out.exists()
 
 
@@ -379,6 +411,22 @@ def test_analyze_root_finding_failure_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_failed_eigensolve_exits_4(monkeypatch, tmp_path, capsys):
+    # an eigensolve that fails inside the certificate is a failed
+    # certificate, like roots that miss their residual bound
+    def failed(p):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(numeric, "poly_roots", failed)
+    code, payload = _analyze(tmp_path, {
+        "ordering": "ascending", "plant": {"den": [-0.5, 1.0], "num": [1.0]},
+        "solution": {"alpha": [0.0, 1.0], "beta": [0.0],
+                     "gamma": [0.0, -0.5, 1.0]}})
+    assert code == 4 and payload is None
+    assert capsys.readouterr().err == (
+        "certificate failed: Eigenvalues did not converge\n")
+
+
 def _analyze(tmp_path, problem):
     f = tmp_path / "solution.json"
     f.write_text(json.dumps(problem))
@@ -478,7 +526,3 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         assert outcome == first.setdefault(name, outcome), name
     assert [first[name][0] for name in calls] == [0, 0, 0, 0]
     assert json.loads(first["stabilize-flags"][1].out)["seed"] == 5
-
-
-def test_build_parser_returns_a_new_parser():
-    assert build_parser() is not build_parser()

@@ -4,7 +4,8 @@ and a pre-designed loop that is genuinely stabilizing and tracking."""
 import numpy as np
 from numpy.testing import assert_allclose
 
-from intctrl import closed_loop_poly, closed_loop_tf, schur_check
+from intctrl import closed_loop_poly, closed_loop_tf
+from intctrl.numeric import schur_check
 from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 

@@ -19,21 +19,21 @@ from math import copysign
 import numpy as np
 import pytest
 
-from intctrl import (Certificate, ConversionConfig, DeltaFactors,
-                     HyperplaneSet, Polynomial, SchurFactors,
-                     StabilizationConfig, build_hyperplanes, classify_roots,
-                     closed_loop_poly, convert_controller, run_algorithm1,
-                     run_algorithm2, toeplitz_stack, vec_1norm)
-from intctrl import bezout, converter, numeric, stabilizer, target, verify
+from intctrl import (Certificate, ConversionConfig, Polynomial, SchurFactors,
+                     StabilizationConfig, bezout, closed_loop_poly,
+                     convert_controller, converter, numeric, run_algorithm1,
+                     stabilizer, target, verify)
 from intctrl.bezout import (CoprimalityResult, DiophantineSolution,
                             NotCoprimeError, sylvester_matrix)
+from intctrl.converter import run_algorithm2
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
-from intctrl.numeric import (RootFindingError, SchurResult,
-                             SingularMatrixError)
-from intctrl.poly import _trim_length
-from intctrl.target import (ACTIVE_TOL, SIDE_TOL, InconsistentActiveSetError,
-                            IntegerTarget, TargetSearchError)
+from intctrl.numeric import (IMAG_TOL, RootFindingError, SchurResult,
+                             SingularMatrixError, vec_1norm)
+from intctrl.poly import _trim_length, toeplitz_stack
+from intctrl.target import (ACTIVE_TOL, DeltaFactors, HyperplaneSet,
+                            InconsistentActiveSetError, IntegerTarget,
+                            SIDE_TOL, TargetSearchError, build_hyperplanes)
 
 from conftest import random_plant
 
@@ -49,19 +49,19 @@ def oracle_max_abs(p):
     return float(np.maximum.reduce(np.abs(p.coeffs), initial=0.0))
 
 
-def oracle_trim_length(coeffs, tol=1e-9):
+def oracle_trim_length(coeffs):
     if coeffs.size == 0:
         return 0
     mags = np.abs(coeffs)
-    cut = tol * np.maximum.reduce(mags)
+    cut = 1e-9 * np.maximum.reduce(mags)
     end = coeffs.size
     while end > 0 and mags[end - 1] <= cut:
         end -= 1
     return end
 
 
-def oracle_trimmed(coeffs, tol=1e-9):
-    return Polynomial(coeffs[: oracle_trim_length(coeffs, tol)])
+def oracle_trimmed(coeffs):
+    return Polynomial(coeffs[: oracle_trim_length(coeffs)])
 
 
 def oracle_sum_residual(a, b, c):
@@ -217,18 +217,44 @@ def oracle_build_hyperplanes(num, n):
     deg = num.coeffs.size - 1
     if deg > n:
         raise ValueError(f"deg(num) = {deg} exceeds ambient dimension {n}")
-    rs = classify_roots(oracle_poly_roots(num) if deg else (), num.leading)
-    rows = [np.array([lam ** k for k in range(n, -1, -1)])
-            for lam in rs.real_roots]
-    roots = [complex(lam) for lam in rs.real_roots]
-    for eta in rs.complex_pairs:
+    reals, pairs = oracle_classify_roots(oracle_poly_roots(num) if deg else ())
+    rows = [np.array([lam ** k for k in range(n, -1, -1)]) for lam in reals]
+    roots = [complex(lam) for lam in reals]
+    for eta in pairs:
         row = np.array([eta ** k for k in range(n, -1, -1)])
         rows += [row.real, row.imag]
         roots += [eta, eta]
     power = np.array(rows).reshape(len(rows), n + 1)
     normals = power[:, 1:].copy()
     # the fields and norms a HyperplaneSet is fingerprinted by
-    return normals, -power[:, 0], tuple(roots), rs.n_real, oracle_norms(normals)
+    return normals, -power[:, 0], tuple(roots), len(reals), oracle_norms(normals)
+
+
+def oracle_classify_roots(roots):
+    """Sorted real roots and one sorted representative, of positive
+    imaginary part, per conjugate pair, each pair matched greedily with its
+    nearest conjugate; an unmatched complex root is an error."""
+    reals, upper, lower = [], [], []
+    for r in roots:
+        r = complex(r)
+        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r)):
+            reals.append(r.real)
+        elif r.imag > 0:
+            upper.append(r)
+        else:
+            lower.append(r)
+    if len(upper) != len(lower):
+        raise ValueError(
+            f"unpaired complex roots: {len(upper)} upper vs {len(lower)} lower")
+    pairs = []
+    for u in sorted(upper, key=lambda z: (z.real, z.imag)):
+        dists = [abs(u.conjugate() - w) for w in lower]
+        j = int(np.argmin(dists))
+        cand = lower.pop(j)
+        if dists[j] > 1e-3 * (1.0 + abs(u)):
+            raise ValueError(f"no conjugate found for {u} (nearest {cand})")
+        pairs.append(u)
+    return sorted(reals), sorted(pairs, key=lambda z: (z.real, z.imag))
 
 
 def oracle_active_index_set(x0, planes):
@@ -781,8 +807,7 @@ def test_trim_length_matches_oracle_at_the_cut():
                                 np.nextafter(cut, np.inf), 2 * cut])
         cases.append(c)
     for c in cases:
-        for tol in (1e-9, 0.0, 0.5):
-            assert _trim_length(c, tol) == oracle_trim_length(c, tol), (c, tol)
+        assert _trim_length(c) == oracle_trim_length(c), c
 
 
 def test_trim_keeps_a_non_finite_maximum():
@@ -817,6 +842,17 @@ def test_single_candidate_test_matches_block_oracle_at_the_margin():
         for c in (cand, np.full(n, np.nan), np.zeros(n)):
             assert got.feasible(c) == want.feasible(c)
             assert got.sides0.tobytes() == want.sides0.tobytes()
+
+
+def test_build_hyperplanes_matches_oracle_on_sweep_numerators():
+    # every numerator of the benchmark's seed-7 sweep: the eigensolver's
+    # exact conjugate pairs need no pairing search
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        den, num = random_plant(rng, n_max=8)
+        n = den.coeffs.size - 1
+        assert (_outcome(build_hyperplanes, num, n)
+                == _outcome(oracle_build_hyperplanes, num, n))
 
 
 def test_numerator_vanishing_at_zero_is_rejected_like_oracle():

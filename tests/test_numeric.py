@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import (Polynomial, classify_roots, numeric, poly_roots,
-                     schur_check, solve_linear, vec_1norm)
-from intctrl.numeric import (ConjugatePairingError, RootFindingError,
-                             SingularMatrixError)
+from intctrl import Polynomial, numeric
+from intctrl.numeric import (RootFindingError, SingularMatrixError, poly_roots,
+                             schur_check, solve_linear, vec_1norm)
 
 from conftest import schur_factor_product
 
@@ -136,7 +135,7 @@ def _oracle_cases():
     # pure and scaled monomials: only zero roots, no eigensolve
     for k in (1, 2, 7, 30):
         cases.append(Polynomial.monomial(k))
-        cases.append(Polynomial.monomial(k, -2.5))
+        cases.append(Polynomial([-2.5]).shifted(k))
     # all-real roots (a real eigenvalue array) and all-complex roots
     for deg in (1, 3, 8, 15):
         cases.append(Polynomial.from_roots(list(rng.uniform(-1.5, 1.5, deg))))
@@ -186,7 +185,7 @@ def _screen_boundary_cases():
         cases["clustered"] = cases["clustered"] * Polynomial([0.1, 0.0, 1.0])
     cases["z^4*P"] = Polynomial(rng.normal(size=6)).shifted(4)
     cases["z^30*P"] = Polynomial(rng.normal(size=12)).shifted(30)
-    cases["monomial"] = Polynomial.monomial(7, -2.5)
+    cases["monomial"] = Polynomial([-2.5]).shifted(7)
     # roots near 1e200 and 1e-200: their squares overflow and underflow
     cases["overflow"] = Polynomial([1.0, -1e200, 1.0])
     return cases
@@ -214,70 +213,6 @@ def test_roots_match_oracle_at_each_residual_bound(name):
 def test_roots_requires_degree():
     with pytest.raises(ValueError):
         poly_roots(Polynomial([1.0]))
-
-
-def test_classify_real_only():
-    rs = classify_roots([1.0, -2.0])
-    assert rs.n_real == 2 and rs.n_complex_pairs == 0
-
-
-def test_classify_pure_pair():
-    rs = classify_roots([1j, -1j])
-    assert rs.n_real == 0 and rs.n_complex_pairs == 1
-    assert rs.complex_pairs[0] == 1j
-
-
-def test_classify_benchmark_target_roots():
-    # the benchmark's degree-8 target roots: 2 real, 3 conjugate pairs
-    roots = [-0.2616, 0.3728,
-             0.6769 + 0.6490j, 0.6769 - 0.6490j,
-             0.9168 + 0.1990j, 0.9168 - 0.1990j,
-             0.9650 + 0.1j, 0.9650 - 0.1j]
-    rs = classify_roots(roots)
-    assert rs.n_real == 2 and rs.n_complex_pairs == 3
-
-
-def test_classify_unpaired_raises():
-    with pytest.raises(ConjugatePairingError):
-        classify_roots([1j, 1j, -1j])
-
-
-def test_classify_collapses_printed_conjugates():
-    rs = classify_roots([0.5 + 1e-12j, 0.5 - 1e-12j])
-    assert rs.n_real == 2
-
-
-def reconstruct(rs):
-    """Polynomial with the classified roots and leading coefficient."""
-    roots = list(rs.real_roots)
-    for eta in rs.complex_pairs:
-        roots += [eta, eta.conjugate()]
-    return Polynomial.from_roots(roots, leading=rs.leading_coeff,
-                                 conj_tol=1e-7)
-
-
-def test_rootset_reconstruction_fuzz():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        deg = int(rng.integers(1, 11))
-        # well-separated roots on a grid
-        pool = [complex(c, 0) for c in np.arange(-2.0, 2.01, 0.5)]
-        pool += [complex(re, im) for re in (-1.0, 0.0, 1.0) for im in (0.5, 1.0)]
-        roots = []
-        while len(roots) < deg:
-            r = pool[int(rng.integers(0, len(pool)))]
-            if any(abs(r - s) < 1e-6 or abs(r.conjugate() - s) < 1e-6 for s in roots):
-                continue
-            if r.imag != 0:
-                if deg - len(roots) < 2:
-                    continue
-                roots += [r, r.conjugate()]
-            else:
-                roots.append(r)
-        lead = float(rng.uniform(0.5, 2.0))
-        p = Polynomial.from_roots(roots, leading=lead)
-        rebuilt = reconstruct(classify_roots(poly_roots(p), lead))
-        assert rebuilt.allclose(p, 1e-7)
 
 
 def test_schur_monomial():

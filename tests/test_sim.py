@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (Polynomial, RationalTF, StabilizationConfig,
-                     convert_controller, realize_controller,
-                     realize_tf, run_algorithm1, simulate_loop)
+                     convert_controller, realize_controller, realize_tf,
+                     run_algorithm1, simulate_loop)
 from intctrl.converter import ConversionConfig
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
@@ -144,7 +144,9 @@ def test_open_loop_divergence_flag(pendulum):
 def test_divergence_iff_unstable_loop():
     # the simulated loop diverges exactly when the closed-loop polynomial
     # has spectral radius above one (instances near the circle skipped)
-    from intctrl import closed_loop_poly, schur_check, solve_diophantine
+    from intctrl import closed_loop_poly
+    from intctrl.bezout import solve_diophantine
+    from intctrl.numeric import schur_check
     from conftest import random_roots
     rng = np.random.default_rng(99)
     checked = 0
@@ -201,7 +203,7 @@ def test_csv_export_format():
 def two_system_loop(plant, ctrl, reference, steps, x0_plant=None,
                     x0_ctrl=None):
     """Reference simulator: plant and controller stepped as two systems,
-    one sample at a time, with simulate_loop's default divergence limit."""
+    one sample at a time, with simulate_loop's divergence limit 1e12."""
     dp = float(plant.D[0, 0])
     r_seq = np.broadcast_to(np.asarray(reference, dtype=float), (steps,))
     xp = np.zeros(plant.n_states) if x0_plant is None else np.asarray(x0_plant)

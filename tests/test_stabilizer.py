@@ -3,12 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
-                     SynthesisError, closed_loop_poly,
-                     make_gamma_ini, monic_from_vector, preprocess_plant,
-                     run_algorithm1, schur_check, stabilize_proper,
-                     vec_1norm)
-from intctrl.stabilizer import steer
+                     SynthesisError, closed_loop_poly, run_algorithm1)
 from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
+from intctrl.numeric import schur_check, vec_1norm
+from intctrl.poly import monic_from_vector
+from intctrl.stabilizer import make_gamma_ini, preprocess_plant, steer
 
 from conftest import invariant_breach, sweep_plant, well_posed_plant
 
@@ -211,31 +210,6 @@ def test_numerator_z_power_lifting():
     assert result.certificate.passed
     resid = (result.alpha * den + result.beta * num - result.gamma).max_abs()
     assert resid <= 1e-8 * max(1.0, result.gamma.max_abs())
-
-
-def test_stabilize_proper_monomial_factor():
-    den = Polynomial.from_roots([0.5, 1.2])  # den(0) != 0
-    num = Polynomial([1.0])
-    ctrl_den, ctrl_num, result = stabilize_proper(den, num, Z)
-    assert result.certificate.passed
-    assert ctrl_num.coeffs.size <= ctrl_den.coeffs.size
-
-
-def test_stabilize_proper_shared_root_rejected():
-    den = Polynomial.from_roots([0.5, 1.2])
-    with pytest.raises(NotCoprimeError):
-        stabilize_proper(den, Polynomial([1.0]), Polynomial.from_roots([0.5]))
-
-
-def test_stabilize_proper_pendulum(pendulum):
-    den, num = pendulum
-    factor = Polynomial([2, 1])  # z + 2
-    ctrl_den, ctrl_num, result = stabilize_proper(den, num, factor)
-    assert result.certificate.passed
-    # proper with equality: numerator degree reaches the denominator's
-    assert ctrl_num.coeffs.size == ctrl_den.coeffs.size
-    cl = closed_loop_poly(den, num, ctrl_den, ctrl_num)
-    assert schur_check(cl).is_schur
 
 
 def test_prefer_origin_flag():

@@ -13,27 +13,28 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dtrtrs
 
-from intctrl import (ConversionConfig, DeltaFactors, Polynomial,
-                     StabilizationConfig, control_input, delta_matrix,
-                     monic_from_vector, run_algorithm1, run_algorithm2,
-                     toeplitz_stack, vec_1norm)
+from intctrl import (ConversionConfig, Polynomial, StabilizationConfig,
+                     run_algorithm1)
 from intctrl.bezout import sylvester_matrix
+from intctrl.converter import run_algorithm2
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
+from intctrl.numeric import vec_1norm
+from intctrl.poly import monic_from_vector, toeplitz_stack
 from intctrl.stabilizer import SynthesisError, TraceStep
-from intctrl.target import (active_index_set, build_hyperplanes,
-                            find_integer_target)
+from intctrl.target import (DeltaFactors, active_index_set, build_hyperplanes,
+                            control_input, delta_matrix, find_integer_target)
 
 from conftest import invariant_breach, random_plant
 
 
-def oracle_delta_matrix(x, factors, with_lower=False):
+def oracle_delta_matrix(x, factors):
     n = factors.dim
     Tm = toeplitz_stack(monic_from_vector(np.asarray(x, dtype=float)), n)
     lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
     assert info == 0
     delta = Tm[:n] - factors.top @ lower
-    return (delta, lower) if with_lower else delta
+    return delta, lower
 
 
 def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
@@ -63,7 +64,7 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
                 f"{vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}'); raise max_iterations or inspect the "
                 "plant conditioning")
-        delta, lower = oracle_delta_matrix(x, factors, with_lower=True)
+        delta, lower = oracle_delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         f = monic_from_vector(step.u)
         factor = f * factor
@@ -155,15 +156,11 @@ def test_delta_matrix_matches_oracle():
                 continue
             factors = DeltaFactors.from_numerator(num, n)
             x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-            assert (delta_matrix(x, factors).tobytes()
-                    == oracle_delta_matrix(x, factors).tobytes())
-            got = delta_matrix(x, factors, with_lower=True)
-            want = oracle_delta_matrix(x, factors, with_lower=True)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             # a vector short of the dimension stands for a lower degree
-            short = x[: int(rng.integers(0, n))]
-            assert (delta_matrix(short, factors).tobytes()
-                    == oracle_delta_matrix(short, factors).tobytes())
+            for v in (x, x[: int(rng.integers(0, n))]):
+                got = delta_matrix(v, factors)
+                want = oracle_delta_matrix(v, factors)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,15 +5,15 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import (DeltaFactors, Polynomial, active_index_set,
-                     build_hyperplanes, control_input, coprime_check,
-                     delta_matrix, find_integer_target, monic_from_vector,
-                     schur_check, solve_diophantine, solve_linear,
-                     toeplitz_stack, vec_1norm, vector_from_monic)
-from intctrl import target
-from intctrl.numeric import SingularMatrixError
-from intctrl.target import (InconsistentActiveSetError, IntegerTarget,
-                            TargetSearchError, _shell_blocks)
+from intctrl import Polynomial, target
+from intctrl.bezout import coprime_check, solve_diophantine
+from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
+                             vec_1norm)
+from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
+from intctrl.target import (DeltaFactors, InconsistentActiveSetError,
+                            IntegerTarget, TargetSearchError, _shell_blocks,
+                            active_index_set, build_hyperplanes, control_input,
+                            delta_matrix, find_integer_target)
 
 from conftest import random_plant
 
@@ -70,6 +70,66 @@ def test_hyperplane_sides_match_polynomial_values():
         assert_allclose(planes.norms(), np.abs(planes.normals).sum(axis=1))
 
 
+def test_hyperplanes_real_only_and_pure_pair():
+    planes = build_hyperplanes(Polynomial.from_roots([1.0, -2.0]), 2)
+    assert planes.n_real == 2
+    assert_allclose(planes.roots, [-2.0, 1.0])
+    planes = build_hyperplanes(Polynomial([1.0, 0.0, 1.0]), 2)  # z^2 + 1
+    assert planes.n_real == 0 and planes.normals.shape == (2, 2)
+    assert planes.roots[0] == planes.roots[1]
+    assert abs(planes.roots[0] - 1j) < 1e-15
+
+
+def test_hyperplanes_near_real_pair_gives_two_real_rows(monkeypatch):
+    # printed conjugates 0.5 +- 1e-12j lie inside IMAG_TOL: two real rows
+    monkeypatch.setattr(target, "poly_roots",
+                        lambda num: np.array([0.5 + 1e-12j, 0.5 - 1e-12j]))
+    planes = build_hyperplanes(Polynomial([0.25, -1.0, 1.0]), 3)
+    assert planes.n_real == 2 and planes.roots == (0.5, 0.5)
+    assert_allclose(planes.normals, [[0.25, 0.5, 1.0]] * 2)
+
+
+def test_hyperplanes_real_rows_first_then_pairs_sorted():
+    # the degree-8 target roots of the pendulum fixture, shuffled: 2 real
+    # roots, then 3 pairs by (real, imag), each kept by its upper member
+    roots = [0.9168 + 0.1990j, 0.3728, 0.6769 - 0.6490j, 0.9650 + 0.1j,
+             -0.2616, 0.9168 - 0.1990j, 0.9650 - 0.1j, 0.6769 + 0.6490j]
+    planes = build_hyperplanes(Polynomial.from_roots(roots, leading=2.0), 8)
+    assert planes.n_real == 2 and planes.normals.shape == (8, 8)
+    want = [-0.2616, 0.3728] + [r for r in (0.6769 + 0.6490j, 0.9168 + 0.1990j,
+                                            0.9650 + 0.1j) for _ in range(2)]
+    assert_allclose(planes.roots, want, atol=1e-9)
+    assert all(r.imag == 0.0 for r in planes.roots[:2])
+    assert planes.roots[2::2] == planes.roots[3::2]
+
+
+def test_hyperplane_roots_rebuild_the_numerator_fuzz():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        deg = int(rng.integers(1, 11))
+        # well-separated roots on a grid, none at the origin
+        pool = [complex(c, 0) for c in np.arange(-2.0, 2.01, 0.5) if c]
+        pool += [complex(re, im) for re in (-1.0, 0.0, 1.0) for im in (0.5, 1.0)]
+        roots = []
+        while len(roots) < deg:
+            r = pool[int(rng.integers(0, len(pool)))]
+            if any(abs(r - s) < 1e-6 or abs(r.conjugate() - s) < 1e-6 for s in roots):
+                continue
+            if r.imag != 0:
+                if deg - len(roots) < 2:
+                    continue
+                roots += [r, r.conjugate()]
+            else:
+                roots.append(r)
+        lead = float(rng.uniform(0.5, 2.0))
+        p = Polynomial.from_roots(roots, leading=lead)
+        planes = build_hyperplanes(p, deg)
+        found = list(planes.roots[:planes.n_real])
+        for eta in planes.roots[planes.n_real::2]:
+            found += [eta, eta.conjugate()]
+        assert Polynomial.from_roots(found, leading=lead).allclose(p, 1e-7)
+
+
 def test_active_set_empty_planes():
     planes = build_hyperplanes(Polynomial([1.0]), 2)
     assert active_index_set(np.zeros(2), planes) == ()
@@ -121,13 +181,13 @@ def test_active_set_nan_side_counts_as_vanishing():
 
 def test_delta_scalar_constant_numerator():
     factors = DeltaFactors.from_numerator(Polynomial([3.0]), 1)
-    assert_allclose(delta_matrix(np.array([7.0]), factors), [[1.0]])
+    assert_allclose(delta_matrix(np.array([7.0]), factors)[0], [[1.0]])
 
 
 def test_delta_constant_numerator_unit_lower_triangular():
     # hand expansion: stacked matrix of [1; x] has unit diagonal and x1 below
     factors = DeltaFactors.from_numerator(Polynomial([2.0]), 2)
-    out = delta_matrix(np.array([5.0, -3.0]), factors)
+    out = delta_matrix(np.array([5.0, -3.0]), factors)[0]
     assert_allclose(out, [[1.0, 0.0], [5.0, 1.0]])
 
 
@@ -153,7 +213,7 @@ def test_delta_matches_solve_triangular_oracle():
             Tm = toeplitz_stack(monic_from_vector(x), n)
             lower = scipy.linalg.solve_triangular(factors.bottom, Tm[n:])
             want = Tm[:n] - factors.top @ lower
-            assert delta_matrix(x, factors).tobytes() == want.tobytes()
+            assert delta_matrix(x, factors)[0].tobytes() == want.tobytes()
 
 
 def test_delta_singular_iff_shared_root():
@@ -169,13 +229,13 @@ def test_delta_singular_iff_shared_root():
         shared = Polynomial.from_roots([roots[0]] + [rng.uniform(-1.4, 1.4)
                                                      for _ in range(n - 1)])
         x_bad = vector_from_monic(shared, n)
-        cond = np.linalg.cond(delta_matrix(x_bad, factors))
+        cond = np.linalg.cond(delta_matrix(x_bad, factors)[0])
         assert cond > 1e8
         # coprime vector: the update matrix must be solvable
         x_ok = rng.normal(size=n)
         if coprime_check(monic_from_vector(x_ok), num).quality < 1e-4:
             continue
-        solve_linear(delta_matrix(x_ok, factors), np.ones(n))
+        solve_linear(delta_matrix(x_ok, factors)[0], np.ones(n))
 
 
 def test_update_matches_polynomial_route():
@@ -194,7 +254,7 @@ def test_update_matches_polynomial_route():
         if m.is_zero or abs(m.coeffs[0]) < 0.3 * m.max_abs():
             continue
         factors = DeltaFactors.from_numerator(m, n)
-        vec_route = x + delta_matrix(x, factors) @ u
+        vec_route = x + delta_matrix(x, factors)[0] @ u
         prod = (monic_from_vector(x) * monic_from_vector(u)).shifted(shift)
         poly_route = solve_diophantine(Polynomial.monomial(shift + n), prod, m).r
         assert_allclose(vec_route, vector_from_monic(poly_route, n),
