@@ -9,7 +9,6 @@ from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .poly import Polynomial, _max_abs
 
@@ -22,26 +21,34 @@ def _load_flapack():
     import sets up scipy's array-API layer, which imports ``numpy.f2py``,
     ``numpy.testing``, ``numpy.ma`` and ``numpy.random`` and made up more
     than half of ``import intctrl``.  The extension is loaded from its file
-    under its own name; when it is not there, or ``scipy.linalg`` is
-    already loaded, it comes from the package as usual.
+    under its own name, found from scipy's import spec without running
+    ``scipy/__init__.py`` either; when it is not there, fails to load, or
+    ``scipy.linalg`` is already loaded, it comes from the package as usual.
     """
     name = "scipy.linalg._flapack"
     found = None
     if "scipy.linalg" not in sys.modules:
-        found = PathFinder.find_spec(
-            "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
-    if found is None:
-        from scipy.linalg import _flapack
-        return _flapack
-    spec = importlib.util.spec_from_file_location(name, found.origin)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # a single-phase extension enters itself in sys.modules; left there, a
-    # later ``import scipy.linalg`` would reuse the entry without making it
-    # an attribute of the package.  Loaded again, it gets the same function
-    # objects: the interpreter keeps the first load's module dict
-    sys.modules.pop(name, None)
-    return module
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is not None:
+            found = PathFinder.find_spec("_flapack", [os.path.join(
+                scipy_spec.submodule_search_locations[0], "linalg")])
+    if found is not None:
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            # a single-phase extension enters itself in sys.modules; left
+            # there, a later ``import scipy.linalg`` would reuse the entry
+            # without making it an attribute of the package.  Loaded again,
+            # it gets the same function objects: the interpreter keeps the
+            # first load's module dict
+            sys.modules.pop(name, None)
+    from scipy.linalg import _flapack
+    return _flapack
 
 
 _flapack = _load_flapack()
@@ -111,12 +118,19 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("A must be square")
     if A.shape[0] == 0:
         return np.zeros_like(b)
+    return _lu_solve(A, b)
+
+
+def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_linear` of a square float matrix of order at least 1,
+    without the input checks, for callers whose matrix is built so."""
     # getrf itself, not lu_factor: lu_factor warns on an exactly zero pivot,
     # which the check below reports as an exception
     lu, piv, _ = dgetrf(A)
     diag = np.abs(lu.diagonal())
-    # argmin finds the entry np.minimum.reduce returns, NaN included, faster
-    scale, pivot = _max_abs(diag), float(diag[diag.argmin()])
+    # argmax and argmin find the entries np.maximum.reduce and
+    # np.minimum.reduce return, NaN included, faster
+    scale, pivot = float(diag[diag.argmax()]), float(diag[diag.argmin()])
     if scale == 0.0 or pivot <= SOLVE_RCOND * scale:
         raise SingularMatrixError(pivot, scale)
     # getrs itself, the call lu_solve makes, without its per-call checks
@@ -196,13 +210,17 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     if desc.size > 1:
         A = np.zeros((desc.size - 1, desc.size - 1))
         A.reshape(-1)[desc.size - 1 :: desc.size] = 1.0
-        A[0, :] = -desc[1:] / desc[0]
-        # np.linalg.eigvals(A) without the wrapper's checks, which cost more
-        # than a small solve; only the first row can be non-finite
-        if np.count_nonzero(np.isfinite(A[0])) != A.shape[1]:
-            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        # one error state for the row and the eigensolve: a quotient that
+        # overflows is left to the finiteness check, and finite
+        # coefficients over a nonzero leading one raise no invalid flag, so
+        # only a failed eigensolve calls _eigvals_failed
         with np.errstate(call=_eigvals_failed, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
+            A[0, :] = -desc[1:] / desc[0]
+            # np.linalg.eigvals(A) without the wrapper's checks, which cost
+            # more than a small solve; only the first row can be non-finite
+            if np.count_nonzero(np.isfinite(A[0])) != A.shape[1]:
+                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
             roots = np.linalg._umath_linalg.eigvals(A, signature="d->D")
         roots = roots if np.count_nonzero(roots.imag) else roots.real
     else:

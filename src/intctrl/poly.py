@@ -57,11 +57,6 @@ class Polynomial:
     # -- basic queries ----------------------------------------------------
 
     @property
-    def degree(self) -> int | None:
-        """Degree, or ``None`` for the zero polynomial."""
-        return self.coeffs.size - 1 if self.coeffs.size else None
-
-    @property
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
 
@@ -202,10 +197,6 @@ class Polynomial:
         scale = max(1.0, self.max_abs(), other.max_abs())
         return bool(_max_abs(self._padded(n) - other._padded(n)) <= tol * scale)
 
-    def descending(self) -> np.ndarray:
-        """Coefficients from highest power down (copy)."""
-        return self.coeffs[::-1].copy()
-
     def __repr__(self):
         return f"Polynomial({self.coeffs.tolist()})"
 
@@ -319,10 +310,6 @@ class RationalTF(NamedTuple):
     @property
     def is_proper(self) -> bool:
         return self.degree_gap() >= 0
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.degree_gap() >= 1
 
 
 # -- coefficient-vector / matrix boundary -----------------------------------

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import IMAG_TOL, dtrtrs, poly_roots, solve_linear, vec_1norm
+from .numeric import IMAG_TOL, _lu_solve, dtrtrs, poly_roots, vec_1norm
 from .poly import (Polynomial, _check_finite, _max_abs, _stack_index,
                    toeplitz_stack)
 
@@ -185,11 +185,14 @@ def delta_matrix(x: np.ndarray, factors: DeltaFactors
     padded[n + x.size] = 1.0
     Tm = padded[factors.index]
     # trtrs on the transpose, the call solve_triangular makes for a C-ordered
-    # matrix, without its per-call checks
-    lower, info = dtrtrs(factors.bottom.T, Tm[n:], lower=1, trans=1)
+    # matrix, without its per-call checks; lower = trans = 1, passed by
+    # position, which the wrapper parses faster than keywords
+    lower, info = dtrtrs(factors.bottom.T, Tm[n:], 1, 1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
-    delta = Tm[:n] - factors.top @ lower
+    # the difference overwrites the top half of Tm, which nothing reads again
+    delta = Tm[:n]
+    delta -= factors.top @ lower
     return delta, lower
 
 
@@ -199,11 +202,17 @@ class IntegerTarget(NamedTuple):
     candidates_examined: int
 
 
-#: flat cube indices unravelled per block of the shell walk: one matrix
-#: product amortizes the per-call overhead over the block, and in dimension 8
-#: a block of offsets stays at 256 KiB however large the shell is.  The
-#: search time is flat from about 1024 to 16384 and grows on either side.
+#: flat cube indices unravelled per block of the shell walk, at most: one
+#: matrix product amortizes the per-call overhead over the block, and in
+#: dimension 8 a block of offsets stays at 256 KiB however large the shell
+#: is.  The seed-7 sweep's longest walk (200,001 candidates in dimension 8)
+#: takes 35-38 ms with blocks of 2048 to 8192, 44-47 ms at 1024 or 16384
+#: and more beyond (one Xeon core, numpy 2.4); shorter walks stop in their
+#: first, smaller blocks.
 SHELL_BLOCK = 4096
+#: the smallest first block of a shell (see _shell_blocks): a walk that
+#: stops after a few candidates tests tens of points, not thousands
+_FIRST_BLOCK = 64
 #: the shells walked around each centre, and the points examined per centre
 #: (itself included); both bound the search's time, not its answer, which
 #: exists for coprime inputs
@@ -254,16 +263,30 @@ def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flat_blocks(total: int, first: int):
+    """``(start, stop)`` ranges covering ``range(total)`` in order, the
+    first of ``first`` indices and each next one twice as long, up to
+    ``SHELL_BLOCK``."""
+    start, size = 0, first
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, SHELL_BLOCK)
+
+
 def _shell_blocks(radius: int, dim: int):
     """Integer offsets of Chebyshev norm ``radius`` in ``itertools.product``
-    order, as int arrays of shape (k, dim) cut from flat index ranges of
-    at most ``SHELL_BLOCK`` cube points; the cube is never built whole."""
+    order, as int arrays of shape (k, dim) cut from the flat index ranges
+    of ``_flat_blocks``; the cube is never built whole.  The first block is
+    as large as the cube inside the shell, the points a walk from the
+    centre has examined before it, but at least ``_FIRST_BLOCK`` and at
+    most ``SHELL_BLOCK``."""
     width = 2 * radius + 1
-    total = width ** dim
-    for start in range(0, total, SHELL_BLOCK):
+    first = min(max(_FIRST_BLOCK, (width - 2) ** dim), SHELL_BLOCK)
+    for start, stop in _flat_blocks(width ** dim, first):
         # unravelled digit by digit: np.unravel_index rejects cubes of more
         # than 2**63 points, which dimension 40 reaches at radius 1
-        rest = np.arange(start, min(start + SHELL_BLOCK, total))
+        rest = np.arange(start, stop)
         off = np.empty((rest.size, dim), dtype=np.int64)
         for k in range(dim - 1, -1, -1):
             rest, off[:, k] = np.divmod(rest, width)
@@ -363,11 +386,13 @@ def control_input(x: np.ndarray, x_star: np.ndarray, delta: np.ndarray,
     returned with ``hit=True`` and the caller must assign the next state to
     ``x_star`` exactly (bitwise); otherwise the step is rescaled to 1-norm
     ``mu``.  Either way the emitted input has 1-norm strictly below 1, which
-    keeps its associated monic polynomial Schur.
+    keeps its associated monic polynomial Schur.  ``delta`` is the square
+    float matrix of order at least 1 that ``delta_matrix`` returns: it goes
+    to ``solve_linear``'s LU core without that function's input checks.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
-    d = solve_linear(delta, np.asarray(x_star, dtype=float) - np.asarray(x, dtype=float))
+    d = _lu_solve(delta, np.asarray(x_star, dtype=float) - np.asarray(x, dtype=float))
     norm = vec_1norm(d)
     if norm < 1.0:
         return ControlStep(d, True)

@@ -56,7 +56,7 @@ def test_c1_pendulum_stabilization_reproduction():
     # trailing coefficients)
     quoted = np.array([-6404.6, 17154.0, -14891.0, 3894.9, 272.28,
                        -6.0466, -23.6399, 4.7839])
-    got = result.controller_num.descending()
+    got = result.controller_num.coeffs[::-1]
     num_err = float(np.max(np.abs(got - quoted)) / np.max(np.abs(quoted)))
     ok = ok and num_err <= 1e-3
     detail += f", num_scale_rel_err={num_err:.2e}"

@@ -459,6 +459,17 @@ def test_analyze_overflowing_root_scale_prints_no_warning(tmp_path, capsys):
     assert payload["closed_loop"]["spectral_radius"] == 1e200
 
 
+def test_analyze_overflowing_companion_row_prints_no_warning(tmp_path, capsys):
+    # gamma = 1e-300 z + 1e300: its companion row overflows, and numpy's
+    # divide warning used to reach stderr before the failed certificate
+    code, payload = _analyze(tmp_path, {
+        "ordering": "descending", "plant": {"den": [1, -0.5], "num": [1]},
+        "solution": {"alpha": [1], "beta": [0.5], "gamma": [1e-300, 1e300]}})
+    assert code == 4 and payload is None
+    assert capsys.readouterr().err == (
+        "certificate failed: Array must not contain infs or NaNs\n")
+
+
 def test_analyze_closed_loop_radius_agrees_with_the_certificate(tmp_path):
     # den = z^2 - 1e10 z + 1 with no feedback: the closed loop is den itself,
     # whose leading 1 a relative trim against 1e10 used to drop

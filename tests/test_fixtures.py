@@ -11,19 +11,19 @@ from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 def test_plant_rounds_to_quoted_coefficients():
     den, num = pendulum_plant()
-    assert_allclose(np.round(den.descending(), 4),
+    assert_allclose(np.round(den.coeffs[::-1], 4),
                     [1.0, -4.0757, 6.1423, -4.0581, 0.9915])
-    assert_allclose(np.round(num.descending(), 4),
+    assert_allclose(np.round(num.coeffs[::-1], 4),
                     [0.0021, -0.0023, -0.0023, 0.0021])
 
 
 def test_pre_controller_rounds_to_quoted_coefficients():
     pre = pendulum_pre_controller()
-    assert_allclose(pre.den.descending(),
+    assert_allclose(pre.den.coeffs[::-1],
                     [1.0, -2.8826, 0.1067, 0.4848, 3.8324, -2.5413])
-    assert_allclose(np.round(pre.num_y.descending() / 1e3, 4),
+    assert_allclose(np.round(pre.num_y.coeffs[::-1] / 1e3, 4),
                     [-1.556, 5.8219, -8.1324, 5.023, -1.1566])
-    assert_allclose(pre.num_r.descending(),
+    assert_allclose(pre.num_r.coeffs[::-1],
                     [-0.02, 0.0566, -0.0584, 0.0258, -0.0041])
 
 

@@ -632,6 +632,8 @@ ORACLES = {
     "solve_diophantine": oracle_solve_diophantine,
     "coprime_check": oracle_coprime_check,
     "solve_linear": oracle_solve_linear,
+    # the LU core control_input calls without solve_linear's input checks
+    "_lu_solve": oracle_solve_linear,
     "poly_roots": oracle_poly_roots,
     "schur_check": oracle_schur_check,
     "build_hyperplanes": oracle_build_hyperplanes,
@@ -646,7 +648,7 @@ CALL_SITES = [
     (stabilizer, "solve_diophantine"), (converter, "solve_diophantine"),
     (stabilizer, "coprime_check"), (converter, "coprime_check"),
     (verify, "coprime_check"), (bezout, "solve_linear"),
-    (target, "solve_linear"), (target, "poly_roots"), (numeric, "poly_roots"),
+    (target, "_lu_solve"), (target, "poly_roots"), (numeric, "poly_roots"),
     (verify, "poly_roots"), (verify, "schur_check"),
     (stabilizer, "build_hyperplanes"), (stabilizer, "active_index_set"),
     (stabilizer, "find_integer_target"), (stabilizer, "certify_stabilization"),

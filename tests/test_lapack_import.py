@@ -47,8 +47,8 @@ def run_python(code):
 def test_import_leaves_scipy_linalg_out():
     out = run_python(
         "import sys, intctrl\n"
-        "print(sorted({'scipy.linalg', 'scipy.linalg._flapack', 'numpy.f2py',"
-        " 'numpy.testing'} & set(sys.modules)))")
+        "print(sorted({'scipy', 'scipy.linalg', 'scipy.linalg._flapack',"
+        " 'numpy.f2py', 'numpy.testing'} & set(sys.modules)))")
     assert out.strip() == "[]"
 
 
@@ -71,4 +71,25 @@ def hide_flapack(cls, name, path=None, target=None):
 PathFinder.find_spec = classmethod(hide_flapack)
 import intctrl
 assert "scipy.linalg" in sys.modules
+""" + SAME_ROUTINES)
+
+
+def test_fallback_when_the_extension_fails_to_load():
+    # the first load of the extension, intctrl's own from its file, fails;
+    # scipy.linalg's import of it then loads it as usual
+    run_python("""
+import sys
+from importlib.machinery import ExtensionFileLoader
+create_module = ExtensionFileLoader.create_module
+failed = []
+
+def fail_first_flapack(self, spec):
+    if spec.name == "scipy.linalg._flapack" and not failed:
+        failed.append(spec.origin)
+        raise ImportError("cannot load")
+    return create_module(self, spec)
+
+ExtensionFileLoader.create_module = fail_first_flapack
+import intctrl
+assert failed and "scipy.linalg" in sys.modules
 """ + SAME_ROUTINES)

@@ -215,6 +215,13 @@ def test_roots_requires_degree():
         poly_roots(Polynomial([1.0]))
 
 
+def test_roots_overflowing_companion_row_raises_without_warning():
+    # 1e-300 z + 1e300: the companion row -1e300 / 1e-300 overflows, and
+    # numpy's divide warning used to come before the error
+    with pytest.raises(np.linalg.LinAlgError, match="must not contain infs or NaNs"):
+        poly_roots(Polynomial([1e300, 1e-300]))
+
+
 def test_schur_monomial():
     res = schur_check(Polynomial.monomial(8))
     assert res.is_schur and res.spectral_radius == 0.0
@@ -237,7 +244,7 @@ def jury_stable(p: Polynomial) -> bool:
     Cross-check oracle for :func:`schur_check`; reports strict unit-circle
     stability.  Degree-0 polynomials are vacuously stable.
     """
-    a = p.descending()
+    a = p.coeffs[::-1]
     while a.size > 1:
         if abs(a[-1]) >= abs(a[0]):
             return False

@@ -184,9 +184,9 @@ def oracle_sylvester_matrix(a, b):
     da, db = a.coeffs.size - 1, b.coeffs.size - 1
     S = np.zeros((da + db, da + db))
     for i in range(db):
-        S[i : i + da + 1, i] = a.descending()
+        S[i : i + da + 1, i] = a.coeffs[::-1]
     for i in range(da):
-        S[i : i + db + 1, db + i] = b.descending()
+        S[i : i + db + 1, db + i] = b.coeffs[::-1]
     return S
 
 

@@ -11,7 +11,8 @@ from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
                              vec_1norm)
 from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
 from intctrl.target import (DeltaFactors, InconsistentActiveSetError,
-                            IntegerTarget, TargetSearchError, _shell_blocks,
+                            IntegerTarget, TargetSearchError, _flat_blocks,
+                            _shell_blocks,
                             active_index_set, build_hyperplanes, control_input,
                             delta_matrix, find_integer_target)
 
@@ -529,6 +530,16 @@ def test_block_search_budget_matches_oracle(monkeypatch, block):
         for budget in (1, 2, 3):
             monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
             assert_matches_oracle(x0, planes, active, numerator)
+    # first blocks of 2 flat indices, doubled up to the block size: budgets
+    # end inside the first short block, inside doubled blocks and on their
+    # edges, in both phases
+    monkeypatch.setattr(target, "_FIRST_BLOCK", 2)
+    for budget in range(1, 27):
+        monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
+        found = assert_matches_oracle(x0, planes, active, num)
+        assert found.strategy == ("fallback" if budget <= 22 else "shell")
+        monkeypatch.setattr(target, "MAX_CANDIDATES", min(budget, 22))
+        assert_matches_oracle(x0, planes, active, Polynomial([-0.2, 1.0]))
     # radius exhausted before the budget, in both phases
     monkeypatch.setattr(target, "MAX_CANDIDATES", 200_000)
     monkeypatch.setattr(target, "MAX_RADIUS", 0)
@@ -552,20 +563,63 @@ def test_budget_ends_on_and_inside_a_block(monkeypatch):
         assert (found.strategy, found.candidates_examined) == (strategy,
                                                                examined)
         assert_matches_oracle(x0, planes, active, num)
+    # a first block of 2 flat indices, doubled to 4 and then held at 7: the
+    # shell comes in blocks of 2, 4, 7, 6 and 7 points (the centre drops out
+    # of the fourth)
+    monkeypatch.setattr(target, "_FIRST_BLOCK", 2)
+    edges = np.cumsum([len(b) for b in _shell_blocks(1, 3)])
+    assert list(edges) == [2, 6, 13, 19, 26]
+    # inside the first short block (1 shell point) and on its edge (2);
+    # inside the doubled block (4) and on its edge (6); the target inside
+    # the last block
+    for budget, strategy, examined in ((2, "fallback", 3), (3, "fallback", 4),
+                                       (5, "fallback", 6), (7, "fallback", 8),
+                                       (23, "shell", 23)):
+        monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
+        found = find_integer_target(x0, planes, active, num)
+        assert (found.strategy, found.candidates_examined) == (strategy,
+                                                               examined)
+        assert_matches_oracle(x0, planes, active, num)
 
 
 @pytest.mark.parametrize("block", [1, 7, target.SHELL_BLOCK])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_shell_blocks_follow_product_order(monkeypatch, block, dim):
     monkeypatch.setattr(target, "SHELL_BLOCK", block)
-    for radius in range(4):
-        want = [off for off in itertools.product(range(-radius, radius + 1),
-                                                 repeat=dim)
-                if max(abs(o) for o in off) == radius]
-        blocks = list(_shell_blocks(radius, dim))
-        assert all(b.dtype.kind == "i" and b.shape[1] == dim
-                   and len(b) <= block for b in blocks)
-        assert [tuple(int(v) for v in row) for b in blocks for row in b] == want
+    schedules = []
+
+    def recording(total, first):
+        ranges = list(_flat_blocks(total, first))
+        schedules.append((total, first, ranges))
+        return iter(ranges)
+
+    monkeypatch.setattr(target, "_flat_blocks", recording)
+    for first in (1, 2, 3, target._FIRST_BLOCK):
+        monkeypatch.setattr(target, "_FIRST_BLOCK", first)
+        for radius in range(4):
+            want = [off for off in itertools.product(
+                        range(-radius, radius + 1), repeat=dim)
+                    if max(abs(o) for o in off) == radius]
+            blocks = list(_shell_blocks(radius, dim))
+            assert all(b.dtype.kind == "i" and b.shape[1] == dim
+                       and len(b) <= block for b in blocks)
+            assert [tuple(int(v) for v in row)
+                    for b in blocks for row in b] == want
+            # one block per flat range; the ranges cover the cube in order,
+            # start at the size of the inner cube (at least the first size,
+            # at most the block), double, never exceed the block, and only
+            # the last one is cut short
+            total, start_size, ranges = schedules.pop()
+            assert total == (2 * radius + 1) ** dim and len(blocks) == len(ranges)
+            assert start_size == min(max(first, (2 * radius - 1) ** dim), block)
+            assert [i for start, stop in ranges
+                    for i in range(start, stop)] == list(range(total))
+            sizes = [stop - start for start, stop in ranges]
+            want_sizes = [start_size]
+            while sum(want_sizes) < total:
+                want_sizes.append(min(2 * want_sizes[-1], block))
+            want_sizes[-1] -= sum(want_sizes) - total
+            assert sizes == want_sizes
 
 
 def test_shell_blocks_beyond_index_range():
