@@ -120,7 +120,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     # the roles swap against the stabilizing synthesis: the Schur factors
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s
-    alpha, big_n, x_star, s, trace, warnings = steer(
+    alpha, big_n, x_star, s, trace, warnings, _ = steer(
         Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, s0, cfg)
     gamma = monic_from_vector(x_star).shifted(big_n)
     if shift:

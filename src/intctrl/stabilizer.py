@@ -19,7 +19,7 @@ import numpy as np
 from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
 from .numeric import SCHUR_MARGIN, SchurFactors, vec_1norm
-from .poly import (Polynomial, _check_finite, monic_from_vector,
+from .poly import (Polynomial, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, active_index_set, build_hyperplanes,
                      control_input, delta_matrix, find_integer_target)
@@ -164,7 +164,7 @@ def make_gamma_ini(n: int, num: Polynomial,
 def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
           num: Polynomial, x0: np.ndarray, s0: Polynomial, cfg: SteeringConfig
           ) -> tuple[Polynomial, int, np.ndarray, Polynomial,
-                     list[TraceStep], list[str]]:
+                     list[TraceStep], list[str], np.ndarray]:
     """Steering loop shared by both synthesis directions.
 
     The state ``x`` is the quotient ``r = monic(x)`` of the reduction
@@ -172,7 +172,8 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     deg(p)``, starting at ``x0`` and ``s0``; ``deg(p) <= n = len(x0)``.
     Each step multiplies its monic Schur factor into ``factor`` and adds
     ``n`` to ``shift`` until ``x`` reaches an integer target.  Returns
-    ``(factor, shift, x_star, s, trace, warnings)``.
+    ``(factor, shift, x_star, s, trace, warnings, steps)``, ``steps`` the
+    monic factors as ``SchurFactors.steps`` holds them.
 
     The cofactor is carried, never solved for.  A step with ``f =
     monic(u) = z^n + u(z)`` multiplies the identity by ``f``.  Split ``f*r
@@ -188,14 +189,15 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     lower @ u`` for the triangular solve ``lower = bottom^-1 Tm[n:]`` that
     ``delta_matrix`` makes, and ``r'`` is ``monic(x + delta @ u)``, the
     state update.  The loop keeps each ``a_k`` (one n-by-n product per
-    step), so a run that hits the iteration cap pays only those.  ``s`` is
-    accumulated after the loop: per step the convolutions ``f*s`` and
-    ``p*a`` and one slice-add.  Padded with zeros to ``shift + n``
-    coefficients, ``s`` grows by ``n`` per step as ``shift`` does, so the
-    ``n + deg(p)`` coefficients of ``z^shift*p*a`` always land inside it,
-    also from the zero cofactor of ``shift + deg(p) = 0``.  On a hit the
-    state is set to the integer target exactly, off the carried quotient
-    by the rounding of the step's linear solve.
+    step), so a run that hits the iteration cap pays only those.  The
+    product and ``s`` are accumulated after the loop: per step the
+    convolutions ``f*factor``, ``f*s`` and ``p*a`` and one slice-add; an
+    overflow of either is a ``SynthesisError``.  Padded with zeros to
+    ``shift + n`` coefficients, ``s`` grows by ``n`` per step as ``shift``
+    does, so the ``n + deg(p)`` coefficients of ``z^shift*p*a`` always land
+    inside it, also from the zero cofactor of ``shift + deg(p) = 0``.  On a
+    hit the state is set to the integer target exactly, off the carried
+    quotient by the rounding of the step's linear solve.
     """
     n = x0.size
     warnings: list[str] = []
@@ -206,17 +208,15 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, planes, active, num, cfg.prefer_origin)
+    found = find_integer_target(x0, planes, active,
+                                prefer_origin=cfg.prefer_origin)
     x_star = found.x_star
     cap = (cfg.max_iterations if cfg.max_iterations is not None
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
     factors = DeltaFactors.from_numerator(num, n)
     trace: list[TraceStep] = []
     increments: list[np.ndarray] = []
-    # the product of the Schur factors stays a bare array inside the loop:
-    # np.convolve(monic(u), product) is the call Polynomial.__mul__ makes
-    prod = factor.coeffs
-    monic_u = np.ones(n + 1)
+    degree = factor.coeffs.size - 1
     x = x0
     while np.count_nonzero(x != x_star):
         k = len(trace)
@@ -229,24 +229,29 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         delta, lower = delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         increments.append(lower @ step.u)
-        monic_u[:n] = step.u[::-1]
-        prod = np.convolve(monic_u, prod)
-        _check_finite(prod)
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
         x = x_star.copy() if step.hit else x + delta @ step.u
-        trace.append(TraceStep(k, x, step.u, step.hit, prod.size - 1,
+        trace.append(TraceStep(k, x, step.u, step.hit, degree + n * (k + 1),
                                vec_1norm(x_star - x)))
 
+    steps = np.ones((len(trace), n + 1))
+    steps[:, :n] = np.array([t.u for t in trace]).reshape(-1, n)[:, ::-1]
+    # np.convolve(monic(u), product) is the call Polynomial.__mul__ makes
+    prod = factor.coeffs
     s = np.zeros(shift + n)
     s[:s0.coeffs.size] = s0.coeffs
     width = n + p.coeffs.size - 1
-    for step, a in zip(trace, increments):
-        monic_u[:n] = step.u[::-1]
+    for monic_u, a in zip(steps, increments):
+        prod = np.convolve(monic_u, prod)
         s = np.convolve(monic_u, s)
         s[shift : shift + width] += np.convolve(p.coeffs, a[::-1])
         shift += n
-    return Polynomial(prod), shift, x_star, Polynomial(s), trace, warnings
+    try:  # Polynomial rejects non-finite coefficients
+        return Polynomial(prod), shift, x_star, Polynomial(s), trace, warnings, steps
+    except ValueError:
+        raise SynthesisError(f"the product of {len(trace)} Schur factors or "
+                             "its cofactor overflowed") from None
 
 
 def run_algorithm1(den: Polynomial, num: Polynomial,
@@ -269,7 +274,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
     alpha_ini, beta_ini = solve_diophantine(plant.den, gamma_ini, plant.num)
     x0 = vector_from_monic(trim(alpha_ini), n)
-    gamma, big_n, x_star, beta, trace, warnings = steer(
+    gamma, big_n, x_star, beta, trace, warnings, steps = steer(
         plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, beta_ini,
         cfg)
 
@@ -280,9 +285,6 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
 
     # gamma is proved Schur from the factors steer multiplied, and the
     # plant's coprimality quality is the one preprocess_plant measured
-    steps = np.ones((len(trace), n + 1))
-    if trace:
-        steps[:, :n] = np.array([s.u for s in trace])[:, ::-1]
     cert = certify_stabilization(
         plant.den, Polynomial(num.coeffs / plant.scale), alpha, beta, gamma,
         factors=SchurFactors(base, steps, plant.power_shift),

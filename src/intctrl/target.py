@@ -24,13 +24,11 @@ SIDE_TOL = 1e-9
 
 
 class TargetSearchError(RuntimeError):
-    """Integer-target search examined every candidate it may without finding
-    one on the side of ``x0`` of every active plane.
-
-    A target always exists for coprime inputs, so exhaustion is a numerical
-    breakdown of the plane geometry, reported by the CLI as a synthesis
-    failure (exit 3).  The fallback candidate and its distances to the
-    active planes are attached for diagnosis.
+    """Integer-target search found no candidate on the side of ``x0`` of
+    every active plane, not even the constructive target, which is feasible
+    in exact arithmetic: a numerical breakdown of the plane geometry,
+    reported by the CLI as a synthesis failure (exit 3).  That target and
+    its distances to the active planes are attached for diagnosis.
     """
 
     def __init__(self, message: str, candidate=None, margins=None):
@@ -52,13 +50,14 @@ class HyperplaneSet:
     ``roots[t]`` is the source root of row ``t``.  The first ``n_real`` rows
     are real-root rows, on which a vector's polynomial vanishes at the root;
     a conjugate pair gives the real and then the imaginary part of its value
-    at the root.
+    at the root.  ``num`` is the numerator the roots were found from.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     roots: tuple[complex, ...]
     n_real: int
+    num: Polynomial
     #: row 1-norms, one reduction summing each row as vec_1norm does
     _norms: np.ndarray = field(init=False, repr=False)
 
@@ -115,7 +114,7 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
         roots += [eta, eta]
     power = np.array(rows).reshape(len(rows), n + 1)
     return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),
-                         len(reals))
+                         len(reals), num)
 
 
 def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
@@ -205,7 +204,7 @@ class IntegerTarget(NamedTuple):
 #: flat cube indices unravelled per block of the shell walk, at most: one
 #: matrix product amortizes the per-call overhead over the block, and in
 #: dimension 8 a block of offsets stays at 256 KiB however large the shell
-#: is.  The seed-7 sweep's longest walk (200,001 candidates in dimension 8)
+#: is.  The seed-7 sweep's longest walk (200,001 candidates in dimension 6)
 #: takes 35-38 ms with blocks of 2048 to 8192, 44-47 ms at 1024 or 16384
 #: and more beyond (one Xeon core, numpy 2.4); shorter walks stop in their
 #: first, smaller blocks.
@@ -213,10 +212,8 @@ SHELL_BLOCK = 4096
 #: the smallest first block of a shell (see _shell_blocks): a walk that
 #: stops after a few candidates tests tens of points, not thousands
 _FIRST_BLOCK = 64
-#: the shells walked around each centre, and the points examined per centre
-#: (itself included); both bound the search's time, not its answer, which
-#: exists for coprime inputs
-MAX_RADIUS = 8
+#: the points the shell walk examines, round(x0) included: a bound on the
+#: search's time, not on its answer, which the constructive target gives
 MAX_CANDIDATES = 200_000
 
 
@@ -294,58 +291,55 @@ def _shell_blocks(radius: int, dim: int):
         yield off[_reduce_rows(np.maximum, np.abs(off)) == radius]
 
 
-def _search_around(center: np.ndarray, planes: _ActivePlanes
-                   ) -> tuple[np.ndarray | None, int]:
-    """First feasible point among ``center`` and then its shells of radius
-    1 to ``MAX_RADIUS`` (in shell-lexicographic order, for determinism), and
-    the number of points examined up to and including it, at most
-    ``MAX_CANDIDATES``.  A count of 1 means ``center`` itself."""
-    if planes.feasible(center):
-        return center, 1
-    examined = 1
-    for radius in range(1, MAX_RADIUS + 1):
+def _search_around(center: np.ndarray, max_radius: float,
+                   planes: _ActivePlanes) -> tuple[np.ndarray | None, int]:
+    """First feasible point on the shells of radius 1 to ``max_radius``
+    around ``center``, in product order, and the shell points examined through
+    it, at most ``MAX_CANDIDATES - 1``."""
+    examined, budget = 0, MAX_CANDIDATES - 1
+    # a shell holds 2 points or more, so the budget ends any longer walk
+    for radius in range(1, int(min(max_radius, MAX_CANDIDATES)) + 1):
         for off in _shell_blocks(radius, center.size):
-            cands = center + off[:MAX_CANDIDATES - examined]
+            cands = center + off[:budget - examined]
             hit = planes.first_feasible(cands)
             if hit is not None:
                 return cands[hit].copy(), examined + hit + 1
             examined += len(cands)
-            if examined == MAX_CANDIDATES:
+            if examined == budget:
                 return None, examined
     return None, examined
 
 
 def _fallback_center(x0: np.ndarray, num: Polynomial,
                      planes: _ActivePlanes) -> np.ndarray:
-    """Recentre using the constructive existence argument.
+    """Centre ``c`` of the existence proof: ``round(c)`` is on the side of
+    ``x0`` of every active plane, in exact arithmetic.
 
-    The monic polynomial ``z^(n-m) * num / leading`` lies on every plane, so
-    scaling the plane-free ball around ``x0`` out to unit radius around the
-    recentred point keeps it entirely on the correct sides.
+    Every side vanishes at ``v``, the vector of the monic ``z^(n-m) * num /
+    leading``.  Let ``d`` be the least ``|side(x0)| / |normal|_1``: in the
+    inf-norm ball of radius ``d`` around ``x0`` no side changes sign.  The
+    sides are affine, so scaling by ``1/d`` about ``v`` makes the ball of
+    radius 1 around ``c = v + (x0 - v) / d`` plane-free on the same sides,
+    and rounding moves ``c`` by at most 1/2 per coordinate.
     """
-    n = x0.size
-    m = num.coeffs.size - 1
-    pv = Polynomial(num.coeffs / num.leading).shifted(n - m)
-    v = pv.coeffs[-2::-1].copy()
+    n, m = x0.size, num.coeffs.size - 1
+    v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
     dist = float(np.min(np.abs(planes.sides0) / planes.norms))
     return (x0 - v) / dist + v
 
 
 def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
-                        active: Sequence[int], num: Polynomial,
+                        active: Sequence[int], *,
                         prefer_origin: bool = False) -> IntegerTarget:
     """Integer vector strictly on the same side as ``x0`` of every active plane.
 
     Search order: the origin when ``prefer_origin`` is set (a controller
-    with every pole at the origin); ``round(x0)`` and the Chebyshev shells
-    around it; the constructive fallback recentre and the shells around it.
+    with every pole at the origin); ``round(x0)`` and its Chebyshev shells
+    out to the radius of the constructive target ``round(_fallback_center)``,
+    at most ``MAX_CANDIDATES`` points in all; then that target.
     """
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
-
-    if not active:
-        return IntegerTarget(np.round(x0), "round", 1)
-
     stacked = _ActivePlanes(x0, planes, active)
     examined = 0
     if prefer_origin:
@@ -354,22 +348,22 @@ def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
         if stacked.feasible(origin):
             return IntegerTarget(origin, "origin", examined)
 
-    cand, count = _search_around(np.round(x0), stacked)
-    examined += count
-    if cand is not None:
-        return IntegerTarget(cand, "round" if count == 1 else "shell", examined)
+    start = np.round(x0)
+    if stacked.feasible(start):
+        return IntegerTarget(start, "round", examined + 1)
 
-    center = np.round(_fallback_center(x0, num, stacked))
-    cand, count = _search_around(center, stacked)
-    examined += count
+    center = np.round(_fallback_center(x0, planes.num, stacked))
+    cand, count = _search_around(start, _max_abs(center - start), stacked)
+    examined += 1 + count
     if cand is not None:
-        return IntegerTarget(cand, "fallback", examined)
+        return IntegerTarget(cand, "shell", examined)
+    if stacked.feasible(center):
+        return IntegerTarget(center, "fallback", examined + 1)
     distances = np.abs(planes.sides(center)) / planes.norms()
     raise TargetSearchError(
-        "integer-target search exhausted: no integer point near round(x0) or "
-        "the fallback centre lies on the side of x0 of every active plane; "
-        "one exists for coprime inputs, so the plane geometry broke down "
-        "numerically",
+        "integer-target search exhausted: not even the constructive target "
+        "lies on the side of x0 of every active plane, as it does in exact "
+        "arithmetic, so the plane geometry broke down numerically",
         candidate=center, margins=distances[list(active)].tolist())
 
 

@@ -120,10 +120,11 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 def test_target_search_exhaustion_exits_3(command, monkeypatch, tmp_path,
                                           capsys):
-    # a side margin no candidate clears and no shells to walk exhaust the
-    # target search: a numerical breakdown, not a validation error
+    # a side margin no candidate clears and a budget of a few points
+    # exhaust the target search: a numerical breakdown, not a validation
+    # error
     monkeypatch.setattr(target, "SIDE_TOL", math.inf)
-    monkeypatch.setattr(target, "MAX_RADIUS", 0)
+    monkeypatch.setattr(target, "MAX_CANDIDATES", 5)
     out = tmp_path / "res.json"
     problem = PENDULUM if command == "stabilize" else CONVERSION
     assert main([command, problem, "--out", str(out)]) == 3

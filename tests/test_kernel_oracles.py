@@ -227,7 +227,8 @@ def oracle_build_hyperplanes(num, n):
     power = np.array(rows).reshape(len(rows), n + 1)
     normals = power[:, 1:].copy()
     # the fields and norms a HyperplaneSet is fingerprinted by
-    return normals, -power[:, 0], tuple(roots), len(reals), oracle_norms(normals)
+    return (normals, -power[:, 0], tuple(roots), len(reals), num,
+            oracle_norms(normals))
 
 
 def oracle_classify_roots(roots):
@@ -291,14 +292,14 @@ class OracleActivePlanes:
         return int(good[0]) if good.size else None
 
     def feasible(self, cand):
-        return self.first_feasible(cand[None, :]) is not None
+        # with no active plane every candidate is a target
+        return (not self.norms.size
+                or self.first_feasible(cand[None, :]) is not None)
 
 
-def oracle_find_integer_target(x0, planes, active, num, prefer_origin=False):
+def oracle_find_integer_target(x0, planes, active, *, prefer_origin=False):
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
-    if not active:
-        return IntegerTarget(np.round(x0), "round", 1)
     stacked = OracleActivePlanes(x0, planes, active)
     examined = 0
     if prefer_origin:
@@ -306,22 +307,25 @@ def oracle_find_integer_target(x0, planes, active, num, prefer_origin=False):
         origin = np.zeros_like(x0)
         if stacked.feasible(origin):
             return IntegerTarget(origin, "origin", examined)
-    cand, count = target._search_around(np.round(x0), stacked)
+    start = np.round(x0)
+    examined += 1
+    if stacked.feasible(start):
+        return IntegerTarget(start, "round", examined)
+    center = np.round(target._fallback_center(x0, planes.num, stacked))
+    radius = float(np.max(np.abs(center - start)))
+    cand, count = target._search_around(start, radius, stacked)
     examined += count
     if cand is not None:
-        return IntegerTarget(cand, "round" if count == 1 else "shell", examined)
-    center = np.round(target._fallback_center(x0, num, stacked))
-    cand, count = target._search_around(center, stacked)
-    examined += count
-    if cand is not None:
-        return IntegerTarget(cand, "fallback", examined)
+        return IntegerTarget(cand, "shell", examined)
+    examined += 1
+    if stacked.feasible(center):
+        return IntegerTarget(center, "fallback", examined)
     distances = (np.abs(oracle_sides(planes.normals, planes.offsets, center))
                  / oracle_norms(planes.normals))
     raise TargetSearchError(
-        "integer-target search exhausted: no integer point near round(x0) or "
-        "the fallback centre lies on the side of x0 of every active plane; "
-        "one exists for coprime inputs, so the plane geometry broke down "
-        "numerically",
+        "integer-target search exhausted: not even the constructive target "
+        "lies on the side of x0 of every active plane, as it does in exact "
+        "arithmetic, so the plane geometry broke down numerically",
         candidate=center, margins=distances[list(active)].tolist())
 
 
@@ -613,7 +617,7 @@ def fingerprint(obj):
         return "poly", obj.coeffs.tobytes()
     if isinstance(obj, HyperplaneSet):
         return fingerprint((obj.normals, obj.offsets, obj.roots, obj.n_real,
-                            obj.norms()))
+                            obj.num, obj.norms()))
     if isinstance(obj, DeltaFactors):
         return (fingerprint(obj.top), fingerprint(obj.bottom), obj.dim,
                 fingerprint(obj.index))
@@ -837,7 +841,8 @@ def test_single_candidate_test_matches_block_oracle_at_the_margin():
             * rng.choice([-1.0, 1.0], k)
         offsets = cand @ normals.T - want_sides
         x0 = cand + rng.normal(size=n)
-        planes = HyperplaneSet(normals, offsets, (0j,) * k, 0)
+        planes = HyperplaneSet(normals, offsets, (0j,) * k, 0,
+                               Polynomial.one())
         rows = list(range(k))
         got = target._ActivePlanes(x0, planes, rows)
         want = OracleActivePlanes(x0, planes, rows)

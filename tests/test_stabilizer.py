@@ -235,13 +235,32 @@ def test_steer_warns_about_planes_vanishing_at_x0():
     den = Polynomial([0.0, -0.5, 1.0])
     x0 = np.array([0.0, 3.0])
     gamma = den * monic_from_vector(x0)
-    *_, x_star, _, trace, warnings = steer(den, Polynomial.one(), gamma, 0,
-                                           num, x0, Polynomial.zero(),
-                                           StabilizationConfig())
+    *_, x_star, _, trace, warnings, steps = steer(
+        den, Polynomial.one(), gamma, 0, num, x0, Polynomial.zero(),
+        StabilizationConfig())
     assert np.array_equal(x_star, x0) and trace == []
+    assert steps.shape == (0, 3)
     assert warnings == ["hyperplane functional(s) [1] vanish at the initial "
                         "vector and are excluded from the same-side "
                         "constraints"]
+
+
+def test_steer_overflowing_factor_product_is_a_synthesis_error():
+    # one step z + u0 with 0.06 < |u0| < 1 takes the initial factor's
+    # coefficient 1.7e308 (1 + u0) or 1.7e308 (1 - u0) past the float range:
+    # a numerical breakdown of the synthesis (exit 3), not invalid input
+    big = 1.7e308
+    factor = Polynomial([big, big, -big, 1.0])
+    args = (Polynomial([-0.5, 1.0]), Polynomial.one(), factor, 0,
+            Polynomial([2.0]), np.array([0.4]), Polynomial.zero(),
+            StabilizationConfig())
+    with pytest.raises(SynthesisError, match="1 Schur factors or its "
+                       "cofactor overflowed"):
+        steer(*args)
+    # the same run from the factor 1, and the step row it returns
+    *_, trace, _, steps = steer(*args[:2], Polynomial.one(), *args[3:])
+    assert len(trace) == 1 and 0.06 < abs(trace[0].u[0]) < 1.0
+    assert steps.tolist() == [[trace[0].u[0], 1.0]]
 
 
 

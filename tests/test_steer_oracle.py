@@ -3,9 +3,9 @@
 ``oracle_steer`` is the steering loop written on ``Polynomial`` objects:
 each step multiplies ``monic_from_vector(u)`` into the factor product and
 builds the update matrix from ``toeplitz_stack(monic_from_vector(x))``,
-and it updates the cofactor inside the loop.  ``stabilizer.steer`` keeps
-the product as a bare array, gathers the update matrix from a precomputed
-index and accumulates the cofactor after the loop; both must make the same
+and it updates the cofactor inside the loop.  ``stabilizer.steer`` gathers
+the update matrix from a precomputed index and multiplies the factors and
+accumulates the cofactor after the loop; both must make the same
 floating-point operations in the same order, so every output is compared
 byte for byte.
 """
@@ -47,7 +47,8 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, planes, active, num, cfg.prefer_origin)
+    found = find_integer_target(x0, planes, active,
+                                prefer_origin=cfg.prefer_origin)
     x_star = found.x_star
     cap = (cfg.max_iterations if cfg.max_iterations is not None
            else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
@@ -55,6 +56,9 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
     trace = []
     # the cofactor's coefficients below z^(shift + n), as steer pads them
     s = np.concatenate([s0.coeffs, np.zeros(shift + n - s0.coeffs.size)])
+    # the product as a bare array: an overflow ends the run, not the step
+    prod = factor.coeffs
+    steps = np.ones((0, n + 1))
     x = x0.copy()
     while not np.array_equal(x, x_star):
         k = len(trace)
@@ -67,7 +71,8 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
         delta, lower = oracle_delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         f = monic_from_vector(step.u)
-        factor = f * factor
+        prod = np.convolve(f.coeffs, prod)
+        steps = np.vstack([steps, f.coeffs])
         # s' = f s + z^shift p a, a = lower u
         s = np.convolve(f.coeffs, s)
         lift = np.convolve(p.coeffs, (lower @ step.u)[::-1])
@@ -75,19 +80,23 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
         shift += n
         x = x_star.copy() if step.hit else x + delta @ step.u
         trace.append(TraceStep(k, x.copy(), step.u.copy(), step.hit,
-                               factor.coeffs.size - 1, vec_1norm(x_star - x)))
-    return factor, shift, x_star, Polynomial(s), trace, warnings
+                               prod.size - 1, vec_1norm(x_star - x)))
+    if not (np.isfinite(prod).all() and np.isfinite(s).all()):
+        raise SynthesisError(f"the product of {len(trace)} Schur factors or "
+                             "its cofactor overflowed")
+    return Polynomial(prod), shift, x_star, Polynomial(s), trace, warnings, steps
 
 
 def fingerprint(run):
     """Bytes of every output of a steering call, or its exception."""
     if isinstance(run, Exception):
         return type(run), str(run)
-    factor, shift, x_star, s, trace, warnings = run
+    factor, shift, x_star, s, trace, warnings, rows = run
     steps = [(t.k, t.x.tobytes(), t.u.tobytes(), t.hit, t.gamma_degree,
               t.distance) for t in trace]
     return (factor.coeffs.tobytes(), shift, x_star.tobytes(),
-            s.coeffs.tobytes(), steps, tuple(warnings))
+            s.coeffs.tobytes(), steps, tuple(warnings), rows.dtype.str,
+            rows.shape, rows.tobytes())
 
 
 def assert_matches_oracle(calls):

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import Polynomial, target
+from intctrl import (Polynomial, StabilizationConfig, run_algorithm1,
+                     stabilizer, target)
 from intctrl.bezout import coprime_check, solve_diophantine
 from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
                              vec_1norm)
@@ -264,10 +268,26 @@ def test_update_matches_polynomial_route():
 
 def test_find_target_no_constraints_rounds():
     planes = build_hyperplanes(Polynomial([1.0]), 3)
-    found = find_integer_target(np.array([0.2, -1.7, 2.5]), planes, (),
-                                Polynomial([1.0]))
+    found = find_integer_target(np.array([0.2, -1.7, 2.5]), planes, ())
     assert_allclose(found.x_star, [0.0, -2.0, 2.0])
     assert found.strategy == "round"
+
+
+def test_prefer_origin_without_active_planes_takes_the_origin():
+    # with no plane to cross every integer vector is a target, the origin
+    # included
+    planes = build_hyperplanes(Polynomial([1.0]), 3)
+    x0 = np.array([0.2, -1.7, 2.5])
+    found = find_integer_target(x0, planes, (), prefer_origin=True)
+    assert found == IntegerTarget(found.x_star, "origin", 1)
+    assert found.x_star.tolist() == [0.0, 0.0, 0.0]
+    assert_matches_oracle(x0, planes, (), prefer_origin=True)
+    # a plant with a constant numerator gets every controller pole at 0
+    den = Polynomial.from_roots([1.05, -0.2])
+    result = run_algorithm1(den, Polynomial([0.5]),
+                            StabilizationConfig(prefer_origin=True))
+    assert result.x_star.tolist() == [0.0, 0.0]
+    assert result.certificate.passed
 
 
 def test_find_target_integer_start_is_fixed_point(pendulum):
@@ -276,7 +296,7 @@ def test_find_target_integer_start_is_fixed_point(pendulum):
     planes = build_hyperplanes(num, n)
     x0 = np.array([-1.0, -13.0, -4.0, 10.0])
     active = active_index_set(x0, planes)
-    found = find_integer_target(x0, planes, active, num)
+    found = find_integer_target(x0, planes, active)
     assert np.array_equal(found.x_star, x0)
     assert found.candidates_examined == 1
 
@@ -290,7 +310,7 @@ def test_find_target_pendulum_rounds(pendulum):
         num).r, n)
     planes = build_hyperplanes(num, n)
     active = active_index_set(x0, planes)
-    found = find_integer_target(x0, planes, active, num)
+    found = find_integer_target(x0, planes, active)
     assert_allclose(found.x_star, [-1.0, -13.0, -4.0, 10.0])
     assert found.strategy == "round" and found.candidates_examined == 1
 
@@ -301,34 +321,71 @@ def test_find_target_round_failure_walks_shells():
     # radius-1 shell, whose first point -2.0 fails and second 0.0 holds
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
-    found = find_integer_target(np.array([-0.75]), planes, (0,), num)
+    found = find_integer_target(np.array([-0.75]), planes, (0,))
     assert found.x_star[0] == 0.0
     assert found.strategy == "shell" and found.candidates_examined == 3
 
 
-def test_find_target_fallback_recentre(monkeypatch):
-    # squeeze x0 between two nearby parallel-ish planes and walk no shells,
-    # so round(x0) fails and the constructive recentre must hold
-    monkeypatch.setattr(target, "MAX_RADIUS", 0)
+def _squeezed_2d(root=-5.0):
+    # x0 between the two root planes: p_x(0.31) < 0 < p_x(0.33) for p_x =
+    # (z - 0.32)(z - root)
     num = Polynomial.from_roots([0.31, 0.33], leading=1.0)
-    n = 2
-    planes = build_hyperplanes(num, n)
-    # x0 between the two root planes: p_x(0.31) < 0 < p_x(0.33)
-    # pick p_x = (z - 0.32)(z - b) with b far away
-    x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0]), n)
-    active = active_index_set(x0, planes)
-    found = find_integer_target(x0, planes, active, num)
+    planes = build_hyperplanes(num, 2)
+    x0 = vector_from_monic(Polynomial.from_roots([0.32, root]), 2)
+    return x0, planes, active_index_set(x0, planes)
+
+
+def test_find_target_fallback_recentre(monkeypatch):
+    # squeeze x0 between two nearby parallel-ish planes and give the walk a
+    # budget of round(x0) alone: it fails, and the constructive target holds
+    monkeypatch.setattr(target, "MAX_CANDIDATES", 1)
+    x0, planes, active = _squeezed_2d()
+    found = find_integer_target(x0, planes, active)
     assert found.strategy == "fallback" and found.candidates_examined == 2
     assert np.all(planes.sides(found.x_star) * planes.sides(x0) > 0)
 
 
-def test_search_exhaustion_reports_every_active_plane(monkeypatch):
-    # no shells, and a numerator that is not the planes' own moves the
-    # fallback centre off the feasible region: nothing is left to examine
-    monkeypatch.setattr(target, "MAX_RADIUS", 0)
-    x0, planes, active, _ = _squeezed_3d()
+def test_walk_passes_radius_8_toward_the_constructive_target():
+    # x0 = (z - 0.32)(z - 3) rounds to [-3, 1]; the first feasible point of
+    # the walk is [-13, 4], the 14th point of the radius-10 shell, after the
+    # 1 + 360 points of radius 0 to 9; the constructive target [-134, 43]
+    # lies at radius 131
+    x0, planes, active = _squeezed_2d(3.0)
+    found = assert_matches_oracle(x0, planes, active)
+    assert found.x_star.tolist() == [-13.0, 4.0]
+    assert (found.strategy, found.candidates_examined) == ("shell", 375)
+
+
+def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
+    # a side margin no candidate clears: the walk covers the shells of
+    # radius 1 to D = |c - round(x0)|_inf, c's own, tests c once more and
+    # reports it with its distances to every active plane
+    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
+    walked = []
+    real = target._shell_blocks
+
+    def recording(radius, dim):
+        walked.append(radius)
+        return real(radius, dim)
+
+    monkeypatch.setattr(target, "_shell_blocks", recording)
+    # the plane x = -0.8 of the root 0.8, x0 = 3.2 at distance 4: c = -0.8
+    # + (3.2 + 0.8) / 4 rounds to 0, on the radius-3 shell around 3
+    planes = build_hyperplanes(Polynomial.from_roots([0.8]), 1)
     with pytest.raises(TargetSearchError) as err:
-        find_integer_target(x0, planes, active, Polynomial([1.0]))
+        find_integer_target(np.array([3.2]), planes, (0,))
+    assert walked == [1, 2, 3]
+    assert err.value.candidate.tolist() == [0.0]
+    assert oracle_find_integer_target(np.array([3.2]), planes, (0,)) is None
+
+
+def test_search_exhaustion_reports_every_active_plane(monkeypatch):
+    # a side margin no candidate clears and a budget of a few points
+    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
+    monkeypatch.setattr(target, "MAX_CANDIDATES", 5)
+    x0, planes, active = _squeezed_3d()
+    with pytest.raises(TargetSearchError) as err:
+        find_integer_target(x0, planes, active)
     message = str(err.value)
     assert message.startswith("integer-target search exhausted")
     assert "numerically" in message
@@ -336,6 +393,37 @@ def test_search_exhaustion_reports_every_active_plane(monkeypatch):
     assert len(err.value.margins) == len(active) == 3
     assert all(m > 0.0 for m in err.value.margins)
     assert np.array_equal(err.value.candidate, np.round(err.value.candidate))
+
+
+def test_sweep_search_outcomes_are_pinned(monkeypatch):
+    # every integer-target search of the 600 seed-7 sweep plants (the
+    # sweep_plant plants of the benchmark's random-sweep): strategies,
+    # candidates and a digest of each search's (x*, strategy, count)
+    found = []
+    real = stabilizer.find_integer_target
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        found.append(out)
+        return out
+
+    monkeypatch.setattr(stabilizer, "find_integer_target", recording)
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        try:
+            run_algorithm1(*random_plant(rng, n_max=8))
+        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            pass
+    digest = hashlib.sha256()
+    for f in found:
+        digest.update(f.x_star.tobytes() + f.strategy.encode()
+                      + repr(f.candidates_examined).encode())
+    assert Counter(f.strategy for f in found) == {"round": 372, "shell": 152,
+                                                 "fallback": 1}
+    assert sum(f.candidates_examined for f in found) == 224_305
+    assert max(f.candidates_examined for f in found) == 200_001
+    assert digest.hexdigest() == ("900c4ab927a6c2a086c58bc4540b7d0d"
+                                  "beec06f5718beeb3d2174009cd16ce5d")
 
 
 # Scalar reference search: one candidate at a time, one plane at a time.  The
@@ -365,16 +453,18 @@ def _oracle_same_side(x0, cand, planes, active):
     return True
 
 
-def _oracle_shells(center):
-    yield center.copy()
-    for radius in range(1, target.MAX_RADIUS + 1):
+def _oracle_shells(start, max_radius):
+    radius = 1
+    while radius <= max_radius:
         for off in itertools.product(range(-radius, radius + 1),
-                                     repeat=center.size):
+                                     repeat=start.size):
             if max(abs(o) for o in off) == radius:
-                yield center + np.array(off, dtype=float)
+                yield start + np.array(off, dtype=float)
+        radius += 1
 
 
-def _oracle_fallback_center(x0, num, planes, active):
+def _oracle_fallback_center(x0, planes, active):
+    num = planes.num
     n, m = x0.size, num.coeffs.size - 1
     v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
     dist = min(abs(_oracle_side(planes, t, x0)) / vec_1norm(planes.normals[t])
@@ -382,12 +472,10 @@ def _oracle_fallback_center(x0, num, planes, active):
     return np.round((x0 - v) / dist + v)
 
 
-def oracle_find_integer_target(x0, planes, active, num, prefer_origin=False):
+def oracle_find_integer_target(x0, planes, active, prefer_origin=False):
     """The search written out point by point; None when it is exhausted."""
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
-    if not active:
-        return IntegerTarget(np.round(x0), "round", 1)
 
     def feasible(cand):
         return _oracle_same_side(x0, cand, planes, active)
@@ -398,28 +486,31 @@ def oracle_find_integer_target(x0, planes, active, num, prefer_origin=False):
         origin = np.zeros_like(x0)
         if feasible(origin):
             return IntegerTarget(origin, "origin", examined)
-    phases = ((np.round(x0), ("round", "shell")),
-              (_oracle_fallback_center(x0, num, planes, active),
-               ("fallback", "fallback")))
-    for center, (at_center, on_shell) in phases:
-        for k, cand in enumerate(itertools.islice(_oracle_shells(center),
-                                                  target.MAX_CANDIDATES)):
-            examined += 1
-            if feasible(cand):
-                return IntegerTarget(cand, on_shell if k else at_center,
-                                     examined)
+    start = np.round(x0)
+    examined += 1
+    if feasible(start):
+        return IntegerTarget(start, "round", examined)
+    center = _oracle_fallback_center(x0, planes, active)
+    shells = _oracle_shells(start, float(np.max(np.abs(center - start))))
+    for cand in itertools.islice(shells, target.MAX_CANDIDATES - 1):
+        examined += 1
+        if feasible(cand):
+            return IntegerTarget(cand, "shell", examined)
+    if feasible(center):
+        return IntegerTarget(center, "fallback", examined + 1)
     return None
 
 
-def assert_matches_oracle(x0, planes, active, num, prefer_origin=False):
+def assert_matches_oracle(x0, planes, active, prefer_origin=False):
     """Same target bit for bit, same strategy and count, or both exhausted;
     returns the oracle's target, or None when both were exhausted."""
-    want = oracle_find_integer_target(x0, planes, active, num, prefer_origin)
+    want = oracle_find_integer_target(x0, planes, active, prefer_origin)
     if want is None:
         with pytest.raises(TargetSearchError):
-            find_integer_target(x0, planes, active, num, prefer_origin)
+            find_integer_target(x0, planes, active,
+                                prefer_origin=prefer_origin)
         return None
-    got = find_integer_target(x0, planes, active, num, prefer_origin)
+    got = find_integer_target(x0, planes, active, prefer_origin=prefer_origin)
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert got.strategy == want.strategy
     assert got.candidates_examined == want.candidates_examined
@@ -427,27 +518,24 @@ def assert_matches_oracle(x0, planes, active, num, prefer_origin=False):
 
 
 def _squeezed_3d():
-    # x0 between the planes of the nearby roots 0.31 and 0.33: the shell
-    # phase needs 22 points after round(x0), over several blocks
+    # x0 between the planes of the nearby roots 0.31 and 0.33: the walk
+    # needs 22 points after round(x0), over several blocks
     num = Polynomial.from_roots([0.31, 0.33, -0.5])
     planes = build_hyperplanes(num, 3)
     x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0, 0.1]), 3)
-    return x0, planes, active_index_set(x0, planes), num
+    return x0, planes, active_index_set(x0, planes)
 
 
 def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
-    assert assert_matches_oracle(np.array([-0.75]), planes, (0,),
-                                 num).strategy == "shell"
+    assert assert_matches_oracle(np.array([-0.75]), planes,
+                                 (0,)).strategy == "shell"
 
-    num = Polynomial.from_roots([0.31, 0.33], leading=1.0)
-    planes = build_hyperplanes(num, 2)
-    x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0]), 2)
-    active = active_index_set(x0, planes)
-    assert assert_matches_oracle(x0, planes, active, num).strategy == "shell"
+    x0, planes, active = _squeezed_2d()
+    assert assert_matches_oracle(x0, planes, active).strategy == "shell"
     # the origin is examined first, and here it fails
-    found = assert_matches_oracle(x0, planes, active, num, prefer_origin=True)
+    found = assert_matches_oracle(x0, planes, active, prefer_origin=True)
     assert found.strategy == "shell" and found.candidates_examined == 9
 
     # the plant den = (z - 1.05)(z + 0.2), num = z + 0.3 admits the origin
@@ -456,12 +544,11 @@ def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
         Polynomial.from_roots([1.05, -0.2]), Polynomial.monomial(4), num).r, 2)
     planes = build_hyperplanes(num, 2)
     active = active_index_set(x0, planes)
-    found = assert_matches_oracle(x0, planes, active, num, prefer_origin=True)
+    found = assert_matches_oracle(x0, planes, active, prefer_origin=True)
     assert found.strategy == "origin" and found.candidates_examined == 1
     assert found.x_star.tolist() == [0.0, 0.0]
 
-    x0, planes, active, num = _squeezed_3d()
-    found = assert_matches_oracle(x0, planes, active, num)
+    found = assert_matches_oracle(*_squeezed_3d())
     assert found.strategy == "shell" and found.candidates_examined == 23
 
     den, num = pendulum
@@ -472,22 +559,17 @@ def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
         planes = build_hyperplanes(num, 4)
         active = active_index_set(x0, planes)
         for prefer_origin in (False, True):
-            assert_matches_oracle(x0, planes, active, num, prefer_origin)
+            assert_matches_oracle(x0, planes, active, prefer_origin)
 
-    # the radius-1 shell holds the target, and radius 1 is the last walked
-    monkeypatch.setattr(target, "MAX_RADIUS", 1)
+    # a budget of round(x0) alone: it fails and the constructive target holds
+    monkeypatch.setattr(target, "MAX_CANDIDATES", 1)
     found = assert_matches_oracle(*_squeezed_3d())
-    assert found.strategy == "shell" and found.candidates_examined == 23
-    # without shells round(x0) fails and the fallback centre itself holds
-    monkeypatch.setattr(target, "MAX_RADIUS", 0)
-    x0, planes, active, num = _squeezed_3d()
-    found = assert_matches_oracle(x0, planes, active, num)
     assert found.strategy == "fallback" and found.candidates_examined == 2
 
 
 def test_block_search_matches_oracle_on_random_plants(monkeypatch):
     # unfiltered random plants; a smaller budget keeps the scalar oracle
-    # fast and sends the deepest instances on to the fallback phase
+    # fast and sends the deepest walks on to the constructive target
     monkeypatch.setattr(target, "MAX_CANDIDATES", 5000)
     rng = np.random.default_rng(5)
     strategies = []
@@ -503,7 +585,7 @@ def test_block_search_matches_oracle_on_random_plants(monkeypatch):
             active = active_index_set(x0, planes)
         except ValueError:  # not coprime, or a real-root plane through x0
             continue
-        found = assert_matches_oracle(x0, planes, active, num)
+        found = assert_matches_oracle(x0, planes, active)
         strategies.append(found.strategy if found else "exhausted")
     assert strategies.count("shell") >= 40
     assert strategies.count("round") >= 100
@@ -513,56 +595,40 @@ def test_block_search_matches_oracle_on_random_plants(monkeypatch):
 @pytest.mark.parametrize("block", [1, 3, 7, target.SHELL_BLOCK])
 def test_block_search_budget_matches_oracle(monkeypatch, block):
     monkeypatch.setattr(target, "SHELL_BLOCK", block)
-    x0, planes, active, num = _squeezed_3d()
-    # budgets up to 22 end the round phase before its target, then the
-    # fallback centre holds
+    x0, planes, active = _squeezed_3d()
+    # budgets up to 22 end the walk before its target, then the
+    # constructive target holds
     for budget in range(1, 27):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = assert_matches_oracle(x0, planes, active, num)
+        found = assert_matches_oracle(x0, planes, active)
         assert found.strategy == ("fallback" if budget <= 22 else "shell")
-    # a numerator that is not the planes' own moves the fallback centre off
-    # the feasible region, so the fallback phase walks its shells: with a
-    # budget of 22 per phase its target is the third point, past the centre
-    for numerator in (Polynomial([-0.2, 1.0]), Polynomial([-0.5, 1.0])):
-        monkeypatch.setattr(target, "MAX_CANDIDATES", 22)
-        found = assert_matches_oracle(x0, planes, active, numerator)
-        assert found.strategy == "fallback" and found.candidates_examined > 23
-        for budget in (1, 2, 3):
-            monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-            assert_matches_oracle(x0, planes, active, numerator)
     # first blocks of 2 flat indices, doubled up to the block size: budgets
     # end inside the first short block, inside doubled blocks and on their
-    # edges, in both phases
+    # edges
     monkeypatch.setattr(target, "_FIRST_BLOCK", 2)
     for budget in range(1, 27):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = assert_matches_oracle(x0, planes, active, num)
+        found = assert_matches_oracle(x0, planes, active)
         assert found.strategy == ("fallback" if budget <= 22 else "shell")
-        monkeypatch.setattr(target, "MAX_CANDIDATES", min(budget, 22))
-        assert_matches_oracle(x0, planes, active, Polynomial([-0.2, 1.0]))
-    # radius exhausted before the budget, in both phases
-    monkeypatch.setattr(target, "MAX_CANDIDATES", 200_000)
-    monkeypatch.setattr(target, "MAX_RADIUS", 0)
-    assert assert_matches_oracle(x0, planes, active, Polynomial([1.0])) is None
 
 
 def test_budget_ends_on_and_inside_a_block(monkeypatch):
-    # a phase examines its centre, then up to MAX_CANDIDATES - 1 shell
+    # the walk examines round(x0), then up to MAX_CANDIDATES - 1 shell
     # points; with blocks of 7 flat indices the radius-1 shell of dimension
     # 3 comes in blocks of 7, 6, 7 and 6 points, and the target is the 22nd
     monkeypatch.setattr(target, "SHELL_BLOCK", 7)
-    x0, planes, active, num = _squeezed_3d()
+    x0, planes, active = _squeezed_3d()
     edges = np.cumsum([len(b) for r in (1, 2) for b in _shell_blocks(r, 3)])
     assert list(edges[:4]) == [7, 13, 20, 26]
-    # on the edge: the round phase ends after 1 + 20 points, the fallback
-    # centre is the 22nd; inside a block: the 23rd point is the target
+    # on the edge: the walk ends after 1 + 20 points, the constructive
+    # target is the 22nd; inside a block: the 23rd point is the target
     for budget, strategy, examined in ((21, "fallback", 22),
                                        (23, "shell", 23)):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = find_integer_target(x0, planes, active, num)
+        found = find_integer_target(x0, planes, active)
         assert (found.strategy, found.candidates_examined) == (strategy,
                                                                examined)
-        assert_matches_oracle(x0, planes, active, num)
+        assert_matches_oracle(x0, planes, active)
     # a first block of 2 flat indices, doubled to 4 and then held at 7: the
     # shell comes in blocks of 2, 4, 7, 6 and 7 points (the centre drops out
     # of the fourth)
@@ -576,10 +642,10 @@ def test_budget_ends_on_and_inside_a_block(monkeypatch):
                                        (5, "fallback", 6), (7, "fallback", 8),
                                        (23, "shell", 23)):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = find_integer_target(x0, planes, active, num)
+        found = find_integer_target(x0, planes, active)
         assert (found.strategy, found.candidates_examined) == (strategy,
                                                                examined)
-        assert_matches_oracle(x0, planes, active, num)
+        assert_matches_oracle(x0, planes, active)
 
 
 @pytest.mark.parametrize("block", [1, 7, target.SHELL_BLOCK])
