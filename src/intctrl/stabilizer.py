@@ -32,20 +32,14 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True, kw_only=True)
 class SteeringConfig:
-    """Settings of the steering loop shared by both algorithms."""
+    """The step bound of the steering loop shared by both algorithms: the
+    1-norm of every step that does not reach the integer target."""
 
     mu: float = 0.99
-    #: try the all-zero integer target first: a controller with every pole
-    #: at the origin
-    prefer_origin: bool = False
-    #: None derives the engineering cap 10*ceil(|x*-x0|_1) + 10
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,11 +202,9 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, planes, active,
-                                prefer_origin=cfg.prefer_origin)
+    found = find_integer_target(x0, planes, active)
     x_star = found.x_star
-    cap = (cfg.max_iterations if cfg.max_iterations is not None
-           else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
+    cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
     factors = DeltaFactors.from_numerator(num, n)
     trace: list[TraceStep] = []
     increments: list[np.ndarray] = []
@@ -222,10 +214,9 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
         k = len(trace)
         if k >= cap:
             raise SynthesisError(
-                f"iteration cap {cap} exceeded at distance "
-                f"{vec_1norm(x_star - x):.3e} (target strategy "
-                f"'{found.strategy}'); raise max_iterations or inspect the "
-                "plant conditioning")
+                f"iteration cap {cap} = 10*ceil(|x* - x0|_1) + 10 exceeded "
+                f"at distance {vec_1norm(x_star - x):.3e} (target strategy "
+                f"'{found.strategy}')")
         delta, lower = delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         increments.append(lower @ step.u)

@@ -329,32 +329,23 @@ def _fallback_center(x0: np.ndarray, num: Polynomial,
 
 
 def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
-                        active: Sequence[int], *,
-                        prefer_origin: bool = False) -> IntegerTarget:
+                        active: Sequence[int]) -> IntegerTarget:
     """Integer vector strictly on the same side as ``x0`` of every active plane.
 
-    Search order: the origin when ``prefer_origin`` is set (a controller
-    with every pole at the origin); ``round(x0)`` and its Chebyshev shells
-    out to the radius of the constructive target ``round(_fallback_center)``,
-    at most ``MAX_CANDIDATES`` points in all; then that target.
+    Search order: ``round(x0)``; its Chebyshev shells out to the radius of
+    the constructive target ``round(_fallback_center)``, at most
+    ``MAX_CANDIDATES`` points with ``round(x0)``; then that target.
     """
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
     stacked = _ActivePlanes(x0, planes, active)
-    examined = 0
-    if prefer_origin:
-        examined += 1
-        origin = np.zeros_like(x0)
-        if stacked.feasible(origin):
-            return IntegerTarget(origin, "origin", examined)
-
     start = np.round(x0)
     if stacked.feasible(start):
-        return IntegerTarget(start, "round", examined + 1)
+        return IntegerTarget(start, "round", 1)
 
     center = np.round(_fallback_center(x0, planes.num, stacked))
     cand, count = _search_around(start, _max_abs(center - start), stacked)
-    examined += 1 + count
+    examined = 1 + count
     if cand is not None:
         return IntegerTarget(cand, "shell", examined)
     if stacked.feasible(center):

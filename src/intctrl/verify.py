@@ -1,9 +1,9 @@
 """Machine-checkable certificates and closed-loop analysis.
 
-Certificates never raise on failed conditions; they report.  The same code
-path powers both the test suite and the command-line ``analyze`` command,
-and synthesis routines decide for themselves whether a failed certificate
-is an error.
+Certificates never raise on a failed condition or a root finding that
+breaks down; they report.  The same code path powers both the test suite
+and the command-line ``analyze`` command, and synthesis routines decide for
+themselves whether a failed certificate is an error.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from typing import Any
 import numpy as np
 
 from .bezout import _product, coprime_check
-from .numeric import (SchurFactors, _schur_verdict, poly_roots, schur_check,
-                      schur_product_proof)
+from .numeric import (RootFindingError, SchurFactors, _schur_verdict,
+                      poly_roots, schur_check, schur_product_proof)
 from .poly import Polynomial, RationalTF, _max_abs, _sum_residual
 
 IDENTITY_RTOL = 1e-8
@@ -86,6 +86,17 @@ def _deg(p: Polynomial) -> int:
     return -1 if p.is_zero else p.coeffs.size - 1
 
 
+def _by_roots(cert: Certificate, name: str, find, p: Polynomial):
+    """``find(p)``, or None and a warning naming the error when root finding
+    breaks down (``RootFindingError`` or a failed eigensolve)."""
+    try:
+        return find(p)
+    except (RootFindingError, np.linalg.LinAlgError) as exc:
+        cert.warnings.append(f"{name} is not judged Schur: its root finding "
+                             f"failed ({type(exc).__name__}: {exc})")
+        return None
+
+
 def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           alpha: Polynomial, beta: Polynomial,
                           gamma: Polynomial, *,
@@ -100,8 +111,8 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     ``gamma_min_modulus_bound`` is the proved lower bound of min|gamma| on
     ``|z| = 1 - SCHUR_MARGIN`` (0 when not proved, with a warning saying
     why).  Without them gamma's roots decide, with the witness
-    ``gamma_spectral_radius``; a root finding that breaks down raises
-    ``RootFindingError``.  ``quality`` is the plant pair's coprimality
+    ``gamma_spectral_radius``; a root finding that breaks down fails
+    ``gamma_schur`` without it.  ``quality`` is the plant pair's coprimality
     quality when the caller has measured it.
     """
     ad, bn = _product(alpha, plant_den), _product(beta, plant_num)
@@ -115,10 +126,11 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     cert.witnesses["alpha_integer_deviation"] = int_dev
 
     if factors is None:
-        gs = schur_check(gamma)
-        cert.conditions["gamma_schur"] = gs.is_schur
-        cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
-        if gs.near_boundary:
+        gs = _by_roots(cert, "gamma", schur_check, gamma)
+        cert.conditions["gamma_schur"] = gs is not None and gs.is_schur
+        if gs is not None:
+            cert.witnesses["gamma_spectral_radius"] = gs.spectral_radius
+        if gs is not None and gs.near_boundary:
             cert.warnings.append(
                 f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
                 "near-unit-circle band; the stability verdict is fragile")
@@ -177,7 +189,9 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     converted denominator is integer monic; the solution triple satisfies
     its identity; the reference-to-output transfer function is preserved;
     the converted loop is internally stable; and the converted loop
-    denominator factors through the original one by the Schur factor.
+    denominator factors through the original one by the Schur factor.  Roots
+    judge alpha and the loop; when that breaks down, the condition fails
+    without its radius, and no cancelled roots are reported for alpha.
     """
     alpha, beta, gamma = conv.alpha, conv.beta, conv.gamma
     ad, bn = alpha * pre.den, beta * plant_num
@@ -193,15 +207,15 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
 
     # alpha's roots are found once: they give both its verdict and the
     # cancelled pole-zero locations reported below
-    if alpha.coeffs.size > 1:
-        alpha_roots = poly_roots(alpha)
-        asch = _schur_verdict(alpha_roots)
-    else:
-        alpha_roots = np.zeros(0)
+    alpha_roots, asch = np.zeros(0), None
+    if alpha.coeffs.size == 1:
         asch = schur_check(alpha)
-    cert.conditions["alpha_schur"] = asch.is_schur
+    elif (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
+        alpha_roots, asch = found, _schur_verdict(found)
+    cert.conditions["alpha_schur"] = asch is not None and asch.is_schur
     cert.conditions["alpha_monic"] = alpha.is_monic()
-    cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
+    if asch is not None:
+        cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
 
     n = _deg(plant_den)
     cert.conditions["degree_gap"] = _deg(beta) < _deg(gamma) - n
@@ -213,10 +227,11 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["tf_preserved"] = tf_equal(t_pre, t_conv)
 
     loop = t_conv.den
-    ls = schur_check(loop)
-    cert.conditions["internally_stable"] = ls.is_schur
-    cert.witnesses["closed_loop_spectral_radius"] = ls.spectral_radius
-    if ls.near_boundary:
+    ls = _by_roots(cert, "the closed loop", schur_check, loop)
+    cert.conditions["internally_stable"] = ls is not None and ls.is_schur
+    if ls is not None:
+        cert.witnesses["closed_loop_spectral_radius"] = ls.spectral_radius
+    if ls is not None and ls.near_boundary:
         cert.warnings.append(
             f"closed-loop spectral radius {ls.spectral_radius:.9f} is within "
             "the near-unit-circle band")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product, sweep_plant
-from intctrl import Polynomial, numeric, stabilizer, target
+from intctrl import Polynomial, numeric, stabilizer, target, verify
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.numeric import SingularMatrixError
@@ -88,8 +88,7 @@ def test_parse_rejects_improper(tmp_path):
 def test_stabilize_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = main(["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS,
-                 "--mu", "0.99", "--verify",
-                 "--out", str(out)])
+                 "--mu", "0.99", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["certificate"]["passed"] is True
@@ -107,14 +106,19 @@ def test_stabilize_cli_validation_exit_code(tmp_path, capsys):
 
 
 def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
-    # a multi-step plant capped at one iteration fails as a synthesis error
+    # sweep plant 0 (n = 8) reaches its derived iteration cap of 30 short
+    # of its integer target: a synthesis failure, with no JSON
+    den, num = sweep_plant(0)
     f = tmp_path / "plant.json"
-    f.write_text(json.dumps({"plant": {
-        "den": [1.0, -1.4, 0.15, 0.198],
-        "num": [0.7, 0.35, -0.252],
-    }}))
-    assert main(["stabilize", str(f)]) == 0
-    assert main(["stabilize", str(f), "--max-iter", "1"]) == 3
+    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
+                                       "num": num.coeffs.tolist()},
+                             "ordering": "ascending"}))
+    out = tmp_path / "res.json"
+    assert main(["stabilize", str(f), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "synthesis failed: iteration cap 30 = 10*ceil(|x* - x0|_1) + 10 "
+        "exceeded at distance ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
@@ -164,18 +168,6 @@ def test_singular_steering_step_exits_3(command, monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_prefer_origin_flag_picks_the_origin_target(tmp_path):
-    # den (z - 1.05)(z + 0.2), num 0.3 z + 1: round(x0) = [1, 1] by
-    # default, the origin when it is preferred
-    f = tmp_path / "plant.json"
-    f.write_text(json.dumps({"plant": {"den": [1.0, -0.85, -0.21],
-                                       "num": [0.3, 1.0]}}))
-    out = tmp_path / "res.json"
-    for flags, x_star in (([], [1.0, 1.0]), (["--prefer-origin"], [0.0, 0.0])):
-        assert main(["stabilize", str(f), *flags, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["x_star"] == x_star
-
-
 @pytest.mark.parametrize("index", [229, 16])
 def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
     # seed-7 sweep plants whose roots miss the residual bound.  For plant
@@ -208,22 +200,6 @@ def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
     assert payload["closed_loop"]["spectral_radius"] is None
     assert payload["warnings"][-1].startswith(
         "closed-loop spectral radius not computed: root residuals exceed tolerance")
-
-
-def test_stabilize_verify_root_finding_failure_exits_4(tmp_path, capsys):
-    # --verify judges the emitted triple by its roots, which carries no
-    # factorization: on sweep plant 229 they miss the residual bound
-    den, num = sweep_plant(229)
-    f = tmp_path / "plant.json"
-    f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
-                                       "num": num.coeffs.tolist()},
-                             "ordering": "ascending"}))
-    out = tmp_path / "result.json"
-    assert main(["stabilize", str(f), "--verify", "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("certificate failed: root residuals exceed tolerance")
-    assert "Traceback" not in err
-    assert not out.exists()
 
 
 def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
@@ -283,7 +259,7 @@ def test_non_finite_or_boolean_coefficient_is_a_validation_error(
 
 
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
-@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--mu", "1.5")])
+@pytest.mark.parametrize("flag, value", [("--mu", "0"), ("--mu", "1.5")])
 def test_invalid_config_flag_is_a_validation_error(command, flag, value,
                                                     capsys):
     problem = PENDULUM if command == "stabilize" else CONVERSION
@@ -291,24 +267,30 @@ def test_invalid_config_flag_is_a_validation_error(command, flag, value,
     assert "validation error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["stabilize", "convert"])
-@pytest.mark.parametrize("flag, value", [("--target", "round"),
-                                         ("--max-radius", "3"),
-                                         ("--tol-active", "1e-9"),
-                                         ("--tol-side", "1e-9"),
-                                         ("--tol-residual", "1e-10"),
-                                         ("--tol-coprime", "1e-8"),
-                                         ("--tol-monic", "1e-9"),
-                                         ("--tol-trim", "1e-9"),
-                                         ("--tol-integer", "1e-6")])
+REMOVED_FLAGS = [("--target", "round"), ("--max-radius", "3"),
+                 ("--tol-active", "1e-9"), ("--tol-side", "1e-9"),
+                 ("--tol-residual", "1e-10"), ("--tol-coprime", "1e-8"),
+                 ("--tol-monic", "1e-9"), ("--tol-trim", "1e-9"),
+                 ("--tol-integer", "1e-6"), ("--max-iter", "100"),
+                 ("--seed", "0"), ("--prefer-origin", None)]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(command, flag, value,
+                 id="-".join(part for part in (flag, value, command) if part))
+    for flag, value in REMOVED_FLAGS for command in ("stabilize", "convert")
+] + [pytest.param("stabilize", "--verify", None, id="--verify-stabilize")])
 def test_removed_search_flag_is_rejected(command, flag, value, tmp_path,
                                          capsys):
-    # the target search and the tolerances have no settings: their old flags
-    # must not be accepted and silently ignored
+    # the target search, the tolerances and the iteration cap have no
+    # settings, and the seed and a root-based recertification of stabilize
+    # changed nothing: their old flags must not be accepted and silently
+    # ignored
     problem = PENDULUM if command == "stabilize" else CONVERSION
     out = tmp_path / "result.json"
     with pytest.raises(SystemExit) as exc:
-        main([command, problem, flag, value, "--out", str(out)])
+        args = [flag] if value is None else [flag, value]
+        main([command, problem, *args, "--out", str(out)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
@@ -373,6 +355,32 @@ def test_convert_failed_certificate_exits_4(verify, tmp_path, capsys):
     assert capsys.readouterr().err == "certificate failed\n"
 
 
+def test_convert_certificate_root_finding_failure_exits_4(monkeypatch,
+                                                          tmp_path, capsys):
+    # the conversion certificate judges alpha and the loop by their roots;
+    # when that root finding breaks down both conditions fail with a
+    # warning, and the JSON is still written
+    def failed(p):
+        raise numeric.RootFindingError([(0.5 + 0j, 1.0)])
+
+    monkeypatch.setattr(numeric, "poly_roots", failed)
+    monkeypatch.setattr(verify, "poly_roots", failed)
+    out = tmp_path / "result.json"
+    assert main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "certificate failed\n"
+    cert = json.loads(out.read_text())["certificate"]
+    assert [k for k, ok in cert["conditions"].items() if not ok] == [
+        "alpha_schur", "internally_stable"]
+    assert {"alpha_spectral_radius", "closed_loop_spectral_radius"}.isdisjoint(
+        cert["witnesses"])
+    assert cert["details"]["cancelled_roots"] == []
+    error = "(RootFindingError: root residuals exceed tolerance: [((0.5+0j), 1.0)])"
+    assert cert["warnings"][:2] == [
+        f"alpha is not judged Schur: its root finding failed {error}",
+        f"the closed loop is not judged Schur: its root finding failed {error}"]
+
+
 def test_convert_requires_controller_block(capsys):
     assert main(["convert", PENDULUM]) == 2
 
@@ -397,24 +405,30 @@ def test_analyze_pass_and_fail(tmp_path):
 
 def test_analyze_root_finding_failure_exits_4(tmp_path, capsys):
     # gamma: 25 monic factors with |u|_1 = 0.99 at n = 8, whose computed
-    # roots miss the residual bound
+    # roots miss the residual bound: the certificate fails gamma_schur with
+    # a warning naming the error, and the JSON is written
     gamma = schur_factor_product(np.random.default_rng(0), 25)
-    f = tmp_path / "solution.json"
-    f.write_text(json.dumps({
+    code, payload = _analyze(tmp_path, {
         "plant": {"den": [-0.5, 1.0], "num": [1.0]},
         "solution": {"alpha": [0.0, 1.0], "beta": [0.0],
                      "gamma": gamma.coeffs.tolist()},
-        "ordering": "ascending"}))
-    out = tmp_path / "res.json"
-    assert main(["analyze", str(f), "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("certificate failed: root residuals exceed tolerance")
-    assert not out.exists()
+        "ordering": "ascending"})
+    assert code == 4 and capsys.readouterr().err == ""
+    cert = payload["certificate"]
+    assert cert["passed"] is False
+    assert [k for k, ok in cert["conditions"].items() if not ok] == ["gamma_schur"]
+    assert "gamma_spectral_radius" not in cert["witnesses"]
+    [warning] = cert["warnings"]
+    assert warning.startswith("gamma is not judged Schur: its root finding "
+                              "failed (RootFindingError: root residuals "
+                              "exceed tolerance")
+    assert payload["closed_loop"]["spectral_radius"] == 0.5
 
 
 def test_analyze_failed_eigensolve_exits_4(monkeypatch, tmp_path, capsys):
     # an eigensolve that fails inside the certificate is a failed
-    # certificate, like roots that miss their residual bound
+    # certificate, like roots that miss their residual bound; the
+    # informational radius is null
     def failed(p):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -423,9 +437,16 @@ def test_analyze_failed_eigensolve_exits_4(monkeypatch, tmp_path, capsys):
         "ordering": "ascending", "plant": {"den": [-0.5, 1.0], "num": [1.0]},
         "solution": {"alpha": [0.0, 1.0], "beta": [0.0],
                      "gamma": [0.0, -0.5, 1.0]}})
-    assert code == 4 and payload is None
-    assert capsys.readouterr().err == (
-        "certificate failed: Eigenvalues did not converge\n")
+    assert code == 4 and capsys.readouterr().err == ""
+    cert = payload["certificate"]
+    assert cert["conditions"]["gamma_schur"] is False
+    assert "gamma_spectral_radius" not in cert["witnesses"]
+    assert cert["warnings"] == [
+        "gamma is not judged Schur: its root finding failed "
+        "(LinAlgError: Eigenvalues did not converge)"]
+    assert payload["closed_loop"]["spectral_radius"] is None
+    assert payload["warnings"] == [
+        "closed-loop spectral radius not computed: Eigenvalues did not converge"]
 
 
 def _analyze(tmp_path, problem):
@@ -466,9 +487,10 @@ def test_analyze_overflowing_companion_row_prints_no_warning(tmp_path, capsys):
     code, payload = _analyze(tmp_path, {
         "ordering": "descending", "plant": {"den": [1, -0.5], "num": [1]},
         "solution": {"alpha": [1], "beta": [0.5], "gamma": [1e-300, 1e300]}})
-    assert code == 4 and payload is None
-    assert capsys.readouterr().err == (
-        "certificate failed: Array must not contain infs or NaNs\n")
+    assert code == 4 and capsys.readouterr().err == ""
+    assert payload["certificate"]["warnings"][0] == (
+        "gamma is not judged Schur: its root finding failed "
+        "(LinAlgError: Array must not contain infs or NaNs)")
 
 
 def test_analyze_closed_loop_radius_agrees_with_the_certificate(tmp_path):
@@ -509,8 +531,7 @@ def test_simulate_bad_flag_is_a_validation_error(flag, value, name, tmp_path,
 
 def test_cli_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS,
-            "--seed", "7"]
+    args = ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -523,8 +544,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     analyze.write_text(json.dumps(ANALYZE_PROBLEM))
     calls = {
         "stabilize": ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS],
-        "stabilize-flags": ["stabilize", PENDULUM, "--prefer-origin",
-                            "--seed", "5", "--verify"],
+        "stabilize-flags": ["stabilize", PENDULUM, "--mu", "0.5"],
         "convert": ["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS],
         "analyze": ["analyze", str(analyze)],
     }
@@ -537,4 +557,6 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         outcome = main(calls[name]), capsys.readouterr()
         assert outcome == first.setdefault(name, outcome), name
     assert [first[name][0] for name in calls] == [0, 0, 0, 0]
-    assert json.loads(first["stabilize-flags"][1].out)["seed"] == 5
+    # the first step of the default pendulum run misses its target
+    step = json.loads(first["stabilize-flags"][1].out)["trace"][0]
+    assert not step["hit"] and sum(map(abs, step["u"])) == pytest.approx(0.5)

@@ -245,12 +245,21 @@ def test_assemble_reports_cancelled_roots(pendulum, pre_controller):
         assert np.hypot(re, im) < 1.0
 
 
-@pytest.mark.parametrize("kw", [{"max_iterations": 0}, {"max_iterations": -3},
+@pytest.mark.parametrize("kw", [{"mu": -0.5}, {"mu": float("nan")},
                                 {"mu": 1.0}, {"mu": 0.0}])
 def test_config_rejects_out_of_range(kw):
     for config in (StabilizationConfig, ConversionConfig):
         with pytest.raises(ValueError):
             config(**kw)
+
+
+@pytest.mark.parametrize("field", ["prefer_origin", "max_iterations"])
+def test_config_has_no_search_or_cap_setting(field):
+    # mu is the one steering setting: the target search and the iteration
+    # cap are fixed
+    for config in (StabilizationConfig, ConversionConfig):
+        with pytest.raises(TypeError, match=field):
+            config(**{field: 1})
 
 
 def test_initial_roots_rejected_alike_by_both_algorithms():

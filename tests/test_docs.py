@@ -1,6 +1,9 @@
-"""The README's table of tolerance constants agrees with the code: each row
-names a constant of the stated module with the stated value, and every
-public float constant of the package has a row."""
+"""The README agrees with the code.  Its table of tolerance constants: each
+row names a constant of the stated module with the stated value, and every
+public float constant of the package has a row.  Its command-line usage
+block: each command lists the options its parser takes, no more and no
+fewer."""
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import intctrl
+from intctrl.cli import _parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `([A-Z_]+)` \| ([0-9.e+-]+) \| `(\w+)` \|", re.M)
@@ -34,3 +38,26 @@ def test_every_float_constant_has_a_row():
                   for name in ASSIGNMENT.findall(inspect.getsource(module))
                   if type(getattr(module, name)) is float}
     assert found == {(name, module) for name, _, module in ROWS}
+
+
+def _usage_options() -> dict[str, set[str]]:
+    """Options per command in the README's usage block, comments left out."""
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        line = line.split("#")[0]
+        command = re.match(r"intctrl (\w+)", line)
+        if command:
+            current = options.setdefault(command.group(1), set())
+        current |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_usage_block_lists_every_parser_option():
+    [subs] = [action for action in _parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    parsed = {name: {flag for action in sub._actions
+                     for flag in action.option_strings} - {"-h", "--help"}
+              for name, sub in subs.choices.items()}
+    assert _usage_options() == parsed

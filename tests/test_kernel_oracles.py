@@ -297,18 +297,12 @@ class OracleActivePlanes:
                 or self.first_feasible(cand[None, :]) is not None)
 
 
-def oracle_find_integer_target(x0, planes, active, *, prefer_origin=False):
+def oracle_find_integer_target(x0, planes, active):
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
     stacked = OracleActivePlanes(x0, planes, active)
-    examined = 0
-    if prefer_origin:
-        examined += 1
-        origin = np.zeros_like(x0)
-        if stacked.feasible(origin):
-            return IntegerTarget(origin, "origin", examined)
     start = np.round(x0)
-    examined += 1
+    examined = 1
     if stacked.feasible(start):
         return IntegerTarget(start, "round", examined)
     center = np.round(target._fallback_center(x0, planes.num, stacked))
@@ -709,7 +703,7 @@ def test_kernels_match_oracles_on_pendulum(pendulum, pre_controller,
                                            kernel_calls):
     den, num = pendulum
     for cfg in (None, StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS),
-                StabilizationConfig(prefer_origin=True)):
+                StabilizationConfig(mu=0.5)):
         assert run_algorithm1(den, num, cfg).certificate.passed
     for roots in (None, CONVERSION_ALPHA_INI_ROOTS):
         convert_controller(pre_controller, den, num,
@@ -720,12 +714,12 @@ def test_kernels_match_oracles_on_pendulum(pendulum, pre_controller,
 
 def test_kernels_match_oracles_on_random_plants(kernel_calls):
     # the unfiltered plants of the benchmark's sweep, orders 1 to 8, with
-    # every failure the sweep meets; every third run also tries the origin
+    # every failure the sweep meets; every third run steps at mu = 0.5
     rng = np.random.default_rng(707)
     outcomes = Counter()
     for i in range(150):
         den, num = random_plant(rng, n_max=8)
-        cfg = StabilizationConfig(prefer_origin=True) if i % 3 == 0 else None
+        cfg = StabilizationConfig(mu=0.5) if i % 3 == 0 else None
         try:
             outcomes[run_algorithm1(den, num, cfg).certificate.passed] += 1
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -91,7 +91,7 @@ def synthesized():
     try:
         den, num = pendulum_plant()
         for cfg in (None, StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS),
-                    StabilizationConfig(prefer_origin=True)):
+                    StabilizationConfig(mu=0.5)):
             run_algorithm1(den, num, cfg)
         rng = np.random.default_rng(31)
         for _ in range(160):

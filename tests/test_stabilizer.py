@@ -181,12 +181,14 @@ def test_marginal_plant_is_warned_about_once():
 
 
 def test_iteration_cap_raises():
-    den = Polynomial.from_roots([1.1, -0.3, 0.6])
-    num = Polynomial.from_roots([0.4, -0.9], leading=0.7)
-    base = run_algorithm1(den, num, StabilizationConfig())
-    assert base.iterations >= 2
-    with pytest.raises(SynthesisError):
-        run_algorithm1(den, num, StabilizationConfig(max_iterations=1))
+    # sweep plant 0 (n = 8, its target round(x0) within 1-norm distance 2)
+    # is still 1.8e-3 short of it after the derived cap of 30 steps
+    den, num = sweep_plant(0)
+    with pytest.raises(SynthesisError) as exc:
+        run_algorithm1(den, num)
+    assert str(exc.value) == (
+        "iteration cap 30 = 10*ceil(|x* - x0|_1) + 10 exceeded at distance "
+        "1.796e-03 (target strategy 'round')")
 
 
 def test_scaled_plant_certificate():
@@ -210,22 +212,6 @@ def test_numerator_z_power_lifting():
     assert result.certificate.passed
     resid = (result.alpha * den + result.beta * num - result.gamma).max_abs()
     assert resid <= 1e-8 * max(1.0, result.gamma.max_abs())
-
-
-def test_prefer_origin_flag():
-    # a plant whose geometry admits the all-zero target yields a controller
-    # with every pole at the origin; without the flag round(x0) = [1, 1] wins
-    den = Polynomial.from_roots([1.05, -0.2])
-    num = Polynomial([1.0, 0.3])  # 0.3 z + 1
-    result = run_algorithm1(den, num, StabilizationConfig(prefer_origin=True))
-    assert result.certificate.passed
-    assert result.x_star.tolist() == [0.0, 0.0]
-    assert result.alpha == Polynomial.monomial(6)
-    assert result.iterations == 2
-    default = run_algorithm1(den, num)
-    assert default.certificate.passed
-    assert default.x_star.tolist() == [1.0, 1.0]
-    assert default.iterations == 1
 
 
 def test_steer_warns_about_planes_vanishing_at_x0():

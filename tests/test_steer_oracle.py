@@ -47,11 +47,9 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, planes, active,
-                                prefer_origin=cfg.prefer_origin)
+    found = find_integer_target(x0, planes, active)
     x_star = found.x_star
-    cap = (cfg.max_iterations if cfg.max_iterations is not None
-           else 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10)
+    cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
     factors = DeltaFactors.from_numerator(num, n)
     trace = []
     # the cofactor's coefficients below z^(shift + n), as steer pads them
@@ -64,10 +62,9 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
         k = len(trace)
         if k >= cap:
             raise SynthesisError(
-                f"iteration cap {cap} exceeded at distance "
-                f"{vec_1norm(x_star - x):.3e} (target strategy "
-                f"'{found.strategy}'); raise max_iterations or inspect the "
-                "plant conditioning")
+                f"iteration cap {cap} = 10*ceil(|x* - x0|_1) + 10 exceeded "
+                f"at distance {vec_1norm(x_star - x):.3e} (target strategy "
+                f"'{found.strategy}')")
         delta, lower = oracle_delta_matrix(x, factors)
         step = control_input(x, x_star, delta, cfg.mu)
         f = monic_from_vector(step.u)

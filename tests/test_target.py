@@ -8,8 +8,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from intctrl import (Polynomial, StabilizationConfig, run_algorithm1,
-                     stabilizer, target)
+from intctrl import Polynomial, run_algorithm1, stabilizer, target
 from intctrl.bezout import coprime_check, solve_diophantine
 from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
                              vec_1norm)
@@ -268,26 +267,11 @@ def test_update_matches_polynomial_route():
 
 def test_find_target_no_constraints_rounds():
     planes = build_hyperplanes(Polynomial([1.0]), 3)
-    found = find_integer_target(np.array([0.2, -1.7, 2.5]), planes, ())
-    assert_allclose(found.x_star, [0.0, -2.0, 2.0])
-    assert found.strategy == "round"
-
-
-def test_prefer_origin_without_active_planes_takes_the_origin():
-    # with no plane to cross every integer vector is a target, the origin
-    # included
-    planes = build_hyperplanes(Polynomial([1.0]), 3)
     x0 = np.array([0.2, -1.7, 2.5])
-    found = find_integer_target(x0, planes, (), prefer_origin=True)
-    assert found == IntegerTarget(found.x_star, "origin", 1)
-    assert found.x_star.tolist() == [0.0, 0.0, 0.0]
-    assert_matches_oracle(x0, planes, (), prefer_origin=True)
-    # a plant with a constant numerator gets every controller pole at 0
-    den = Polynomial.from_roots([1.05, -0.2])
-    result = run_algorithm1(den, Polynomial([0.5]),
-                            StabilizationConfig(prefer_origin=True))
-    assert result.x_star.tolist() == [0.0, 0.0]
-    assert result.certificate.passed
+    found = find_integer_target(x0, planes, ())
+    assert_allclose(found.x_star, [0.0, -2.0, 2.0])
+    assert found == IntegerTarget(found.x_star, "round", 1)
+    assert_matches_oracle(x0, planes, ())
 
 
 def test_find_target_integer_start_is_fixed_point(pendulum):
@@ -472,7 +456,7 @@ def _oracle_fallback_center(x0, planes, active):
     return np.round((x0 - v) / dist + v)
 
 
-def oracle_find_integer_target(x0, planes, active, prefer_origin=False):
+def oracle_find_integer_target(x0, planes, active):
     """The search written out point by point; None when it is exhausted."""
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
@@ -480,14 +464,8 @@ def oracle_find_integer_target(x0, planes, active, prefer_origin=False):
     def feasible(cand):
         return _oracle_same_side(x0, cand, planes, active)
 
-    examined = 0
-    if prefer_origin:
-        examined += 1
-        origin = np.zeros_like(x0)
-        if feasible(origin):
-            return IntegerTarget(origin, "origin", examined)
     start = np.round(x0)
-    examined += 1
+    examined = 1
     if feasible(start):
         return IntegerTarget(start, "round", examined)
     center = _oracle_fallback_center(x0, planes, active)
@@ -501,16 +479,15 @@ def oracle_find_integer_target(x0, planes, active, prefer_origin=False):
     return None
 
 
-def assert_matches_oracle(x0, planes, active, prefer_origin=False):
+def assert_matches_oracle(x0, planes, active):
     """Same target bit for bit, same strategy and count, or both exhausted;
     returns the oracle's target, or None when both were exhausted."""
-    want = oracle_find_integer_target(x0, planes, active, prefer_origin)
+    want = oracle_find_integer_target(x0, planes, active)
     if want is None:
         with pytest.raises(TargetSearchError):
-            find_integer_target(x0, planes, active,
-                                prefer_origin=prefer_origin)
+            find_integer_target(x0, planes, active)
         return None
-    got = find_integer_target(x0, planes, active, prefer_origin=prefer_origin)
+    got = find_integer_target(x0, planes, active)
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert got.strategy == want.strategy
     assert got.candidates_examined == want.candidates_examined
@@ -532,21 +509,8 @@ def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
     assert assert_matches_oracle(np.array([-0.75]), planes,
                                  (0,)).strategy == "shell"
 
-    x0, planes, active = _squeezed_2d()
-    assert assert_matches_oracle(x0, planes, active).strategy == "shell"
-    # the origin is examined first, and here it fails
-    found = assert_matches_oracle(x0, planes, active, prefer_origin=True)
-    assert found.strategy == "shell" and found.candidates_examined == 9
-
-    # the plant den = (z - 1.05)(z + 0.2), num = z + 0.3 admits the origin
-    num = Polynomial([0.3, 1.0])
-    x0 = vector_from_monic(solve_diophantine(
-        Polynomial.from_roots([1.05, -0.2]), Polynomial.monomial(4), num).r, 2)
-    planes = build_hyperplanes(num, 2)
-    active = active_index_set(x0, planes)
-    found = assert_matches_oracle(x0, planes, active, prefer_origin=True)
-    assert found.strategy == "origin" and found.candidates_examined == 1
-    assert found.x_star.tolist() == [0.0, 0.0]
+    found = assert_matches_oracle(*_squeezed_2d())
+    assert found.strategy == "shell" and found.candidates_examined == 8
 
     found = assert_matches_oracle(*_squeezed_3d())
     assert found.strategy == "shell" and found.candidates_examined == 23
@@ -557,9 +521,7 @@ def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
              0.9168 + 0.199j, 0.9168 - 0.199j, 0.965 + 0.1j, 0.965 - 0.1j])):
         x0 = vector_from_monic(solve_diophantine(den, gamma, num).r, 4)
         planes = build_hyperplanes(num, 4)
-        active = active_index_set(x0, planes)
-        for prefer_origin in (False, True):
-            assert_matches_oracle(x0, planes, active, prefer_origin)
+        assert_matches_oracle(x0, planes, active_index_set(x0, planes))
 
     # a budget of round(x0) alone: it fails and the constructive target holds
     monkeypatch.setattr(target, "MAX_CANDIDATES", 1)
