@@ -8,7 +8,8 @@ certificate's root finding that breaks down fails its condition, with a
 warning.  The closed-loop spectral radius that ``stabilize`` and
 ``analyze`` report for information is written as null when its root
 finding breaks down, with a warning.  Result JSON is byte-stable across
-runs for identical inputs and flags.
+runs for identical inputs and flags: ``json.dumps(payload, indent=2,
+sort_keys=True)`` and a newline, which ``--out`` overwrites in place.
 """
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,8 @@ EXIT_SYNTHESIS = 3
 EXIT_CERTIFICATE = 4
 
 _KNOWN_TOP_KEYS = {"plant", "controller", "solution", "ordering", "name", "notes"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 #: errors a command reports as a synthesis failure: numerical breakdowns.
 #: An inconsistent active set and a singular or failed LAPACK call subclass
@@ -167,10 +173,43 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
         raise ProblemFileError(f"cannot parse root list {text!r}: {exc}")
 
 
+def _json(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for ``o`` nested at ``pad``,
+    without the pure-Python encoder that ``json`` indents with; keys are str."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, float):
+        return _NON_FINITE.get(text := float.__repr__(o), text)
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(o, dict):
+        body = sep.join([_quote(k) + ": " + _json(v, inner)
+                         for k, v in sorted(o.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    try:  # float.__repr__ refuses a non-float; only nan and inf spell an "n"
+        body = sep.join(map(float.__repr__, o))
+    except TypeError:
+        body = "n"
+    if "n" in body:
+        body = sep.join([_json(v, inner) for v in o])
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
+    text = _json(payload) + "\n"
+    if out:  # in place: truncating first can cost more than the write
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fp:
+            fp.write(text.encode())
+            if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):  # not /dev/null
+                fp.truncate()
     else:
         sys.stdout.write(text)
 
@@ -261,6 +300,7 @@ def _cmd_convert(args) -> int:
     cert = conv.certificate
     if args.verify:
         cert = certify_conversion(den, num, pre, conv)
+        cert.warnings = list(dict.fromkeys(cert.warnings + conv.certificate.warnings))
         payload["certificate"] = cert.to_dict()
     return _emit_certified(payload, args.out, cert)
 

@@ -1,12 +1,13 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product, sweep_plant
-from intctrl import Polynomial, numeric, stabilizer, target, verify
+from intctrl import Polynomial, cli, numeric, stabilizer, target, verify
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.numeric import SingularMatrixError
@@ -560,3 +561,124 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     # the first step of the default pendulum run misses its target
     step = json.loads(first["stabilize-flags"][1].out)["trace"][0]
     assert not step["hit"] and sum(map(abs, step["u"])) == pytest.approx(0.5)
+
+
+def _written_payloads(monkeypatch, tmp_path, calls):
+    """Run each call of main with ``--out`` and return the payloads it
+    emitted, checking that each file holds the payload's text."""
+    payloads, emit = [], cli._emit
+
+    def capture(payload, out):
+        payloads.append(payload)
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"out{i}.json"
+        main(argv + ["--out", str(out)])
+        text = json.dumps(payloads[i], indent=2, sort_keys=True)
+        assert out.read_text() == text + "\n"
+    return payloads
+
+
+def test_emitter_matches_json_dumps_on_every_command(monkeypatch, tmp_path):
+    stabilized = tmp_path / "stabilized.json"
+    assert main(["stabilize", PENDULUM, "--out", str(stabilized)]) == 0
+    analyze = tmp_path / "analyze.json"
+    analyze.write_text(json.dumps({
+        "plant": json.loads(Path(PENDULUM).read_text())["plant"],
+        "solution": json.loads(stabilized.read_text())["solution"]}))
+    payloads = _written_payloads(monkeypatch, tmp_path, [
+        ["stabilize", PENDULUM],
+        ["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS],
+        ["convert", CONVERSION],
+        ["analyze", str(analyze)],
+        ["simulate", CONVERSION, "--steps", "50"]])
+    assert [p["command"] for p in payloads] == ["stabilize", "convert", "convert",
+                                                "analyze", "simulate"]
+    for payload in payloads:
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_emitter_matches_json_dumps_on_failed_certificates(monkeypatch, tmp_path):
+    # seed-7 sweep plants whose gamma the certificate does not prove Schur:
+    # their payloads carry failed conditions and warnings
+    calls = []
+    for index in (265, 284, 401, 466, 520):
+        den, num = sweep_plant(index)
+        problem = tmp_path / f"plant{index}.json"
+        problem.write_text(json.dumps({"ordering": "ascending", "plant": {
+            "den": den.coeffs.tolist(), "num": num.coeffs.tolist()}}))
+        calls.append(["stabilize", str(problem)])
+    for payload in _written_payloads(monkeypatch, tmp_path, calls):
+        assert payload["certificate"]["warnings"]
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_emitter_matches_json_dumps_on_edge_values():
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308,
+              -1e-7, 0.1, np.float64(2.5), np.float64("nan")]
+    payload = {
+        "floats": floats, "float_tuple": tuple(floats[3:8]),
+        "finite": [-0.0, 5e-324, 1e308, 1e16, 123456.789, np.float64(-1.5)],
+        "mixed": [1.0, 2, True, None, 0.5, False, -3],
+        "text": ["café → \U0001f600", "tab\tnew\nline\x00\x1f",
+                 'quote " back \\ slash', ""],
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]], {"a": {}}]},
+        "scalars": {"int": -(10 ** 30), "true": True, "false": False,
+                    "none": None, "nan": float("nan"), "str": "s"},
+        "ünicode key \"quoted\"": 0, "": [1.5],
+    }
+    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for value in floats + [[], {}, "x", 7, None, True]:
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1.0, 2.0},
+                                   {(1, 2): 0}, [1.0, np.int64(3)],
+                                   {"a": [np.bool_(False)]}],
+                         ids=["bool_", "int64", "set", "tuple-key", "int64-in-list",
+                              "bool_-in-dict"])
+def test_emitter_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_emitter_refuses_a_key_that_is_not_a_string():
+    # json.dumps would write the int key as "1"; no payload holds one
+    with pytest.raises(TypeError):
+        cli._json({1: 0.5})
+
+
+def test_out_overwrites_a_longer_file_with_the_bytes_of_a_fresh_one(tmp_path):
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    old.write_text("\n".join(map(str, range(1, 5001))) + "\n")
+    assert old.stat().st_size > 20000
+    args = ["stabilize", PENDULUM, "--gamma-ini-roots=" + GAMMA_ROOTS]
+    assert main(args + ["--out", str(fresh)]) == 0
+    assert main(args + ["--out", str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_devnull_exits_0(capsys):
+    assert main(["stabilize", PENDULUM, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_convert_verify_keeps_the_lifting_warning(tmp_path):
+    # the plant numerator times z: the solution is lifted from the reduced
+    # problem, and the recomputed certificate keeps the warning saying so
+    problem = json.loads(Path(CONVERSION).read_text())
+    problem["plant"]["num"] = problem["plant"]["num"] + [0.0]
+    lifted = tmp_path / "lifted.json"
+    lifted.write_text(json.dumps(problem))
+    plain, verified = tmp_path / "plain.json", tmp_path / "verified.json"
+    code = main(["convert", str(lifted), "--out", str(plain)])
+    assert main(["convert", str(lifted), "--verify",
+                 "--out", str(verified)]) == code
+    assert verified.read_bytes() == plain.read_bytes()
+    warnings = json.loads(plain.read_text())["certificate"]["warnings"]
+    assert ("plant numerator carries z^1; the solution was lifted from the "
+            "reduced problem") in warnings
