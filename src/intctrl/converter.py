@@ -5,8 +5,8 @@ swapped: the Schur factors accumulate into a cancelling polynomial while
 the steering target becomes the integer denominator of the new controller.
 The closed-loop transfer function from the reference to the plant output is
 preserved exactly; transient responses change in general because of the
-pole-zero cancellations introduced by the Schur factor, whose roots are
-reported in the certificate rather than compensated.
+pole-zero cancellations introduced by the Schur factor, which the
+certificate proves stable but does not compensate.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
+from .numeric import SchurFactors
 from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
                    vector_from_monic)
 from .stabilizer import SteeringConfig, TraceStep, schur_factor, steer
@@ -53,6 +54,9 @@ class ConvertedController:
     x_star: np.ndarray | None = None
     iterations: int = 0
     trace: tuple[TraceStep, ...] = ()
+    #: the factors steering multiplied into alpha, as in
+    #: :class:`ConversionSolution`
+    factors: SchurFactors | None = None
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,13 @@ class ConversionSolution:
     iterations: int
     trace: tuple[TraceStep, ...]
     warnings: tuple[str, ...]
+    #: alpha as steering multiplied it: the initial factor's roots (or the
+    #: default monomial's degree), the steps, and the numerator's z power
+    factors: SchurFactors
+    #: coprimality quality of the controller denominator and the plant
+    #: numerator, measured when the numerator carries no z factor; None
+    #: when it was measured against the reduced numerator only
+    quality: float | None
 
 
 def _make_alpha_ini(n: int, ctrl_den: Polynomial, num: Polynomial,
@@ -111,6 +122,8 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
             f"(quality {quality:.3e})")
 
     alpha_ini = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots)
+    base = (alpha_ini.coeffs.size - 1 if cfg.alpha_ini_roots is None
+            else tuple(complex(r) for r in cfg.alpha_ini_roots))
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     if big_n < 0:
         raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")
@@ -120,7 +133,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     # the roles swap against the stabilizing synthesis: the Schur factors
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s
-    alpha, big_n, x_star, s, trace, warnings, _ = steer(
+    alpha, big_n, x_star, s, trace, warnings, steps = steer(
         Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, s0, cfg)
     gamma = monic_from_vector(x_star).shifted(big_n)
     if shift:
@@ -130,7 +143,9 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
             f"plant numerator carries z^{shift}; the solution was lifted from "
             "the reduced problem")
     return ConversionSolution(alpha, -s, gamma, x_star, len(trace),
-                              tuple(trace), tuple(warnings))
+                              tuple(trace), tuple(warnings),
+                              SchurFactors(base, steps, shift),
+                              None if shift else quality)
 
 
 def assemble_converted(pre: PreController, plant_den: Polynomial,
@@ -141,7 +156,10 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
     New denominator: the integer polynomial; reference channel scaled by the
     Schur factor; output channel ``beta*plant_den + alpha*num_y``.  The
     closed-loop denominator then factors as the Schur factor times the
-    original loop's, which the certificate checks numerically.
+    original loop's, which the certificate checks numerically.  The
+    certificate proves alpha Schur from the solution's factors, and reuses
+    its coprimality quality when it measured the pair the certificate
+    checks.
     """
     alpha, beta, gamma = solution.alpha, solution.beta, solution.gamma
     conv = ConvertedController(
@@ -151,9 +169,11 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
         alpha=alpha, beta=beta, gamma=gamma,
         certificate=Certificate("conversion", 0.0, 1.0),
         x_star=solution.x_star, iterations=solution.iterations,
-        trace=solution.trace,
+        trace=solution.trace, factors=solution.factors,
     )
-    cert = certify_conversion(plant_den, plant_num, pre, conv)
+    cert = certify_conversion(plant_den, plant_num, pre, conv,
+                              factors=solution.factors,
+                              quality=solution.quality)
     cert.warnings.extend(solution.warnings)
     return replace(conv, certificate=cert)
 

@@ -181,17 +181,27 @@ def closed_loop_tf(plant_den: Polynomial, plant_num: Polynomial,
 
 
 def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
-                       pre, conv) -> Certificate:
+                       pre, conv, *, factors: SchurFactors | None = None,
+                       quality: float | None = None) -> Certificate:
     """Certificate for an integer-coefficient conversion.
 
     ``pre`` and ``conv`` are the pre-designed and converted two-input
     controllers (``conv`` also carries the solution triple).  Checks: the
     converted denominator is integer monic; the solution triple satisfies
-    its identity; the reference-to-output transfer function is preserved;
-    the converted loop is internally stable; and the converted loop
-    denominator factors through the original one by the Schur factor.  Roots
-    judge alpha and the loop; when that breaks down, the condition fails
-    without its radius, and no cancelled roots are reported for alpha.
+    its identity; alpha is Schur monic; the reference-to-output transfer
+    function is preserved; the converted loop is internally stable; and the
+    converted loop denominator factors through the original one by alpha.
+
+    With the ``factors`` that built alpha, alpha is proved Schur by
+    :func:`schur_product_proof` without finding a root, and the witness
+    ``alpha_min_modulus_bound`` is the proved lower bound of min|alpha| on
+    ``|z| = 1 - SCHUR_MARGIN`` (0 when not proved, with a warning saying
+    why).  Without them alpha's roots decide, with the witness
+    ``alpha_spectral_radius``.  Roots judge the loop, with the witness
+    ``closed_loop_spectral_radius``; a root finding that breaks down fails
+    its condition without the witness.  ``quality`` is the coprimality
+    quality of ``pre.den`` and ``plant_num`` when the caller has measured
+    it.
     """
     alpha, beta, gamma = conv.alpha, conv.beta, conv.gamma
     ad, bn = alpha * pre.den, beta * plant_num
@@ -205,17 +215,23 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, DEN_MATCH_RTOL)
     cert.witnesses["gamma_integer_deviation"] = int_dev
 
-    # alpha's roots are found once: they give both its verdict and the
-    # cancelled pole-zero locations reported below
-    alpha_roots, asch = np.zeros(0), None
-    if alpha.coeffs.size == 1:
-        asch = schur_check(alpha)
-    elif (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
-        alpha_roots, asch = found, _schur_verdict(found)
-    cert.conditions["alpha_schur"] = asch is not None and asch.is_schur
+    if factors is None:
+        asch = None
+        if alpha.coeffs.size == 1:
+            asch = schur_check(alpha)
+        elif (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
+            asch = _schur_verdict(found)
+        cert.conditions["alpha_schur"] = asch is not None and asch.is_schur
+        if asch is not None:
+            cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
+    else:
+        proof = schur_product_proof(alpha.coeffs, factors)
+        cert.conditions["alpha_schur"] = proof.min_modulus > 0.0
+        cert.witnesses["alpha_min_modulus_bound"] = proof.min_modulus
+        if proof.reason:
+            cert.warnings.append("alpha is not proved Schur on |z| = 1 - "
+                                 f"SCHUR_MARGIN: {proof.reason}")
     cert.conditions["alpha_monic"] = alpha.is_monic()
-    if asch is not None:
-        cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
 
     n = _deg(plant_den)
     cert.conditions["degree_gap"] = _deg(beta) < _deg(gamma) - n
@@ -246,12 +262,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     dc = t_conv.num(1.0) / den_at_1 if abs(den_at_1) > 0 else float("inf")
     cert.witnesses["dc_gain"] = float(np.real(dc))
 
-    # transient shaping is not compensated; report the cancelled pole-zero
-    # locations (the Schur factor's roots) for inspection
-    cert.details["cancelled_roots"] = [
-        [float(r.real), float(r.imag)] for r in alpha_roots]
-
-    quality = coprime_check(pre.den, plant_num).quality
+    if quality is None:
+        quality = coprime_check(pre.den, plant_num).quality
     cert.witnesses["den_num_coprimality_quality"] = quality
     if quality < QUALITY_WARN:
         cert.warnings.append(

@@ -358,9 +358,9 @@ def test_convert_failed_certificate_exits_4(verify, tmp_path, capsys):
 
 def test_convert_certificate_root_finding_failure_exits_4(monkeypatch,
                                                           tmp_path, capsys):
-    # the conversion certificate judges alpha and the loop by their roots;
-    # when that root finding breaks down both conditions fail with a
-    # warning, and the JSON is still written
+    # alpha is proved Schur from its factors, and roots judge only the
+    # loop: when that root finding breaks down internally_stable fails
+    # with a warning, and the JSON is still written
     def failed(p):
         raise numeric.RootFindingError([(0.5 + 0j, 1.0)])
 
@@ -372,14 +372,13 @@ def test_convert_certificate_root_finding_failure_exits_4(monkeypatch,
     assert capsys.readouterr().err == "certificate failed\n"
     cert = json.loads(out.read_text())["certificate"]
     assert [k for k, ok in cert["conditions"].items() if not ok] == [
-        "alpha_schur", "internally_stable"]
-    assert {"alpha_spectral_radius", "closed_loop_spectral_radius"}.isdisjoint(
-        cert["witnesses"])
-    assert cert["details"]["cancelled_roots"] == []
+        "internally_stable"]
+    assert "closed_loop_spectral_radius" not in cert["witnesses"]
+    assert cert["witnesses"]["alpha_min_modulus_bound"] > 0.0
+    assert cert["details"] == {}
     error = "(RootFindingError: root residuals exceed tolerance: [((0.5+0j), 1.0)])"
-    assert cert["warnings"][:2] == [
-        f"alpha is not judged Schur: its root finding failed {error}",
-        f"the closed loop is not judged Schur: its root finding failed {error}"]
+    assert cert["warnings"][0] == (
+        f"the closed loop is not judged Schur: its root finding failed {error}")
 
 
 def test_convert_requires_controller_block(capsys):
@@ -667,18 +666,27 @@ def test_out_to_devnull_exits_0(capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def test_convert_verify_keeps_the_lifting_warning(tmp_path):
-    # the plant numerator times z: the solution is lifted from the reduced
-    # problem, and the recomputed certificate keeps the warning saying so
+@pytest.mark.parametrize("roots, lifted", [
+    (ALPHA_ROOTS, False), (None, False), (None, True)],
+    ids=["fixture-roots", "default", "numerator-times-z"])
+def test_convert_verify_writes_the_bytes_of_convert(roots, lifted, tmp_path):
+    # --verify recertifies with the factors the conversion carries, and
+    # proves alpha as the first certificate did; with the plant numerator
+    # times z the solution is lifted from the reduced problem, the factors
+    # carry the lift, and the recomputed certificate keeps the warning
     problem = json.loads(Path(CONVERSION).read_text())
-    problem["plant"]["num"] = problem["plant"]["num"] + [0.0]
-    lifted = tmp_path / "lifted.json"
-    lifted.write_text(json.dumps(problem))
+    if lifted:
+        problem["plant"]["num"] = problem["plant"]["num"] + [0.0]
+    source = tmp_path / "problem.json"
+    source.write_text(json.dumps(problem))
+    flags = ["--alpha-ini-roots=" + roots] if roots else []
     plain, verified = tmp_path / "plain.json", tmp_path / "verified.json"
-    code = main(["convert", str(lifted), "--out", str(plain)])
-    assert main(["convert", str(lifted), "--verify",
+    code = main(["convert", str(source), *flags, "--out", str(plain)])
+    assert main(["convert", str(source), *flags, "--verify",
                  "--out", str(verified)]) == code
     assert verified.read_bytes() == plain.read_bytes()
-    warnings = json.loads(plain.read_text())["certificate"]["warnings"]
+    cert = json.loads(plain.read_text())["certificate"]
+    assert cert["conditions"]["alpha_schur"] is True
+    assert cert["witnesses"]["alpha_min_modulus_bound"] > 0.0
     assert ("plant numerator carries z^1; the solution was lifted from the "
-            "reduced problem") in warnings
+            "reduced problem" in cert["warnings"]) == lifted

@@ -6,9 +6,10 @@ from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      PreController, RationalTF, StabilizationConfig,
                      closed_loop_poly, convert_controller, run_algorithm1,
                      tf_equal)
+from intctrl import converter, numeric, stabilizer, verify
 from intctrl.bezout import coprime_check, solve_diophantine
 from intctrl.converter import assemble_converted, run_algorithm2
-from intctrl.numeric import schur_check, vec_1norm
+from intctrl.numeric import poly_roots, schur_check, vec_1norm
 from intctrl.fixtures import CONVERSION_ALPHA_INI_ROOTS
 from intctrl.verify import IDENTITY_RTOL
 
@@ -219,6 +220,11 @@ def test_conversion_with_numerator_z_powers():
     conv = convert_controller(pre, den, num)
     assert conv.certificate.passed, conv.certificate.conditions
     assert any("z^1" in w for w in conv.certificate.warnings)
+    # alpha is proved from factors that carry the lift, and the quality of
+    # the unreduced pair is measured again
+    assert conv.factors.shift == 1
+    assert conv.certificate.witnesses["alpha_min_modulus_bound"] > 0.0
+    assert run_algorithm2(ctrl_den, num, 3).quality is None
 
 
 def test_conversion_rejects_shared_roots():
@@ -235,14 +241,50 @@ def test_alpha_ini_degree_requirement():
                        ConversionConfig(alpha_ini_roots=(0.1,)))
 
 
-def test_assemble_reports_cancelled_roots(pendulum, pre_controller):
+def test_assemble_proves_alpha_from_its_factors(pendulum, pre_controller):
     den, num = pendulum
     conv = convert_controller(pre_controller, den, num, conversion_config())
-    cancelled = conv.certificate.details["cancelled_roots"]
     # six initial roots plus four steering factors of degree four each
-    assert len(cancelled) == 6 + 4 * 4
-    for re, im in cancelled:
-        assert np.hypot(re, im) < 1.0
+    assert conv.factors.base == CONVERSION_ALPHA_INI_ROOTS
+    assert conv.factors.steps.shape == (4, 5) and conv.factors.shift == 0
+    assert conv.alpha.coeffs.size - 1 == 6 + 4 * 4
+    cert = conv.certificate
+    assert cert.conditions["alpha_schur"]
+    assert cert.witnesses["alpha_min_modulus_bound"] > 0.0
+    # the cancelled roots are no longer found
+    assert "alpha_spectral_radius" not in cert.witnesses
+    assert cert.details == {}
+
+
+def test_conversion_finds_only_the_loop_roots_and_checks_each_pair_once(
+        pendulum, pre_controller, monkeypatch):
+    # the certificate proves alpha from its factors and takes the
+    # controller/numerator quality from run_algorithm2: it finds the roots
+    # of the loop only, and the conversion runs one Sylvester SVD per pair
+    # (that one, and the initial factor's against the numerator)
+    rooted, pairs = [], []
+
+    def counting_roots(p):
+        rooted.append(p)
+        return poly_roots(p)
+
+    def counting_coprime(a, b):
+        pairs.append((a, b))
+        return coprime_check(a, b)
+
+    monkeypatch.setattr(numeric, "poly_roots", counting_roots)
+    monkeypatch.setattr(verify, "poly_roots", counting_roots)
+    for module in (converter, stabilizer, verify):
+        monkeypatch.setattr(module, "coprime_check", counting_coprime)
+    den, num = pendulum
+    conv = convert_controller(pre_controller, den, num, conversion_config())
+    assert conv.certificate.passed
+    loop = closed_loop_poly(den, num, conv.den, conv.num_y)
+    assert len(rooted) == 1 and rooted[0] == loop
+    assert len(pairs) == 2
+    assert (pre_controller.den, num) in pairs
+    assert conv.certificate.witnesses["den_num_coprimality_quality"] == \
+        coprime_check(pre_controller.den, num).quality
 
 
 @pytest.mark.parametrize("kw", [{"mu": -0.5}, {"mu": float("nan")},

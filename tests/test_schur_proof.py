@@ -1,6 +1,7 @@
-"""The Rouché proof that a synthesized gamma is Schur, against an exact
-oracle: Jury's recursion (``jury_stable`` in ``test_numeric.py``) run in
-exact rational arithmetic on gamma(rho z), rho = 1 - SCHUR_MARGIN."""
+"""The Rouché proof that a synthesized gamma, or a conversion's alpha, is
+Schur, against an exact oracle: Jury's recursion (``jury_stable`` in
+``test_numeric.py``) run in exact rational arithmetic on gamma(rho z),
+rho = 1 - SCHUR_MARGIN."""
 import cmath
 import math
 from fractions import Fraction
@@ -8,12 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intctrl import (Polynomial, SchurFactors, StabilizationConfig,
-                     run_algorithm1, verify)
-from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS, pendulum_plant
+from intctrl import (ConversionConfig, ConvertedController, Polynomial,
+                     PreController, SchurFactors, StabilizationConfig,
+                     certify_conversion, convert_controller, run_algorithm1,
+                     verify)
+from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
+                              PENDULUM_GAMMA_INI_ROOTS, pendulum_plant,
+                              pendulum_pre_controller)
 from intctrl.numeric import SCHUR_MARGIN, schur_product_proof
 
-from conftest import random_plant, sweep_plant
+from conftest import random_plant, random_roots, sweep_plant
+from test_converter import stable_pre_loop
 
 RHO = 1.0 - SCHUR_MARGIN
 
@@ -75,10 +81,9 @@ def product(base, steps, shift=0):
     return np.concatenate([np.zeros(shift), prod])
 
 
-@pytest.fixture(scope="module")
-def synthesized():
-    """(gamma, factors, proof) of every certificate of the pendulum runs and
-    of 160 unfiltered random plants of orders 1 to 8."""
+def _recorded_proofs(run):
+    """(p, factors, proof) of every schur_product_proof a certificate makes
+    while ``run()`` runs."""
     records = []
     real = verify.schur_product_proof
 
@@ -89,6 +94,17 @@ def synthesized():
 
     verify.schur_product_proof = recording
     try:
+        run()
+    finally:
+        verify.schur_product_proof = real
+    return records
+
+
+@pytest.fixture(scope="module")
+def synthesized():
+    """(gamma, factors, proof) of every certificate of the pendulum runs and
+    of 160 unfiltered random plants of orders 1 to 8."""
+    def run():
         den, num = pendulum_plant()
         for cfg in (None, StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS),
                     StabilizationConfig(mu=0.5)):
@@ -100,9 +116,8 @@ def synthesized():
                 run_algorithm1(den, num)
             except (ValueError, RuntimeError, np.linalg.LinAlgError):
                 pass
-    finally:
-        verify.schur_product_proof = real
-    return records
+
+    return _recorded_proofs(run)
 
 
 def test_every_proved_gamma_up_to_degree_30_passes_the_exact_oracle(synthesized):
@@ -230,3 +245,86 @@ def test_sweep_plants_without_a_proof_fail_gamma_schur_without_raising(index):
     assert cert.warnings[-1] == (
         "gamma is not proved Schur on |z| = 1 - SCHUR_MARGIN: the stepwise "
         "Rouche bound of its modulus on the circle does not stay positive")
+
+
+@pytest.fixture(scope="module")
+def converted():
+    """(alpha, factors, proof) of both pendulum conversions, of the
+    pendulum numerator times z, and of 24 random conversions of stabilizing
+    pre-designed controllers, every third from random initial roots."""
+    def run():
+        den, num = pendulum_plant()
+        pre = pendulum_pre_controller()
+        for roots in (CONVERSION_ALPHA_INI_ROOTS, None):
+            convert_controller(pre, den, num,
+                               ConversionConfig(alpha_ini_roots=roots))
+        convert_controller(pre, den, Polynomial(np.concatenate([[0.0], num.coeffs])))
+        rng = np.random.default_rng(11)
+        for i in range(24):
+            den, num, pre = stable_pre_loop(rng)
+            roots = tuple(random_roots(rng, 2, 0.6)) if i % 3 == 0 else None
+            convert_controller(pre, den, num,
+                               ConversionConfig(alpha_ini_roots=roots))
+
+    return _recorded_proofs(run)
+
+
+def test_every_proved_alpha_passes_the_exact_oracle(converted):
+    # the oracle runs at rho = 1 (Schur) on every alpha, and at rho =
+    # 1 - SCHUR_MARGIN, as the proof claims, up to degree 30: the exact
+    # recursion at rho < 1 grows too slow beyond that
+    assert len(converted) == 27
+    proved = [(p, factors) for p, factors, proof in converted
+              if proof.min_modulus > 0.0]
+    for p, factors in proved:
+        assert exact_roots_inside(p, rho=1.0), (p, factors)
+        if p.size <= 31:
+            assert exact_roots_inside(p), (p, factors)
+    # both pendulum conversions (the default one of degree 73) and the
+    # lifted one are proved, and random ones with and without initial roots
+    assert all(proof.min_modulus > 0.0 for _, _, proof in converted[:3])
+    assert converted[1][0].size == 74 and converted[2][1].shift == 1
+    assert len(proved) >= 24
+    assert sum(isinstance(f.base, tuple) for _, f in proved) >= 1 + 6
+
+
+def _conversion(factors):
+    """The certificate of a converted controller whose alpha is the product
+    of ``factors``, on a small plant and pre-designed controller."""
+    den = Polynomial.from_roots([0.5, -0.25])
+    num = Polynomial([0.3, 0.1])
+    pre = PreController(Polynomial([1, -1, 1]), Polynomial([-4.0, 2.0]),
+                        Polynomial([1.0]))
+    alpha = Polynomial(product(factors.base, factors.steps, factors.shift))
+    conv = ConvertedController(alpha * pre.den, alpha * pre.num_y,
+                               alpha * pre.num_r, alpha, Polynomial.zero(),
+                               alpha * pre.den, None, factors=factors)
+    return alpha, certify_conversion(den, num, pre, conv, factors=conv.factors)
+
+
+def test_conversion_with_a_step_outside_the_circle_fails_alpha_schur():
+    # the second step z^2 - 2.25 has its roots at +-1.5
+    factors = SchurFactors((0.2,), np.array([[0.1, 0.2, 1.0],
+                                             [-2.25, 0.0, 1.0]]), 0)
+    alpha, cert = _conversion(factors)
+    assert not exact_roots_inside(alpha.coeffs, rho=1.0)
+    assert not cert.conditions["alpha_schur"] and not cert.passed
+    assert cert.witnesses["alpha_min_modulus_bound"] == 0.0
+    assert ("alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: the roots "
+            "of factor 2 of 2 are not proved inside the circle") in cert.warnings
+
+
+@pytest.mark.parametrize("base", [
+    (1.0 - 1e-12, 0.3), (-(1.0 - 1e-12),),
+    (cmath.rect(1.0 - 1e-12, 0.5), cmath.rect(1.0 - 1e-12, -0.5))],
+    ids=["real", "negative", "complex-pair"])
+def test_conversion_with_an_initial_root_near_the_circle_is_never_proved(base):
+    # Schur, but not inside 1 - SCHUR_MARGIN, which the proof claims
+    factors = SchurFactors(base, np.array([[0.1, -0.2, 1.0]]), 0)
+    alpha, cert = _conversion(factors)
+    assert exact_roots_inside(alpha.coeffs, rho=1.0)
+    assert not exact_roots_inside(alpha.coeffs)
+    assert not cert.conditions["alpha_schur"]
+    assert cert.witnesses["alpha_min_modulus_bound"] == 0.0
+    assert ("alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: an initial "
+            "root is not inside the circle") in cert.warnings

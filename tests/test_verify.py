@@ -171,10 +171,11 @@ def test_conversion_dc_gain_report(pendulum, pre_controller):
     assert abs(conv.certificate.witnesses["dc_gain"] - 1.0) <= 1e-2
 
 
-def test_conversion_certificate_finds_alpha_roots_once(pendulum, pre_controller,
-                                                      monkeypatch):
-    # alpha's verdict, radius and cancelled roots all come from one root
-    # finding; schur_check still runs on the loop denominator
+def test_conversion_certificate_finds_no_alpha_root(pendulum, pre_controller,
+                                                    monkeypatch):
+    # with the factors that built alpha, the proof decides alpha_schur and
+    # no root of alpha is found; schur_check still judges the loop
+    # denominator.  Without them alpha's roots decide, found once
     den, num = pendulum
     cfg = ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS)
     conv = convert_controller(pre_controller, den, num, cfg)
@@ -191,13 +192,25 @@ def test_conversion_certificate_finds_alpha_roots_once(pendulum, pre_controller,
 
     monkeypatch.setattr(verify, "poly_roots", counting_roots)
     monkeypatch.setattr(verify, "schur_check", counting_schur)
-    cert = verify.certify_conversion(den, num, pre_controller, conv)
-    assert rooted == [conv.alpha]
+    cert = verify.certify_conversion(den, num, pre_controller, conv,
+                                     factors=conv.factors)
+    assert rooted == []
     assert conv.alpha not in checked and len(checked) == 1
     assert cert.to_dict() == conv.certificate.to_dict()
-    roots = np.array([complex(*r) for r in cert.details["cancelled_roots"]])
-    assert cert.witnesses["alpha_spectral_radius"] == float(np.max(np.abs(roots)))
     assert cert.conditions["alpha_schur"]
+    assert cert.witnesses["alpha_min_modulus_bound"] > 0.0
+    assert "alpha_spectral_radius" not in cert.witnesses
+    assert cert.details == {}
+
+    checked.clear()
+    by_roots = verify.certify_conversion(den, num, pre_controller, conv)
+    assert rooted == [conv.alpha]
+    assert conv.alpha not in checked and len(checked) == 1
+    assert by_roots.conditions == cert.conditions
+    radius = float(np.max(np.abs(np.roots(conv.alpha.coeffs[::-1]))))
+    assert by_roots.witnesses["alpha_spectral_radius"] == pytest.approx(radius)
+    assert "alpha_min_modulus_bound" not in by_roots.witnesses
+    assert by_roots.details == {}
 
 
 def test_certify_stabilization_closed_loop_consistency(pendulum):
