@@ -176,10 +176,6 @@ def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return S
 
 
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
 def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
     """Coprimality verdict with a scale-free quality scalar.
 
@@ -201,11 +197,6 @@ def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
         S = sylvester_matrix(Polynomial(an), Polynomial(bn))
     else:
         S = _sylvester(an, bn)
-    # np.linalg.svd(S, compute_uv=False) without the wrapper's checks, with
-    # its error state: S is a finite float matrix, so only a failed
-    # factorization sets the invalid flag and calls _svd_failed
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        sv = np.linalg._umath_linalg.svd(S, signature="d->d")
+    sv = np.linalg.svd(S, compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     return CoprimalityResult(quality > COPRIME_TOL, quality)

@@ -299,7 +299,7 @@ def _cmd_convert(args) -> int:
     }
     cert = conv.certificate
     if args.verify:
-        cert = certify_conversion(den, num, pre, conv, factors=conv.factors)
+        cert = certify_conversion(den, num, pre, conv)
         cert.warnings = list(dict.fromkeys(cert.warnings + conv.certificate.warnings))
         payload["certificate"] = cert.to_dict()
     return _emit_certified(payload, args.out, cert)

@@ -55,7 +55,7 @@ class ConvertedController:
     iterations: int = 0
     trace: tuple[TraceStep, ...] = ()
     #: the factors steering multiplied into alpha, as in
-    #: :class:`ConversionSolution`
+    #: :class:`ConversionSolution`; None leaves alpha's verdict to its roots
     factors: SchurFactors | None = None
 
 
@@ -157,9 +157,10 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
     Schur factor; output channel ``beta*plant_den + alpha*num_y``.  The
     closed-loop denominator then factors as the Schur factor times the
     original loop's, which the certificate checks numerically.  The
-    certificate proves alpha Schur from the solution's factors, and reuses
-    its coprimality quality when it measured the pair the certificate
-    checks.
+    controller carries the solution's factors, from which the certificate
+    proves alpha Schur (alpha's roots decide where that proof does not
+    hold), and the certificate reuses the solution's coprimality quality
+    when it measured the pair the certificate checks.
     """
     alpha, beta, gamma = solution.alpha, solution.beta, solution.gamma
     conv = ConvertedController(
@@ -172,7 +173,6 @@ def assemble_converted(pre: PreController, plant_den: Polynomial,
         trace=solution.trace, factors=solution.factors,
     )
     cert = certify_conversion(plant_den, plant_num, pre, conv,
-                              factors=solution.factors,
                               quality=solution.quality)
     cert.warnings.extend(solution.warnings)
     return replace(conv, certificate=cert)

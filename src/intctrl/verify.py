@@ -181,8 +181,7 @@ def closed_loop_tf(plant_den: Polynomial, plant_num: Polynomial,
 
 
 def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
-                       pre, conv, *, factors: SchurFactors | None = None,
-                       quality: float | None = None) -> Certificate:
+                       pre, conv, *, quality: float | None = None) -> Certificate:
     """Certificate for an integer-coefficient conversion.
 
     ``pre`` and ``conv`` are the pre-designed and converted two-input
@@ -192,12 +191,13 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     function is preserved; the converted loop is internally stable; and the
     converted loop denominator factors through the original one by alpha.
 
-    With the ``factors`` that built alpha, alpha is proved Schur by
-    :func:`schur_product_proof` without finding a root, and the witness
-    ``alpha_min_modulus_bound`` is the proved lower bound of min|alpha| on
-    ``|z| = 1 - SCHUR_MARGIN`` (0 when not proved, with a warning saying
-    why).  Without them alpha's roots decide, with the witness
-    ``alpha_spectral_radius``.  Roots judge the loop, with the witness
+    When ``conv.factors`` holds the factors that built alpha, alpha is
+    proved Schur by :func:`schur_product_proof` without finding a root, and
+    the witness ``alpha_min_modulus_bound`` is the proved lower bound of
+    min|alpha| on ``|z| = 1 - SCHUR_MARGIN``.  When the proof does not hold
+    (the bound is 0, with a warning saying why) or there are no factors,
+    alpha's roots decide, with the witness ``alpha_spectral_radius``.
+    Roots judge the loop, with the witness
     ``closed_loop_spectral_radius``; a root finding that breaks down fails
     its condition without the witness.  ``quality`` is the coprimality
     quality of ``pre.den`` and ``plant_num`` when the caller has measured
@@ -215,22 +215,24 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     cert.conditions["converted_den_matches_gamma"] = conv.den.allclose(gamma, DEN_MATCH_RTOL)
     cert.witnesses["gamma_integer_deviation"] = int_dev
 
-    if factors is None:
-        asch = None
+    # the proof needs no root; where it does not hold, alpha's roots decide,
+    # as without factors
+    proved, asch = False, None
+    if conv.factors is not None:
+        proof = schur_product_proof(alpha.coeffs, conv.factors)
+        proved = proof.min_modulus > 0.0
+        cert.witnesses["alpha_min_modulus_bound"] = proof.min_modulus
+        if not proved:
+            cert.warnings.append("alpha is not proved Schur on |z| = 1 - "
+                                 f"SCHUR_MARGIN: {proof.reason}")
+    if not proved:
         if alpha.coeffs.size == 1:
             asch = schur_check(alpha)
         elif (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
             asch = _schur_verdict(found)
-        cert.conditions["alpha_schur"] = asch is not None and asch.is_schur
-        if asch is not None:
-            cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
-    else:
-        proof = schur_product_proof(alpha.coeffs, factors)
-        cert.conditions["alpha_schur"] = proof.min_modulus > 0.0
-        cert.witnesses["alpha_min_modulus_bound"] = proof.min_modulus
-        if proof.reason:
-            cert.warnings.append("alpha is not proved Schur on |z| = 1 - "
-                                 f"SCHUR_MARGIN: {proof.reason}")
+    cert.conditions["alpha_schur"] = proved or (asch is not None and asch.is_schur)
+    if asch is not None:
+        cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius
     cert.conditions["alpha_monic"] = alpha.is_monic()
 
     n = _deg(plant_den)

@@ -4,6 +4,7 @@ Schur, against an exact oracle: Jury's recursion (``jury_stable`` in
 rho = 1 - SCHUR_MARGIN."""
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -247,11 +248,21 @@ def test_sweep_plants_without_a_proof_fail_gamma_schur_without_raising(index):
         "Rouche bound of its modulus on the circle does not stay positive")
 
 
+def random_conversions():
+    """(plant den, plant num, pre-designed controller, initial roots) of 24
+    random conversions of stabilizing pre-designed controllers, every third
+    from random initial roots."""
+    rng = np.random.default_rng(11)
+    for i in range(24):
+        den, num, pre = stable_pre_loop(rng)
+        roots = tuple(random_roots(rng, 2, 0.6)) if i % 3 == 0 else None
+        yield den, num, pre, roots
+
+
 @pytest.fixture(scope="module")
 def converted():
     """(alpha, factors, proof) of both pendulum conversions, of the
-    pendulum numerator times z, and of 24 random conversions of stabilizing
-    pre-designed controllers, every third from random initial roots."""
+    pendulum numerator times z, and of the random conversions."""
     def run():
         den, num = pendulum_plant()
         pre = pendulum_pre_controller()
@@ -259,10 +270,7 @@ def converted():
             convert_controller(pre, den, num,
                                ConversionConfig(alpha_ini_roots=roots))
         convert_controller(pre, den, Polynomial(np.concatenate([[0.0], num.coeffs])))
-        rng = np.random.default_rng(11)
-        for i in range(24):
-            den, num, pre = stable_pre_loop(rng)
-            roots = tuple(random_roots(rng, 2, 0.6)) if i % 3 == 0 else None
+        for den, num, pre, roots in random_conversions():
             convert_controller(pre, den, num,
                                ConversionConfig(alpha_ini_roots=roots))
 
@@ -288,6 +296,29 @@ def test_every_proved_alpha_passes_the_exact_oracle(converted):
     assert sum(isinstance(f.base, tuple) for _, f in proved) >= 1 + 6
 
 
+def test_conversion_whose_alpha_proof_does_not_hold_is_judged_by_roots():
+    # the last random conversion steers nearly equal steps, each with a
+    # root near 0.993, into an alpha of spectral radius 0.9983: the
+    # stepwise Rouche bound does not stay positive, so alpha's roots
+    # decide, as without factors, and pass it
+    den, num, pre, roots = list(random_conversions())[-1]
+    assert roots is None
+    conv = convert_controller(pre, den, num)
+    cert = conv.certificate
+    assert cert.passed and cert.conditions["alpha_schur"]
+    assert cert.witnesses["alpha_min_modulus_bound"] == 0.0
+    assert cert.witnesses["alpha_spectral_radius"] == pytest.approx(0.99832,
+                                                                    abs=1e-5)
+    assert cert.warnings == [
+        "alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: the stepwise "
+        "Rouche bound of its modulus on the circle does not stay positive"]
+    assert exact_roots_inside(conv.alpha.coeffs)
+    by_roots = certify_conversion(den, num, pre, replace(conv, factors=None))
+    assert by_roots.conditions == cert.conditions
+    assert (by_roots.witnesses["alpha_spectral_radius"]
+            == cert.witnesses["alpha_spectral_radius"])
+
+
 def _conversion(factors):
     """The certificate of a converted controller whose alpha is the product
     of ``factors``, on a small plant and pre-designed controller."""
@@ -299,7 +330,7 @@ def _conversion(factors):
     conv = ConvertedController(alpha * pre.den, alpha * pre.num_y,
                                alpha * pre.num_r, alpha, Polynomial.zero(),
                                alpha * pre.den, None, factors=factors)
-    return alpha, certify_conversion(den, num, pre, conv, factors=conv.factors)
+    return alpha, certify_conversion(den, num, pre, conv)
 
 
 def test_conversion_with_a_step_outside_the_circle_fails_alpha_schur():
@@ -310,6 +341,8 @@ def test_conversion_with_a_step_outside_the_circle_fails_alpha_schur():
     assert not exact_roots_inside(alpha.coeffs, rho=1.0)
     assert not cert.conditions["alpha_schur"] and not cert.passed
     assert cert.witnesses["alpha_min_modulus_bound"] == 0.0
+    # alpha's roots, which decide when the proof does not hold, fail it too
+    assert cert.witnesses["alpha_spectral_radius"] == pytest.approx(1.5)
     assert ("alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: the roots "
             "of factor 2 of 2 are not proved inside the circle") in cert.warnings
 
@@ -326,5 +359,6 @@ def test_conversion_with_an_initial_root_near_the_circle_is_never_proved(base):
     assert not exact_roots_inside(alpha.coeffs)
     assert not cert.conditions["alpha_schur"]
     assert cert.witnesses["alpha_min_modulus_bound"] == 0.0
+    assert cert.witnesses["alpha_spectral_radius"] > 1.0 - SCHUR_MARGIN
     assert ("alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: an initial "
             "root is not inside the circle") in cert.warnings

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,8 +193,7 @@ def test_conversion_certificate_finds_no_alpha_root(pendulum, pre_controller,
 
     monkeypatch.setattr(verify, "poly_roots", counting_roots)
     monkeypatch.setattr(verify, "schur_check", counting_schur)
-    cert = verify.certify_conversion(den, num, pre_controller, conv,
-                                     factors=conv.factors)
+    cert = verify.certify_conversion(den, num, pre_controller, conv)
     assert rooted == []
     assert conv.alpha not in checked and len(checked) == 1
     assert cert.to_dict() == conv.certificate.to_dict()
@@ -203,7 +203,8 @@ def test_conversion_certificate_finds_no_alpha_root(pendulum, pre_controller,
     assert cert.details == {}
 
     checked.clear()
-    by_roots = verify.certify_conversion(den, num, pre_controller, conv)
+    by_roots = verify.certify_conversion(den, num, pre_controller,
+                                         replace(conv, factors=None))
     assert rooted == [conv.alpha]
     assert conv.alpha not in checked and len(checked) == 1
     assert by_roots.conditions == cert.conditions
