@@ -1,7 +1,8 @@
 """Command-line interface: stabilize, convert, analyze, simulate.
 
-Exit codes: 0 success (and certificate pass), 2 input validation error,
-3 synthesis failure (a numerical breakdown included), 4 certificate
+Exit codes: 0 success (and certificate pass), 2 input validation error
+or a file that cannot be read or written (one stderr line naming it), 3
+synthesis failure (a numerical breakdown included), 4 certificate
 failure.  ``stabilize``, ``convert`` and ``analyze`` write their result
 JSON whenever a certificate was made, and exit 4 when it fails; a
 certificate's root finding that breaks down fails its condition, with a
@@ -98,9 +99,9 @@ def parse_problem_file(path: str) -> dict:
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ProblemFileError(f"problem file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ProblemFileError(f"cannot read problem file {path}: {exc.strerror}")
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ProblemFileError(f"invalid JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         raise ProblemFileError("problem file must hold a JSON object")
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
         return EXIT_SYNTHESIS
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # --out or --out-csv
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

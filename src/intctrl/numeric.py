@@ -56,9 +56,6 @@ dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
 
 SOLVE_RCOND = 1e-13
 _EPS = 2.0 ** -52
-#: magnitudes of powers and coefficients inside which the residual screen
-#: of poly_roots is trusted
-_SCREEN_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 ROOT_TOL = 1e-6
 IMAG_TOL = 1e-8
@@ -145,49 +142,6 @@ def vec_1norm(v: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(v)))
 
 
-def _residuals_screened(c: np.ndarray, roots: np.ndarray, tol_root: float) -> bool:
-    """True when every root's residual, evaluated from one power table, is
-    so far inside the bound of :func:`poly_roots` that its Horner check
-    would pass too; False leaves the verdict to that check.
-
-    With u = eps/2 and d = c.size - 1, the table's powers r^i carry at most
-    2*sqrt(2)*(d-1)*u relative error, so the screened |p(r)| is within
-    (1 + 2*sqrt(2))*d*u + 3u of the scale S = sum |c_i| |r|^i, and the
-    screened scale within 4*(d+1)*u of S.  The Horner residual is within
-    (1 + 2*sqrt(2))*d*u + 2u of S, and its scale within 3*(d+1)*u.  For a
-    bound t <= 1 the two verdicts can part only where the screened ratio
-    exceeds t - 15*(d+1)*u; screening at t - 16*(d+1)*eps = t - 32*(d+1)*u
-    leaves a factor 2 to spare.  Exact residuals never exceed their scale,
-    so a bound above 1 is screened as 1.  The rounding model holds because
-    every power and every nonzero coefficient must lie within 2**+-500:
-    no product of the two leaves 2**+-1000, so nothing overflows, and an
-    underflow, an absolute error of at most 2**-1075 carried by at most
-    max(1, |r|^d), is negligible against S >= |c_d| |r|^d, which is at
-    least 2**-1000 * max(1, |r|^d).
-    """
-    bound = min(tol_root, 1.0) - 16.0 * c.size * _EPS
-    if not bound > 0.0:  # tol_root = 0 or NaN: only the Horner check decides
-        return False
-    if roots.size == 0:
-        return True
-    mag_c = np.abs(c)
-    mag_r = np.abs(roots)
-    lo, hi = _SCREEN_RANGE
-    # |r|^i lies between 1 and |r|^d: bounding |r|^d bounds every power
-    root_hi = hi ** (1.0 / (c.size - 1))
-    if not (mag_c[mag_c.argmax()] <= hi
-            and np.minimum.reduce(mag_c, initial=hi, where=mag_c != 0.0) >= lo
-            and mag_r[mag_r.argmax()] <= root_hi
-            and mag_r[mag_r.argmin()] >= 1.0 / root_hi):
-        return False
-    powers = np.empty((roots.size, c.size), roots.dtype)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = roots[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    passed = np.abs(powers @ c) <= bound * (np.abs(powers) @ mag_c)
-    return np.count_nonzero(passed) == roots.size
-
-
 def _eigvals_failed(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -195,9 +149,12 @@ def _eigvals_failed(err, flag):
 def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` with multiplicity, via companion-matrix eigenvalues.
 
-    Each returned root ``r`` satisfies ``|p(r)| <= ROOT_TOL * sum_i |c_i| |r|^i``
-    (relative backward error at the evaluation scale); gross violations raise
-    :class:`RootFindingError`.
+    Each root ``r`` is checked once: one table of its powers gives
+    ``|p(r)|`` and ``S = sum_i |c_i| |r|^i``, and :class:`RootFindingError`
+    lists every root with ``|p(r)| > ROOT_TOL * S`` and its ratio.  For
+    degree d the computed ratio is within ``8 (d+1) eps`` of the exact one
+    while the powers and terms ``c_i r^i`` stay normal doubles; a root whose
+    powers or scale overflow has an infinite or NaN scale and passes.
     """
     if p.is_zero or p.coeffs.size < 2:
         raise ValueError("root finding requires degree >= 1")
@@ -225,42 +182,21 @@ def poly_roots(p: Polynomial) -> np.ndarray:
         roots = roots if np.count_nonzero(roots.imag) else roots.real
     else:
         roots = np.zeros(0)
-    # the split-off zero roots need no screen: at 0 the Horner residual and
-    # its scale are both |c_0| = 0, so they always pass
-    screened = _residuals_screened(c, roots, ROOT_TOL)
-    if zeros:
-        roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
-    if screened:
-        return roots
-    # Horner for all roots at once on a stacked (real, imaginary) buffer,
-    # each product and sum its own operation as in scalar complex
-    # arithmetic, so the residuals equal those of a scalar Horner loop bit
-    # for bit.  A step is re, im = re*zr + im*(-zi) + ck, im*zr + re*zi:
-    # im*(-zi) is -(im*zi) exactly and a + (-b) is a - b, so the real part
-    # rounds as re*zr - im*zi + ck.  The multipliers are full (2, k) arrays:
-    # a broadcast operand costs more per call than the whole product
-    k = roots.size
-    real_mult = np.empty((2, k))
-    real_mult[:] = roots.real
-    cross_mult = roots.imag * np.array([[-1.0], [1.0]])
-    acc = np.zeros((2, k))
-    swapped, re = acc[::-1], acc[0]
-    prod = np.empty((2, k))
-    cross = np.empty((2, k))
+    # the split-off zero roots are not checked: at 0 the residual and its
+    # scale are both |c_0| = 0
+    powers = np.empty((roots.size, c.size), roots.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = roots[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        # sum_i |c_i| |r|^i, one row per root
-        scale = np.add.reduce(
-            np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size), axis=1)
-        for ck in c[::-1].tolist():
-            np.multiply(acc, real_mult, prod)
-            np.multiply(swapped, cross_mult, cross)
-            np.add(prod, cross, acc)
-            np.add(re, ck, re)
-        res = np.hypot(acc[0], acc[1])
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        res = np.abs(powers @ c)
+        scale = np.abs(powers) @ np.abs(c)
         bad = res > ROOT_TOL * scale
     if np.count_nonzero(bad):
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
                                 for i in np.flatnonzero(bad)])
+    if zeros:
+        roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
     return roots
 
 

@@ -43,7 +43,6 @@ class Certificate:
     conditions: dict[str, bool] = field(default_factory=dict)
     witnesses: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    details: dict[str, Any] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -59,7 +58,6 @@ class Certificate:
             "conditions": dict(self.conditions),
             "witnesses": dict(self.witnesses),
             "warnings": list(self.warnings),
-            "details": dict(self.details),
         }
 
 

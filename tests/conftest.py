@@ -144,6 +144,51 @@ def _add(*polys):
     return out
 
 
+def _as_integers(values):
+    """Integers ``m_i`` and one exponent ``e`` with ``values[i] = m_i * 2**e``
+    exactly, for finite doubles."""
+    parts = [math.frexp(v) for v in values]
+    e = min((k for m, k in parts if m), default=53) - 53
+    return [int(m * 2.0 ** 53) << (k - 53 - e) if m else 0 for m, k in parts], e
+
+
+def exact_residual_ratios(coeffs, roots):
+    """``|p(r)| / sum_i |c_i| |r|^i`` for every root double ``r`` of the
+    coefficient doubles ``coeffs`` (ascending), as the nearest double.
+
+    Each double is written as ``m * 2**e``, and with ``r = (a + ib) 2**e``
+    both ``p(r)`` and the scale follow by Horner in Python integers, in the
+    same units: the scale in ``Z[sqrt(M)]``, ``M = a^2 + b^2``, as ``x + y
+    sqrt(M)``.  The two square roots are taken to 128 bits beyond their
+    integer parts, far below a double's rounding.  A zero residual gives 0.
+    """
+    big, _ = _as_integers(coeffs.tolist())
+    d = len(big) - 1
+    ratios, seen = [], {}
+    for r in np.asarray(roots, dtype=complex).tolist():
+        # a conjugate root has the conjugate residual and the same scale
+        if (r.real, abs(r.imag)) in seen:
+            ratios.append(seen[r.real, abs(r.imag)])
+            continue
+        (a, b), e = _as_integers([r.real, r.imag])
+        if e > 0:
+            a, b, e = a << e, b << e, 0
+        m = a * a + b * b
+        # 2**(-e d) p(r) and its scale, in the units of the integers of c
+        re, im, x, y = big[d], 0, abs(big[d]), 0
+        for i in range(d - 1, -1, -1):
+            term = big[i] << -e * (d - i)
+            re, im = re * a - im * b + term, re * b + im * a
+            x, y = y * m + abs(term), x
+        res2 = re * re + im * im
+        k = 128
+        seen[r.real, abs(r.imag)] = (math.isqrt(res2 << 2 * k)
+                                     / ((x << k) + y * math.isqrt(m << 2 * k))
+                                     if res2 else 0.0)
+        ratios.append(seen[r.real, abs(r.imag)])
+    return ratios
+
+
 def random_roots(rng, count, radius):
     """Conjugation-closed random roots, about 40% in complex pairs."""
     roots = []

@@ -375,7 +375,7 @@ def test_convert_certificate_root_finding_failure_exits_4(monkeypatch,
         "internally_stable"]
     assert "closed_loop_spectral_radius" not in cert["witnesses"]
     assert cert["witnesses"]["alpha_min_modulus_bound"] > 0.0
-    assert cert["details"] == {}
+    assert "details" not in cert
     error = "(RootFindingError: root residuals exceed tolerance: [((0.5+0j), 1.0)])"
     assert cert["warnings"][0] == (
         f"the closed loop is not judged Schur: its root finding failed {error}")
@@ -690,3 +690,24 @@ def test_convert_verify_writes_the_bytes_of_convert(roots, lifted, tmp_path):
     assert cert["witnesses"]["alpha_min_modulus_bound"] > 0.0
     assert ("plant numerator carries z^1; the solution was lifted from the "
             "reduced problem" in cert["warnings"]) == lifted
+
+
+@pytest.mark.parametrize("case", ["problem-is-a-directory", "problem-not-utf8",
+                                  "out-in-missing-dir", "csv-in-missing-dir"])
+def test_file_that_cannot_be_read_or_written_exits_2(case, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    argv, path = {
+        "problem-is-a-directory": (["stabilize", str(tmp_path)], tmp_path),
+        "problem-not-utf8": (["stabilize", str(tmp_path / "bad.json")],
+                             tmp_path / "bad.json"),
+        "out-in-missing-dir": (["stabilize", PENDULUM, "--out",
+                                str(missing / "x.json")], missing / "x.json"),
+        "csv-in-missing-dir": (["simulate", CONVERSION, "--steps", "5",
+                                "--out-csv", str(missing / "x.csv")],
+                               missing / "x.csv"),
+    }[case]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(path) in err
+    assert not missing.exists()

@@ -7,10 +7,12 @@ reductions through ``ufunc.reduce``, a sum residual checked for
 finiteness at every step.  Every call that a synthesis makes to one of these
 kernels is recorded with its outcome and replayed against the oracle;
 results, or the exception class and message, must agree byte for byte.
-The one exception is the lower bound of min|gamma| that a synthesis
-certificate proves from gamma's factors: its scalar reference below rounds
-differently, so the verdict must agree and the bound only within the
-error that the reference derives.
+There are two exceptions.  ``poly_roots``' oracle takes each residual
+verdict from the exact ratio, so a ``RootFindingError`` must list the same
+roots, not the same rounded ratios.  And the lower bound of min|gamma| that
+a synthesis certificate proves from gamma's factors has a scalar reference
+below that rounds differently, so the verdict must agree and the bound only
+within the error that the reference derives.
 """
 import math
 from collections import Counter
@@ -35,7 +37,7 @@ from intctrl.target import (ACTIVE_TOL, DeltaFactors, HyperplaneSet,
                             InconsistentActiveSetError, IntegerTarget,
                             SIDE_TOL, TargetSearchError, build_hyperplanes)
 
-from conftest import random_plant
+from conftest import exact_residual_ratios, random_plant
 
 # -- poly ---------------------------------------------------------------------
 
@@ -123,29 +125,6 @@ def oracle_solve_linear(A, b, rcond=1e-13):
     return x
 
 
-def oracle_screened(c, roots, tol_root):
-    bound = min(tol_root, 1.0) - 16.0 * c.size * 2.0 ** -52
-    if not bound > 0.0:
-        return False
-    if roots.size == 0:
-        return True
-    mag_c = np.abs(c)
-    mag_r = np.abs(roots)
-    lo, hi = 2.0 ** -500, 2.0 ** 500
-    root_hi = hi ** (1.0 / (c.size - 1))
-    if not (np.maximum.reduce(mag_c) <= hi
-            and np.minimum.reduce(mag_c, initial=hi, where=mag_c != 0.0) >= lo
-            and np.maximum.reduce(mag_r) <= root_hi
-            and np.minimum.reduce(mag_r) >= 1.0 / root_hi):
-        return False
-    powers = np.empty((roots.size, c.size), roots.dtype)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = roots[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    return bool(np.logical_and.reduce(
-        np.abs(powers @ c) <= bound * (np.abs(powers) @ mag_c)))
-
-
 def oracle_poly_roots(p, tol_root=1e-6):
     if p.is_zero or p.coeffs.size < 2:
         raise ValueError("root finding requires degree >= 1")
@@ -159,32 +138,16 @@ def oracle_poly_roots(p, tol_root=1e-6):
         roots = np.linalg.eigvals(A)
     else:
         roots = np.zeros(0)
-    screened = oracle_screened(c, roots, tol_root)
     if zeros:
         roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
-    if screened:
-        return roots
-    k = roots.size
-    real_mult = np.empty((2, k))
-    real_mult[:] = roots.real
-    cross_mult = roots.imag * np.array([[-1.0], [1.0]])
-    acc = np.zeros((2, k))
-    swapped, re = acc[::-1], acc[0]
-    prod = np.empty((2, k))
-    cross = np.empty((2, k))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.add.reduce(
-            np.abs(c) * np.abs(roots)[:, None] ** np.arange(c.size), axis=1)
-        for ck in c[::-1].tolist():
-            np.multiply(acc, real_mult, prod)
-            np.multiply(swapped, cross_mult, cross)
-            np.add(prod, cross, acc)
-            np.add(re, ck, re)
-        res = np.hypot(acc[0], acc[1])
-        bad = res > tol_root * scale
-    if np.logical_or.reduce(bad):
-        raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
-                                for i in np.flatnonzero(bad)])
+    # each verdict from the exact residual ratio: the float check agrees
+    # wherever a ratio lies outside its rounding window, as every one these
+    # syntheses meet does
+    bad = [(complex(r), x) for r, x in zip(roots.tolist(),
+                                           exact_residual_ratios(c, roots))
+           if x > tol_root]
+    if bad:
+        raise RootFindingError(bad)
     return roots
 
 
@@ -603,6 +566,10 @@ def oracle_closed_loop_poly(plant_den, plant_num, ctrl_den, ctrl_num):
 def fingerprint(obj):
     """Bytes of a kernel's outcome: arrays with dtype and shape, floats with
     their type, exceptions by class and message."""
+    if isinstance(obj, RootFindingError):
+        # the listed roots: their ratios are checked against the exact ones
+        # in test_numeric
+        return "raised", type(obj), [r for r, _ in obj.residuals]
     if isinstance(obj, BaseException):
         return "raised", type(obj), str(obj)
     if isinstance(obj, np.ndarray):
@@ -879,30 +846,6 @@ def test_default_configuration_is_the_default_constructed_one(pendulum):
 def _result_bytes(r):
     return (r.alpha, r.beta, r.gamma, r.x_star, r.iterations, r.certificate,
             r.warnings, tuple((t.x, t.u, t.hit, t.distance) for t in r.trace))
-
-
-def test_residual_screen_verdicts_match_oracle():
-    # the screen decides only whether the Horner check runs, so the roots
-    # test cannot see a screen that is merely stricter or looser in range:
-    # its verdicts are compared directly, on roots inside and outside the
-    # trusted range 2**(+-500/d) and on coefficients with interior zeros
-    rng = np.random.default_rng(1515)
-    cases = []
-    for _ in range(200):
-        c = rng.normal(size=int(rng.integers(2, 14))) * 10.0 ** rng.integers(-3, 4)
-        c[rng.random(c.size - 1).nonzero()[0][:1]] = 0.0
-        cases.append(c)
-    for d, mag in ((5, 1e-100), (5, 1e-20), (3, 1e90), (40, 1e-8), (40, 1e6),
-                   (2, 1e-200)):
-        roots = mag * np.exp(1j * rng.uniform(0.0, np.pi, d // 2))
-        p = Polynomial.from_roots(list(roots) + list(roots.conj())
-                                  + [mag] * (d % 2))
-        cases.append(p.coeffs.copy())
-    for c in cases:
-        roots = np.roots(c[::-1])
-        for tol in (1e-6, 0.0, 2.0):
-            assert (numeric._residuals_screened(c, roots, tol)
-                    == oracle_screened(c, roots, tol)), (c, tol)
 
 
 def test_overflowing_companion_row_is_rejected_like_oracle():

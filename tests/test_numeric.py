@@ -7,7 +7,7 @@ from intctrl import Polynomial, numeric
 from intctrl.numeric import (RootFindingError, SingularMatrixError, poly_roots,
                              schur_check, solve_linear, vec_1norm)
 
-from conftest import schur_factor_product
+from conftest import exact_residual_ratios, schur_factor_product
 
 PRINTED_PENDULUM_NUM = Polynomial([0.0021, -0.0023, -0.0023, 0.0021])
 
@@ -68,146 +68,153 @@ def test_roots_printed_pendulum_numerator():
     assert_allclose(roots, [-1.0000, 0.7354, 1.3599], atol=5e-5)
 
 
-def oracle_poly_roots(p, tol_root=1e-6):
-    """:func:`poly_roots` with each residual from a scalar Horner loop in
-    Python complex arithmetic."""
+def _window(p):
+    """The rounding window 8 (d+1) eps of poly_roots' residual ratios."""
+    return 8.0 * p.coeffs.size * np.finfo(float).eps
+
+
+def _verdict(p, tol):
+    """poly_roots(p) with ROOT_TOL = tol: the roots, or None and the listed
+    ``{root: ratio}``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "ROOT_TOL", tol)
+        try:
+            return poly_roots(p), {}
+        except RootFindingError as exc:
+            return None, dict(exc.residuals)
+
+
+def assert_exact_verdicts(p, sample=16):
+    """poly_roots(p) returns np.roots' roots bit for bit or raises, and
+    reaches the exact verdict on every root whose exact residual ratio lies
+    farther than the window w from the bound: at ROOT_TOL 1e-6 and 0, and
+    at the exact ratio minus (where positive) and plus w of up to
+    ``sample`` roots spread over the ratios, where that root itself must
+    fail and pass.  Every listed ratio lies within w of the exact one."""
     roots = np.roots(p.coeffs[::-1])
-    bad = []
-    for r in roots:
-        mags = np.abs(p.coeffs) * np.abs(r) ** np.arange(p.coeffs.size)
-        scale = float(np.sum(mags))
-        acc = 0.0 + 0.0j
-        for c in p.coeffs[::-1]:
-            acc = acc * complex(r) + c
-        res = abs(acc)
-        if res > tol_root * scale:
-            bad.append((complex(r), res / scale))
-    if bad:
-        raise RootFindingError(bad)
-    return roots
+    exact = np.array(exact_residual_ratios(p.coeffs, roots))
+    w = _window(p)
+    order = np.argsort(exact, kind="stable")
+    picks = order[np.unique(np.linspace(0, order.size - 1, sample).round().astype(int))]
+    cases = [(1e-6, None, None), (0.0, None, None)]
+    for j in picks.tolist():
+        # a bound below 0 would fail the split-off zero roots, which are not
+        # checked: their residual and scale are both 0
+        if exact[j] > w:
+            cases.append((exact[j] - w, j, True))
+        cases.append((exact[j] + w, j, False))
+    for tol, j, fails in cases:
+        got, listed = _verdict(p, tol)
+        if got is not None:
+            assert got.tobytes() == roots.tobytes()
+        failed = np.array([complex(r) in listed for r in roots.tolist()], bool)
+        decided = np.abs(exact - tol) > w
+        assert np.array_equal(failed[decided], (exact > tol)[decided]), tol
+        if j is not None:
+            assert failed[j] == fails, (j, tol)
+        for r, x in zip(roots.tolist(), exact.tolist()):
+            if complex(r) in listed:
+                assert abs(listed[complex(r)] - x) <= w
 
 
-def _roots_outcome(fn, p, tol_root):
-    # poly_roots reads its bound from the module constant
-    try:
-        if fn is poly_roots:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(numeric, "ROOT_TOL", tol_root)
-                return poly_roots(p).tobytes()
-        return fn(p, tol_root).tobytes()
-    except RootFindingError as exc:
-        return str(exc)
-
-
-def test_roots_match_scalar_horner_oracle():
-    # tol_root = 0 lists every nonzero residual in the message, so equal
-    # messages mean equal residuals to the last bit
+def test_roots_match_exact_oracle_on_random_polynomials():
     rng = np.random.default_rng(17)
     for _ in range(60):
         deg = int(rng.integers(1, 41))
         c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5, deg + 1)
         p = Polynomial(c)
-        if p.coeffs.size < 2:
-            continue
-        for tol in (1e-6, 0.0):
-            assert (_roots_outcome(poly_roots, p, tol)
-                    == _roots_outcome(oracle_poly_roots, p, tol))
+        if p.coeffs.size >= 2:
+            assert_exact_verdicts(p)
 
 
-def test_root_finding_error_matches_scalar_horner_oracle():
+def test_root_finding_error_matches_exact_oracle():
     # 25 monic Schur factors with |u|_1 = 0.99 at n = 8: degree 200 with
     # tight root clusters, whose computed roots miss the residual bound
     p = schur_factor_product(np.random.default_rng(0), 25)
     with pytest.raises(RootFindingError) as err:
         poly_roots(p)
-    with pytest.raises(RootFindingError) as want:
-        oracle_poly_roots(p)
-    assert str(err.value) == str(want.value)
-    assert err.value.residuals == want.value.residuals
+    roots = np.roots(p.coeffs[::-1])
+    exact = dict(zip(map(complex, roots.tolist()),
+                     exact_residual_ratios(p.coeffs, roots)))
+    listed = dict(err.value.residuals)
+    assert set(listed) == {r for r, x in exact.items() if x > 1e-6}
+    assert all(abs(x - exact[r]) <= _window(p) for r, x in listed.items())
+    assert_exact_verdicts(p, sample=4)
 
 
-def _oracle_cases():
+def _structured_cases():
     rng = np.random.default_rng(29)
-    cases = []
+    cases = {}
     # z^k * P, the shape of every gamma grown from the default z^(2n)
-    for k in (1, 2, 5, 16, 40):
-        cases.append(Polynomial(rng.normal(size=int(rng.integers(2, 12)))).shifted(k))
+    for k in (1, 2, 4, 5, 16, 30, 40):
+        cases[f"z^{k}*P"] = Polynomial(rng.normal(size=int(rng.integers(2, 13)))).shifted(k)
     # pure and scaled monomials: only zero roots, no eigensolve
     for k in (1, 2, 7, 30):
-        cases.append(Polynomial.monomial(k))
-        cases.append(Polynomial([-2.5]).shifted(k))
+        cases[f"z^{k}"] = Polynomial.monomial(k)
+        cases[f"-2.5z^{k}"] = Polynomial([-2.5]).shifted(k)
     # all-real roots (a real eigenvalue array) and all-complex roots
     for deg in (1, 3, 8, 15):
-        cases.append(Polynomial.from_roots(list(rng.uniform(-1.5, 1.5, deg))))
+        cases[f"real-{deg}"] = Polynomial.from_roots(list(rng.uniform(-1.5, 1.5, deg)))
     for pairs in (1, 3, 7):
         roots = rng.uniform(0.2, 1.4, pairs) * np.exp(1j * rng.uniform(0.1, 3.0, pairs))
-        cases.append(Polynomial.from_roots(list(roots) + list(roots.conj())))
-    cases.append(Polynomial.from_roots([0.5 + 0.5j, 0.5 - 0.5j]).shifted(3))
-    return cases
-
-
-def test_roots_match_oracle_on_structured_polynomials():
-    for p in _oracle_cases():
-        for tol in (1e-6, 0.0):
-            assert (_roots_outcome(poly_roots, p, tol)
-                    == _roots_outcome(oracle_poly_roots, p, tol))
-
-
-@pytest.mark.parametrize("factors", [13, 25, 40])
-def test_roots_match_oracle_on_long_schur_products(factors):
-    # degrees 120 (with z^16), 200 and 320: the largest gammas
-    # certification meets
-    p = schur_factor_product(np.random.default_rng(factors), factors)
-    if factors == 13:
-        p = p.shifted(16)
-    for tol in (1e-6, 0.0):
-        assert (_roots_outcome(poly_roots, p, tol)
-                == _roots_outcome(oracle_poly_roots, p, tol))
-
-
-def _residual_ratios(p):
-    """Each root's residual ratio by the oracle, zero residuals left out."""
-    try:
-        oracle_poly_roots(p, 0.0)
-    except RootFindingError as exc:
-        return sorted({ratio for _, ratio in exc.residuals})
-    return []
-
-
-def _screen_boundary_cases():
-    rng = np.random.default_rng(43)
-    cases = {f"random-{i}": Polynomial(rng.normal(size=int(rng.integers(3, 25))))
-             for i in range(8)}
-    # every residual ratio between 2e-11 and 3e-10, far above the screen's
-    # margin: a screen with its comparison reversed would pass them all
+        cases[f"pairs-{pairs}"] = Polynomial.from_roots(list(roots) + list(roots.conj()))
+    cases["pair*z^3"] = Polynomial.from_roots([0.5 + 0.5j, 0.5 - 0.5j]).shifted(3)
+    # every residual ratio between 2e-11 and 3e-10, far above the window:
+    # a check with its comparison reversed would pass them all
     cases["clustered"] = Polynomial.one()
     for _ in range(16):
         cases["clustered"] = cases["clustered"] * Polynomial([0.1, 0.0, 1.0])
-    cases["z^4*P"] = Polynomial(rng.normal(size=6)).shifted(4)
-    cases["z^30*P"] = Polynomial(rng.normal(size=12)).shifted(30)
-    cases["monomial"] = Polynomial([-2.5]).shifted(7)
-    # roots near 1e200 and 1e-200: their squares overflow and underflow
-    cases["overflow"] = Polynomial([1.0, -1e200, 1.0])
+    # coefficients with interior zeros
+    for i in range(6):
+        c = rng.normal(size=int(rng.integers(3, 14))) * 10.0 ** rng.integers(-3, 4)
+        c[rng.integers(1, c.size - 1)] = 0.0
+        cases[f"gaps-{i}"] = Polynomial(c)
     return cases
 
 
-@pytest.mark.parametrize("name", list(_screen_boundary_cases()))
-def test_roots_match_oracle_at_each_residual_bound(name):
-    # tol_root at each root's residual ratio and one ulp either side: the
-    # residual screen must leave every verdict this close to the bound to
-    # the Horner check.  The overflow case's scales overflow without a
-    # warning from poly_roots; the oracle's own is silenced
-    p = _screen_boundary_cases()[name]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = _residual_ratios(p)
-    tols = [1e-6, 0.0]
-    for ratio in ratios:
-        tols += [np.nextafter(ratio, -np.inf), ratio, np.nextafter(ratio, np.inf)]
-    for tol in tols:
-        got = _roots_outcome(poly_roots, p, tol)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _roots_outcome(oracle_poly_roots, p, tol)
-        assert got == want, tol
+@pytest.mark.parametrize("name", list(_structured_cases()))
+def test_roots_match_exact_oracle_on_structured_polynomials(name):
+    assert_exact_verdicts(_structured_cases()[name])
+
+
+@pytest.mark.parametrize("factors", [13, 40])
+def test_roots_match_exact_oracle_on_long_schur_products(factors):
+    # degrees 120 (with z^16) and 320: the largest gammas certification
+    # meets
+    p = schur_factor_product(np.random.default_rng(factors), factors)
+    if factors == 13:
+        p = p.shifted(16)
+    assert_exact_verdicts(p, sample=4)
+
+
+@pytest.mark.parametrize("mag, deg", [(1e-100, 5), (1e-20, 5), (1e90, 3),
+                                      (1e-200, 2), (1e6, 40)])
+def test_roots_at_extreme_magnitudes_pass_without_a_warning(mag, deg):
+    # powers and scales far outside 1: the terms of 1e-100 and 1e-200
+    # underflow, the others stay normal doubles.  No numeric warning may
+    # reach the suite's filterwarnings = error
+    rng = np.random.default_rng(1515)
+    roots = mag * np.exp(1j * rng.uniform(0.0, np.pi, deg // 2))
+    p = Polynomial.from_roots(list(roots) + list(roots.conj()) + [mag] * (deg % 2))
+    got = poly_roots(p)
+    assert got.tobytes() == np.roots(p.coeffs[::-1]).tobytes()
+    assert max(exact_residual_ratios(p.coeffs, got)) < 1e-6 - _window(p)
+    if mag in (1e-20, 1e90, 1e6):
+        assert_exact_verdicts(p)
+
+
+def test_roots_whose_powers_overflow_pass():
+    # roots 1e200 and 1e-200: the square of 1e200 overflows, so that root's
+    # scale is not finite and it passes even at ROOT_TOL = 0, though its
+    # exact residual is 1
+    p = Polynomial([1.0, -1e200, 1.0])
+    got = poly_roots(p)
+    assert got.tobytes() == np.roots(p.coeffs[::-1]).tobytes()
+    r = int(got.max())
+    c0, c1, c2 = map(int, p.coeffs)
+    assert r == 1e200 and c0 + c1 * r + c2 * r * r == 1
+    _, listed = _verdict(p, 0.0)
+    assert 1e200 not in listed
 
 
 def test_roots_requires_degree():
