@@ -1,20 +1,22 @@
 """Command-line interface: stabilize, convert, analyze, simulate.
 
 Exit codes: 0 success (and certificate pass), 2 input validation error
-or a file that cannot be read or written (one stderr line naming it), 3
-synthesis failure (a numerical breakdown included), 4 certificate
-failure.  ``stabilize``, ``convert`` and ``analyze`` write their result
-JSON whenever a certificate was made, and exit 4 when it fails; a
-certificate's root finding that breaks down fails its condition, with a
-warning.  The closed-loop spectral radius that ``stabilize`` and
-``analyze`` report for information is written as null when its root
-finding breaks down, with a warning.  Result JSON is byte-stable across
-runs for identical inputs and flags: ``json.dumps(payload, indent=2,
-sort_keys=True)`` and a newline, which ``--out`` overwrites in place.
+or a file that cannot be read or written (one stderr line naming it; an
+output path is checked before the work), 3 synthesis failure (a
+numerical breakdown included), 4 certificate failure.  ``stabilize``,
+``convert`` and ``analyze`` write their result JSON whenever a
+certificate was made, and exit 4 when it fails; a certificate's root
+finding that breaks down fails its condition, with a warning.  The
+closed-loop spectral radius that ``stabilize`` and ``analyze`` report for
+information is written as null when its root finding breaks down, with a
+warning.  Result JSON is byte-stable across runs for identical inputs and
+flags: ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
+which ``--out`` overwrites in place.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -395,9 +397,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error that writing ``path`` would raise, before the work and
+    without creating or truncating it: an existing path must be a writable
+    non-directory (``/dev/null`` is one), a new one needs an existing,
+    writable directory to go in."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    else:
+        code = (errno.EISDIR if stat.S_ISDIR(mode)
+                else 0 if os.access(path, os.W_OK) else errno.EACCES)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "out_csv", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except _SYNTHESIS_ERRORS as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
@@ -405,7 +429,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:  # --out or --out-csv
+    except OSError as exc:  # --out or --out-csv, before or while writing
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -142,6 +142,17 @@ def vec_1norm(v: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(v)))
 
 
+def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, v)`` of two nonempty float arrays, bit for bit,
+    without its conversions: the longer operand first, as it orders them,
+    into the correlate core it calls.  ``np.correlate`` reaches that core
+    through ``correlate2``, which conjugates complex operands and reverses
+    the output of a longer second operand, neither of which happens here."""
+    if v.size > a.size:
+        a, v = v, a
+    return np.correlate(a, v[::-1], "full")
+
+
 def _eigvals_failed(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -419,10 +430,12 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
     # |f| >= rho^n (1 - Rouche sum) on all of the circle
     floor = np.maximum((_DOWN - sums[:, 0] * _UP) * _rho_power_lo(n) * _DOWN,
                        0.0)
-    partial = np.empty(k_count)
-    for k, f in enumerate(steps):
-        partial[k] = _norm_up(prod)
-        prod = np.convolve(f, prod)
+    # the partial products, multiplied as steering multiplied them
+    partials = [prod]
+    for f in steps:
+        partials.append(_convolve(f, partials[-1]))
+    prod = partials.pop()
+    partial = np.array([_norm_up(q) for q in partials])
     if (p.size != prod.size + shift or np.count_nonzero(p[:shift])
             or np.count_nonzero(p[shift:] != prod)):
         return SchurProof(0.0, "it is not the product of its factors")

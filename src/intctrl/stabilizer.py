@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
-from .numeric import SCHUR_MARGIN, SchurFactors, vec_1norm
+from .numeric import SCHUR_MARGIN, SchurFactors, _convolve, vec_1norm
 from .poly import (Polynomial, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, active_index_set, build_hyperplanes,
@@ -53,8 +53,7 @@ class StabilizationConfig(SteeringConfig):
 _DEFAULT_CONFIG = StabilizationConfig()
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     k: int
     x: np.ndarray
     u: np.ndarray
@@ -206,42 +205,53 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     x_star = found.x_star
     cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
     factors = DeltaFactors.from_numerator(num, n)
-    trace: list[TraceStep] = []
+    # the loop keeps the kernels and the state update; the trace, the step
+    # rows and the products are built from what it keeps after it
+    states: list[np.ndarray] = []
+    inputs: list[np.ndarray] = []
+    hits: list[bool] = []
     increments: list[np.ndarray] = []
-    degree = factor.coeffs.size - 1
     x = x0
     while np.count_nonzero(x != x_star):
-        k = len(trace)
-        if k >= cap:
+        if len(states) >= cap:
             raise SynthesisError(
                 f"iteration cap {cap} = 10*ceil(|x* - x0|_1) + 10 exceeded "
                 f"at distance {vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}')")
         delta, lower = delta_matrix(x, factors)
-        step = control_input(x, x_star, delta, cfg.mu)
-        increments.append(lower @ step.u)
+        u, hit = control_input(x, x_star, delta, cfg.mu)
+        increments.append(lower @ u)
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
-        x = x_star.copy() if step.hit else x + delta @ step.u
-        trace.append(TraceStep(k, x, step.u, step.hit, degree + n * (k + 1),
-                               vec_1norm(x_star - x)))
+        x = x_star.copy() if hit else x + delta @ u
+        states.append(x)
+        inputs.append(u)
+        hits.append(hit)
 
-    steps = np.ones((len(trace), n + 1))
-    steps[:, :n] = np.array([t.u for t in trace]).reshape(-1, n)[:, ::-1]
-    # np.convolve(monic(u), product) is the call Polynomial.__mul__ makes
+    count = len(states)
+    # one row reduction sums each row as vec_1norm sums it
+    distances = np.add.reduce(np.abs(x_star - np.array(states).reshape(-1, n)),
+                              axis=1).tolist()
+    degree = factor.coeffs.size - 1
+    trace = list(map(TraceStep, range(count), states, inputs, hits,
+                     range(degree + n, degree + n * (count + 1), n), distances))
+    steps = np.ones((count, n + 1))
+    steps[:, :n] = np.array(inputs).reshape(-1, n)[:, ::-1]
+    # _convolve(monic(u), product) is np.convolve's, the call
+    # Polynomial.__mul__ makes
     prod = factor.coeffs
     s = np.zeros(shift + n)
     s[:s0.coeffs.size] = s0.coeffs
     width = n + p.coeffs.size - 1
     for monic_u, a in zip(steps, increments):
-        prod = np.convolve(monic_u, prod)
-        s = np.convolve(monic_u, s)
-        s[shift : shift + width] += np.convolve(p.coeffs, a[::-1])
+        prod = _convolve(monic_u, prod)
+        s = _convolve(monic_u, s)
+        s[shift : shift + width] += _convolve(p.coeffs, a[::-1])
         shift += n
     try:  # Polynomial rejects non-finite coefficients
         return Polynomial(prod), shift, x_star, Polynomial(s), trace, warnings, steps
     except ValueError:
-        raise SynthesisError(f"the product of {len(trace)} Schur factors or "
+        raise SynthesisError(f"the product of {count} Schur factors or "
                              "its cofactor overflowed") from None
 
 

@@ -10,6 +10,7 @@ invertible along the way.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -201,17 +202,16 @@ class IntegerTarget(NamedTuple):
     candidates_examined: int
 
 
-#: flat cube indices unravelled per block of the shell walk, at most: one
-#: matrix product amortizes the per-call overhead over the block, and in
-#: dimension 8 a block of offsets stays at 256 KiB however large the shell
-#: is.  The seed-7 sweep's longest walk (200,001 candidates in dimension 6)
-#: takes 35-38 ms with blocks of 2048 to 8192, 44-47 ms at 1024 or 16384
-#: and more beyond (one Xeon core, numpy 2.4); shorter walks stop in their
-#: first, smaller blocks.
-SHELL_BLOCK = 4096
-#: the smallest first block of a shell (see _shell_blocks): a walk that
-#: stops after a few candidates tests tens of points, not thousands
-_FIRST_BLOCK = 64
+#: points of the shell walk's cube bounded at once, at most (see _slabs):
+#: a larger slab shares its per-call cost among more points.  The seed-7
+#: sweep's longest walk (200,001 candidates in dimension 6) takes 2.8-2.9
+#: ms with slabs of up to 8192 points, 2.7 ms at 16384, 3.5-4.2 ms at 4096
+#: or 32768 and 5.5-6.1 ms at 1024 or 2048 (warm minimum of 10 runs, one
+#: Xeon core, numpy 2.4); shorter walks stop in their first, smaller slabs.
+SLAB = 8192
+#: points of a shell's first slab, at most: a walk that stops after a few
+#: candidates bounds tens of points, not thousands
+_FIRST_SLAB = 64
 #: the points the shell walk examines, round(x0) included: a bound on the
 #: search's time, not on its answer, which the constructive target gives
 MAX_CANDIDATES = 200_000
@@ -260,51 +260,102 @@ def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flat_blocks(total: int, first: int):
-    """``(start, stop)`` ranges covering ``range(total)`` in order, the
-    first of ``first`` indices and each next one twice as long, up to
-    ``SHELL_BLOCK``."""
-    start, size = 0, first
-    while start < total:
-        stop = min(start + size, total)
-        yield start, stop
-        start, size = stop, min(2 * size, SHELL_BLOCK)
-
-
-def _shell_blocks(radius: int, dim: int):
-    """Integer offsets of Chebyshev norm ``radius`` in ``itertools.product``
-    order, as int arrays of shape (k, dim) cut from the flat index ranges
-    of ``_flat_blocks``; the cube is never built whole.  The first block is
-    as large as the cube inside the shell, the points a walk from the
-    centre has examined before it, but at least ``_FIRST_BLOCK`` and at
-    most ``SHELL_BLOCK``."""
+def _slabs(radius: int, dim: int):
+    """The cube of offsets in ``[-radius, radius]**dim``, in
+    ``itertools.product`` order, as slabs ``(lead, level)``: a slab of level
+    f fixes the first ``dim - f`` offsets at ``lead`` and runs the last f
+    through all their values, ``(2 radius + 1)**f`` points.  A shell's first
+    slabs hold at most ``_FIRST_SLAB`` points, but run one offset at least;
+    once the slabs of a level fill one slab of the next, the level rises, up
+    to ``SLAB`` points.  Flat indices are Python ints, so a cube of more than
+    2**63 points (dimension 40 at radius 1) is cut in order too."""
     width = 2 * radius + 1
-    first = min(max(_FIRST_BLOCK, (width - 2) ** dim), SHELL_BLOCK)
-    for start, stop in _flat_blocks(width ** dim, first):
-        # unravelled digit by digit: np.unravel_index rejects cubes of more
-        # than 2**63 points, which dimension 40 reaches at radius 1
-        rest = np.arange(start, stop)
-        off = np.empty((rest.size, dim), dtype=np.int64)
-        for k in range(dim - 1, -1, -1):
-            rest, off[:, k] = np.divmod(rest, width)
-        off -= radius
-        yield off[_reduce_rows(np.maximum, np.abs(off)) == radius]
+    low = 1
+    while low < dim and width ** (low + 1) <= _FIRST_SLAB:
+        low += 1
+    top = low
+    while top < dim and width ** (top + 1) <= SLAB:
+        top += 1
+    start, level, total = 0, low, width ** dim
+    while start < total:
+        while level < top and start % width ** (level + 1) == 0 < start:
+            level += 1
+        rest, lead = start // width ** level, [0] * (dim - level)
+        for k in range(dim - level - 1, -1, -1):
+            rest, digit = divmod(rest, width)
+            lead[k] = digit - radius
+        yield lead, level
+        start += width ** level
+
+
+@functools.lru_cache(maxsize=16)
+def _slab_points(radius: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets a slab of ``level`` runs, as float rows in product order:
+    those on the shell, with an offset of magnitude ``radius``, then all of
+    them.  Read-only, since they are cached."""
+    grid = np.indices((2 * radius + 1,) * level).reshape(level, -1).T - radius
+    shell = grid[_reduce_rows(np.maximum, np.abs(grid)) == radius]
+    points = shell.astype(float), grid.astype(float)
+    for rows in points:
+        rows.flags.writeable = False
+    return points
 
 
 def _search_around(center: np.ndarray, max_radius: float,
                    planes: _ActivePlanes) -> tuple[np.ndarray | None, int]:
     """First feasible point on the shells of radius 1 to ``max_radius``
     around ``center``, in product order, and the shell points examined through
-    it, at most ``MAX_CANDIDATES - 1``."""
+    it, at most ``MAX_CANDIDATES - 1``.
+
+    Each shell is walked slab by slab (see ``_slabs``).  The signed side
+    ``sign_t (normal_t . x - offset_t)`` of a slab point, ``sign_t`` its sign
+    at ``x0``, is a part common to the slab plus a part per point, computed
+    once per shell and level.  A point whose sum is below ``-slack_t`` for
+    some plane is skipped untested.  Both this sum and the side that
+    ``first_feasible`` computes err by less than ``(2 dim + 3) eps scale_t``
+    in all, ``scale_t = |normal_t| . (|center| + radius) + |offset_t|``, and
+    ``slack_t``, from the scale of the last shell, is over 8 times that
+    (plus 1e-300 for underflow), so every point that test accepts is
+    tested.  Planes whose scale comes near overflow skip nothing: a NaN or
+    infinite side keeps its point.  Skipped points count as examined, by
+    their rank among the shell's points.
+    """
+    dim = center.size
     examined, budget = 0, MAX_CANDIDATES - 1
+    last = int(min(max_radius, MAX_CANDIDATES))
+    # the scale of the last shell bounds every shell's
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (np.abs(planes.normals) @ (np.abs(center) + last)
+                 + np.abs(planes.offsets))
+    rows = np.flatnonzero(scale < 1e300)
+    sign = np.sign(planes.sides0[rows])
+    normals = sign[:, None] * planes.normals[rows]
+    # the signed sides at center plus the slack
+    lift = (normals @ center - sign * planes.offsets[rows]
+            + ((dim + 2) * 2.0 ** -48 * scale[rows] + 1e-300))
     # a shell holds 2 points or more, so the budget ends any longer walk
-    for radius in range(1, int(min(max_radius, MAX_CANDIDATES)) + 1):
-        for off in _shell_blocks(radius, center.size):
-            cands = center + off[:budget - examined]
-            hit = planes.first_feasible(cands)
-            if hit is not None:
-                return cands[hit].copy(), examined + hit + 1
-            examined += len(cands)
+    for radius in range(1, last + 1):
+        grids = {}
+        for lead, level in _slabs(radius, dim):
+            # all points of a slab are on the shell when a fixed offset is
+            key = level, radius in lead or -radius in lead
+            if key not in grids:
+                points = _slab_points(radius, level)[key[1]]
+                grids[key] = points, normals[:, dim - level:] @ points.T
+            points, sides = grids[key]
+            floor = -(lift + normals[:, :dim - level] @ lead)
+            count = min(sides.shape[1], budget - examined)
+            kept = np.flatnonzero(np.logical_and.reduce(
+                sides[:, :count] >= floor[:, None], axis=0))
+            if kept.size:
+                off = np.empty((kept.size, dim))
+                off[:, :dim - level] = lead
+                off[:, dim - level:] = points[kept]
+                cands = center + off
+                hit = planes.first_feasible(cands)
+                if hit is not None:
+                    return cands[hit].copy(), examined + int(kept[hit]) + 1
+            examined += count
             if examined == budget:
                 return None, examined
     return None, examined

@@ -693,8 +693,10 @@ def test_convert_verify_writes_the_bytes_of_convert(roots, lifted, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["problem-is-a-directory", "problem-not-utf8",
-                                  "out-in-missing-dir", "csv-in-missing-dir"])
-def test_file_that_cannot_be_read_or_written_exits_2(case, tmp_path, capsys):
+                                  "out-in-missing-dir", "csv-in-missing-dir",
+                                  "out-is-a-directory"])
+def test_file_that_cannot_be_read_or_written_exits_2(case, tmp_path, capsys,
+                                                      monkeypatch):
     missing = tmp_path / "missing"
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
     argv, path = {
@@ -706,8 +708,19 @@ def test_file_that_cannot_be_read_or_written_exits_2(case, tmp_path, capsys):
         "csv-in-missing-dir": (["simulate", CONVERSION, "--steps", "5",
                                 "--out-csv", str(missing / "x.csv")],
                                missing / "x.csv"),
+        "out-is-a-directory": (["stabilize", PENDULUM, "--out", str(tmp_path)],
+                               tmp_path),
     }[case]
+    # an output path is checked before the work it would hold
+
+    def never(*args):
+        raise AssertionError("the work ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_algorithm1", never)
+    monkeypatch.setattr(cli, "simulate_loop", never)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and str(path) in err
+    assert err.startswith("cannot write output: ") == (
+        case in ("out-in-missing-dir", "csv-in-missing-dir", "out-is-a-directory"))
     assert not missing.exists()

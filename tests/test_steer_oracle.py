@@ -25,7 +25,7 @@ from intctrl.stabilizer import SynthesisError, TraceStep
 from intctrl.target import (DeltaFactors, active_index_set, build_hyperplanes,
                             control_input, delta_matrix, find_integer_target)
 
-from conftest import invariant_breach, random_plant
+from conftest import invariant_breach, random_plant, sweep_plant
 
 
 def oracle_delta_matrix(x, factors):
@@ -151,6 +151,38 @@ def test_steer_matches_oracle_random_plants(steer_calls):
     assert sum(len(out[4]) for _, out in returned) > 200
     assert [invariant_breach(args, out[4]) for args, out in returned] \
         == [None] * len(returned)
+
+
+@pytest.mark.parametrize("index, steps", [(298, 82), (128, None)])
+def test_steer_matches_oracle_on_long_sweep_runs(steer_calls, index, steps):
+    # the benchmark's random-sweep plants: 298 steers 82 steps to its target
+    # and 128 runs into its iteration cap of 70, with the oracle's message
+    try:
+        result = run_algorithm1(*sweep_plant(index))
+    except SynthesisError as exc:
+        assert steps is None
+        assert str(exc).startswith("iteration cap 70 = 10*ceil(|x* - x0|_1) + 10")
+    else:
+        assert result.iterations == steps
+    assert_matches_oracle(steer_calls)
+
+
+def test_steer_matches_oracle_in_dimension_11(steer_calls):
+    # the 11th plant of default_rng(12) of order up to 12 has order 11 and
+    # steers 4 steps: numpy sums the 11 terms of each trace distance with
+    # its unrolled pairwise loop, in one row reduction as in vec_1norm, and
+    # a left-to-right sum of one of them rounds differently
+    rng = np.random.default_rng(12)
+    for _ in range(11):
+        den, num = random_plant(rng, n_max=12)
+    result = run_algorithm1(den, num)
+    assert result.x_star.size == 11 and result.iterations == 4
+    rows = np.abs(result.x_star - np.array([t.x for t in result.trace]))
+    running = rows[:, 0].copy()
+    for column in rows.T[1:]:
+        running += column
+    assert [t.distance for t in result.trace] != running.tolist()
+    assert_matches_oracle(steer_calls)
 
 
 def test_delta_matrix_matches_oracle():

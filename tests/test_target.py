@@ -14,12 +14,11 @@ from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
                              vec_1norm)
 from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
 from intctrl.target import (DeltaFactors, InconsistentActiveSetError,
-                            IntegerTarget, TargetSearchError, _flat_blocks,
-                            _shell_blocks,
-                            active_index_set, build_hyperplanes, control_input,
+                            IntegerTarget, TargetSearchError, _slab_points,
+                            _slabs, active_index_set, build_hyperplanes, control_input,
                             delta_matrix, find_integer_target)
 
-from conftest import random_plant
+from conftest import random_plant, sweep_plant
 
 
 def test_hyperplanes_constant_numerator_empty():
@@ -346,13 +345,13 @@ def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
     # reports it with its distances to every active plane
     monkeypatch.setattr(target, "SIDE_TOL", math.inf)
     walked = []
-    real = target._shell_blocks
+    real = target._slabs
 
     def recording(radius, dim):
         walked.append(radius)
         return real(radius, dim)
 
-    monkeypatch.setattr(target, "_shell_blocks", recording)
+    monkeypatch.setattr(target, "_slabs", recording)
     # the plane x = -0.8 of the root 0.8, x0 = 3.2 at distance 4: c = -0.8
     # + (3.2 + 0.8) / 4 rounds to 0, on the radius-3 shell around 3
     planes = build_hyperplanes(Polynomial.from_roots([0.8]), 1)
@@ -411,7 +410,8 @@ def test_sweep_search_outcomes_are_pinned(monkeypatch):
 
 
 # Scalar reference search: one candidate at a time, one plane at a time.  The
-# block evaluation in intctrl.target must pick the same target after the
+# slab walk in intctrl.target, which bounds whole slabs of candidates and
+# tests only those its bounds keep, must pick the same target after the
 # same number of candidates.  It reads the search constants at call time, so
 # a test may monkeypatch them for both.
 
@@ -419,22 +419,29 @@ def _oracle_side(planes, t, x):
     return planes.normals[t] @ x - planes.offsets[t]
 
 
-def _oracle_same_side(x0, cand, planes, active):
-    sup = float(np.max(np.abs(cand), initial=0.0))
-    for t in active:
-        s1 = _oracle_side(planes, t, cand)
-        margin = target.SIDE_TOL * (1.0 + vec_1norm(planes.normals[t])
-                                    * max(1.0, sup))
-        if _oracle_side(planes, t, x0) * s1 <= 0.0 or abs(s1) <= margin:
-            return False
-    # the block search tests the endpoint only; walking the segment here
-    # shows that the endpoint test with its margin already decides
-    for rho in np.linspace(0.0, 1.0, 64):
-        xm = rho * x0 + (1.0 - rho) * cand
-        for t in active:
-            if _oracle_side(planes, t, x0) * _oracle_side(planes, t, xm) < 0.0:
+def _oracle_same_side(x0, planes, active):
+    """The side test of one candidate, one plane at a time."""
+    rows = [(planes.normals[t], planes.offsets[t],
+             vec_1norm(planes.normals[t]), _oracle_side(planes, t, x0))
+            for t in active]
+
+    def feasible(cand):
+        sup = float(np.max(np.abs(cand), initial=0.0))
+        for normal, offset, norm, side0 in rows:
+            s1 = normal @ cand - offset
+            margin = target.SIDE_TOL * (1.0 + norm * max(1.0, sup))
+            if side0 * s1 <= 0.0 or abs(s1) <= margin:
                 return False
-    return True
+        # the search tests the endpoint only; walking the segment here
+        # shows that the endpoint test with its margin already decides
+        for rho in np.linspace(0.0, 1.0, 64):
+            xm = rho * x0 + (1.0 - rho) * cand
+            for normal, offset, _, side0 in rows:
+                if side0 * (normal @ xm - offset) < 0.0:
+                    return False
+        return True
+
+    return feasible
 
 
 def _oracle_shells(start, max_radius):
@@ -460,10 +467,7 @@ def oracle_find_integer_target(x0, planes, active):
     """The search written out point by point; None when it is exhausted."""
     x0 = np.asarray(x0, dtype=float)
     active = tuple(active)
-
-    def feasible(cand):
-        return _oracle_same_side(x0, cand, planes, active)
-
+    feasible = _oracle_same_side(x0, planes, active)
     start = np.round(x0)
     examined = 1
     if feasible(start):
@@ -554,110 +558,178 @@ def test_block_search_matches_oracle_on_random_plants(monkeypatch):
     assert "fallback" in strategies
 
 
-@pytest.mark.parametrize("block", [1, 3, 7, target.SHELL_BLOCK])
-def test_block_search_budget_matches_oracle(monkeypatch, block):
-    monkeypatch.setattr(target, "SHELL_BLOCK", block)
+#: slab schedules (first slab, largest slab) for the walk of _squeezed_3d:
+#: the whole radius-1 cube at once, slabs of 3 points, and slabs of 3
+#: points rising to 9
+SCHEDULES = [(64, 8192), (1, 3), (3, 9)]
+
+
+def first_feasible_calls(monkeypatch):
+    """The candidates each first-feasible test receives, one array per
+    call."""
+    calls = []
+    real = target._ActivePlanes.first_feasible
+
+    def recording(self, cands):
+        calls.append(cands)
+        return real(self, cands)
+
+    monkeypatch.setattr(target._ActivePlanes, "first_feasible", recording)
+    return calls
+
+
+@pytest.mark.parametrize("first, slab", SCHEDULES)
+def test_slab_search_budget_matches_oracle(monkeypatch, first, slab):
+    monkeypatch.setattr(target, "_FIRST_SLAB", first)
+    monkeypatch.setattr(target, "SLAB", slab)
     x0, planes, active = _squeezed_3d()
     # budgets up to 22 end the walk before its target, then the
-    # constructive target holds
+    # constructive target holds; they end inside slabs and on their edges
     for budget in range(1, 27):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
         found = assert_matches_oracle(x0, planes, active)
         assert found.strategy == ("fallback" if budget <= 22 else "shell")
-    # first blocks of 2 flat indices, doubled up to the block size: budgets
-    # end inside the first short block, inside doubled blocks and on their
-    # edges
-    monkeypatch.setattr(target, "_FIRST_BLOCK", 2)
-    for budget in range(1, 27):
+    # a side margin that rejects the first six points the bounds keep: the
+    # exact test, not the bound, decides them, and the target is the second
+    # point kept in its slab, the 4835th examined; a budget that ends
+    # before it exhausts the search, as the constructive target fails too
+    monkeypatch.setattr(target, "SIDE_TOL", 0.005)
+    for budget in (5, 4834, 4835, 200_000):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
         found = assert_matches_oracle(x0, planes, active)
-        assert found.strategy == ("fallback" if budget <= 22 else "shell")
+        assert (found is not None) == (budget >= 4835)
+    assert (found.strategy, found.candidates_examined) == ("shell", 4835)
 
 
-def test_budget_ends_on_and_inside_a_block(monkeypatch):
-    # the walk examines round(x0), then up to MAX_CANDIDATES - 1 shell
-    # points; with blocks of 7 flat indices the radius-1 shell of dimension
-    # 3 comes in blocks of 7, 6, 7 and 6 points, and the target is the 22nd
-    monkeypatch.setattr(target, "SHELL_BLOCK", 7)
+def test_budget_ends_on_and_inside_a_slab(monkeypatch):
+    # slabs of 3 points rising to 9: the radius-1 shell of dimension 3 comes
+    # in slabs of 3, 3, 3, 8 and 9 shell points (the centre drops out of the
+    # fourth), and the target is the 22nd, the 5th of the last slab
+    monkeypatch.setattr(target, "_FIRST_SLAB", 3)
+    monkeypatch.setattr(target, "SLAB", 9)
+    assert [(lead, level) for lead, level in _slabs(1, 3)] == [
+        ([-1, -1], 1), ([-1, 0], 1), ([-1, 1], 1), ([0], 2), ([1], 2)]
     x0, planes, active = _squeezed_3d()
-    edges = np.cumsum([len(b) for r in (1, 2) for b in _shell_blocks(r, 3)])
-    assert list(edges[:4]) == [7, 13, 20, 26]
-    # on the edge: the walk ends after 1 + 20 points, the constructive
-    # target is the 22nd; inside a block: the 23rd point is the target
-    for budget, strategy, examined in ((21, "fallback", 22),
-                                       (23, "shell", 23)):
+    start = np.round(x0)
+    tested = first_feasible_calls(monkeypatch)
+    # the walk examines round(x0), then up to MAX_CANDIDATES - 1 shell
+    # points.  Every point before the target is skipped by its bounds,
+    # so a walk that ends before it tests no candidate: inside the first
+    # slab (1 shell point), on its edge (3), inside the fourth (10), on the
+    # edge of the fourth (17), and inside the last, before the target (20)
+    for budget in (2, 4, 11, 18, 21):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
         found = find_integer_target(x0, planes, active)
-        assert (found.strategy, found.candidates_examined) == (strategy,
-                                                               examined)
+        assert (found.strategy, found.candidates_examined) == ("fallback",
+                                                               budget + 1)
+        assert tested == []
         assert_matches_oracle(x0, planes, active)
-    # a first block of 2 flat indices, doubled to 4 and then held at 7: the
-    # shell comes in blocks of 2, 4, 7, 6 and 7 points (the centre drops out
-    # of the fourth)
-    monkeypatch.setattr(target, "_FIRST_BLOCK", 2)
-    edges = np.cumsum([len(b) for b in _shell_blocks(1, 3)])
-    assert list(edges) == [2, 6, 13, 19, 26]
-    # inside the first short block (1 shell point) and on its edge (2);
-    # inside the doubled block (4) and on its edge (6); the target inside
-    # the last block
-    for budget, strategy, examined in ((2, "fallback", 3), (3, "fallback", 4),
-                                       (5, "fallback", 6), (7, "fallback", 8),
-                                       (23, "shell", 23)):
-        monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = find_integer_target(x0, planes, active)
-        assert (found.strategy, found.candidates_examined) == (strategy,
-                                                               examined)
-        assert_matches_oracle(x0, planes, active)
+    # inside the last slab on the target: it alone is tested
+    monkeypatch.setattr(target, "MAX_CANDIDATES", 23)
+    found = find_integer_target(x0, planes, active)
+    assert (found.strategy, found.candidates_examined) == ("shell", 23)
+    assert [(rows - start).tolist() for rows in tested] == [[[1.0, 0.0, 0.0]]]
 
 
-@pytest.mark.parametrize("block", [1, 7, target.SHELL_BLOCK])
+def test_budget_exhausting_sweep_walk_matches_oracle(monkeypatch):
+    # the longest walk of the benchmark's random-sweep, sweep plant 533 in
+    # dimension 6: no point of the shells of radius 1 to 3, nor of the
+    # first 82,351 of radius 4, is feasible, so the budget ends the walk
+    # inside shell 4 and the constructive target holds
+    class Recorded(Exception):
+        pass
+
+    searches = []
+
+    def recording(*args):
+        searches.append(args)
+        raise Recorded
+
+    monkeypatch.setattr(stabilizer, "find_integer_target", recording)
+    with pytest.raises(Recorded):
+        run_algorithm1(*sweep_plant(533))
+    (x0, planes, active), = searches
+    tested = first_feasible_calls(monkeypatch)
+    found = assert_matches_oracle(x0, planes, active)
+    assert (found.strategy, found.candidates_examined) == ("fallback", 200_001)
+    # the bounds skip every walked point
+    assert tested == []
+
+
+def test_non_finite_sides_skip_no_point():
+    # a plane of normal 1e307 (1, 0, 0) and offset +inf: its side is -inf
+    # where x < 17.97, and NaN (inf - inf) where 1e307 x overflows.  The
+    # first-feasible test passes both, so no bound may skip a point by it
+    num = Polynomial.from_roots([0.5])
+    huge = [1e307, 0.0, 0.0]
+    # x = 17.3 holds only x = 18 on the side of x0 = (17.4, -17.1, 0.3):
+    # the first such shell point around round(x0) = (17, -17, 0), (18, -18,
+    # -1) at walk index 18, has the NaN side and is the target
+    planes = target.HyperplaneSet(np.array([[1.0, 0.0, 0.0], huge]),
+                                  np.array([17.3, np.inf]), (0.5, 0.5), 2, num)
+    x0 = np.array([17.4, -17.1, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert planes.sides(x0)[1] == -np.inf
+        assert np.isnan(planes.sides(np.array([18.0, -18.0, -1.0]))[1])
+        found = assert_matches_oracle(x0, planes, (0, 1))
+    assert found.x_star.tolist() == [18.0, -18.0, -1.0]
+    assert (found.strategy, found.candidates_examined) == ("shell", 19)
+    # y = -16.9 holds only y = -16 on the side of x0 = (17.6, -16.8, 0.3),
+    # and the side of the huge plane is NaN at round(x0) = (18, -17, 0)
+    # itself; the target is (17, -16, -1), at walk index 7
+    planes = target.HyperplaneSet(np.array([[0.0, 1.0, 0.0], huge]),
+                                  np.array([-16.9, np.inf]), (0.5, 0.5), 2, num)
+    x0 = np.array([17.6, -16.8, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert planes.sides(x0)[1] == -np.inf
+        assert np.isnan(planes.sides(np.round(x0))[1])
+        found = assert_matches_oracle(x0, planes, (0, 1))
+    assert found.x_star.tolist() == [17.0, -16.0, -1.0]
+    assert (found.strategy, found.candidates_examined) == ("shell", 8)
+
+
+@pytest.mark.parametrize("first, slab", [(1, 1), (1, 7), (2, 20), (64, 8192)])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_shell_blocks_follow_product_order(monkeypatch, block, dim):
-    monkeypatch.setattr(target, "SHELL_BLOCK", block)
-    schedules = []
-
-    def recording(total, first):
-        ranges = list(_flat_blocks(total, first))
-        schedules.append((total, first, ranges))
-        return iter(ranges)
-
-    monkeypatch.setattr(target, "_flat_blocks", recording)
-    for first in (1, 2, 3, target._FIRST_BLOCK):
-        monkeypatch.setattr(target, "_FIRST_BLOCK", first)
-        for radius in range(4):
-            want = [off for off in itertools.product(
-                        range(-radius, radius + 1), repeat=dim)
-                    if max(abs(o) for o in off) == radius]
-            blocks = list(_shell_blocks(radius, dim))
-            assert all(b.dtype.kind == "i" and b.shape[1] == dim
-                       and len(b) <= block for b in blocks)
-            assert [tuple(int(v) for v in row)
-                    for b in blocks for row in b] == want
-            # one block per flat range; the ranges cover the cube in order,
-            # start at the size of the inner cube (at least the first size,
-            # at most the block), double, never exceed the block, and only
-            # the last one is cut short
-            total, start_size, ranges = schedules.pop()
-            assert total == (2 * radius + 1) ** dim and len(blocks) == len(ranges)
-            assert start_size == min(max(first, (2 * radius - 1) ** dim), block)
-            assert [i for start, stop in ranges
-                    for i in range(start, stop)] == list(range(total))
-            sizes = [stop - start for start, stop in ranges]
-            want_sizes = [start_size]
-            while sum(want_sizes) < total:
-                want_sizes.append(min(2 * want_sizes[-1], block))
-            want_sizes[-1] -= sum(want_sizes) - total
-            assert sizes == want_sizes
+def test_slabs_follow_product_order(monkeypatch, first, slab, dim):
+    monkeypatch.setattr(target, "_FIRST_SLAB", first)
+    monkeypatch.setattr(target, "SLAB", slab)
+    for radius in range(4):
+        width = 2 * radius + 1
+        points, levels = [], []
+        for lead, level in _slabs(radius, dim):
+            assert len(lead) == dim - level and level >= 1
+            shell, grid = _slab_points(radius, level)
+            # a slab starts where its level divides the flat index
+            assert len(points) % width ** level == 0
+            rows = [tuple(int(v) for v in row) for row in grid]
+            points += [tuple(lead) + row for row in rows]
+            assert [tuple(int(v) for v in row) for row in shell] == [
+                row for row in rows if max(map(abs, row)) == radius]
+            levels.append(level)
+        assert points == list(itertools.product(range(-radius, radius + 1),
+                                                repeat=dim))
+        # the first slab holds at most the first size unless one offset
+        # alone exceeds it; levels rise by one once a slab of the next is
+        # filled, up to the largest slab
+        low = max([1] + [f for f in range(1, dim + 1) if width ** f <= first])
+        top = max([low] + [f for f in range(1, dim + 1) if width ** f <= slab])
+        assert levels[0] == low and max(levels) <= top
+        assert levels == sorted(levels)
+        for f in set(levels) - {low}:
+            assert levels.count(f - 1) == (width if f - 1 == low else width - 1)
 
 
-def test_shell_blocks_beyond_index_range():
-    # 3**45 cube points overflow a 64-bit flat index; the first block must
-    # still follow the product order
-    first = next(_shell_blocks(1, 45))
-    want = itertools.islice((off for off in itertools.product((-1, 0, 1),
-                                                             repeat=45)
-                             if max(abs(o) for o in off) == 1), len(first))
-    assert [tuple(int(v) for v in row) for row in first] == list(want)
+def test_slabs_beyond_index_range():
+    # 3**45 cube points overflow a 64-bit flat index; the slabs must still
+    # follow the product order
+    slabs = itertools.islice(_slabs(1, 45), 12)
+    points = itertools.chain.from_iterable(
+        (tuple(lead) + tuple(int(v) for v in row)
+         for row in _slab_points(1, level)[1]) for lead, level in slabs)
+    points = list(points)
+    want = itertools.islice(itertools.product((-1, 0, 1), repeat=45),
+                            len(points))
+    assert points == list(want) and len(points) > 1000
 
 
 def test_control_input_at_target():
