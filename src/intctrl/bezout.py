@@ -14,12 +14,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import SingularMatrixError, solve_linear
+from .numeric import SingularMatrixError, _convolve, solve_linear
 from .poly import Polynomial, _sum_residual, _trimmed
 
 COPRIME_TOL = 1e-8
 #: bound on a Diophantine solution's residual, relative to max(1, |q|)
 RESIDUAL_TOL = 1e-10
+
+
+def _svd_gufunc():
+    """The gufunc ``np.linalg.svd(S, compute_uv=False)`` calls for a square
+    ``S``, without the wrapper's checks: ``svd`` in numpy 2, ``svd_n`` in 1."""
+    gufuncs = np.linalg._umath_linalg
+    return getattr(gufuncs, "svd", None) or gufuncs.svd_n
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 class NotCoprimeError(ValueError):
@@ -91,7 +102,7 @@ def _product(a: Polynomial, b: Polynomial) -> np.ndarray:
     """Coefficients of ``a * b`` before the Polynomial strips them."""
     if a.is_zero or b.is_zero:
         return np.zeros(0)
-    return np.convolve(a.coeffs, b.coeffs)
+    return _convolve(a.coeffs, b.coeffs)
 
 
 def _residual(p: Polynomial, r: Polynomial, s: Polynomial,
@@ -197,6 +208,8 @@ def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
         S = sylvester_matrix(Polynomial(an), Polynomial(bn))
     else:
         S = _sylvester(an, bn)
-    sv = np.linalg.svd(S, compute_uv=False)
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        sv = _svd_gufunc()(S, signature="d->d")
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     return CoprimalityResult(quality > COPRIME_TOL, quality)

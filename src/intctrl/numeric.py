@@ -52,7 +52,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
+dgesv, dgetrs, dtrtrs = _flapack.dgesv, _flapack.dgetrs, _flapack.dtrtrs
 
 SOLVE_RCOND = 1e-13
 _EPS = 2.0 ** -52
@@ -121,19 +121,19 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`solve_linear` of a square float matrix of order at least 1,
     without the input checks, for callers whose matrix is built so."""
-    # getrf itself, not lu_factor: lu_factor warns on an exactly zero pivot,
-    # which the check below reports as an exception
-    lu, piv, _ = dgetrf(A)
+    # gesv: getrf then getrs, as lu_factor and lu_solve call them, in one
+    # call and without their checks (lu_factor warns on a zero pivot)
+    lu, piv, x, info = dgesv(A, b)
     diag = np.abs(lu.diagonal())
     # argmax and argmin find the entries np.maximum.reduce and
     # np.minimum.reduce return, NaN included, faster
     scale, pivot = float(diag[diag.argmax()]), float(diag[diag.argmin()])
     if scale == 0.0 or pivot <= SOLVE_RCOND * scale:
         raise SingularMatrixError(pivot, scale)
-    # getrs itself, the call lu_solve makes, without its per-call checks
-    x, info = dgetrs(lu, piv, b)
+    if info > 0:  # a zero pivot a NaN hid from the check: gesv skipped getrs
+        x, info = dgetrs(lu, piv, b)
     if info:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gesv")
     return x
 
 
@@ -402,8 +402,9 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
     M starts at ``ARC_SAMPLES`` and doubles up to ``ARC_SAMPLES_MAX``.  It
     stops without a proof when the recursion on the sampled moduli, without
     the arc slack, already reaches 0 at some sample: no finer cut can then
-    prove it.  Returns the proved lower bound of ``min |p|`` on ``C``, or
-    0.0 and the reason.
+    prove it.  The recursion stops at the first factor after which that and
+    the bound on some arc have both reached 0.  Returns the proved lower
+    bound of ``min |p|`` on ``C``, or 0.0 and the reason.
     """
     steps, shift = factors.steps, factors.shift
     k_count, n = steps.shape[0], steps.shape[1] - 1
@@ -461,14 +462,17 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
             state = np.full(2 * m, base_lo)
         else:
             state = _base_bounds(roots, inner, m, n, reach, base_err)
-        # a state that reaches 0 stays at or below it: rates are >= 0 and
-        # every error term is > 0
-        for k in range(k_count):
-            state = rates[:, k] * state - err[k]
-        least = float(state[state[:m].argmin()])
+        # a row at or below 0 (or NaN) stays so: rates are >= 0 (or NaN) and
+        # error terms > 0 (argmin finds a NaN first)
+        bound, sampled = state[:m], state[m:]
+        for rate, e in zip(rates.T, err.tolist()):
+            state *= rate
+            state -= e
+            if not (sampled[sampled.argmin()] > 0.0 or bound[bound.argmin()] > 0.0):
+                break
+        least = float(bound[bound.argmin()])
         if least > 0.0:
             return SchurProof(least * _rho_power_lo(shift) * _DOWN, "")
-        sampled = state[m:]
         if not sampled[sampled.argmin()] > 0.0 or m >= ARC_SAMPLES_MAX:
             return SchurProof(0.0, "the stepwise Rouche bound of its modulus "
                                    "on the circle does not stay positive")

@@ -8,6 +8,7 @@ off-by-one errors in plain convolution arithmetic.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -353,11 +354,14 @@ def toeplitz_stack(a: Polynomial, n: int) -> np.ndarray:
     return padded[_stack_index(n)]
 
 
+@functools.lru_cache(maxsize=32)
 def _stack_index(n: int) -> np.ndarray:
     """Gather index of :func:`toeplitz_stack`.
 
     Entry ``(i, j)``, 0-based, is ``2n - i + j``: the position of
     coefficient ``n - i + j`` in a copy of the coefficients padded with
-    ``n`` zeros below and ``n`` above, length ``3n + 1``.
+    ``n`` zeros below and ``n`` above, length ``3n + 1``.  Read-only.
     """
-    return np.arange(2 * n, 0, -1)[:, None] + np.arange(n)
+    index = np.arange(2 * n, 0, -1)[:, None] + np.arange(n)
+    index.setflags(write=False)
+    return index

@@ -196,8 +196,8 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     warnings: list[str] = []
     planes = build_hyperplanes(num, n)
     active = active_index_set(x0, planes)
-    if len(active) < planes.offsets.size:
-        skipped = sorted(set(range(planes.offsets.size)) - set(active))
+    if len(active.index) < planes.offsets.size:
+        skipped = sorted(set(range(planes.offsets.size)) - set(active.index))
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
@@ -211,8 +211,9 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     inputs: list[np.ndarray] = []
     hits: list[bool] = []
     increments: list[np.ndarray] = []
-    x = x0
-    while np.count_nonzero(x != x_star):
+    # float lists compare as the arrays do, NaN and signed zeros alike
+    x, goal = x0, x_star.tolist()
+    while x.tolist() != goal:
         if len(states) >= cap:
             raise SynthesisError(
                 f"iteration cap {cap} = 10*ceil(|x* - x0|_1) + 10 exceeded "

@@ -11,8 +11,8 @@ invertible along the way.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +59,12 @@ class HyperplaneSet:
     roots: tuple[complex, ...]
     n_real: int
     num: Polynomial
-    #: row 1-norms, one reduction summing each row as vec_1norm does
-    _norms: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_norms", np.add.reduce(np.abs(self.normals), axis=1))
 
     def sides(self, x: np.ndarray) -> np.ndarray:
-        """Signed functionals ``normals . x - offsets``, one dot product per
-        row: a single matrix-vector product would round differently."""
-        return np.array([row @ x for row in self.normals]) - self.offsets
-
-    def norms(self) -> np.ndarray:
-        """Row 1-norms, the dual norms turning sides into distances."""
-        return self._norms.copy()
+        """Signed functionals ``normals . x - offsets``, each row's ``row @
+        x``: a single matrix-vector product would round differently."""
+        return np.fromiter(map(x.dot, self.normals), float,
+                           self.offsets.size) - self.offsets
 
 
 def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
@@ -107,19 +99,52 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
             pairs.append(r)
     reals.sort()
     pairs.sort(key=lambda z: (z.real, z.imag))
-    rows = [np.array([lam ** k for k in range(n, -1, -1)]) for lam in reals]
-    roots = [complex(lam) for lam in reals]
+    # one array of each real root's powers, then each pair's real and imag
+    exps = range(n, -1, -1)
+    rows = [[lam ** e for e in exps] for lam in reals]
     for eta in pairs:
-        row = np.array([eta ** k for k in range(n, -1, -1)])
-        rows += [row.real, row.imag]
-        roots += [eta, eta]
+        row = [eta ** e for e in exps]
+        rows += [[z.real for z in row], [z.imag for z in row]]
     power = np.array(rows).reshape(len(rows), n + 1)
+    roots = [complex(lam) for lam in reals] + [eta for eta in pairs for _ in "ri"]
     return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),
                          len(reals), num)
 
 
-def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
-    """Indices of planes whose functional is nonzero at ``x0``.
+class ActiveSet(NamedTuple):
+    """The planes active at ``x0``, stacked to test candidates: indices,
+    rows, 1-norms (dual norms, turning sides into distances), sides at x0."""
+    index: tuple[int, ...]
+    normals: np.ndarray
+    offsets: np.ndarray
+    norms: np.ndarray
+    sides0: np.ndarray
+
+    def first_feasible(self, cands: np.ndarray) -> int | None:
+        """Index of the first row of ``cands`` strictly on the side of
+        ``x0`` of every plane, by a margin.  The plane functionals are
+        affine, so the whole segment from ``x0`` to that row stays on the
+        same sides too."""
+        sides = self.sides(cands)
+        sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
+        margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
+        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
+        return int(good[0]) if good.size else None
+
+    def sides(self, cand: np.ndarray) -> np.ndarray:
+        return cand @ self.normals.T - self.offsets
+
+    def feasible(self, cand: np.ndarray, sides: np.ndarray) -> bool:
+        # first_feasible of one candidate and its sides without the block
+        # machinery; max(sup, 1.0) keeps a NaN sup, as np.maximum does
+        margin = SIDE_TOL * (1.0 + max(_max_abs(cand), 1.0) * self.norms)
+        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        return np.count_nonzero(bad) == 0
+
+
+def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
+    """The planes whose functional is nonzero at ``x0``.
 
     A plane is active when ``|side(x0)| > ACTIVE_TOL * (1 + |normal|_1
     max(1, |x0|_inf))``.  Only the imaginary/real parts of a complex pair may
@@ -128,15 +153,19 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> tuple[int, ...]:
     :class:`InconsistentActiveSetError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    thresh = ACTIVE_TOL * (1.0 + planes.norms() * max(1.0, _max_abs(x0)))
-    active = (np.abs(planes.sides(x0)) > thresh).tolist()
-    if False in active[:planes.n_real]:
-        t = active.index(False)
+    sides = planes.sides(x0)
+    # one reduction sums each row as vec_1norm does
+    norms = np.add.reduce(np.abs(planes.normals), axis=1)
+    active = np.abs(sides) > ACTIVE_TOL * (1.0 + norms * max(1.0, _max_abs(x0)))
+    real = active[:planes.n_real].tolist()
+    if False in real:
+        t = real.index(False)
         raise InconsistentActiveSetError(
             f"real-root plane {t} (root {planes.roots[t].real:g}) passes "
             "through the base point: its polynomial shares a root with the "
             "numerator")
-    return tuple(t for t, on in enumerate(active) if on)
+    return ActiveSet(tuple(active.nonzero()[0].tolist()), planes.normals[active],
+                     planes.offsets[active], norms[active], sides[active])
 
 
 @dataclass(frozen=True)
@@ -217,39 +246,6 @@ _FIRST_SLAB = 64
 MAX_CANDIDATES = 200_000
 
 
-class _ActivePlanes:
-    """The active planes stacked for testing blocks of candidates at once,
-    with their signs at ``x0``."""
-
-    def __init__(self, x0: np.ndarray, planes: HyperplaneSet,
-                 active: Sequence[int]):
-        rows = list(active)
-        self.normals = planes.normals[rows]
-        self.offsets = planes.offsets[rows]
-        self.norms = planes.norms()[rows]
-        self.sides0 = planes.sides(x0)[rows]
-
-    def first_feasible(self, cands: np.ndarray) -> int | None:
-        """Index of the first row of ``cands`` strictly on the side of
-        ``x0`` of every plane, by a margin.  The plane functionals are
-        affine, so the whole segment from ``x0`` to that row stays on the
-        same sides too."""
-        sides = cands @ self.normals.T - self.offsets
-        sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
-        margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
-        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
-        good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
-        return int(good[0]) if good.size else None
-
-    def feasible(self, cand: np.ndarray) -> bool:
-        # first_feasible of one candidate without the block machinery;
-        # max(sup, 1.0) keeps a NaN sup, as np.maximum(1.0, sup) does
-        sides = cand @ self.normals.T - self.offsets
-        margin = SIDE_TOL * (1.0 + max(_max_abs(cand), 1.0) * self.norms)
-        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
-        return np.count_nonzero(bad) == 0
-
-
 def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for an exact, order-free ufunc (maximum,
     logical or), one column at a time: numpy reduces a short inner axis
@@ -301,11 +297,11 @@ def _slab_points(radius: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return points
 
 
-def _search_around(center: np.ndarray, max_radius: float,
-                   planes: _ActivePlanes) -> tuple[np.ndarray | None, int]:
+def _search_around(center: np.ndarray, sides: np.ndarray, max_radius: float,
+                   planes: ActiveSet) -> tuple[np.ndarray | None, int]:
     """First feasible point on the shells of radius 1 to ``max_radius``
-    around ``center``, in product order, and the shell points examined through
-    it, at most ``MAX_CANDIDATES - 1``.
+    around ``center`` (its sides ``sides``), in product order, and the shell
+    points examined through it, at most ``MAX_CANDIDATES - 1``.
 
     Each shell is walked slab by slab (see ``_slabs``).  The signed side
     ``sign_t (normal_t . x - offset_t)`` of a slab point, ``sign_t`` its sign
@@ -327,12 +323,11 @@ def _search_around(center: np.ndarray, max_radius: float,
     with np.errstate(over="ignore", invalid="ignore"):
         scale = (np.abs(planes.normals) @ (np.abs(center) + last)
                  + np.abs(planes.offsets))
-    rows = np.flatnonzero(scale < 1e300)
+    rows = (scale < 1e300).nonzero()[0]
     sign = np.sign(planes.sides0[rows])
     normals = sign[:, None] * planes.normals[rows]
     # the signed sides at center plus the slack
-    lift = (normals @ center - sign * planes.offsets[rows]
-            + ((dim + 2) * 2.0 ** -48 * scale[rows] + 1e-300))
+    lift = sign * sides[rows] + ((dim + 2) * 2.0 ** -48 * scale[rows] + 1e-300)
     # a shell holds 2 points or more, so the budget ends any longer walk
     for radius in range(1, last + 1):
         grids = {}
@@ -342,11 +337,11 @@ def _search_around(center: np.ndarray, max_radius: float,
             if key not in grids:
                 points = _slab_points(radius, level)[key[1]]
                 grids[key] = points, normals[:, dim - level:] @ points.T
-            points, sides = grids[key]
+            points, slab = grids[key]
             floor = -(lift + normals[:, :dim - level] @ lead)
-            count = min(sides.shape[1], budget - examined)
-            kept = np.flatnonzero(np.logical_and.reduce(
-                sides[:, :count] >= floor[:, None], axis=0))
+            count = min(slab.shape[1], budget - examined)
+            kept = np.logical_and.reduce(
+                slab[:, :count] >= floor[:, None], axis=0).nonzero()[0]
             if kept.size:
                 off = np.empty((kept.size, dim))
                 off[:, :dim - level] = lead
@@ -362,7 +357,7 @@ def _search_around(center: np.ndarray, max_radius: float,
 
 
 def _fallback_center(x0: np.ndarray, num: Polynomial,
-                     planes: _ActivePlanes) -> np.ndarray:
+                     planes: ActiveSet) -> np.ndarray:
     """Centre ``c`` of the existence proof: ``round(c)`` is on the side of
     ``x0`` of every active plane, in exact arithmetic.
 
@@ -373,14 +368,17 @@ def _fallback_center(x0: np.ndarray, num: Polynomial,
     radius 1 around ``c = v + (x0 - v) / d`` plane-free on the same sides,
     and rounding moves ``c`` by at most 1/2 per coordinate.
     """
-    n, m = x0.size, num.coeffs.size - 1
-    v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
-    dist = float(np.min(np.abs(planes.sides0) / planes.norms))
-    return (x0 - v) / dist + v
+    # num / leading below its top, descending, then zeros; finite as in a
+    # Polynomial
+    v = np.zeros(x0.size)
+    v[:num.coeffs.size - 1] = num.coeffs[-2::-1] / num.coeffs[-1]
+    _check_finite(v)
+    ratio = np.abs(planes.sides0) / planes.norms
+    return (x0 - v) / float(ratio[ratio.argmin()]) + v
 
 
 def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
-                        active: Sequence[int]) -> IntegerTarget:
+                        active: ActiveSet) -> IntegerTarget:
     """Integer vector strictly on the same side as ``x0`` of every active plane.
 
     Search order: ``round(x0)``; its Chebyshev shells out to the radius of
@@ -388,25 +386,24 @@ def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
     ``MAX_CANDIDATES`` points with ``round(x0)``; then that target.
     """
     x0 = np.asarray(x0, dtype=float)
-    active = tuple(active)
-    stacked = _ActivePlanes(x0, planes, active)
-    start = np.round(x0)
-    if stacked.feasible(start):
+    start = x0.round()
+    sides = active.sides(start)
+    if active.feasible(start, sides):
         return IntegerTarget(start, "round", 1)
 
-    center = np.round(_fallback_center(x0, planes.num, stacked))
-    cand, count = _search_around(start, _max_abs(center - start), stacked)
+    center = _fallback_center(x0, planes.num, active).round()
+    cand, count = _search_around(start, sides, _max_abs(center - start), active)
     examined = 1 + count
     if cand is not None:
         return IntegerTarget(cand, "shell", examined)
-    if stacked.feasible(center):
+    if active.feasible(center, active.sides(center)):
         return IntegerTarget(center, "fallback", examined + 1)
-    distances = np.abs(planes.sides(center)) / planes.norms()
+    distances = np.abs(planes.sides(center))[list(active.index)] / active.norms
     raise TargetSearchError(
         "integer-target search exhausted: not even the constructive target "
         "lies on the side of x0 of every active plane, as it does in exact "
         "arithmetic, so the plane geometry broke down numerically",
-        candidate=center, margins=distances[list(active)].tolist())
+        candidate=center, margins=distances.tolist())
 
 
 class ControlStep(NamedTuple):

@@ -1,10 +1,8 @@
-"""The seed-7 sweep's outcomes do not depend on the BLAS thread count.
+"""The outputs do not depend on the BLAS thread count.
 
-Each run is a fresh interpreter, since OpenBLAS reads its thread count when
-numpy loads.  The digest covers every returned polynomial and certificate,
-and every exception's class and message, of the stabilizing synthesis and
-of a conversion per plant (a random real controller denominator of degree
-n - 1).
+``output_digest.py`` digests the seed-7 sweep's syntheses and conversions
+and the pendulum CLI JSON; it runs here in a fresh interpreter per thread
+count, since OpenBLAS reads its thread count when numpy loads.
 """
 import os
 import subprocess
@@ -14,42 +12,18 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-SWEEP_DIGEST = """
-import hashlib
-import numpy as np
-from conftest import random_plant
-from intctrl import Polynomial, run_algorithm1
-from intctrl.converter import run_algorithm2
 
-# the plants and designs of conftest's sweep_plant and sweep_conversion
-plants, roots = np.random.default_rng(7), np.random.default_rng(99)
-digest = hashlib.sha256()
-for _ in range(600):
-    den, num = random_plant(plants, n_max=8)
-    n = den.coeffs.size - 1
-    ctrl_den = Polynomial.from_roots(list(roots.uniform(-1.2, 1.2, n - 1)))
-    for run in (lambda: run_algorithm1(den, num),
-                lambda: run_algorithm2(ctrl_den, num, n)):
-        try:
-            out = run()
-        except Exception as exc:
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
-            continue
-        for poly in (out.alpha, out.beta, out.gamma):
-            digest.update(poly.coeffs.tobytes())
-        digest.update(repr(getattr(out, "certificate", None)).encode())
-print(digest.hexdigest())
-"""
-
-
-def _sweep_digest(threads):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+def _digests(threads):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
-    done = subprocess.run([sys.executable, "-c", SWEEP_DIGEST], env=env,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, str(TESTS / "output_digest.py")],
+                          env=env, capture_output=True, text=True, check=True)
     return done.stdout
 
 
 def test_sweep_digest_is_the_same_at_one_and_two_blas_threads():
-    assert _sweep_digest("1") == _sweep_digest("2")
+    one = _digests("1")
+    assert [line.split()[0] for line in one.splitlines()] == ["sweep",
+                                                               "pendulum-cli"]
+    assert one == _digests("2")

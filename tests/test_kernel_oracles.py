@@ -33,9 +33,10 @@ from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
 from intctrl.numeric import (IMAG_TOL, RootFindingError, SchurResult,
                              SingularMatrixError, vec_1norm)
 from intctrl.poly import _trim_length, toeplitz_stack
-from intctrl.target import (ACTIVE_TOL, DeltaFactors, HyperplaneSet,
-                            InconsistentActiveSetError, IntegerTarget,
-                            SIDE_TOL, TargetSearchError, build_hyperplanes)
+from intctrl.target import (ACTIVE_TOL, ActiveSet, DeltaFactors,
+                            HyperplaneSet, InconsistentActiveSetError,
+                            IntegerTarget, SIDE_TOL, TargetSearchError,
+                            build_hyperplanes)
 
 from conftest import exact_residual_ratios, random_plant
 
@@ -113,7 +114,7 @@ def oracle_solve_linear(A, b, rcond=1e-13):
         raise ValueError("A must be square")
     if A.shape[0] == 0:
         return np.zeros_like(b)
-    lu, piv, _ = numeric.dgetrf(A)
+    lu, piv, _ = numeric._flapack.dgetrf(A)
     diag = np.abs(lu.diagonal())
     scale = float(np.maximum.reduce(diag))
     pivot = float(np.minimum.reduce(diag))
@@ -189,9 +190,8 @@ def oracle_build_hyperplanes(num, n):
         roots += [eta, eta]
     power = np.array(rows).reshape(len(rows), n + 1)
     normals = power[:, 1:].copy()
-    # the fields and norms a HyperplaneSet is fingerprinted by
-    return (normals, -power[:, 0], tuple(roots), len(reals), num,
-            oracle_norms(normals))
+    # the fields a HyperplaneSet is fingerprinted by
+    return normals, -power[:, 0], tuple(roots), len(reals), num
 
 
 def oracle_classify_roots(roots):
@@ -233,7 +233,10 @@ def oracle_active_index_set(x0, planes):
             f"real-root plane {t} (root {planes.roots[t].real:g}) passes "
             "through the base point: its polynomial shares a root with the "
             "numerator")
-    return tuple(np.flatnonzero(active).tolist())
+    rows = np.flatnonzero(active).tolist()
+    return ActiveSet(tuple(rows), planes.normals[rows], planes.offsets[rows],
+                     oracle_norms(planes.normals)[rows],
+                     oracle_sides(planes.normals, planes.offsets, x0)[rows])
 
 
 class OracleActivePlanes:
@@ -261,8 +264,9 @@ class OracleActivePlanes:
 
 
 def oracle_find_integer_target(x0, planes, active):
+    # the sides and norms are computed again, not read from active
     x0 = np.asarray(x0, dtype=float)
-    active = tuple(active)
+    active = active.index
     stacked = OracleActivePlanes(x0, planes, active)
     start = np.round(x0)
     examined = 1
@@ -270,7 +274,8 @@ def oracle_find_integer_target(x0, planes, active):
         return IntegerTarget(start, "round", examined)
     center = np.round(target._fallback_center(x0, planes.num, stacked))
     radius = float(np.max(np.abs(center - start)))
-    cand, count = target._search_around(start, radius, stacked)
+    sides = start @ stacked.normals.T - stacked.offsets
+    cand, count = target._search_around(start, sides, radius, stacked)
     examined += count
     if cand is not None:
         return IntegerTarget(cand, "shell", examined)
@@ -578,7 +583,7 @@ def fingerprint(obj):
         return "poly", obj.coeffs.tobytes()
     if isinstance(obj, HyperplaneSet):
         return fingerprint((obj.normals, obj.offsets, obj.roots, obj.n_real,
-                            obj.num, obj.norms()))
+                            obj.num))
     if isinstance(obj, DeltaFactors):
         return (fingerprint(obj.top), fingerprint(obj.bottom), obj.dim,
                 fingerprint(obj.index))
@@ -804,11 +809,10 @@ def test_single_candidate_test_matches_block_oracle_at_the_margin():
         x0 = cand + rng.normal(size=n)
         planes = HyperplaneSet(normals, offsets, (0j,) * k, 0,
                                Polynomial.one())
-        rows = list(range(k))
-        got = target._ActivePlanes(x0, planes, rows)
-        want = OracleActivePlanes(x0, planes, rows)
+        got = target.active_index_set(x0, planes)
+        want = OracleActivePlanes(x0, planes, got.index)
         for c in (cand, np.full(n, np.nan), np.zeros(n)):
-            assert got.feasible(c) == want.feasible(c)
+            assert got.feasible(c, got.sides(c)) == want.feasible(c)
             assert got.sides0.tobytes() == want.sides0.tobytes()
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 from intctrl import numeric
-assert numeric.dgetrf is lapack.dgetrf
+assert numeric.dgesv is lapack.dgesv
 assert numeric.dgetrs is lapack.dgetrs
 assert numeric.dtrtrs is lapack.dtrtrs
 assert scipy.linalg._flapack.dgetrf is lapack.dgetrf

@@ -12,12 +12,12 @@ import pytest
 
 from intctrl import (ConversionConfig, ConvertedController, Polynomial,
                      PreController, SchurFactors, StabilizationConfig,
-                     certify_conversion, convert_controller, run_algorithm1,
-                     verify)
+                     certify_conversion, convert_controller, numeric,
+                     run_algorithm1, verify)
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS, pendulum_plant,
                               pendulum_pre_controller)
-from intctrl.numeric import SCHUR_MARGIN, schur_product_proof
+from intctrl.numeric import SCHUR_MARGIN, SchurProof, schur_product_proof
 
 from conftest import random_plant, random_roots, sweep_plant
 from test_converter import stable_pre_loop
@@ -362,3 +362,160 @@ def test_conversion_with_an_initial_root_near_the_circle_is_never_proved(base):
     assert cert.witnesses["alpha_spectral_radius"] > 1.0 - SCHUR_MARGIN
     assert ("alpha is not proved Schur on |z| = 1 - SCHUR_MARGIN: an initial "
             "root is not inside the circle") in cert.warnings
+
+
+# The arc recursion stops at the first factor after which a bound row and a
+# sampled row are both at or below 0 (or NaN): rates are >= 0 (or NaN) and
+# error terms > 0, so both stay there and the proof fails whatever the
+# later factors are.  The reference below runs every factor, as the proof
+# did before it stopped early; it must return the same SchurProof.
+
+
+def full_recursion_proof(p, factors, exits=None):
+    """``schur_product_proof`` running every factor through the arc
+    recursion.  With a list ``exits``, appends per arc count the number of
+    factors after which a bound and a sampled row are both no longer
+    positive (None if never) and the number of factors."""
+    steps, shift = factors.steps, factors.shift
+    k_count, n = steps.shape[0], steps.shape[1] - 1
+    if isinstance(factors.base, (int, np.integer)):
+        roots = None
+        prod = np.zeros(factors.base + 1)
+        prod[-1] = 1.0
+        base_lo = numeric._rho_power_lo(factors.base)
+    else:
+        roots = np.array(factors.base, dtype=complex)
+        inner = (numeric._RHO - np.abs(roots) * numeric._UP) * numeric._DOWN
+        if np.count_nonzero(inner > 0.0) != roots.size:
+            return SchurProof(0.0, "an initial root is not inside the circle")
+        prod, base_err = numeric._expanded_roots(factors.base)
+        base_lo = (float(np.multiply.reduce(inner))
+                   * (1.0 - roots.size * numeric._EPS) * numeric._DOWN
+                   - base_err * numeric._UP)
+    sums = np.abs(steps) @ numeric._factor_weights(n)
+    inside = (sums[:, 0] < 1.0) & (steps[:, n] == 1.0)
+    if np.count_nonzero(inside) != k_count:
+        return SchurProof(0.0, f"the roots of factor {int(inside.argmin()) + 1} "
+                               f"of {k_count} are not proved inside the circle")
+    floor = np.maximum((numeric._DOWN - sums[:, 0] * numeric._UP)
+                       * numeric._rho_power_lo(n) * numeric._DOWN, 0.0)
+    partials = [prod]
+    for f in steps:
+        partials.append(np.convolve(f, partials[-1]))
+    prod = partials.pop()
+    partial = np.array([numeric._norm_up(q) for q in partials])
+    if (p.size != prod.size + shift or np.count_nonzero(p[:shift])
+            or np.count_nonzero(p[shift:] != prod)):
+        return SchurProof(0.0, "it is not the product of its factors")
+    u = numeric._U
+    err = (n + 1) * u / (1.0 - (n + 1) * u) * sums[:, 1] * partial * numeric._UP
+    bound = base_lo
+    for rate, e in zip(floor.tolist(), err.tolist()):
+        bound = rate * bound * numeric._DOWN - e
+    if bound > 0.0:
+        return SchurProof(bound * numeric._rho_power_lo(shift) * numeric._DOWN, "")
+    slack = (4 * n + 4) * u * sums[:, 1] * numeric._UP
+    m = numeric.ARC_SAMPLES
+    while True:
+        values = numeric._arc_powers(m, n) @ steps.T
+        moduli = np.hypot(values[:m], values[m:])
+        reach = (np.pi / (2 * m) + numeric._POINT_ERR) * numeric._UP
+        rates = np.concatenate((np.maximum(
+            moduli * numeric._DOWN - (slack + sums[:, 2] * reach) * numeric._UP,
+            floor) * numeric._DOWN, moduli))
+        if roots is None:
+            state = np.full(2 * m, base_lo)
+        else:
+            state = numeric._base_bounds(roots, inner, m, n, reach, base_err)
+        first = None
+        for k in range(k_count):
+            state = rates[:, k] * state - err[k]
+            if first is None and not ((state[:m] > 0.0).all()
+                                      or (state[m:] > 0.0).all()):
+                first = k + 1
+        if exits is not None:
+            exits.append((first, k_count))
+        least = float(state[state[:m].argmin()])
+        if least > 0.0:
+            return SchurProof(least * numeric._rho_power_lo(shift)
+                              * numeric._DOWN, "")
+        sampled = state[m:]
+        if not sampled[sampled.argmin()] > 0.0 or m >= numeric.ARC_SAMPLES_MAX:
+            return SchurProof(0.0, "the stepwise Rouche bound of its modulus "
+                                   "on the circle does not stay positive")
+        m *= 2
+
+
+def assert_same_proof(p, factors, exits=None):
+    got = schur_product_proof(p, factors)
+    want = full_recursion_proof(p, factors, exits)
+    assert (got.min_modulus.hex(), got.reason) == (want.min_modulus.hex(),
+                                                   want.reason)
+    return got
+
+
+@pytest.fixture(scope="module")
+def sweep_failed_gamma_proofs():
+    """(gamma, factors) of every gamma of the seed-7 sweep that is not
+    proved Schur."""
+    def run():
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            den, num = random_plant(rng, n_max=8)
+            try:
+                run_algorithm1(den, num)
+            except (ValueError, RuntimeError, np.linalg.LinAlgError):
+                pass
+
+    return [(p, f) for p, f, proof in _recorded_proofs(run) if proof.reason]
+
+
+def test_early_exit_matches_the_full_recursion_on_sweep_failures(
+        sweep_failed_gamma_proofs):
+    assert len(sweep_failed_gamma_proofs) == 41
+    exits = []
+    for p, factors in sweep_failed_gamma_proofs:
+        proof = assert_same_proof(p, factors, exits)
+        assert proof.reason.startswith("the stepwise Rouche bound")
+    # most of them stop before their last factor, the longest far before
+    early = [(first, count) for first, count in exits
+             if first is not None and first < count]
+    assert len(early) >= 30
+    assert any(count - first >= 50 for first, count in early)
+
+
+@pytest.mark.parametrize("root, count", [(0.98, 30), (0.9, 30), (0.98, 10),
+                                         (0.999, 60), (0.5, 20)])
+def test_early_exit_matches_the_full_recursion_on_clusters(root, count):
+    # z - root repeated: the products near the circle are not proved, the
+    # one at 0.5 is
+    steps = np.tile([-root, 1.0], (count, 1))
+    for base, shift in ((2, 0), (2, 3), ((0.3, -0.2), 1)):
+        p = product(base, steps, shift)
+        proof = assert_same_proof(p, SchurFactors(base, steps, shift))
+        assert (proof.min_modulus > 0.0) == (root == 0.5)
+
+
+def test_early_exit_matches_the_full_recursion_on_long_products():
+    # the shape of long steering runs: factors with |u|_1 = 0.99 up to
+    # order 8, on z^2n or on roots, many of them not proved and several
+    # unstable in exact arithmetic; and pairs of complex roots near the
+    # circle, repeated
+    rng = np.random.default_rng(4242)
+    outcomes = set()
+    for i in range(60):
+        n = int(rng.integers(2, 9))
+        count = int(rng.integers(5, 90))
+        u = rng.normal(size=(count, n))
+        u *= 0.99 / np.abs(u).sum(axis=1, keepdims=True)
+        steps = np.ones((count, n + 1))
+        steps[:, :n] = u[:, ::-1]
+        base = 2 * n if i % 2 else tuple(random_roots(rng, 2, 0.8))
+        p = product(base, steps)
+        outcomes.add(assert_same_proof(p, SchurFactors(base, steps, 0)).reason)
+    for radius, angle, count in ((0.95, 0.3, 12), (0.995, 1.2, 40)):
+        pair = [radius ** 2, -2.0 * radius * math.cos(angle), 1.0]
+        steps = np.tile(pair, (count, 1))
+        p = product(4, steps)
+        outcomes.add(assert_same_proof(p, SchurFactors(4, steps, 0)).reason)
+    assert "" in outcomes and len(outcomes) >= 3, outcomes

@@ -42,8 +42,8 @@ def oracle_steer(p, q, factor, shift, num, x0, s0, cfg):
     warnings = []
     planes = build_hyperplanes(num, n)
     active = active_index_set(x0, planes)
-    if len(active) < planes.offsets.size:
-        skipped = sorted(set(range(planes.offsets.size)) - set(active))
+    if len(active.index) < planes.offsets.size:
+        skipped = sorted(set(range(planes.offsets.size)) - set(active.index))
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")

@@ -70,7 +70,9 @@ def test_hyperplane_sides_match_polynomial_values():
             # one dot product per row, bit for bit
             row_side = planes.normals[t] @ x - planes.offsets[t]
             assert sides[t].tobytes() == row_side.tobytes()
-        assert_allclose(planes.norms(), np.abs(planes.normals).sum(axis=1))
+        active = active_index_set(x, planes)
+        assert_allclose(active.norms, np.abs(
+            planes.normals[list(active.index)]).sum(axis=1))
 
 
 def test_hyperplanes_real_only_and_pure_pair():
@@ -135,7 +137,7 @@ def test_hyperplane_roots_rebuild_the_numerator_fuzz():
 
 def test_active_set_empty_planes():
     planes = build_hyperplanes(Polynomial([1.0]), 2)
-    assert active_index_set(np.zeros(2), planes) == ()
+    assert active_index_set(np.zeros(2), planes).index == ()
 
 
 def test_active_set_excludes_vanishing_imag_part():
@@ -148,8 +150,13 @@ def test_active_set_excludes_vanishing_imag_part():
     # p_x(i) = i^2 + x1*i + x0 = (x0 - 1) + x1*i: choose x1 = 0, x0 = 3
     x = np.array([0.0, 3.0])
     active = active_index_set(x, planes)
-    assert active == (0,)
-    assert all(type(t) is int for t in active)
+    assert active.index == (0,)
+    assert all(type(t) is int for t in active.index)
+    # the active rows, their 1-norms and their sides as the planes give them
+    assert active.normals.tobytes() == planes.normals[:1].tobytes()
+    assert active.offsets.tobytes() == planes.offsets[:1].tobytes()
+    assert active.norms.tolist() == [vec_1norm(planes.normals[0])]
+    assert active.sides0.tobytes() == planes.sides(x)[:1].tobytes()
 
 
 def test_active_set_pendulum_all_real(pendulum):
@@ -157,7 +164,7 @@ def test_active_set_pendulum_all_real(pendulum):
     gamma = Polynomial.monomial(8)
     x0 = vector_from_monic(solve_diophantine(den, gamma, num).r, 4)
     planes = build_hyperplanes(num, 4)
-    assert active_index_set(x0, planes) == (0, 1, 2)
+    assert active_index_set(x0, planes).index == (0, 1, 2)
 
 
 def test_active_set_real_root_violation_raises():
@@ -267,10 +274,12 @@ def test_update_matches_polynomial_route():
 def test_find_target_no_constraints_rounds():
     planes = build_hyperplanes(Polynomial([1.0]), 3)
     x0 = np.array([0.2, -1.7, 2.5])
-    found = find_integer_target(x0, planes, ())
+    active = active_index_set(x0, planes)
+    assert active.index == ()
+    found = find_integer_target(x0, planes, active)
     assert_allclose(found.x_star, [0.0, -2.0, 2.0])
     assert found == IntegerTarget(found.x_star, "round", 1)
-    assert_matches_oracle(x0, planes, ())
+    assert_matches_oracle(x0, planes, active)
 
 
 def test_find_target_integer_start_is_fixed_point(pendulum):
@@ -304,7 +313,8 @@ def test_find_target_round_failure_walks_shells():
     # radius-1 shell, whose first point -2.0 fails and second 0.0 holds
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
-    found = find_integer_target(np.array([-0.75]), planes, (0,))
+    x0 = np.array([-0.75])
+    found = find_integer_target(x0, planes, active_index_set(x0, planes))
     assert found.x_star[0] == 0.0
     assert found.strategy == "shell" and found.candidates_examined == 3
 
@@ -355,11 +365,13 @@ def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
     # the plane x = -0.8 of the root 0.8, x0 = 3.2 at distance 4: c = -0.8
     # + (3.2 + 0.8) / 4 rounds to 0, on the radius-3 shell around 3
     planes = build_hyperplanes(Polynomial.from_roots([0.8]), 1)
+    x0 = np.array([3.2])
+    active = active_index_set(x0, planes)
     with pytest.raises(TargetSearchError) as err:
-        find_integer_target(np.array([3.2]), planes, (0,))
+        find_integer_target(x0, planes, active)
     assert walked == [1, 2, 3]
     assert err.value.candidate.tolist() == [0.0]
-    assert oracle_find_integer_target(np.array([3.2]), planes, (0,)) is None
+    assert oracle_find_integer_target(x0, planes, active) is None
 
 
 def test_search_exhaustion_reports_every_active_plane(monkeypatch):
@@ -373,7 +385,7 @@ def test_search_exhaustion_reports_every_active_plane(monkeypatch):
     assert message.startswith("integer-target search exhausted")
     assert "numerically" in message
     assert "tolerance" not in message and "max_radius" not in message
-    assert len(err.value.margins) == len(active) == 3
+    assert len(err.value.margins) == len(active.index) == 3
     assert all(m > 0.0 for m in err.value.margins)
     assert np.array_equal(err.value.candidate, np.round(err.value.candidate))
 
@@ -423,7 +435,7 @@ def _oracle_same_side(x0, planes, active):
     """The side test of one candidate, one plane at a time."""
     rows = [(planes.normals[t], planes.offsets[t],
              vec_1norm(planes.normals[t]), _oracle_side(planes, t, x0))
-            for t in active]
+            for t in active.index]
 
     def feasible(cand):
         sup = float(np.max(np.abs(cand), initial=0.0))
@@ -459,14 +471,13 @@ def _oracle_fallback_center(x0, planes, active):
     n, m = x0.size, num.coeffs.size - 1
     v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
     dist = min(abs(_oracle_side(planes, t, x0)) / vec_1norm(planes.normals[t])
-               for t in active)
+               for t in active.index)
     return np.round((x0 - v) / dist + v)
 
 
 def oracle_find_integer_target(x0, planes, active):
     """The search written out point by point; None when it is exhausted."""
     x0 = np.asarray(x0, dtype=float)
-    active = tuple(active)
     feasible = _oracle_same_side(x0, planes, active)
     start = np.round(x0)
     examined = 1
@@ -510,8 +521,9 @@ def _squeezed_3d():
 def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
-    assert assert_matches_oracle(np.array([-0.75]), planes,
-                                 (0,)).strategy == "shell"
+    x0 = np.array([-0.75])
+    assert assert_matches_oracle(x0, planes, active_index_set(
+        x0, planes)).strategy == "shell"
 
     found = assert_matches_oracle(*_squeezed_2d())
     assert found.strategy == "shell" and found.candidates_examined == 8
@@ -568,13 +580,13 @@ def first_feasible_calls(monkeypatch):
     """The candidates each first-feasible test receives, one array per
     call."""
     calls = []
-    real = target._ActivePlanes.first_feasible
+    real = target.ActiveSet.first_feasible
 
     def recording(self, cands):
         calls.append(cands)
         return real(self, cands)
 
-    monkeypatch.setattr(target._ActivePlanes, "first_feasible", recording)
+    monkeypatch.setattr(target.ActiveSet, "first_feasible", recording)
     return calls
 
 
@@ -671,7 +683,9 @@ def test_non_finite_sides_skip_no_point():
     with np.errstate(over="ignore", invalid="ignore"):
         assert planes.sides(x0)[1] == -np.inf
         assert np.isnan(planes.sides(np.array([18.0, -18.0, -1.0]))[1])
-        found = assert_matches_oracle(x0, planes, (0, 1))
+        active = active_index_set(x0, planes)
+        assert active.index == (0, 1)
+        found = assert_matches_oracle(x0, planes, active)
     assert found.x_star.tolist() == [18.0, -18.0, -1.0]
     assert (found.strategy, found.candidates_examined) == ("shell", 19)
     # y = -16.9 holds only y = -16 on the side of x0 = (17.6, -16.8, 0.3),
@@ -683,7 +697,9 @@ def test_non_finite_sides_skip_no_point():
     with np.errstate(over="ignore", invalid="ignore"):
         assert planes.sides(x0)[1] == -np.inf
         assert np.isnan(planes.sides(np.round(x0))[1])
-        found = assert_matches_oracle(x0, planes, (0, 1))
+        active = active_index_set(x0, planes)
+        assert active.index == (0, 1)
+        found = assert_matches_oracle(x0, planes, active)
     assert found.x_star.tolist() == [17.0, -16.0, -1.0]
     assert (found.strategy, found.candidates_examined) == ("shell", 8)
 
@@ -767,3 +783,37 @@ def test_emitted_inputs_keep_schur_property():
         assert vec_1norm(step.u) < 1.0
         if n >= 1 and vec_1norm(step.u) > 0:
             assert schur_check(monic_from_vector(step.u)).is_schur
+
+
+def test_fallback_center_matches_the_polynomial_route():
+    # v, the vector of z^(n-m) num / leading, as a Polynomial made it: the
+    # same bits, and the same error when the division overflows
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        den, num = random_plant(rng, n_max=8)
+        n = den.coeffs.size - 1
+        if num.coeffs[0] == 0.0:
+            continue
+        x0 = rng.normal(size=n) * 5.0
+        planes = build_hyperplanes(num, n)
+        try:
+            active = active_index_set(x0, planes)
+        except InconsistentActiveSetError:
+            continue
+        if not active.index:
+            continue
+        m = num.coeffs.size - 1
+        v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
+        dist = float(np.min(np.abs(active.sides0) / active.norms))
+        want = (x0 - v) / dist + v
+        got = target._fallback_center(x0, num, active)
+        assert got.tobytes() == want.tobytes()
+        checked += 1
+    assert checked > 100
+    huge = Polynomial([1e300, 1.0, 1e-10])
+    planes = build_hyperplanes(Polynomial([1.0, 1.0]), 2)
+    active = active_index_set(np.array([3.0, 1.0]), planes)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^polynomial coefficients must be finite$"):
+        target._fallback_center(np.zeros(2), huge, active)
