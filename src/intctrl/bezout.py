@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import SingularMatrixError, _convolve, solve_linear
+from .numeric import SingularMatrixError, _convolve, _lu_solve
 from .poly import Polynomial, _sum_residual, _trimmed
 
 COPRIME_TOL = 1e-8
@@ -135,7 +135,7 @@ def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
         start = k * dim + dr + 1
         flat[start : start + dp * step : step] = c
     try:
-        x = solve_linear(A, q.coeffs)
+        x = _lu_solve(A, q.coeffs)
     except SingularMatrixError as exc:
         raise NotCoprimeError(
             f"coefficient system singular to tolerance (pivot {exc.pivot:.3e}): "
@@ -167,16 +167,9 @@ def _monomial_fast_path(k: int, q: Polynomial, modulus: Polynomial):
     return Polynomial(r), _trimmed(s)
 
 
-def sylvester_matrix(a: Polynomial, b: Polynomial) -> np.ndarray:
-    """Classical Sylvester matrix of two nonconstant polynomials."""
-    if a.coeffs.size < 2 or b.coeffs.size < 2:
-        raise ValueError("both polynomials must have degree >= 1")
-    return _sylvester(a.coeffs, b.coeffs)
-
-
 def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`sylvester_matrix` of ascending coefficient arrays whose top
-    entries are nonzero."""
+    """Classical Sylvester matrix of two ascending coefficient arrays of
+    degree at least 1 whose top entries are nonzero."""
     da, db = a.size - 1, b.size - 1
     S = np.zeros((da + db, da + db))
     a_desc, b_desc = a[::-1], b[::-1]
@@ -204,10 +197,11 @@ def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
     an = a.coeffs / a.max_abs()
     bn = b.coeffs / b.max_abs()
     if an[-1] == 0.0 or bn[-1] == 0.0:
-        # a top coefficient underflowed: the Polynomial strips it
-        S = sylvester_matrix(Polynomial(an), Polynomial(bn))
-    else:
-        S = _sylvester(an, bn)
+        # a top coefficient underflowed: strip it as a Polynomial does
+        an, bn = Polynomial(an).coeffs, Polynomial(bn).coeffs
+        if an.size < 2 or bn.size < 2:
+            raise ValueError("both polynomials must have degree >= 1")
+    S = _sylvester(an, bn)
     with np.errstate(call=_svd_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         sv = _svd_gufunc()(S, signature="d->d")

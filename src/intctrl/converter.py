@@ -134,7 +134,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s
     alpha, big_n, x_star, s, trace, warnings, steps = steer(
-        Polynomial.one(), ctrl_den, alpha_ini, big_n, reduced, x0, s0, cfg)
+        Polynomial.one(), alpha_ini, big_n, reduced, x0, s0, cfg)
     gamma = monic_from_vector(x_star).shifted(big_n)
     if shift:
         alpha = alpha.shifted(shift)

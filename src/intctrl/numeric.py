@@ -102,25 +102,10 @@ class RootFindingError(RuntimeError):
         super().__init__(f"root residuals exceed tolerance: {residuals}")
 
 
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by pivoted LU factorisation.
-
-    Raises :class:`SingularMatrixError` carrying the offending pivot
-    magnitude when the factorisation is singular to ``SOLVE_RCOND``
-    relative to the largest pivot.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if A.shape[0] == 0:
-        return np.zeros_like(b)
-    return _lu_solve(A, b)
-
-
 def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_linear` of a square float matrix of order at least 1,
-    without the input checks, for callers whose matrix is built so."""
+    """Solve ``A x = b``, ``A`` a square float matrix of order at least 1
+    (unchecked), by pivoted LU; :class:`SingularMatrixError` carries a pivot
+    at most ``SOLVE_RCOND`` times the largest."""
     # gesv: getrf then getrs, as lu_factor and lu_solve call them, in one
     # call and without their checks (lu_factor warns on a zero pivot)
     lu, piv, x, info = dgesv(A, b)

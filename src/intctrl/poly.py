@@ -29,7 +29,7 @@ class Polynomial:
     """Immutable univariate polynomial with real coefficients.
 
     ``Polynomial([2, 1])`` is ``z + 2``.  The zero polynomial has an empty
-    coefficient array and degree ``None``.
+    coefficient array.
     """
 
     __slots__ = ("coeffs",)
@@ -146,32 +146,6 @@ class Polynomial:
         if self.is_zero or k == 0:
             return self
         return Polynomial(np.concatenate([np.zeros(k), self.coeffs]))
-
-    def __divmod__(self, den: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder with ``deg(rem) < deg(den)``.
-
-        Realised as one pivoted linear solve in the unknown quotient and
-        remainder coefficients; unlike schoolbook long division the
-        reconstruction error does not compound over long quotients.
-        """
-        if den.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Polynomial.zero(), Polynomial.zero()
-        dn, dd = self.coeffs.size - 1, den.coeffs.size - 1
-        if dd == 0:
-            return Polynomial(self.coeffs / den.coeffs[0]), Polynomial.zero()
-        if dn < dd:
-            return Polynomial.zero(), self
-        dq = dn - dd
-        m = dn + 1
-        A = np.zeros((m, m))
-        for j in range(dq + 1):
-            A[j : j + dd + 1, j] = den.coeffs
-        for i in range(dd):
-            A[i, dq + 1 + i] = 1.0
-        x = np.linalg.solve(A, self.coeffs)
-        return Polynomial(x[: dq + 1]), _trimmed(x[dq + 1 :])
 
     def __call__(self, z: complex) -> complex:
         """Horner evaluation; exact 0 for the zero polynomial."""
@@ -299,18 +273,6 @@ class RationalTF(NamedTuple):
 
     num: Polynomial
     den: Polynomial
-
-    def degree_gap(self) -> int:
-        """deg(den) - deg(num); numerator 0 counts as gap = deg(den) + 1."""
-        if self.den.is_zero:
-            raise ValueError("transfer function denominator is zero")
-        if self.num.is_zero:
-            return self.den.coeffs.size
-        return (self.den.coeffs.size) - (self.num.coeffs.size)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.degree_gap() >= 0
 
 
 # -- coefficient-vector / matrix boundary -----------------------------------

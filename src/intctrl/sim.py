@@ -57,16 +57,15 @@ def realize_tf(tf: RationalTF) -> StateSpace:
     """
     if tf.den.is_zero:
         raise ValueError("denominator must be nonzero")
-    if not tf.is_proper:
+    if tf.num.coeffs.size > tf.den.coeffs.size:
         raise ValueError("transfer function must be proper")
     den = Polynomial(tf.den.coeffs / tf.den.leading)
     num = Polynomial(tf.num.coeffs / tf.den.leading)
     n = den.coeffs.size - 1
+    d0, strict = _direct_term(num, den)
     if n == 0:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-                          np.array([[num.coeffs[0] if not num.is_zero else 0.0]]))
-    d_term, strict = divmod(num, den)
-    d0 = d_term.coeffs[0] if not d_term.is_zero else 0.0
+                          np.array([[d0]]))
     A = np.zeros((n, n))
     A[:-1, 1:] = np.eye(n - 1)
     A[-1, :] = -den.coeffs[:-1]
@@ -75,6 +74,15 @@ def realize_tf(tf: RationalTF) -> StateSpace:
     C = np.zeros((1, n))
     C[0, : strict.coeffs.size] = strict.coeffs
     return StateSpace(A, B, C, np.array([[d0]]))
+
+
+def _direct_term(num: Polynomial, den: Polynomial) -> tuple[float, Polynomial]:
+    """Direct term ``d0`` and strictly proper numerator ``num - d0 * den`` of
+    ``num / den`` for a monic ``den`` with ``deg(num) <= deg(den)``."""
+    if num.coeffs.size < den.coeffs.size:
+        return 0.0, num
+    d0 = float(num.coeffs[-1])
+    return d0, num - d0 * den
 
 
 def realize_controller(den: Polynomial, num_y: Polynomial,
@@ -95,10 +103,9 @@ def realize_controller(den: Polynomial, num_y: Polynomial,
     chans = []
     for num in (num_y, num_r):
         num = Polynomial(num.coeffs / scale)
-        if not num.is_zero and num.coeffs.size > den.coeffs.size:
+        if num.coeffs.size > den.coeffs.size:
             raise ValueError("improper controller channel")
-        d_term, strict = divmod(num, den)
-        chans.append((d_term.coeffs[0] if not d_term.is_zero else 0.0, strict))
+        chans.append(_direct_term(num, den))
     if n == 0:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
                           np.array([[chans[0][0], chans[1][0]]]))
@@ -158,20 +165,9 @@ def _closed_loop(plant: StateSpace, controller: StateSpace):
     return ab, cy, cu
 
 
-def _initial_state(x0: np.ndarray | None, n: int, name: str) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(n)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {x0.shape}")
-    return x0
-
-
 def simulate_loop(plant: StateSpace, controller: StateSpace,
-                  reference: Sequence[float] | float, steps: int,
-                  x0_plant: np.ndarray | None = None,
-                  x0_ctrl: np.ndarray | None = None) -> SimulationResult:
-    """Run the feedback loop ``u = controller(y, r)``, ``y = plant(u)``.
+                  reference: Sequence[float] | float, steps: int) -> SimulationResult:
+    """Run the feedback loop ``u = controller(y, r)``, ``y = plant(u)``, from rest.
 
     The loop must be well-posed: either the plant is strictly proper or the
     controller's output-feedback channel is.  It is realized once as one
@@ -195,13 +191,10 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     r_seq = np.full(steps, float(ref)) if ref.ndim == 0 else ref
     if r_seq.size < steps:
         raise ValueError("reference sequence shorter than the simulation")
-    xp = _initial_state(x0_plant, plant.n_states, "x0_plant")
-    xc = _initial_state(x0_ctrl, controller.n_states, "x0_ctrl")
     ab, cy, cu = _closed_loop(plant, controller)
     n = ab.shape[0]
     # rows hold [z_k; r_k] for one block plus the state that starts the next
     w = np.zeros((BLOCK_STEPS + 1, n + 1))
-    w[0, :n] = np.concatenate([xp, xc])
     pairs = [(w[j], w[j + 1, :n]) for j in range(BLOCK_STEPS)]
     y = np.empty(steps)
     u = np.empty(steps)

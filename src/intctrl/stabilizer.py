@@ -154,15 +154,16 @@ def make_gamma_ini(n: int, num: Polynomial,
     return schur_factor(roots, num)
 
 
-def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
-          num: Polynomial, x0: np.ndarray, s0: Polynomial, cfg: SteeringConfig
+def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
+          x0: np.ndarray, s0: Polynomial, cfg: SteeringConfig
           ) -> tuple[Polynomial, int, np.ndarray, Polynomial,
                      list[TraceStep], list[str], np.ndarray]:
     """Steering loop shared by both synthesis directions.
 
     The state ``x`` is the quotient ``r = monic(x)`` of the reduction
-    ``z^shift * p * r + s * num = factor * q`` with ``deg(s) < shift +
-    deg(p)``, starting at ``x0`` and ``s0``; ``deg(p) <= n = len(x0)``.
+    ``z^shift * p * r + s * num = factor * c``, ``c`` a fixed cofactor the
+    loop never reads, with ``deg(s) < shift + deg(p)``, starting at ``x0``
+    and ``s0``; ``deg(p) <= n = len(x0)``.
     Each step multiplies its monic Schur factor into ``factor`` and adds
     ``n`` to ``shift`` until ``x`` reaches an integer target.  Returns
     ``(factor, shift, x_star, s, trace, warnings, steps)``, ``steps`` the
@@ -174,7 +175,7 @@ def steer(p: Polynomial, q: Polynomial, factor: Polynomial, shift: int,
     ``a = t * num^-1 mod z^n`` (``num(0) != 0``).  Then ``z^n`` divides ``t
     - num*a``, and the monic ``r' = h + (t - num*a)/z^n`` satisfies
 
-        z^(shift+n) p r' + (f s + z^shift p a) num = (f factor) q,
+        z^(shift+n) p r' + (f s + z^shift p a) num = (f factor) c,
 
     so ``s' = f*s + z^shift*p*a`` and ``deg(s') < shift + n + deg(p)``.
     With ``Tm`` the stacked convolution matrix of ``r``, ``Tm[n:] @ u`` is
@@ -277,8 +278,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     alpha_ini, beta_ini = solve_diophantine(plant.den, gamma_ini, plant.num)
     x0 = vector_from_monic(trim(alpha_ini), n)
     gamma, big_n, x_star, beta, trace, warnings, steps = steer(
-        plant.den, Polynomial.one(), gamma_ini, 0, plant.num, x0, beta_ini,
-        cfg)
+        plant.den, gamma_ini, 0, plant.num, x0, beta_ini, cfg)
 
     # lift the numerator's z^l factor back in: (z^l a, b, z^l g) solves the
     # original problem whenever (a, b, g) solves the reduced one

@@ -420,8 +420,8 @@ def control_input(x: np.ndarray, x_star: np.ndarray, delta: np.ndarray,
     ``x_star`` exactly (bitwise); otherwise the step is rescaled to 1-norm
     ``mu``.  Either way the emitted input has 1-norm strictly below 1, which
     keeps its associated monic polynomial Schur.  ``delta`` is the square
-    float matrix of order at least 1 that ``delta_matrix`` returns: it goes
-    to ``solve_linear``'s LU core without that function's input checks.
+    float matrix of order at least 1 that ``delta_matrix`` returns, as
+    ``_lu_solve`` requires.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")

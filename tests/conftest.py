@@ -63,14 +63,15 @@ def steer_calls(monkeypatch):
 STEP_IDENTITY_RTOL = 1e-9
 
 
-def invariant_breach(args, trace):
+def invariant_breach(args, trace, q):
     """First step of a ``steer`` run whose state breaks its polynomial
     identity, or None.
 
-    ``args`` are the call's ``(p, q, factor, shift, num, x0, s0, cfg)`` and
-    ``trace`` its steps.  The residual ``e_k = z^shift p monic(x_k) + s_k
-    num - factor_k q`` of the identity, with the cofactor of ``steer``'s
-    recurrence ``s' = f s + z^shift p a``, is followed in exact rational
+    ``args`` are the call's ``(p, factor, shift, num, x0, s0, cfg)``,
+    ``trace`` its steps and ``q`` the fixed cofactor of the identity: 1 for
+    a stabilization, the controller denominator for a conversion.  The
+    residual ``e_k = z^shift p monic(x_k) + s_k num - factor_k q`` of the
+    identity, with the cofactor of ``steer``'s recurrence ``s' = f s + z^shift p a``, is followed in exact rational
     arithmetic on the recorded floats.  A step with ``f = monic(u)`` from
     ``r = monic(x)`` has ``a = ((u r) mod z^n) / num mod z^n`` and the exact
     quotient ``r' = (f r - num a) / z^n``, so ``e' = f e + z^(shift+n) p
@@ -79,7 +80,7 @@ def invariant_breach(args, trace):
     the largest coefficient of the three terms, which floats measure well
     enough.
     """
-    p, q, factor, shift, num, x0, s0, _ = args
+    p, factor, shift, num, x0, s0, _ = args
     n = x0.size
     P, NUM = _exact(p.coeffs), _exact(num.coeffs)
     inverse = [1 / NUM[0]]  # num^-1 mod z^n

@@ -17,7 +17,7 @@ from intctrl.cli import main
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS, fixture_path,
                               pendulum_plant, pendulum_pre_controller)
-from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
+from intctrl.numeric import (SingularMatrixError, _lu_solve, schur_check,
                              vec_1norm)
 from intctrl.poly import monic_from_vector, vector_from_monic
 from intctrl.target import DeltaFactors, delta_matrix
@@ -184,7 +184,7 @@ def test_c5_invertibility_both_directions():
             if coprime_check(monic_from_vector(x), m).quality <= 1e-4:
                 continue
             try:
-                solve_linear(delta_matrix(x, factors)[0], np.ones(n))
+                _lu_solve(delta_matrix(x, factors)[0], np.ones(n))
             except SingularMatrixError:
                 mis += 1
             coprime_done += 1

@@ -1,7 +1,7 @@
 """The outputs do not depend on the BLAS thread count.
 
-``output_digest.py`` digests the seed-7 sweep's syntheses and conversions
-and the pendulum CLI JSON; it runs here in a fresh interpreter per thread
+``output_digest.py`` digests the seed-7 sweep's syntheses and conversions,
+the pendulum CLI JSON and the pendulum simulations; it runs here in a fresh interpreter per thread
 count, since OpenBLAS reads its thread count when numpy loads.
 """
 import os
@@ -24,6 +24,6 @@ def _digests(threads):
 
 def test_sweep_digest_is_the_same_at_one_and_two_blas_threads():
     one = _digests("1")
-    assert [line.split()[0] for line in one.splitlines()] == ["sweep",
-                                                               "pendulum-cli"]
+    assert [line.split()[0] for line in one.splitlines()] == [
+        "sweep", "pendulum-cli", "pendulum-sim"]
     assert one == _digests("2")

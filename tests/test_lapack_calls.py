@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import lapack
 
 from intctrl import Polynomial, bezout, numeric
-from intctrl.bezout import coprime_check, sylvester_matrix
+from intctrl.bezout import _sylvester, coprime_check
 from intctrl.numeric import SOLVE_RCOND, SingularMatrixError
 
 from conftest import random_plant
@@ -80,7 +80,6 @@ def test_one_call_solve_equals_getrf_then_getrs(shape):
         b = rng.normal(size=n if shape == "vector" else (n, 2))
         got = outcome(numeric._lu_solve, A, b)
         assert got == outcome(two_call_solve, A, b), kind
-        assert outcome(numeric.solve_linear, A, b) == got, kind
         if kind == "zero-pivot-behind-nan":
             # gesv stopped at the zero pivot, before its getrs
             assert numeric.dgesv(A, b)[3] > 0
@@ -102,8 +101,7 @@ def test_singular_solve_names_pivot_and_scale():
 
 def numpy_quality(a, b):
     """coprime_check's quality with the SVD through np.linalg.svd."""
-    S = sylvester_matrix(Polynomial(a.coeffs / a.max_abs()),
-                         Polynomial(b.coeffs / b.max_abs()))
+    S = _sylvester(a.coeffs / a.max_abs(), b.coeffs / b.max_abs())
     sv = np.linalg.svd(S, compute_uv=False)
     return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
 

@@ -28,7 +28,7 @@ assert scipy.linalg._flapack.dgetrf is lapack.dgetrf
 A = np.array([[4.0, 1.0], [2.0, 3.0]])
 b = np.array([1.0, 2.0])
 assert np.allclose(A @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b), b)
-assert np.allclose(A @ numeric.solve_linear(A, b), b)
+assert np.allclose(A @ numeric._lu_solve(A, b), b)
 L = np.tril(A)
 assert np.allclose(L @ scipy.linalg.solve_triangular(L, b, lower=True), b)
 """

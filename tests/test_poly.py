@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from intctrl import Polynomial, RationalTF
+from intctrl import Polynomial
 from intctrl.poly import (TRIM_TOL, _sum_residual, monic_from_vector,
                           toeplitz_stack, trim, vector_from_monic)
 
@@ -39,67 +39,6 @@ def test_mul_commutes():
         lhs, rhs = a * b, b * a
         scale = max(1.0, lhs.max_abs())
         assert (lhs - rhs).max_abs() <= 1e-12 * scale
-
-
-def test_divmod_hand_expansion():
-    # z^2 = (z-1)(z+1) + 1
-    q, r = divmod(Polynomial([0, 0, 1]), Polynomial([-1, 1]))
-    assert_allclose(q.coeffs, [1, 1], atol=1e-14)
-    assert_allclose(r.coeffs, [1], atol=1e-14)
-
-
-def test_divmod_self():
-    p = Polynomial([2, -3, 1, 4])
-    q, r = divmod(p, p)
-    assert q.allclose(Polynomial.one(), 1e-13)
-    assert r.is_zero or r.max_abs() < 1e-13
-
-
-def test_divmod_reconstruction():
-    rng = np.random.default_rng(3)
-    num = Polynomial(rng.normal(size=8))   # degree 7
-    den = Polynomial(rng.normal(size=4))   # degree 3
-    q, r = divmod(num, den)
-    assert (r.coeffs.size - 1 if not r.is_zero else -1) < 3
-    resid = (q * den + r - num).max_abs()
-    assert resid < 1e-10
-
-
-def test_divmod_residual_fuzz():
-    # division is conditioned by the divisor's leading coefficient; keep it
-    # away from zero relative to the divisor scale
-    rng = np.random.default_rng(11)
-    count = 0
-    while count < 200:
-        num = Polynomial(rng.normal(size=rng.integers(1, 12)))
-        den = Polynomial(rng.normal(size=rng.integers(1, 6)))
-        if den.is_zero or abs(den.leading) < 0.3 * den.max_abs():
-            continue
-        q, r = divmod(num, den)
-        resid = (q * den + r - num).max_abs()
-        assert resid <= 1e-10 * (1.0 + num.max_abs())
-        count += 1
-
-
-def test_divmod_recovers_planted_quotient():
-    # exactly divisible inputs with bounded divisor roots recover the
-    # quotient accurately even when the leading coefficient is tiny (the
-    # shape of every division in the synthesis pipeline)
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        roots = [rng.uniform(-1.4, 1.4) for _ in range(3)]
-        den = Polynomial.from_roots(roots, leading=2.1e-3)
-        q_true = Polynomial(rng.normal(size=rng.integers(1, 9)))
-        r_true = Polynomial(rng.normal(size=3))
-        num = q_true * den + r_true
-        q, r = divmod(num, den)
-        assert q.allclose(q_true, 1e-8)
-        assert r.allclose(r_true, 1e-8)
-
-
-def test_divide_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divmod(Polynomial([1, 1]), Polynomial.zero())
 
 
 def test_eval():
@@ -392,10 +331,3 @@ def test_vector_bridge_rejects_non_monic():
         vector_from_monic(Polynomial([1, 2.0]))
     with pytest.raises(ValueError):
         vector_from_monic(Polynomial([1, 0, 1]), n=3)
-
-
-def test_rational_tf_properness():
-    tf = RationalTF(Polynomial([1]), Polynomial([1, 1]))
-    assert tf.degree_gap() >= 1
-    assert RationalTF(Polynomial([1, 1]), Polynomial([1, 1])).is_proper
-    assert not RationalTF(Polynomial([1, 0, 1]), Polynomial([1, 1])).is_proper

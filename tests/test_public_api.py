@@ -2,8 +2,13 @@
 results and errors, the certificates and closed-loop helpers, the
 simulator and the polynomial types.  Every entry of ``intctrl.__all__``
 exists, and a star import brings in exactly those names; the kernels stay
-in their modules."""
+in their modules, and the names removed as test-only stay gone."""
+import inspect
+
+import pytest
+
 import intctrl
+from intctrl import bezout, numeric, stabilizer
 
 PUBLIC = {
     "run_algorithm1", "StabilizationConfig", "StabilizationResult",
@@ -34,3 +39,30 @@ def test_star_import():
     exec("from intctrl import *", namespace)
     assert set(intctrl.__all__) <= set(namespace)
     assert namespace["run_algorithm1"] is intctrl.run_algorithm1
+
+
+def _parameters(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+# each one was called or set only by tests: division (the realizations take
+# the direct term themselves), properness, the checked solve, the Sylvester
+# wrapper, initial simulation states and steer's cofactor
+REMOVED = {
+    "Polynomial.__divmod__":
+        lambda: hasattr(intctrl.Polynomial, "__divmod__"),
+    "RationalTF.degree_gap":
+        lambda: hasattr(intctrl.RationalTF, "degree_gap"),
+    "RationalTF.is_proper":
+        lambda: hasattr(intctrl.RationalTF, "is_proper"),
+    "numeric.solve_linear": lambda: hasattr(numeric, "solve_linear"),
+    "bezout.sylvester_matrix": lambda: hasattr(bezout, "sylvester_matrix"),
+    "simulate_loop(x0_*)":
+        lambda: bool({"x0_plant", "x0_ctrl"} & _parameters(intctrl.simulate_loop)),
+    "steer(q)": lambda: "q" in _parameters(stabilizer.steer),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_names_stay_removed(name):
+    assert not REMOVED[name](), name

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polydiv
 from numpy.testing import assert_allclose
 
 from intctrl import (Polynomial, RationalTF, StabilizationConfig,
@@ -40,6 +41,22 @@ def test_realize_rejects_improper():
         realize_tf(RationalTF(Polynomial([0, 0, 1.0]), Polynomial([1.0, 1.0])))
 
 
+def test_realize_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        realize_tf(RationalTF(Polynomial([1.0]), Polynomial.zero()))
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        realize_controller(Polynomial.zero(), Polynomial([1.0]),
+                           Polynomial([1.0]))
+
+
+def test_realize_controller_rejects_improper_channel():
+    den = Polynomial([0.5, 1.0])
+    for num_y, num_r in ((Polynomial([0, 0, 1.0]), Polynomial([1.0])),
+                         (Polynomial([1.0]), Polynomial([0, 0, 2.0]))):
+        with pytest.raises(ValueError, match="improper controller channel"):
+            realize_controller(den, num_y, num_r)
+
+
 def test_synthesized_controller_state_matrix_is_integer(pendulum):
     den, num = pendulum
     cfg = StabilizationConfig(gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS)
@@ -71,6 +88,53 @@ def test_two_input_realization_matches_channel_tfs():
             assert abs(y1 - y2) < 1e-10
             x2 = ctrl.A @ x2 + ctrl.B @ w
             x1 = siso.A @ x1 + siso.B[:, 0] * u
+
+
+def long_division_terms(num, den):
+    """Direct term of ``num / den`` and the ascending taps of its strictly
+    proper part over the monic denominator, by numpy's long division."""
+    quo, rem = polydiv(num.coeffs if num.coeffs.size else np.zeros(1),
+                       den.coeffs)
+    assert quo.size == 1
+    n = den.coeffs.size - 1
+    taps = np.zeros(n)
+    taps[: min(rem.size, n)] = rem[:n] / den.leading
+    return quo[0], taps
+
+
+def random_proper_pair(rng, kind):
+    """A denominator with a leading coefficient other than 1 and a numerator
+    of the given kind: strictly proper, biproper, zero, or both constant."""
+    n = 0 if kind == "constant" else int(rng.integers(1, 9))
+    lead = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+    den = Polynomial(np.append(rng.normal(size=n), lead))
+    size = {"strict": int(rng.integers(1, n + 1)) if n else 0,
+            "biproper": n + 1, "zero": 0, "constant": 1}[kind]
+    return Polynomial(rng.normal(size=size)), den
+
+
+@pytest.mark.parametrize("kind", ["strict", "biproper", "zero", "constant"])
+def test_direct_term_matches_long_division(kind):
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        num, den = random_proper_pair(rng, kind)
+        # the reference channel: any proper numerator, the zero one included
+        other = Polynomial(rng.normal(size=int(rng.integers(den.coeffs.size + 1))))
+        d0, taps = long_division_terms(num, den)
+        scale = max(1.0, num.max_abs() / abs(den.leading),
+                    abs(d0) * den.max_abs() / abs(den.leading))
+        ss = realize_tf(RationalTF(num, den))
+        assert_allclose(ss.D[0, 0], d0, rtol=1e-12, atol=1e-12 * scale)
+        assert_allclose(ss.C[0], taps, rtol=1e-12, atol=1e-12 * scale)
+        # the controller's channels: B holds the taps high power first
+        ctrl = realize_controller(den, num, other)
+        for j, chan in enumerate((num, other)):
+            d0, taps = long_division_terms(chan, den)
+            scale = max(1.0, chan.max_abs() / abs(den.leading),
+                        abs(d0) * den.max_abs() / abs(den.leading))
+            assert_allclose(ctrl.D[0, j], d0, rtol=1e-12, atol=1e-12 * scale)
+            assert_allclose(ctrl.B[:, j], taps[::-1], rtol=1e-12,
+                            atol=1e-12 * scale)
 
 
 def test_sim_matches_difference_equation():
@@ -162,7 +226,8 @@ def test_divergence_iff_unstable_loop():
             ctrl_den = solve_diophantine(den, target, num).r
         except Exception:
             continue
-        num_y, rem = divmod(target - ctrl_den * den, num)
+        num_y, rem = map(Polynomial, polydiv(
+            (target - ctrl_den * den).coeffs, num.coeffs))
         num_y = -num_y
         if rem.max_abs() > 1e-9 * max(1.0, target.max_abs()):
             continue
@@ -200,14 +265,12 @@ def test_csv_export_format():
     assert k == "0" and float(r) == 1.0
 
 
-def two_system_loop(plant, ctrl, reference, steps, x0_plant=None,
-                    x0_ctrl=None):
-    """Reference simulator: plant and controller stepped as two systems,
-    one sample at a time, with simulate_loop's divergence limit 1e12."""
+def two_system_loop(plant, ctrl, reference, steps):
+    """Reference simulator: plant and controller stepped as two systems from
+    rest, one sample at a time, with simulate_loop's divergence limit 1e12."""
     dp = float(plant.D[0, 0])
     r_seq = np.broadcast_to(np.asarray(reference, dtype=float), (steps,))
-    xp = np.zeros(plant.n_states) if x0_plant is None else np.asarray(x0_plant)
-    xc = np.zeros(ctrl.n_states) if x0_ctrl is None else np.asarray(x0_ctrl)
+    xp, xc = np.zeros(plant.n_states), np.zeros(ctrl.n_states)
     y, u = np.zeros(steps), np.zeros(steps)
     for k in range(steps):
         rk = r_seq[k]
@@ -243,38 +306,24 @@ def _equivalence_cases():
     unstable = realize_controller(Polynomial([1.0]), Polynomial([-4.625]),
                                   Polynomial([1.0]))
     return {
-        "biproper-plant": (biproper, strict_fb, 1.5, {}),
-        "initial-states": (biproper, second, 0.0,
-                           {"x0_plant": [0.7, -1.2], "x0_ctrl": [2.0, -0.5]}),
-        "time-varying-reference": (lag, second, rng.normal(size=700), {}),
-        "static-controller": (lag, static, np.sin(0.05 * np.arange(700)),
-                              {"x0_plant": [3.0]}),
-        "unstable-loop": (lag, unstable, 1.0, {}),
+        "biproper-plant": (biproper, strict_fb, 1.5),
+        "time-varying-reference": (lag, second, rng.normal(size=700)),
+        "static-controller": (lag, static, np.sin(0.05 * np.arange(700))),
+        "unstable-loop": (lag, unstable, 1.0),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
 def test_matches_two_system_loop(case):
-    plant, ctrl, reference, kw = _equivalence_cases()[case]
+    plant, ctrl, reference = _equivalence_cases()[case]
     steps = 700
-    out = simulate_loop(plant, ctrl, reference, steps, **kw)
-    y, u, diverged, ref_steps = two_system_loop(plant, ctrl, reference,
-                                                steps, **kw)
+    out = simulate_loop(plant, ctrl, reference, steps)
+    y, u, diverged, ref_steps = two_system_loop(plant, ctrl, reference, steps)
     assert (out.diverged, out.steps) == (diverged, ref_steps)
     assert out.diverged == (case == "unstable-loop")
     for got, want in ((out.y, y), (out.u, u)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     assert out.r.size == out.steps
-
-
-def test_rejects_initial_state_of_wrong_length():
-    plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([0.1, -0.5, 1.0])))
-    ctrl = realize_controller(Polynomial([-0.2, 1.0]), Polynomial([0.3]),
-                              Polynomial([1.0]))
-    with pytest.raises(ValueError, match="x0_plant"):
-        simulate_loop(plant, ctrl, 1.0, 10, x0_plant=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="x0_ctrl"):
-        simulate_loop(plant, ctrl, 1.0, 10, x0_ctrl=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("steps, reference, name", [

@@ -105,7 +105,7 @@ def test_trivial_integrator_plant():
 def assert_invariant_kept(steer_calls):
     assert steer_calls
     for args, out in steer_calls:
-        assert invariant_breach(args, out[4]) is None
+        assert invariant_breach(args, out[4], Polynomial.one()) is None
 
 
 def test_pendulum_run(pendulum, steer_calls):
@@ -222,8 +222,7 @@ def test_steer_warns_about_planes_vanishing_at_x0():
     x0 = np.array([0.0, 3.0])
     gamma = den * monic_from_vector(x0)
     *_, x_star, _, trace, warnings, steps = steer(
-        den, Polynomial.one(), gamma, 0, num, x0, Polynomial.zero(),
-        StabilizationConfig())
+        den, gamma, 0, num, x0, Polynomial.zero(), StabilizationConfig())
     assert np.array_equal(x_star, x0) and trace == []
     assert steps.shape == (0, 3)
     assert warnings == ["hyperplane functional(s) [1] vanish at the initial "
@@ -237,14 +236,13 @@ def test_steer_overflowing_factor_product_is_a_synthesis_error():
     # a numerical breakdown of the synthesis (exit 3), not invalid input
     big = 1.7e308
     factor = Polynomial([big, big, -big, 1.0])
-    args = (Polynomial([-0.5, 1.0]), Polynomial.one(), factor, 0,
-            Polynomial([2.0]), np.array([0.4]), Polynomial.zero(),
-            StabilizationConfig())
+    args = (Polynomial([-0.5, 1.0]), factor, 0, Polynomial([2.0]),
+            np.array([0.4]), Polynomial.zero(), StabilizationConfig())
     with pytest.raises(SynthesisError, match="1 Schur factors or its "
                        "cofactor overflowed"):
         steer(*args)
     # the same run from the factor 1, and the step row it returns
-    *_, trace, _, steps = steer(*args[:2], Polynomial.one(), *args[3:])
+    *_, trace, _, steps = steer(args[0], Polynomial.one(), *args[2:])
     assert len(trace) == 1 and 0.06 < abs(trace[0].u[0]) < 1.0
     assert steps.tolist() == [[trace[0].u[0], 1.0]]
 
@@ -260,4 +258,4 @@ def test_sweep_plants_that_broke_down_in_the_closing_solve_certify(
     result = run_algorithm1(den, num)
     assert result.certificate.passed, result.certificate.conditions
     (args, out), = steer_calls
-    assert invariant_breach(args, out[4]) is None
+    assert invariant_breach(args, out[4], Polynomial.one()) is None

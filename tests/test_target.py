@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from intctrl import Polynomial, run_algorithm1, stabilizer, target
 from intctrl.bezout import coprime_check, solve_diophantine
-from intctrl.numeric import (SingularMatrixError, schur_check, solve_linear,
+from intctrl.numeric import (SingularMatrixError, _lu_solve, schur_check,
                              vec_1norm)
 from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
 from intctrl.target import (DeltaFactors, InconsistentActiveSetError,
@@ -245,7 +245,7 @@ def test_delta_singular_iff_shared_root():
         x_ok = rng.normal(size=n)
         if coprime_check(monic_from_vector(x_ok), num).quality < 1e-4:
             continue
-        solve_linear(delta_matrix(x_ok, factors)[0], np.ones(n))
+        _lu_solve(delta_matrix(x_ok, factors)[0], np.ones(n))
 
 
 def test_update_matches_polynomial_route():
