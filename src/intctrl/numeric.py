@@ -6,11 +6,11 @@ import importlib.util
 import os
 import sys
 from importlib.machinery import PathFinder
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, _max_abs
+from .poly import Polynomial, _conjugate_closed, _max_abs
 
 
 def _load_flapack():
@@ -276,16 +276,32 @@ def _arc_powers(m: int, n: int) -> np.ndarray:
     return table
 
 
-def _expanded_roots(roots: tuple[complex, ...]) -> tuple[np.ndarray, float]:
-    """``Polynomial.from_roots(roots).coeffs``, by the same operations, and an
-    upper bound of the 1-norm of its difference from ``prod (z - r)``."""
+def _expanded_roots(roots: Sequence[complex]) -> tuple[np.ndarray, float, bool]:
+    """The real part of ``prod (z - r)`` over the roots, expanded in complex
+    arithmetic by the operations of :meth:`Polynomial.from_roots`, read-only;
+    an upper bound of the 1-norm of its difference from the exact product;
+    and whether the roots are closed under conjugation, as ``from_roots``
+    decides it.
+
+    Both the initial factor and its Schur proof read an expansion, so one
+    call's set-up repeats it; the bounded cache below holds it.  The cache
+    keys on the bytes of the roots as complex doubles, so a root ``-0.0``
+    and a root ``0.0``, equal as numbers, get entries of their own.  The
+    cache saves only work: a miss expands the roots as a hit returns them.
+    """
+    return _expansion(np.array(roots, dtype=complex).tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _expansion(key: bytes) -> tuple[np.ndarray, float, bool]:
     p = np.array([1.0], dtype=complex)
     dist = 0.0
-    for r in roots:
+    for r in np.frombuffer(key, dtype=complex).tolist():
         grow = (1.0 + abs(r) * _UP) * _UP
         dist = (dist + _KAPPA * _norm_up(p)) * grow * _UP
         p = np.convolve(p, np.array([-r, 1.0]))
-    return p.real, (dist + _norm_up(p.imag)) * _UP
+    p.setflags(write=False)
+    return p.real, (dist + _norm_up(p.imag)) * _UP, _conjugate_closed(p)
 
 
 def _base_bounds(roots: np.ndarray, inner: np.ndarray, m: int, n: int,
@@ -403,7 +419,7 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
         inner = (_RHO - np.abs(roots) * _UP) * _DOWN
         if np.count_nonzero(inner > 0.0) != roots.size:
             return SchurProof(0.0, "an initial root is not inside the circle")
-        prod, base_err = _expanded_roots(factors.base)
+        prod, base_err, _ = _expanded_roots(roots)
         base_lo = (float(np.multiply.reduce(inner)) * (1.0 - roots.size * _EPS)
                    * _DOWN - base_err * _UP)
     # per factor, upper bounds of the Rouche sum against z^n, the 1-norm and

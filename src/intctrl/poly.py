@@ -104,8 +104,7 @@ class Polynomial:
         p = np.array([leading], dtype=complex)
         for r in roots:
             p = np.convolve(p, np.array([-r, 1.0]))
-        scale = max(1.0, float(np.max(np.abs(p))))
-        if np.max(np.abs(p.imag)) > CONJ_TOL * scale:
+        if not _conjugate_closed(p):
             raise ValueError("roots are not closed under conjugation")
         return Polynomial(p.real)
 
@@ -195,6 +194,14 @@ def _check_finite(coeffs: np.ndarray) -> None:
     # count_nonzero: a ufunc reduction costs several times more
     if np.count_nonzero(np.isfinite(coeffs)) != coeffs.size:
         raise ValueError("polynomial coefficients must be finite")
+
+
+def _conjugate_closed(p: np.ndarray) -> bool:
+    """Whether the imaginary part of a complex expansion of roots stays
+    within ``CONJ_TOL`` relative to the coefficient scale, as it does when
+    the roots are closed under conjugation."""
+    scale = max(1.0, float(np.max(np.abs(p))))
+    return not np.max(np.abs(p.imag)) > CONJ_TOL * scale
 
 
 def _max_abs(coeffs: np.ndarray) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
-from .numeric import SCHUR_MARGIN, SchurFactors, _convolve, vec_1norm
+from .numeric import (SCHUR_MARGIN, SchurFactors, _convolve, _expanded_roots,
+                      vec_1norm)
 from .poly import (Polynomial, monic_from_vector,
                    split_z_power, trim, vector_from_monic)
 from .target import (DeltaFactors, active_index_set, build_hyperplanes,
@@ -129,7 +130,11 @@ def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
     if roots and worst >= 1.0 - SCHUR_MARGIN:
         raise ValueError(f"initial factor roots must be strictly Schur "
                          f"(|root| max {worst})")
-    factor = Polynomial.from_roots(roots)
+    # the cached expansion that the Schur proof of these roots reads too
+    prod, _, closed = _expanded_roots(roots)
+    if not closed:
+        raise ValueError("roots are not closed under conjugation")
+    factor = Polynomial(prod)
     ok, quality = coprime_check(factor, num)
     if not ok:
         raise NotCoprimeError(f"initial factor shares a root with the "

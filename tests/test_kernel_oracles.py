@@ -296,11 +296,6 @@ def oracle_from_numerator(num, n):
 # -- bezout -------------------------------------------------------------------
 
 
-def oracle_residual(p, r, s, modulus, q):
-    return oracle_sum_residual(oracle_product(p, r), oracle_product(s, modulus),
-                               q.coeffs)
-
-
 def oracle_dense_solve(p, q, modulus):
     dp = p.coeffs.size - 1
     dq = q.coeffs.size - 1
@@ -324,28 +319,6 @@ def oracle_dense_solve(p, q, modulus):
     return Polynomial(x[: dr + 1]), oracle_trimmed(x[dr + 1 :])
 
 
-def oracle_fast_path(k, q, modulus):
-    m0 = modulus.coeffs[0]
-    if m0 == 0.0:
-        raise NotCoprimeError("modulus(0) = 0: z^k and modulus share a root at 0")
-    inv = np.zeros(k)
-    inv[0] = 1.0 / m0
-    m = np.zeros(k)
-    m[: min(k, modulus.coeffs.size)] = modulus.coeffs[:k]
-    qlow = np.zeros(k)
-    qlow[: min(k, q.coeffs.size)] = q.coeffs[:k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, k):
-            inv[i] = -np.dot(m[1 : i + 1][::-1], inv[:i]) / m0
-        s = np.convolve(qlow, inv)[:k]
-        bound = np.sum(np.abs(s)) * oracle_max_abs(modulus) + oracle_max_abs(q)
-    if not bound < np.finfo(float).max / 4:
-        return None
-    rest = oracle_sub(q, oracle_mul(Polynomial(s), modulus)).coeffs
-    r = rest[k:] if rest.size > k else np.zeros(0)
-    return Polynomial(r), oracle_trimmed(s)
-
-
 def oracle_solve_diophantine(p, q, modulus):
     if p.is_zero or modulus.is_zero:
         raise ValueError("p and modulus must be nonzero")
@@ -359,14 +332,12 @@ def oracle_solve_diophantine(p, q, modulus):
                          f"must be >= deg(p) = {dp}")
     if dp - 1 + dm > dq:
         raise ValueError("deg(p) - 1 + deg(modulus) must not exceed deg(q)")
-    scale = max(1.0, oracle_max_abs(q))
-    if dp > 0 and not np.logical_or.reduce(p.coeffs[:-1] != 0.0):
-        fast = oracle_fast_path(dp, q, modulus)
-        if (fast is not None
-                and oracle_residual(p, *fast, modulus, q) <= 1e-10 * scale):
-            return DiophantineSolution(*fast)
+    # a z^N solves densely like any other p
     r, s = oracle_dense_solve(p, q, modulus)
-    err = oracle_residual(p, r, s, modulus, q)
+    pr, sm = oracle_product(p, r), oracle_product(s, modulus)
+    err = oracle_sum_residual(pr, sm, q.coeffs)
+    scale = max(1.0, oracle_max_abs(q), oracle_max_abs(Polynomial(pr)),
+                oracle_max_abs(Polynomial(sm)))
     if err > 1e-10 * scale:
         raise NotCoprimeError(
             f"Diophantine residual {err:.3e} exceeds 1.0e-10 * {scale:.3e}; "
@@ -700,7 +671,7 @@ def test_kernels_match_oracles_on_random_plants(kernel_calls):
 
 def test_conversion_kernels_match_oracles_on_random_designs(kernel_calls):
     # a seeded stable controller denominator against each random plant: the
-    # Diophantine fast path of the conversion's z^N solves
+    # dense Diophantine solve of the conversion's z^N solves
     rng = np.random.default_rng(808)
     for _ in range(100):
         den, num = random_plant(rng, n_max=6)

@@ -388,7 +388,7 @@ def full_recursion_proof(p, factors, exits=None):
         inner = (numeric._RHO - np.abs(roots) * numeric._UP) * numeric._DOWN
         if np.count_nonzero(inner > 0.0) != roots.size:
             return SchurProof(0.0, "an initial root is not inside the circle")
-        prod, base_err = numeric._expanded_roots(factors.base)
+        prod, base_err, _ = numeric._expanded_roots(factors.base)
         base_lo = (float(np.multiply.reduce(inner))
                    * (1.0 - roots.size * numeric._EPS) * numeric._DOWN
                    - base_err * numeric._UP)
@@ -472,7 +472,7 @@ def sweep_failed_gamma_proofs():
 
 def test_early_exit_matches_the_full_recursion_on_sweep_failures(
         sweep_failed_gamma_proofs):
-    assert len(sweep_failed_gamma_proofs) == 41
+    assert len(sweep_failed_gamma_proofs) == 42
     exits = []
     for p, factors in sweep_failed_gamma_proofs:
         proof = assert_same_proof(p, factors, exits)

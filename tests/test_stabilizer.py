@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from intctrl import (NotCoprimeError, Polynomial, StabilizationConfig,
-                     SynthesisError, closed_loop_poly, run_algorithm1)
-from intctrl.fixtures import PENDULUM_GAMMA_INI_ROOTS
+from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
+                     StabilizationConfig, SynthesisError, closed_loop_poly,
+                     convert_controller, numeric, run_algorithm1)
+from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
+                              PENDULUM_GAMMA_INI_ROOTS)
 from intctrl.numeric import schur_check, vec_1norm
 from intctrl.poly import monic_from_vector
 from intctrl.stabilizer import make_gamma_ini, preprocess_plant, steer
+from intctrl.target import InconsistentActiveSetError
 
 from conftest import invariant_breach, sweep_plant, well_posed_plant
 
@@ -89,6 +92,60 @@ def test_gamma_ini_validates():
         make_gamma_ini(1, Polynomial([1.0]), roots=[1.1, 0.0])  # not Schur
     with pytest.raises(NotCoprimeError):
         make_gamma_ini(1, Polynomial.from_roots([0.5]), roots=[0.5, 0.0])
+
+
+def test_gamma_ini_rejects_roots_not_closed_under_conjugation():
+    # the second call finds the expansion cached and must still reject it
+    for _ in range(2):
+        with pytest.raises(ValueError, match="conjugation"):
+            make_gamma_ini(1, Polynomial([1.0]), roots=[0.5j, 0.1])
+
+
+def test_root_expansion_is_read_only_and_shared_with_the_proof(pendulum):
+    # schur_factor expands the initial roots and the Schur proof of gamma
+    # reads the same cache entry
+    numeric._expansion.cache_clear()
+    assert run_algorithm1(*pendulum, pendulum_config()).certificate.passed
+    info = numeric._expansion.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    prod, _, _ = numeric._expanded_roots(PENDULUM_GAMMA_INI_ROOTS)
+    assert not prod.flags.writeable
+    with pytest.raises(ValueError):
+        prod[0] = 0.0
+
+
+def test_root_expansion_keys_on_the_bytes_of_the_roots():
+    # complex(0.0) == complex(-0.0), with equal hashes: a key of complex
+    # numbers would hand the list with -0.0 the entry of the list with 0.0
+    with_zero = (0.5, 0.0, 0.3 + 0.4j, 0.3 - 0.4j)
+    with_negative_zero = (0.5, complex(-0.0, -0.0), 0.3 + 0.4j, 0.3 - 0.4j)
+    assert with_zero == with_negative_zero
+    numeric._expansion.cache_clear()
+    cold = numeric._expanded_roots(with_negative_zero)
+    numeric._expansion.cache_clear()
+    numeric._expanded_roots(with_zero)
+    warm = numeric._expanded_roots(with_negative_zero)
+    assert numeric._expansion.cache_info().misses == 2
+    assert warm[0].tobytes() == cold[0].tobytes() and warm[1:] == cold[1:]
+
+
+def test_fixture_roots_give_the_same_bytes_with_a_cold_and_a_warm_cache(
+        pendulum, pre_controller):
+    def run():
+        stab = run_algorithm1(*pendulum, pendulum_config())
+        conv = convert_controller(pre_controller, *pendulum, ConversionConfig(
+            alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS))
+        polys = (stab.alpha, stab.beta, stab.gamma, conv.den, conv.num_y,
+                 conv.num_r, conv.alpha, conv.beta)
+        return ([p.coeffs.tobytes() for p in polys],
+                repr(stab.certificate.to_dict()),
+                repr(conv.certificate.to_dict()))
+
+    numeric._expansion.cache_clear()
+    cold = run()
+    assert numeric._expansion.cache_info().misses == 2
+    assert run() == cold
+    assert numeric._expansion.cache_info().misses == 2
 
 
 def test_trivial_integrator_plant():
@@ -259,3 +316,19 @@ def test_sweep_plants_that_broke_down_in_the_closing_solve_certify(
     assert result.certificate.passed, result.certificate.conditions
     (args, out), = steer_calls
     assert invariant_breach(args, out[4], Polynomial.one()) is None
+
+
+def test_sweep_plant_whose_initial_residual_met_its_scale_certifies():
+    # the initial solve's residual of 1.2e-10 raised NotCoprimeError at the
+    # scale max(1, |gamma_ini|) = 1; at the scale of the products it meets
+    # the bound, and the synthesis certifies
+    result = run_algorithm1(*sweep_plant(396))
+    assert result.certificate.passed, result.certificate.conditions
+    assert result.iterations == 17
+
+
+def test_sweep_plant_past_its_initial_solve_meets_a_plane_through_x0():
+    # the initial solve's residual of 4.7e-10 raised NotCoprimeError at
+    # scale 1; past the solve, a real-root plane passes through x0
+    with pytest.raises(InconsistentActiveSetError):
+        run_algorithm1(*sweep_plant(133))
