@@ -83,9 +83,7 @@ def solve_diophantine(p: Polynomial, q: Polynomial,
         raise ValueError("deg(p) - 1 + deg(modulus) must not exceed deg(q)")
 
     r, s = _dense_solve(p, q, modulus)
-    pr, sm = _product(p, r), _product(s, modulus)
-    err = _sum_residual(pr, sm, q.coeffs)
-    scale = max(1.0, q.max_abs(), _max_abs(pr), _max_abs(sm))
+    err, scale = _identity_residual(p, r, s, modulus, q)
     if err > RESIDUAL_TOL * scale:
         raise NotCoprimeError(
             f"Diophantine residual {err:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e}; "
@@ -98,6 +96,17 @@ def _product(a: Polynomial, b: Polynomial) -> np.ndarray:
     if a.is_zero or b.is_zero:
         return np.zeros(0)
     return _convolve(a.coeffs, b.coeffs)
+
+
+def _identity_residual(a: Polynomial, b: Polynomial, c: Polynomial,
+                       d: Polynomial, q: Polynomial) -> tuple[float, float]:
+    """Residual ``|a*b + c*d - q|`` of an identity and the scale that its
+    tolerance is relative to, the largest of ``max(1, |q|)``, ``|a*b|`` and
+    ``|c*d|``: the rule of the Diophantine solve and of both certificates.
+    Raises ValueError when the identity overflows the float range."""
+    ab, cd = _product(a, b), _product(c, d)
+    residual = _sum_residual(ab, cd, q.coeffs)
+    return residual, max(1.0, q.max_abs(), _max_abs(ab), _max_abs(cd))
 
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):

@@ -85,15 +85,18 @@ class ConversionSolution:
 
 
 def _make_alpha_ini(n: int, ctrl_den: Polynomial, num: Polynomial,
-                    roots: Sequence[complex] | None) -> Polynomial:
+                    roots: Sequence[complex] | None
+                    ) -> tuple[Polynomial, int | tuple[complex, ...]]:
+    """The initial Schur factor and its ``SchurFactors.base``, as for gamma."""
     min_degree = n - (ctrl_den.coeffs.size - 1)
     if roots is None:
-        return Polynomial.monomial(max(1, min_degree))
+        degree = max(1, min_degree)
+        return Polynomial.monomial(degree), degree
     roots = tuple(complex(r) for r in roots)
     if len(roots) < min_degree:
         raise ValueError(f"initial factor needs degree >= {min_degree}, "
                          f"got {len(roots)} roots")
-    return schur_factor(roots, num)
+    return schur_factor(roots, num), roots
 
 
 def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
@@ -121,9 +124,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
             f"controller denominator and plant numerator are not coprime "
             f"(quality {quality:.3e})")
 
-    alpha_ini = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots)
-    base = (alpha_ini.coeffs.size - 1 if cfg.alpha_ini_roots is None
-            else tuple(complex(r) for r in cfg.alpha_ini_roots))
+    alpha_ini, base = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots)
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     if big_n < 0:
         raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")

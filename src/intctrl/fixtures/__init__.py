@@ -5,13 +5,14 @@ initialization solves a linear system whose conditioning is around 1e8, so
 the commonly printed 4-5 significant-digit coefficients land the iteration
 at a different integer target than the full-precision plant does.  The
 quoted low-precision forms are recoverable by rounding and are asserted as
-such in the test suite.
+such in the test suite.  The files are problem files, read and checked by
+the CLI's reader as any other.
 """
 from __future__ import annotations
 
-import json
 from importlib import resources
 
+from ..cli import parse_problem_file
 from ..converter import PreController
 from ..poly import Polynomial
 
@@ -31,33 +32,15 @@ CONVERSION_ALPHA_INI_ROOTS: tuple[complex, ...] = (
 )
 
 
-def _load(name: str) -> dict:
-    with resources.files(__name__).joinpath(name).open() as fp:
-        return json.load(fp)
-
-
-def _poly(coeffs, ordering: str) -> Polynomial:
-    if ordering == "descending":
-        coeffs = list(coeffs)[::-1]
-    return Polynomial(coeffs)
-
-
 def pendulum_plant() -> tuple[Polynomial, Polynomial]:
     """(den, num) of the inverted-pendulum benchmark plant."""
-    data = _load("pendulum.json")
-    ordering = data["ordering"]
-    return (_poly(data["plant"]["den"], ordering),
-            _poly(data["plant"]["num"], ordering))
+    return parse_problem_file(str(fixture_path("pendulum.json")))["plant"]
 
 
 def pendulum_pre_controller() -> PreController:
     """Pre-designed two-input tracking controller of the conversion benchmark."""
-    data = _load("pendulum_conversion.json")
-    ordering = data["ordering"]
-    c = data["controller"]
-    return PreController(_poly(c["den"], ordering),
-                         _poly(c["num_y"], ordering),
-                         _poly(c["num_r"], ordering))
+    path = fixture_path("pendulum_conversion.json")
+    return parse_problem_file(str(path))["controller"]
 
 
 def fixture_path(name: str):

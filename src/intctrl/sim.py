@@ -59,21 +59,11 @@ def realize_tf(tf: RationalTF) -> StateSpace:
         raise ValueError("denominator must be nonzero")
     if tf.num.coeffs.size > tf.den.coeffs.size:
         raise ValueError("transfer function must be proper")
-    den = Polynomial(tf.den.coeffs / tf.den.leading)
-    num = Polynomial(tf.num.coeffs / tf.den.leading)
-    n = den.coeffs.size - 1
-    d0, strict = _direct_term(num, den)
-    if n == 0:
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-                          np.array([[d0]]))
-    A = np.zeros((n, n))
-    A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -den.coeffs[:-1]
-    B = np.zeros((n, 1))
-    B[-1, 0] = 1.0
-    C = np.zeros((1, n))
-    C[0, : strict.coeffs.size] = strict.coeffs
-    return StateSpace(A, B, C, np.array([[d0]]))
+    # the controllable form is the controller's observable one transposed,
+    # states reversed: the same numbers from the one companion construction
+    obs = realize_controller(tf.den, tf.num, Polynomial.zero())
+    return StateSpace(obs.A.T[::-1, ::-1], obs.C.T[::-1], obs.B[::-1, :1].T,
+                      obs.D[:, :1])
 
 
 def _direct_term(num: Polynomial, den: Polynomial) -> tuple[float, Polynomial]:
@@ -90,10 +80,9 @@ def realize_controller(den: Polynomial, num_y: Polynomial,
     """Shared-state realization of the two-input controller
     ``u = (num_y * y + num_r * r) / den``.
 
-    Companion structure transposed relative to :func:`realize_tf` (first
-    column holds the negated denominator coefficients) so that a single
-    state chain serves both input channels; the integer-denominator =>
-    integer-state-matrix property is identical.
+    Observable companion form (first column holds the negated denominator
+    coefficients) so that a single state chain serves both input channels;
+    an integer monic denominator yields an all-integer state matrix.
     """
     if den.is_zero:
         raise ValueError("denominator must be nonzero")

@@ -143,8 +143,10 @@ def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
 
 
 def make_gamma_ini(n: int, num: Polynomial,
-                   roots: Sequence[complex] | None = None) -> Polynomial:
-    """Initial Schur monic target of degree 2n, coprime to the numerator.
+                   roots: Sequence[complex] | None = None
+                   ) -> tuple[Polynomial, int | tuple[complex, ...]]:
+    """Initial Schur monic target of degree 2n, coprime to the numerator,
+    and its ``SchurFactors.base``: the roots it expanded, or ``2n``.
 
     The default is ``z**(2n)``: Schur with radius zero, monic, and coprime
     to the reduced numerator since the latter does not vanish at the origin.
@@ -152,11 +154,11 @@ def make_gamma_ini(n: int, num: Polynomial,
     closed under conjugation.
     """
     if roots is None:
-        return Polynomial.monomial(2 * n)
+        return Polynomial.monomial(2 * n), 2 * n
     roots = tuple(complex(r) for r in roots)
     if len(roots) != 2 * n:
         raise ValueError(f"need exactly {2 * n} roots, got {len(roots)}")
-    return schur_factor(roots, num)
+    return schur_factor(roots, num), roots
 
 
 def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
@@ -277,9 +279,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     if n == 0:
         raise ValueError("plant denominator must have degree >= 1")
 
-    base = (2 * n if cfg.gamma_ini_roots is None
-            else tuple(complex(r) for r in cfg.gamma_ini_roots))
-    gamma_ini = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
+    gamma_ini, base = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
     alpha_ini, beta_ini = solve_diophantine(plant.den, gamma_ini, plant.num)
     x0 = vector_from_monic(trim(alpha_ini), n)
     gamma, big_n, x_star, beta, trace, warnings, steps = steer(

@@ -29,7 +29,8 @@ class TargetSearchError(RuntimeError):
     every active plane, not even the constructive target, which is feasible
     in exact arithmetic: a numerical breakdown of the plane geometry,
     reported by the CLI as a synthesis failure (exit 3).  That target and
-    its distances to the active planes are attached for diagnosis.
+    its distances to the active planes are attached for diagnosis.  A
+    numerator root whose plane row overflows raises it too, with neither.
     """
 
     def __init__(self, message: str, candidate=None, margins=None):
@@ -101,10 +102,15 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     pairs.sort(key=lambda z: (z.real, z.imag))
     # one array of each real root's powers, then each pair's real and imag
     exps = range(n, -1, -1)
-    rows = [[lam ** e for e in exps] for lam in reals]
-    for eta in pairs:
-        row = [eta ** e for e in exps]
-        rows += [[z.real for z in row], [z.imag for z in row]]
+    rows = []
+    for root in reals + pairs:
+        try:  # Python's **, which numpy's power need not match bit for bit
+            row = [root ** e for e in exps]
+        except OverflowError:  # raised by float and complex powers alike
+            raise TargetSearchError(f"the plane row of numerator root {root:.6g} "
+                                    "overflows the float range") from None
+        rows += ([[z.real for z in row], [z.imag for z in row]]
+                 if isinstance(root, complex) else [row])
     power = np.array(rows).reshape(len(rows), n + 1)
     roots = [complex(lam) for lam in reals] + [eta for eta in pairs for _ in "ri"]
     return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),

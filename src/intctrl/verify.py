@@ -12,10 +12,10 @@ from typing import Any
 
 import numpy as np
 
-from .bezout import _product, coprime_check
+from .bezout import _identity_residual, coprime_check
 from .numeric import (RootFindingError, SchurFactors, _schur_verdict,
                       poly_roots, schur_check, schur_product_proof)
-from .poly import Polynomial, RationalTF, _max_abs, _sum_residual
+from .poly import Polynomial, RationalTF, _max_abs
 
 IDENTITY_RTOL = 1e-8
 INT_TOL = 1e-6
@@ -95,6 +95,21 @@ def _by_roots(cert: Certificate, name: str, find, p: Polynomial):
         return None
 
 
+def _proved(cert: Certificate, name: str, p: Polynomial,
+            factors: SchurFactors) -> bool:
+    """Whether :func:`schur_product_proof` proves ``p`` Schur from the
+    factors that built it; the witness ``<name>_min_modulus_bound`` is its
+    lower bound of min|p| on ``|z| = 1 - SCHUR_MARGIN``, 0 when not proved,
+    with a warning saying why."""
+    proof = schur_product_proof(p.coeffs, factors)
+    cert.witnesses[f"{name}_min_modulus_bound"] = proof.min_modulus
+    proved = proof.min_modulus > 0.0
+    if not proved:
+        cert.warnings.append(f"{name} is not proved Schur on |z| = 1 - "
+                             f"SCHUR_MARGIN: {proof.reason}")
+    return proved
+
+
 def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           alpha: Polynomial, beta: Polynomial,
                           gamma: Polynomial, *,
@@ -113,9 +128,7 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     ``gamma_schur`` without it.  ``quality`` is the plant pair's coprimality
     quality when the caller has measured it.
     """
-    ad, bn = _product(alpha, plant_den), _product(beta, plant_num)
-    residual = _sum_residual(ad, bn, gamma.coeffs)
-    scale = max(1.0, _max_abs(ad), _max_abs(bn), gamma.max_abs())
+    residual, scale = _identity_residual(alpha, plant_den, beta, plant_num, gamma)
     cert = Certificate("stabilization", residual, IDENTITY_RTOL * scale)
 
     int_dev = _integer_deviation(alpha)
@@ -133,12 +146,7 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                 f"gamma spectral radius {gs.spectral_radius:.9f} is within the "
                 "near-unit-circle band; the stability verdict is fragile")
     else:
-        proof = schur_product_proof(gamma.coeffs, factors)
-        cert.conditions["gamma_schur"] = proof.min_modulus > 0.0
-        cert.witnesses["gamma_min_modulus_bound"] = proof.min_modulus
-        if proof.reason:
-            cert.warnings.append("gamma is not proved Schur on |z| = 1 - "
-                                 f"SCHUR_MARGIN: {proof.reason}")
+        cert.conditions["gamma_schur"] = _proved(cert, "gamma", gamma, factors)
     cert.conditions["gamma_monic"] = gamma.is_monic()
 
     cert.conditions["degree_gap"] = _deg(beta) < _deg(alpha)
@@ -202,9 +210,7 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     it.
     """
     alpha, beta, gamma = conv.alpha, conv.beta, conv.gamma
-    ad, bn = alpha * pre.den, beta * plant_num
-    residual = _sum_residual(ad.coeffs, bn.coeffs, gamma.coeffs)
-    scale = max(1.0, ad.max_abs(), bn.max_abs(), gamma.max_abs())
+    residual, scale = _identity_residual(alpha, pre.den, beta, plant_num, gamma)
     cert = Certificate("conversion", residual, IDENTITY_RTOL * scale)
 
     int_dev = _integer_deviation(gamma)
@@ -215,14 +221,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
 
     # the proof needs no root; where it does not hold, alpha's roots decide,
     # as without factors
-    proved, asch = False, None
-    if conv.factors is not None:
-        proof = schur_product_proof(alpha.coeffs, conv.factors)
-        proved = proof.min_modulus > 0.0
-        cert.witnesses["alpha_min_modulus_bound"] = proof.min_modulus
-        if not proved:
-            cert.warnings.append("alpha is not proved Schur on |z| = 1 - "
-                                 f"SCHUR_MARGIN: {proof.reason}")
+    asch = None
+    proved = conv.factors is not None and _proved(cert, "alpha", alpha, conv.factors)
     if not proved:
         if alpha.coeffs.size == 1:
             asch = schur_check(alpha)

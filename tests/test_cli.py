@@ -154,6 +154,28 @@ def test_stabilize_inconsistent_active_set_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("den, num, root", [
+    ([1, 0, 1], [1e-200, 1], "-1e+200"),
+    ([1, 0, 0, 0, 1], [1e-200, 0, 1], "-0+1e+100j"),
+], ids=["real-root", "complex-root"])
+def test_convert_overflowing_plane_row_exits_3(den, num, root, tmp_path, capsys):
+    # the numerator's tiny top coefficient puts a root near 1e200 (or a pair
+    # near +-1e100j), whose powers leave the float range in the plane rows:
+    # a breakdown of the plane geometry, not a crash
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps({
+        "plant": {"den": den, "num": num},
+        "controller": {"den": [1, 0.2], "num_y": [0.3], "num_r": [1]}}))
+    out = tmp_path / "res.json"
+    assert main(["convert", str(f), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"synthesis failed: the plane row of numerator root {root} overflows "
+        "the float range\n")
+    assert not out.exists()
+    # stabilize trims the tiny top coefficient first and succeeds
+    assert main(["stabilize", str(f), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 def test_singular_steering_step_exits_3(command, monkeypatch, tmp_path, capsys):
     def singular(*args):

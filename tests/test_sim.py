@@ -36,8 +36,55 @@ def test_realize_companion_last_row():
     assert_allclose(ss.A[:-1, 1:], np.eye(2))
 
 
+def _controllable_form(tf):
+    """The controllable companion realization built directly: the oracle of
+    realize_tf, which transposes the controller realization instead."""
+    den = Polynomial(tf.den.coeffs / tf.den.leading)
+    num = Polynomial(tf.num.coeffs / tf.den.leading)
+    n = den.coeffs.size - 1
+    d0, strict = 0.0, num
+    if num.coeffs.size == den.coeffs.size:
+        d0 = float(num.coeffs[-1])
+        strict = num - d0 * den
+    if n == 0:
+        return (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                np.array([[d0]]))
+    A = np.zeros((n, n))
+    A[:-1, 1:] = np.eye(n - 1)
+    A[-1, :] = -den.coeffs[:-1]
+    B = np.zeros((n, 1))
+    B[-1, 0] = 1.0
+    C = np.zeros((1, n))
+    C[0, : strict.coeffs.size] = strict.coeffs
+    return A, B, C, np.array([[d0]])
+
+
+def _random_tfs():
+    rng = np.random.default_rng(26)
+    for order in range(7):
+        for num_size in range(order + 2):  # strictly proper, then biproper
+            lead = float(rng.choice([1.0, -1.0, 2.5, -0.3, 1e-3]))
+            den = np.append(rng.normal(size=order), lead)
+            num = rng.normal(size=num_size)
+            if num_size:
+                num[-1] = float(rng.choice([1.0, -3.0, 0.7]))
+            yield RationalTF(Polynomial(num), Polynomial(den))
+    # integer monic, a constant and a zero numerator
+    yield RationalTF(Polynomial([2.0, -1.0]), Polynomial([3.0, -2.0, 1.0, 1.0]))
+    yield RationalTF(Polynomial([-4.0]), Polynomial([-2.0]))
+    yield RationalTF(Polynomial.zero(), Polynomial([0.5, -1.5, 2.0]))
+
+
+def test_realize_tf_matches_the_direct_controllable_form_bit_for_bit():
+    for tf in _random_tfs():
+        ss = realize_tf(tf)
+        for got, want in zip((ss.A, ss.B, ss.C, ss.D), _controllable_form(tf)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_realize_rejects_improper():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transfer function must be proper"):
         realize_tf(RationalTF(Polynomial([0, 0, 1.0]), Polynomial([1.0, 1.0])))
 
 

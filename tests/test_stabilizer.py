@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      StabilizationConfig, SynthesisError, closed_loop_poly,
-                     convert_controller, numeric, run_algorithm1)
+                     convert_controller, numeric, run_algorithm1, stabilizer)
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
 from intctrl.numeric import schur_check, vec_1norm
@@ -68,18 +68,23 @@ def test_preprocess_rejects_common_factor():
 
 
 def test_gamma_ini_default_is_monomial():
-    assert make_gamma_ini(2, Polynomial([1.0])) == Polynomial.monomial(4)
+    gamma, base = make_gamma_ini(2, Polynomial([1.0]))
+    assert gamma == Polynomial.monomial(4)
+    assert base == 4
 
 
 def test_gamma_ini_expands_roots():
     # (z-0.5)(z+0.5) z^2 = z^4 - 0.25 z^2
-    out = make_gamma_ini(2, Polynomial([1.0]), roots=[0.5, -0.5, 0.0, 0.0])
+    out, base = make_gamma_ini(2, Polynomial([1.0]), roots=[0.5, -0.5, 0.0, 0.0])
     assert_allclose(out.coeffs, [0, 0, -0.25, 0, 1], atol=1e-15)
+    # the proof base is the root tuple the expansion read, as complex numbers
+    assert base == (0.5 + 0j, -0.5 + 0j, 0j, 0j)
+    assert all(type(r) is complex for r in base)
 
 
 def test_gamma_ini_pendulum_roots(pendulum):
     _, num = pendulum
-    gamma = make_gamma_ini(4, num, PENDULUM_GAMMA_INI_ROOTS)
+    gamma, _ = make_gamma_ini(4, num, PENDULUM_GAMMA_INI_ROOTS)
     assert gamma.coeffs.size - 1 == 8
     assert gamma.is_monic()
     assert schur_check(gamma).is_schur
@@ -191,6 +196,31 @@ def test_pendulum_gamma_growth(pendulum):
     assert result.gamma.coeffs.size - 1 == 12
     assert result.gamma.is_monic()
     assert schur_check(result.gamma).is_schur
+
+
+@pytest.mark.parametrize("roots", [PENDULUM_GAMMA_INI_ROOTS, None],
+                         ids=["fixture-roots", "default"])
+def test_certificate_gets_the_base_that_built_gamma(pendulum, monkeypatch,
+                                                     roots):
+    # the stabilization counterpart of the conversion's factors.base check:
+    # the proof must read the initial factor as make_gamma_ini expanded it
+    seen = []
+    original = stabilizer.certify_stabilization
+
+    def certify(*args, **kwargs):
+        seen.append(kwargs["factors"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stabilizer, "certify_stabilization", certify)
+    den, num = pendulum
+    result = run_algorithm1(den, num, StabilizationConfig(gamma_ini_roots=roots))
+    assert result.certificate.passed
+    [factors] = seen
+    if roots is None:
+        assert factors.base == 8  # z^(2n), n = 4
+    else:
+        assert factors.base == tuple(complex(r) for r in roots)
+        assert all(type(r) is complex for r in factors.base)
 
 
 def test_identity_holds_every_iteration(steer_calls):

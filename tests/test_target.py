@@ -108,6 +108,23 @@ def test_hyperplanes_real_rows_first_then_pairs_sorted():
     assert planes.roots[2::2] == planes.roots[3::2]
 
 
+@pytest.mark.parametrize("coeffs, n, root", [
+    ([1.0, 1e-200], 2, "-1e+200"),
+    ([1.0, 0.0, 1e-200], 4, "1e+100j"),
+], ids=["real-root", "complex-root"])
+def test_hyperplanes_overflowing_powers_are_a_target_search_error(coeffs, n, root):
+    # Python's ** raises OverflowError once a root's powers leave the float
+    # range ("complex exponentiation" for a pair); one degree less still fits
+    with pytest.raises(TargetSearchError) as info:
+        build_hyperplanes(Polynomial(coeffs), n)
+    message = str(info.value)
+    assert message.startswith("the plane row of numerator root ")
+    assert message.endswith(f"{root} overflows the float range")
+    assert info.value.candidate is None and info.value.margins is None
+    planes = build_hyperplanes(Polynomial(coeffs), n - 1)
+    assert np.isfinite(planes.normals).all() and np.isfinite(planes.offsets).all()
+
+
 def test_hyperplane_roots_rebuild_the_numerator_fuzz():
     rng = np.random.default_rng(9)
     for _ in range(50):
