@@ -23,17 +23,6 @@ COPRIME_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 
 
-def _svd_gufunc():
-    """The gufunc ``np.linalg.svd(S, compute_uv=False)`` calls for a square
-    ``S``, without the wrapper's checks: ``svd`` in numpy 2, ``svd_n`` in 1."""
-    gufuncs = np.linalg._umath_linalg
-    return getattr(gufuncs, "svd", None) or gufuncs.svd_n
-
-
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
 class NotCoprimeError(ValueError):
     """The inputs share a common factor to working tolerance."""
 
@@ -171,9 +160,6 @@ def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:
         an, bn = Polynomial(an).coeffs, Polynomial(bn).coeffs
         if an.size < 2 or bn.size < 2:
             raise ValueError("both polynomials must have degree >= 1")
-    S = _sylvester(an, bn)
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        sv = _svd_gufunc()(S, signature="d->d")
+    sv = np.linalg.svd(_sylvester(an, bn), compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     return CoprimalityResult(quality > COPRIME_TOL, quality)

@@ -33,7 +33,8 @@ from .converter import ConversionConfig, PreController, convert_controller
 from .numeric import RootFindingError, poly_roots, schur_check
 from .poly import Polynomial, RationalTF
 from .sim import realize_controller, realize_tf, simulate_loop, write_trajectory_csv
-from .stabilizer import StabilizationConfig, SynthesisError, run_algorithm1
+from .stabilizer import (StabilizationConfig, SteeringConfig, SynthesisError,
+                         run_algorithm1)
 from .target import InconsistentActiveSetError, TargetSearchError
 from .verify import certify_conversion, certify_stabilization, closed_loop_poly
 
@@ -42,7 +43,14 @@ EXIT_VALIDATION = 2
 EXIT_SYNTHESIS = 3
 EXIT_CERTIFICATE = 4
 
-_KNOWN_TOP_KEYS = {"plant", "controller", "solution", "ordering", "name", "notes"}
+#: the polynomial fields of each problem-file block, in the order a command
+#: takes them, each with whether it may be the zero polynomial
+_BLOCKS = {
+    "plant": {"den": False, "num": False},
+    "controller": {"den": False, "num_y": True, "num_r": True},
+    "solution": {"alpha": False, "beta": True, "gamma": False},
+}
+_KNOWN_TOP_KEYS = {*_BLOCKS, "ordering", "name", "notes"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
@@ -56,14 +64,6 @@ _SYNTHESIS_ERRORS = (SynthesisError, TargetSearchError, RootFindingError,
 
 class ProblemFileError(ValueError):
     pass
-
-
-def _ordering(data: dict) -> str:
-    ordering = data.get("ordering", "descending")
-    if ordering not in ("descending", "ascending"):
-        raise ProblemFileError(
-            f"field 'ordering': expected 'descending' or 'ascending', got {ordering!r}")
-    return ordering
 
 
 def _poly_from(data, field: str, ordering: str, allow_zero=False) -> Polynomial:
@@ -83,6 +83,20 @@ def _poly_from(data, field: str, ordering: str, allow_zero=False) -> Polynomial:
     return p
 
 
+def _block(raw: dict, name: str, ordering: str) -> tuple[Polynomial, ...]:
+    """The polynomials of block ``name``, in the order of ``_BLOCKS``.  The
+    block holds exactly its fields; ``solution`` may also carry the
+    ``power_shift`` that ``stabilize`` writes, which nothing reads."""
+    block, fields = raw[name], _BLOCKS[name]
+    extra = ["power_shift"] if name == "solution" else []
+    if not (isinstance(block, dict) and fields.keys() <= block.keys() <= {*fields, *extra}):
+        optional = f", optionally {extra}" if extra else ""
+        raise ProblemFileError(f"field '{name}': expected exactly the keys "
+                               f"{sorted(fields)}{optional}")
+    return tuple(_poly_from(block[k], f"{name}.{k}", ordering, allow_zero)
+                 for k, allow_zero in fields.items())
+
+
 def _poly_out(p: Polynomial, ordering: str) -> list[float]:
     coeffs = p.coeffs.tolist()
     return coeffs[::-1] if ordering == "descending" else coeffs
@@ -94,10 +108,11 @@ def parse_problem_file(path: str) -> dict:
     Schema: ``{"plant": {"den": [...], "num": [...]},
     "controller": {"den": [...], "num_y": [...], "num_r": [...]},
     "solution": {"alpha": [...], "beta": [...], "gamma": [...]},
-    "ordering": "descending"|"ascending"}`` with optional name/notes;
-    controller and solution blocks are required only by the commands that
-    consume them.  Coefficient lists honor the ordering field (descending
-    matches the way polynomials are usually written out).
+    "ordering": "descending"|"ascending"}`` with optional name/notes; each
+    block holds exactly its fields (see :func:`_block`), and controller and
+    solution blocks are required only by the commands that consume them.
+    Coefficient lists honor the ordering field (descending matches the way
+    polynomials are usually written out).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -111,16 +126,15 @@ def parse_problem_file(path: str) -> dict:
     if unknown:
         raise ProblemFileError(f"unknown field(s) {sorted(unknown)}; expected "
                                f"{sorted(_KNOWN_TOP_KEYS)}")
-    ordering = _ordering(raw)
+    ordering = raw.get("ordering", "descending")
+    if ordering not in ("descending", "ascending"):
+        raise ProblemFileError(
+            f"field 'ordering': expected 'descending' or 'ascending', got {ordering!r}")
     out: dict = {"ordering": ordering}
 
     if "plant" not in raw:
         raise ProblemFileError("field 'plant': missing")
-    plant = raw["plant"]
-    if not isinstance(plant, dict) or {"den", "num"} - set(plant):
-        raise ProblemFileError("field 'plant': expected {'den': [...], 'num': [...]}")
-    den = _poly_from(plant["den"], "plant.den", ordering)
-    num = _poly_from(plant["num"], "plant.num", ordering)
+    den, num = _block(raw, "plant", ordering)
     if num.coeffs.size > den.coeffs.size:
         raise ProblemFileError(
             f"field 'plant': improper plant (deg(num) = {num.coeffs.size - 1} "
@@ -134,23 +148,9 @@ def parse_problem_file(path: str) -> dict:
     out["plant"] = (den, num)
 
     if "controller" in raw:
-        ctrl = raw["controller"]
-        if not isinstance(ctrl, dict) or {"den", "num_y", "num_r"} - set(ctrl):
-            raise ProblemFileError(
-                "field 'controller': expected {'den', 'num_y', 'num_r'}")
-        out["controller"] = PreController(
-            _poly_from(ctrl["den"], "controller.den", ordering),
-            _poly_from(ctrl["num_y"], "controller.num_y", ordering, allow_zero=True),
-            _poly_from(ctrl["num_r"], "controller.num_r", ordering, allow_zero=True))
-
+        out["controller"] = PreController(*_block(raw, "controller", ordering))
     if "solution" in raw:
-        sol = raw["solution"]
-        if not isinstance(sol, dict) or {"alpha", "beta", "gamma"} - set(sol):
-            raise ProblemFileError(
-                "field 'solution': expected {'alpha', 'beta', 'gamma'}")
-        out["solution"] = tuple(
-            _poly_from(sol[k], f"solution.{k}", ordering, allow_zero=(k == "beta"))
-            for k in ("alpha", "beta", "gamma"))
+        out["solution"] = _block(raw, "solution", ordering)
     return out
 
 
@@ -352,8 +352,8 @@ def _cmd_simulate(args) -> int:
 
 def _add_common(sub, roots: str):
     sub.add_argument("problem", help="problem description JSON file")
-    sub.add_argument("--mu", type=float, default=0.99,
-                     help="step-size bound in (0,1), default 0.99")
+    sub.add_argument("--mu", type=float, default=SteeringConfig.mu,
+                     help="step-size bound in (0,1), default %(default)s")
     sub.add_argument(f"--{roots}", type=str, default=None,
                      help="comma-separated complex roots, e.g. '0.5,0.1+0.2j'; "
                           "use the --flag=value form when the list starts "

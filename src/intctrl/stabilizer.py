@@ -85,7 +85,6 @@ class StabilizationResult:
     trace: tuple[TraceStep, ...]
     certificate: Certificate
     warnings: tuple[str, ...]
-    plant: PreprocessedPlant
 
     @property
     def controller_den(self) -> Polynomial:
@@ -300,5 +299,5 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     return StabilizationResult(alpha, beta, gamma,
                                big_n + plant.power_shift, x_star,
                                len(trace), tuple(trace), cert,
-                               tuple(cert.warnings), plant)
+                               tuple(cert.warnings))
 

@@ -427,10 +427,9 @@ def control_input(x: np.ndarray, x_star: np.ndarray, delta: np.ndarray,
     ``mu``.  Either way the emitted input has 1-norm strictly below 1, which
     keeps its associated monic polynomial Schur.  ``delta`` is the square
     float matrix of order at least 1 that ``delta_matrix`` returns, as
-    ``_lu_solve`` requires.
+    ``_lu_solve`` requires, and ``mu`` lies in (0, 1), as
+    ``SteeringConfig`` checks.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
     d = _lu_solve(delta, np.asarray(x_star, dtype=float) - np.asarray(x, dtype=float))
     norm = vec_1norm(d)
     if norm < 1.0:

@@ -172,10 +172,9 @@ def tf_equal(t1: RationalTF, t2: RationalTF) -> bool:
     """
     if t1.den.is_zero or t2.den.is_zero:
         raise ValueError("transfer function denominators must be nonzero")
-    left = t1.num * t2.den
-    right = t2.num * t1.den
-    scale = max(1.0, left.max_abs(), right.max_abs())
-    return (left - right).max_abs() <= TF_EQUAL_RTOL * scale
+    residual, scale = _identity_residual(t1.num, t2.den, -t2.num, t1.den,
+                                         Polynomial.zero())
+    return residual <= TF_EQUAL_RTOL * scale
 
 
 def closed_loop_tf(plant_den: Polynomial, plant_num: Polynomial,
@@ -252,9 +251,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
             f"closed-loop spectral radius {ls.spectral_radius:.9f} is within "
             "the near-unit-circle band")
 
-    factored = alpha * t_pre.den
-    fact_resid = (loop - factored).max_abs()
-    fact_scale = max(1.0, loop.max_abs(), factored.max_abs())
+    fact_resid, fact_scale = _identity_residual(
+        loop, Polynomial.one(), -alpha, t_pre.den, Polynomial.zero())
     cert.conditions["loop_factorization"] = fact_resid <= IDENTITY_RTOL * fact_scale
     cert.witnesses["loop_factorization_residual"] = fact_resid / fact_scale
 

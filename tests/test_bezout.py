@@ -333,3 +333,19 @@ def test_coprime_check_matches_polynomial_oracle():
     for a, b in cases:
         assert (_coprime_outcome(coprime_check, a, b)
                 == _coprime_outcome(oracle_coprime_check, a, b))
+
+
+def test_solution_off_its_residual_bound_is_not_coprime(monkeypatch):
+    # no pair reaches the bound since it scales with |p*r| and |s*modulus|;
+    # a solve whose r is off by 1e-6 must still be refused
+    p, m = Polynomial([-0.5, 0.0, 1.0]), Polynomial([0.3, 1.0])
+    q = Polynomial([0.1, 0.2, 0.3, 1.0])
+    r, s = _dense_solve(p, q, m)
+    assert solve_diophantine(p, q, m) == (r, s)
+    monkeypatch.setattr(bezout, "_dense_solve",
+                        lambda p, q, m: (r + Polynomial([1e-6]), s))
+    with pytest.raises(NotCoprimeError, match=r"^Diophantine residual 1\.000e-06 "
+                       r"exceeds 1\.0e-10 \* 1\.000e\+00; inputs are close "
+                       r"to sharing a factor$") as err:
+        solve_diophantine(p, q, m)
+    assert err.value.pivot is None

@@ -11,7 +11,7 @@ from intctrl import Polynomial, cli, numeric, stabilizer, target, verify
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.numeric import SingularMatrixError
-from intctrl.stabilizer import run_algorithm1
+from intctrl.stabilizer import preprocess_plant, run_algorithm1
 
 PENDULUM = str(fixture_path("pendulum.json"))
 CONVERSION = str(fixture_path("pendulum_conversion.json"))
@@ -84,6 +84,67 @@ def test_parse_rejects_improper(tmp_path):
                                        "num": [1.0, 0.0, 0.0]}}))
     with pytest.raises(ProblemFileError, match="improper"):
         parse_problem_file(str(f))
+
+
+PLANT = {"den": [1, 0.5, -2], "num": [1, 0.3]}
+CONTROLLER = {"den": [1, 0.2], "num_y": [0.3], "num_r": [1]}
+
+
+@pytest.mark.parametrize("block, key", [
+    ("plant", "ordering"), ("controller", "num_x"), ("plant", "power_shift"),
+    ("solution", "iterations")])
+def test_key_that_does_not_belong_in_its_block_exits_2(block, key, tmp_path,
+                                                       capsys):
+    # a misplaced "ordering" used to be ignored, and the plant read in the
+    # other order was stabilized
+    problem = {"plant": dict(PLANT), "controller": dict(CONTROLLER),
+               "solution": {"alpha": [1, 0], "beta": [0], "gamma": [1, 0, 0]}}
+    problem[block][key] = "ascending" if key == "ordering" else [1]
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(problem))
+    assert main(["stabilize", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"validation error: field '{block}': expected exactly")
+    assert err.count("\n") == 1
+
+
+def test_solution_may_carry_power_shift(tmp_path, capsys):
+    problem = {**ANALYZE_PROBLEM, "solution": {**ANALYZE_PROBLEM["solution"],
+                                               "power_shift": 1}}
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(problem))
+    assert main(["analyze", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("stabilize", json.dumps({"plant": PLANT, "ordering": "reversed"}), [],
+     "field 'ordering': expected 'descending' or 'ascending', got 'reversed'"),
+    ("stabilize", "[1, 2]", [], "problem file must hold a JSON object"),
+    ("stabilize", json.dumps({"name": "no plant"}), [], "field 'plant': missing"),
+    ("stabilize", json.dumps({"plant": {"den": [0, 0], "num": [1]}}), [],
+     "field 'plant.den': polynomial is zero"),
+    ("convert", json.dumps({"plant": PLANT, "controller": [1, 2]}), [],
+     "field 'controller': expected exactly the keys ['den', 'num_r', 'num_y']"),
+    ("stabilize", json.dumps({"plant": PLANT}), ["--gamma-ini-roots=0.5,x"],
+     "cannot parse root list '0.5,x'"),
+    ("analyze", json.dumps({"plant": PLANT}), [],
+     "analyze requires a 'solution' block"),
+    ("simulate", json.dumps({"plant": PLANT}), [],
+     "simulate requires a 'controller' block"),
+], ids=["bad-ordering", "not-an-object", "no-plant", "zero-den",
+        "block-not-an-object", "bad-root-list", "analyze-no-solution",
+        "simulate-no-controller"])
+def test_problem_file_error_exits_2(command, text, flags, message, tmp_path,
+                                    capsys):
+    f = tmp_path / "problem.json"
+    f.write_text(text)
+    assert main([command, str(f), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"validation error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_stabilize_cli_end_to_end(tmp_path, capsys):
@@ -230,10 +291,11 @@ def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
     # certificate passes, the closed-loop roots miss the residual bound
     den, num = sweep_plant(16)
     result = run_algorithm1(den, num)
+    plant = preprocess_plant(den, num)
     f = tmp_path / "solution.json"
     f.write_text(json.dumps({
-        "plant": {"den": result.plant.den.coeffs.tolist(),
-                  "num": (num.coeffs / result.plant.scale).tolist()},
+        "plant": {"den": plant.den.coeffs.tolist(),
+                  "num": (num.coeffs / plant.scale).tolist()},
         "solution": {k: getattr(result, k).coeffs.tolist()
                      for k in ("alpha", "beta", "gamma")},
         "ordering": "ascending"}))
@@ -746,3 +808,21 @@ def test_file_that_cannot_be_read_or_written_exits_2(case, tmp_path, capsys,
     assert err.startswith("cannot write output: ") == (
         case in ("out-in-missing-dir", "csv-in-missing-dir", "out-is-a-directory"))
     assert not missing.exists()
+
+
+def test_analyze_warns_of_a_gamma_near_the_unit_circle(tmp_path, capsys):
+    # plant 1/z with (alpha, beta, gamma) = (z, -r^2, z^2 - r^2): gamma's
+    # roots +-r lie 1e-7 inside the unit circle, within the 1e-6 band
+    r2 = (1.0 - 1e-7) ** 2
+    f = tmp_path / "near.json"
+    f.write_text(json.dumps({
+        "plant": {"den": [1.0, 0.0], "num": [1.0]},
+        "solution": {"alpha": [1.0, 0.0], "beta": [-r2],
+                     "gamma": [1.0, 0.0, -r2]}}))
+    assert main(["analyze", str(f)]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["passed"] is True
+    assert cert["witnesses"]["gamma_spectral_radius"] == pytest.approx(1 - 1e-7)
+    assert cert["warnings"] == [
+        "gamma spectral radius 0.999999900 is within the near-unit-circle "
+        "band; the stability verdict is fragile"]

@@ -2,7 +2,7 @@
 row names a constant of the stated module with the stated value, and every
 public float constant of the package has a row.  Its command-line usage
 block: each command lists the options its parser takes, no more and no
-fewer."""
+fewer.  Its library quick start: each print writes what its comment says."""
 import argparse
 import importlib
 import inspect
@@ -61,3 +61,24 @@ def test_usage_block_lists_every_parser_option():
                      for flag in action.option_strings} - {"-h", "--help"}
               for name, sub in subs.choices.items()}
     assert _usage_options() == parsed
+
+
+def test_quick_start_prints_what_its_comments_say(capsys):
+    section = re.search(r"^## Library quick start\n(.*?)^## ", README.read_text(),
+                        re.M | re.S).group(1)
+    blocks = re.findall(r"^```python\n(.*?)^```", section, re.M | re.S)
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    comments = [line.split("# ")[1] for block in blocks
+                for line in block.splitlines() if line.startswith("print(")]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 4
+    for text, comment in zip(printed, comments):
+        if comment.startswith("~"):
+            assert float(text) == pytest.approx(float(comment[1:]), abs=1e-2)
+        else:
+            assert text == comment
+    # Polynomial.__str__ as the quick start pins it
+    assert comments[0] == "z^8 - z^7 - 13z^6 - 4z^5 + 10z^4"
+    assert comments[2] == "z^27 - z^26 - 4z^25 - 2z^24 + 4z^23"

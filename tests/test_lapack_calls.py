@@ -1,16 +1,19 @@
 """The one-call LAPACK kernels against the calls they replaced, bit for bit.
 
 ``numeric._lu_solve`` makes one ``dgesv`` call, LAPACK's getrf then getrs,
-where it called ``dgetrf`` and then ``dgetrs``; ``bezout.coprime_check``
-calls the gufunc behind ``np.linalg.svd(S, compute_uv=False)`` without the
-wrapper.  Results, or the exception class and message, must agree.
+where it called ``dgetrf`` and then ``dgetrs``.  Results, or the
+exception class and message, must agree.  ``bezout.coprime_check`` calls
+``np.linalg.svd(S, compute_uv=False)``, whose failure the CLI reports as a
+synthesis failure.
 """
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from intctrl import Polynomial, bezout, numeric
+from intctrl import Polynomial, numeric
 from intctrl.bezout import _sylvester, coprime_check
+from intctrl.cli import main
+from intctrl.fixtures import fixture_path
 from intctrl.numeric import SOLVE_RCOND, SingularMatrixError
 
 from conftest import random_plant
@@ -121,29 +124,12 @@ def test_coprime_quality_equals_numpy_svd_on_random_pairs():
     assert checked > 400
 
 
-def test_svd_that_does_not_converge_raises_linalg_error(monkeypatch):
-    def failing(S, signature):
-        # as a failed gufunc does: NaN singular values and the invalid flag
-        return np.sqrt(np.full(S.shape[0], -1.0))
+def test_svd_that_does_not_converge_exits_3(monkeypatch, capsys):
+    def failing(S, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(bezout, "_svd_gufunc", lambda: failing)
+    monkeypatch.setattr(np.linalg, "svd", failing)
     with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
         coprime_check(Polynomial([1.0, 2.0, 1.0]), Polynomial([3.0, 1.0]))
-
-
-def test_svd_gufunc_resolves_on_numpy_1_and_2(monkeypatch):
-    gufuncs = np.linalg._umath_linalg
-    real = bezout._svd_gufunc()
-    assert real is (getattr(gufuncs, "svd", None) or gufuncs.svd_n)
-    a, b = Polynomial([0.5, -1.5, 1.0]), Polynomial([0.2, 1.0])
-    want = coprime_check(a, b).quality
-    # numpy 1: svd_n, and no svd
-    monkeypatch.delattr(gufuncs, "svd", raising=False)
-    monkeypatch.setattr(gufuncs, "svd_n", real, raising=False)
-    assert bezout._svd_gufunc() is real
-    assert coprime_check(a, b).quality == want
-    # numpy 2: svd, and no svd_n
-    monkeypatch.delattr(gufuncs, "svd_n")
-    monkeypatch.setattr(gufuncs, "svd", real, raising=False)
-    assert bezout._svd_gufunc() is real
-    assert coprime_check(a, b).quality == want
+    assert main(["stabilize", str(fixture_path("pendulum.json"))]) == 3
+    assert capsys.readouterr().err == "synthesis failed: SVD did not converge\n"

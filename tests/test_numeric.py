@@ -284,3 +284,8 @@ def test_bounded_vector_polynomials_are_schur():
         p = Polynomial(np.concatenate([u[::-1], [1.0]]))
         res = schur_check(p)
         assert res.is_schur, (u, res.spectral_radius)
+
+
+def test_schur_check_of_zero_has_no_verdict():
+    with pytest.raises(ValueError, match="^zero polynomial has no stability verdict$"):
+        numeric.schur_check(Polynomial.zero())

@@ -331,3 +331,10 @@ def test_vector_bridge_rejects_non_monic():
         vector_from_monic(Polynomial([1, 2.0]))
     with pytest.raises(ValueError):
         vector_from_monic(Polynomial([1, 0, 1]), n=3)
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ([], "0"), ([-1.5], "-1.5"), ([0.5, -1.0], "-z + 0.5"),
+    ([1.0, 2.5, 0.0, 1.0], "z^3 + 2.5z + 1"), ([0.0, 0.0, -2.0], "-2z^2")])
+def test_str_writes_descending_terms(coeffs, text):
+    assert str(Polynomial(coeffs)) == text

@@ -11,7 +11,7 @@ from intctrl import (Polynomial, RationalTF, StabilizationConfig,
 from intctrl.converter import ConversionConfig
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
-from intctrl.sim import AlgebraicLoopError, write_trajectory_csv
+from intctrl.sim import AlgebraicLoopError, StateSpace, write_trajectory_csv
 
 
 def test_realize_first_order():
@@ -412,3 +412,28 @@ def test_memory_is_linear_in_steps_not_in_states():
         tracemalloc.stop()
     assert out.steps == steps and not out.diverged
     assert peak <= 3 * 8 * steps + 200_000
+
+
+@pytest.mark.parametrize("A, B, C, D, message", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), 0.0,
+     "A must be square"),
+    (np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), 0.0,
+     "B/C dimensions inconsistent with A"),
+    (np.eye(2), np.zeros((2, 1)), np.zeros((1, 3)), 0.0,
+     "B/C dimensions inconsistent with A"),
+    (np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 2)),
+     "D dimensions inconsistent with B and C"),
+], ids=["A", "B", "C", "D"])
+def test_state_space_rejects_inconsistent_shapes(A, B, C, D, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StateSpace(A, B, C, D)
+
+
+@pytest.mark.parametrize("inputs, outputs", [(2, 1), (1, 2)])
+def test_simulate_loop_requires_a_siso_plant(inputs, outputs):
+    plant = StateSpace(np.eye(1) * 0.5, np.ones((1, inputs)),
+                       np.ones((outputs, 1)), np.zeros((outputs, inputs)))
+    controller = realize_controller(Polynomial([0.1, 1.0]), Polynomial([0.2]),
+                                    Polynomial([1.0]))
+    with pytest.raises(ValueError, match="^plant must be SISO$"):
+        simulate_loop(plant, controller, 1.0, 10)

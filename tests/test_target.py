@@ -779,11 +779,6 @@ def test_control_input_normalizes():
     assert_allclose(vec_1norm(step.u), 0.99)
 
 
-def test_control_input_requires_valid_mu():
-    with pytest.raises(ValueError):
-        control_input(np.zeros(1), np.ones(1), np.eye(1), 1.0)
-
-
 def test_control_input_singular_delta_raises():
     with pytest.raises(SingularMatrixError):
         control_input(np.zeros(2), np.ones(2), np.zeros((2, 2)), 0.5)

@@ -225,3 +225,123 @@ def test_certify_stabilization_closed_loop_consistency(pendulum):
     scale = max(1.0, (result.alpha * den).max_abs())
     assert (cl - result.gamma).max_abs() <= 1e-8 * scale
     assert schur_check(cl).is_schur
+
+
+def _old_tf_residual(t1, t2):
+    """tf_equal's residual and scale as Polynomial arithmetic computed them
+    before the certificates' identity residual took over."""
+    left, right = t1.num * t2.den, t2.num * t1.den
+    return (left - right).max_abs(), max(1.0, left.max_abs(), right.max_abs())
+
+
+def _old_factorization_residual(loop, alpha, den):
+    """The loop_factorization residual and scale, likewise."""
+    factored = alpha * den
+    return ((loop - factored).max_abs(),
+            max(1.0, loop.max_abs(), factored.max_abs()))
+
+
+def _fold_cases():
+    """(n1, d1, n2, d2) quadruples: random pairs of mixed lengths and
+    scales, zero numerators, equal transfer functions under a common factor
+    and differences whose top coefficients are dust."""
+    rng = np.random.default_rng(28)
+
+    def poly(size):
+        return Polynomial(rng.normal(size=size) * 10.0 ** rng.integers(-3, 4))
+
+    for _ in range(200):
+        yield tuple(poly(rng.integers(1, 8)) for _ in range(4))
+    for _ in range(20):
+        d1, d2 = poly(3), poly(5)
+        yield Polynomial.zero(), d1, poly(2), d2
+        yield poly(2), d1, Polynomial.zero(), d2
+        yield Polynomial.zero(), d1, Polynomial.zero(), d2
+    for _ in range(50):
+        num, den, f = poly(3), poly(4), poly(rng.integers(2, 4))
+        yield num, den, num * f, den * f
+        # the difference is dust at the top only, which the trim drops, or
+        # nothing but dust
+        other = num.coeffs + rng.normal(size=3) * num.max_abs()
+        other[-1] = num.coeffs[-1] * (1.0 + 1e-12)
+        yield num, den, Polynomial(other), den
+        other[:-1] = num.coeffs[:-1]
+        yield num, den, Polynomial(other), den
+
+
+def test_tf_equal_residual_is_its_old_formula_bit_for_bit():
+    for n1, d1, n2, d2 in _fold_cases():
+        t1, t2 = RationalTF(n1, d1), RationalTF(n2, d2)
+        old_residual, old_scale = _old_tf_residual(t1, t2)
+        residual, scale = verify._identity_residual(
+            t1.num, t2.den, -t2.num, t1.den, Polynomial.zero())
+        assert residual.hex() == old_residual.hex()
+        assert scale.hex() == old_scale.hex()
+        assert tf_equal(t1, t2) == (
+            old_residual <= verify.TF_EQUAL_RTOL * old_scale)
+
+
+def test_loop_factorization_residual_is_its_old_formula_bit_for_bit():
+    for loop, _, alpha, den in _fold_cases():
+        old_residual, old_scale = _old_factorization_residual(loop, alpha, den)
+        residual, scale = verify._identity_residual(
+            loop, Polynomial.one(), -alpha, den, Polynomial.zero())
+        assert residual.hex() == old_residual.hex()
+        assert scale.hex() == old_scale.hex()
+
+
+FINITE = "^polynomial coefficients must be finite$"
+
+
+@pytest.mark.parametrize("a, b, c, d", [
+    ([1.0], [1e200], [1e200], [1.0]),          # a product overflows
+    ([1.7e308], [1.0], [-1.7e308], [1.0]),     # the difference overflows
+], ids=["product", "difference"])
+def test_folded_residuals_overflow_with_the_old_value_error(a, b, c, d):
+    # a/b against c/d, and the loop a*d factored as c*b: the same difference
+    a, b, c, d = map(Polynomial, (a, b, c, d))
+    t1, t2 = RationalTF(a, b), RationalTF(c, d)
+    with pytest.raises(ValueError, match=FINITE):
+        _old_tf_residual(t1, t2)
+    with pytest.raises(ValueError, match=FINITE):
+        tf_equal(t1, t2)
+    with pytest.raises(ValueError, match=FINITE):
+        _old_factorization_residual(a * d, c, b)
+    with pytest.raises(ValueError, match=FINITE):
+        verify._identity_residual(a * d, Polynomial.one(), -c, b,
+                                  Polynomial.zero())
+
+
+def test_conversion_certificate_keeps_the_old_loop_factorization(
+        pendulum, pre_controller):
+    den, num = pendulum
+    for cfg in (ConversionConfig(),
+                ConversionConfig(alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS)):
+        conv = convert_controller(pre_controller, den, num, cfg)
+        t_pre = closed_loop_tf(den, num, pre_controller.den,
+                               pre_controller.num_y, pre_controller.num_r)
+        t_conv = closed_loop_tf(den, num, conv.den, conv.num_y, conv.num_r)
+        residual, scale = _old_factorization_residual(t_conv.den, conv.alpha,
+                                                      t_pre.den)
+        cert = conv.certificate
+        assert cert.witnesses["loop_factorization_residual"].hex() == (
+            residual / scale).hex()
+        assert cert.conditions["loop_factorization"] == (
+            residual <= verify.IDENTITY_RTOL * scale)
+        assert cert.conditions["tf_preserved"] == (
+            _old_tf_residual(t_pre, t_conv)[0]
+            <= verify.TF_EQUAL_RTOL * _old_tf_residual(t_pre, t_conv)[1])
+
+
+def test_conversion_warns_of_a_loop_near_the_unit_circle():
+    # plant 1/z under the controller (z, r^2) kept as it is: the loop
+    # z^2 - r^2 has its roots +-r 1e-7 inside the unit circle
+    r2 = (1.0 - 1e-7) ** 2
+    pre = PreController(Z, Polynomial([r2]), Polynomial.one())
+    conv = ConvertedController(Z, pre.num_y, pre.num_r, Polynomial.one(),
+                               Polynomial.zero(), Z, None)
+    cert = certify_conversion(Z, Polynomial.one(), pre, conv)
+    assert cert.passed, cert.conditions
+    assert cert.witnesses["closed_loop_spectral_radius"] == pytest.approx(1 - 1e-7)
+    assert cert.warnings == ["closed-loop spectral radius 0.999999900 is "
+                             "within the near-unit-circle band"]
