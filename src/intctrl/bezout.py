@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numeric import SingularMatrixError, _convolve, _lu_solve
-from .poly import Polynomial, _max_abs, _sum_residual, _trimmed
+from .poly import Polynomial, _max_abs, _sum_residual, trim
 
 COPRIME_TOL = 1e-8
 #: bound on a Diophantine solution's residual, relative to the largest of
@@ -123,7 +123,7 @@ def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
         raise NotCoprimeError(
             f"coefficient system singular to tolerance (pivot {exc.pivot:.3e}): "
             "p and modulus are not coprime", pivot=exc.pivot) from exc
-    return Polynomial(x[: dr + 1]), _trimmed(x[dr + 1 :])
+    return Polynomial(x[: dr + 1]), trim(Polynomial(x[dr + 1 :]))
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:

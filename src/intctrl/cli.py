@@ -102,6 +102,12 @@ def _poly_out(p: Polynomial, ordering: str) -> list[float]:
     return coeffs[::-1] if ordering == "descending" else coeffs
 
 
+def _block_out(name: str, polys, ordering: str) -> dict:
+    """Block ``name`` as :func:`_block` reads it back: ``polys`` in the order
+    of ``_BLOCKS``."""
+    return {k: _poly_out(p, ordering) for k, p in zip(_BLOCKS[name], polys)}
+
+
 def parse_problem_file(path: str) -> dict:
     """Load and validate a problem description.
 
@@ -237,9 +243,7 @@ def _spectral_radius(cl: Polynomial) -> tuple[float | None, list[str]]:
 
 
 def _trace_out(trace) -> list[dict]:
-    return [{"k": s.k, "x": s.x.tolist(), "u": s.u.tolist(), "hit": s.hit,
-             "gamma_degree": s.gamma_degree, "distance": s.distance}
-            for s in trace]
+    return [{**s._asdict(), "x": s.x.tolist(), "u": s.u.tolist()} for s in trace]
 
 
 def _cmd_stabilize(args) -> int:
@@ -258,12 +262,9 @@ def _cmd_stabilize(args) -> int:
             "den": _poly_out(result.controller_den, ordering),
             "num": _poly_out(result.controller_num, ordering),
         },
-        "solution": {
-            "alpha": _poly_out(result.alpha, ordering),
-            "beta": _poly_out(result.beta, ordering),
-            "gamma": _poly_out(result.gamma, ordering),
-            "power_shift": result.power_shift,
-        },
+        "solution": {**_block_out("solution", (result.alpha, result.beta,
+                                               result.gamma), ordering),
+                     "power_shift": result.power_shift},
         "x_star": result.x_star.tolist(),
         "iterations": result.iterations,
         "trace": _trace_out(result.trace),
@@ -287,16 +288,10 @@ def _cmd_convert(args) -> int:
     payload = {
         "command": "convert",
         "ordering": ordering,
-        "controller": {
-            "den": _poly_out(conv.den, ordering),
-            "num_y": _poly_out(conv.num_y, ordering),
-            "num_r": _poly_out(conv.num_r, ordering),
-        },
-        "solution": {
-            "alpha": _poly_out(conv.alpha, ordering),
-            "beta": _poly_out(conv.beta, ordering),
-            "gamma": _poly_out(conv.gamma, ordering),
-        },
+        "controller": _block_out("controller", (conv.den, conv.num_y,
+                                                conv.num_r), ordering),
+        "solution": _block_out("solution", (conv.alpha, conv.beta, conv.gamma),
+                               ordering),
         "certificate": conv.certificate.to_dict(),
         "warnings": list(conv.certificate.warnings),
     }

@@ -126,8 +126,6 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
 
     alpha_ini, base = _make_alpha_ini(n, ctrl_den, reduced, cfg.alpha_ini_roots)
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
-    if big_n < 0:
-        raise ValueError("deg(alpha * ctrl_den) must be at least the plant order")
     r0, s0 = solve_diophantine(Polynomial.monomial(big_n),
                                alpha_ini * ctrl_den, reduced)
     x0 = vector_from_monic(trim(r0), n)

@@ -120,13 +120,13 @@ class Polynomial:
         # an overflowing sum is rejected as non-finite, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             total = self._padded(n) + other._padded(n)
-        return _trimmed(total)
+        return trim(Polynomial(total))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(self.coeffs.size, other.coeffs.size)
         with np.errstate(over="ignore", invalid="ignore"):
             total = self._padded(n) - other._padded(n)
-        return _trimmed(total)
+        return trim(Polynomial(total))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-self.coeffs)
@@ -161,9 +161,6 @@ class Polynomial:
         return self.coeffs.shape == other.coeffs.shape and bool(
             np.all(self.coeffs == other.coeffs)
         )
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
 
     def allclose(self, other: "Polynomial", tol: float = 1e-9) -> bool:
         """Coefficient-wise closeness, relative to the larger scale."""
@@ -226,11 +223,6 @@ def _trim_length(coeffs: np.ndarray) -> int:
     while end > 0 and mags[end - 1] <= cut:
         end -= 1
     return end
-
-
-def _trimmed(coeffs: np.ndarray) -> Polynomial:
-    """Drop high-order coefficients below ``TRIM_TOL * max|coeff|``."""
-    return Polynomial(coeffs[: _trim_length(coeffs)])
 
 
 def _sum_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:

@@ -75,6 +75,7 @@ def _direct_term(num: Polynomial, den: Polynomial) -> tuple[float, Polynomial]:
     return d0, num - d0 * den
 
 
+@np.errstate(over="ignore")  # Polynomial rejects any result that overflows
 def realize_controller(den: Polynomial, num_y: Polynomial,
                        num_r: Polynomial) -> StateSpace:
     """Shared-state realization of the two-input controller
@@ -130,6 +131,7 @@ BLOCK_STEPS = 128
 DIVERGENCE_LIMIT = 1e12
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow diverges the run
 def _closed_loop(plant: StateSpace, controller: StateSpace):
     """Augmented closed loop ``z' = A z + b r`` over ``z = [x_plant; x_ctrl]``.
 

@@ -20,10 +20,10 @@ from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
 from .numeric import (SCHUR_MARGIN, SchurFactors, _convolve, _expanded_roots,
                       vec_1norm)
-from .poly import (Polynomial, monic_from_vector,
-                   split_z_power, trim, vector_from_monic)
-from .target import (DeltaFactors, active_index_set, build_hyperplanes,
-                     control_input, delta_matrix, find_integer_target)
+from .poly import (Polynomial, monic_from_vector, split_z_power,
+                   toeplitz_stack, trim, vector_from_monic)
+from .target import (active_index_set, build_hyperplanes, control_input,
+                     delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
 
 
@@ -48,10 +48,6 @@ class StabilizationConfig(SteeringConfig):
     #: roots for the initial Schur target polynomial (degree must come out
     #: at twice the plant order); None selects the all-at-origin default
     gamma_ini_roots: tuple[complex, ...] | None = None
-
-
-#: the configuration of a call that passes none (frozen, so shared)
-_DEFAULT_CONFIG = StabilizationConfig()
 
 
 class TraceStep(NamedTuple):
@@ -95,6 +91,7 @@ class StabilizationResult:
         return -self.beta
 
 
+@np.errstate(over="ignore")  # Polynomial rejects a quotient that overflows
 def preprocess_plant(den: Polynomial, num: Polynomial) -> PreprocessedPlant:
     """Monicize the denominator and strip the numerator's z^l factor.
 
@@ -185,10 +182,10 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
 
     so ``s' = f*s + z^shift*p*a`` and ``deg(s') < shift + n + deg(p)``.
     With ``Tm`` the stacked convolution matrix of ``r``, ``Tm[n:] @ u`` is
-    ``t`` and ``bottom @ a`` is ``num*a mod z^n`` (descending), so ``a =
-    lower @ u`` for the triangular solve ``lower = bottom^-1 Tm[n:]`` that
-    ``delta_matrix`` makes, and ``r'`` is ``monic(x + delta @ u)``, the
-    state update.  The loop keeps each ``a_k`` (one n-by-n product per
+    ``t`` and ``T[n:] @ a``, ``T`` the numerator's, is ``num*a mod z^n``
+    (descending), so ``a = lower @ u`` for the triangular solve ``lower =
+    T[n:]^-1 Tm[n:]`` that ``delta_matrix`` makes, and ``r'`` is ``monic(x
+    + delta @ u)``, the state update.  The loop keeps each ``a_k`` (one n-by-n product per
     step), so a run that hits the iteration cap pays only those.  The
     product and ``s`` are accumulated after the loop: per step the
     convolutions ``f*factor``, ``f*s`` and ``p*a`` and one slice-add; an
@@ -211,7 +208,7 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
     found = find_integer_target(x0, planes, active)
     x_star = found.x_star
     cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
-    factors = DeltaFactors.from_numerator(num, n)
+    T = toeplitz_stack(num, n)
     # the loop keeps the kernels and the state update; the trace, the step
     # rows and the products are built from what it keeps after it
     states: list[np.ndarray] = []
@@ -226,7 +223,7 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
                 f"iteration cap {cap} = 10*ceil(|x* - x0|_1) + 10 exceeded "
                 f"at distance {vec_1norm(x_star - x):.3e} (target strategy "
                 f"'{found.strategy}')")
-        delta, lower = delta_matrix(x, factors)
+        delta, lower = delta_matrix(x, T)
         u, hit = control_input(x, x_star, delta, cfg.mu)
         increments.append(lower @ u)
         # on hit the next state is assigned exactly so the loop exit test is
@@ -272,7 +269,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
     loop's characteristic polynomial then equals ``gamma`` (scaled by the
     original leading denominator coefficient) and is Schur by construction.
     """
-    cfg = cfg or _DEFAULT_CONFIG
+    cfg = cfg or StabilizationConfig()
     plant = preprocess_plant(den, num)
     n = plant.den.coeffs.size - 1
     if n == 0:

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numeric import IMAG_TOL, _lu_solve, dtrtrs, poly_roots, vec_1norm
-from .poly import (Polynomial, _check_finite, _max_abs, _stack_index,
-                   toeplitz_stack)
+from .poly import Polynomial, _check_finite, _max_abs, _stack_index
 
 ACTIVE_TOL = 1e-9
 SIDE_TOL = 1e-9
@@ -134,7 +133,9 @@ class ActiveSet(NamedTuple):
         sides = self.sides(cands)
         sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
         margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
-        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        # sides0 * sides without its overflow: a product that underflows to
+        # zero has a side within the margin, and a NaN side still passes
+        bad = (np.sign(self.sides0) * sides <= 0.0) | (np.abs(sides) <= margin)
         good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
         return int(good[0]) if good.size else None
 
@@ -145,7 +146,7 @@ class ActiveSet(NamedTuple):
         # first_feasible of one candidate and its sides without the block
         # machinery; max(sup, 1.0) keeps a NaN sup, as np.maximum does
         margin = SIDE_TOL * (1.0 + max(_max_abs(cand), 1.0) * self.norms)
-        bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
+        bad = (np.sign(self.sides0) * sides <= 0.0) | (np.abs(sides) <= margin)
         return np.count_nonzero(bad) == 0
 
 
@@ -158,7 +159,6 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
     coprimality of the base point's polynomial and raises
     :class:`InconsistentActiveSetError`.
     """
-    x0 = np.asarray(x0, dtype=float)
     sides = planes.sides(x0)
     # one reduction sums each row as vec_1norm does
     norms = np.add.reduce(np.abs(planes.normals), axis=1)
@@ -174,60 +174,32 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
                      planes.offsets[active], norms[active], sides[active])
 
 
-@dataclass(frozen=True)
-class DeltaFactors:
-    """Reusable pieces of the coefficient-update matrix.
-
-    ``top``/``bottom`` are the upper and lower halves of the stacked
-    convolution matrix of the numerator; ``bottom`` is upper triangular with
-    the numerator's constant term down the diagonal, hence invertible.
-    ``index`` gathers the stacked convolution matrix of a monic polynomial
-    of degree ``dim`` from its padded coefficients.
-    """
-
-    top: np.ndarray
-    bottom: np.ndarray
-    dim: int
-    index: np.ndarray
-
-    @staticmethod
-    def from_numerator(num: Polynomial, n: int) -> "DeltaFactors":
-        if num.is_zero or num.coeffs[0] == 0.0:
-            raise ValueError("numerator must be nonzero with num(0) != 0")
-        T = toeplitz_stack(num, n)
-        return DeltaFactors(T[:n], T[n:], n, _stack_index(n))
-
-
-def delta_matrix(x: np.ndarray, factors: DeltaFactors
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def delta_matrix(x: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Update matrix, unit-lower-triangular part minus the numerator
-    coupling, and the triangular solve ``bottom^-1 Tm[n:]`` it is built
+    coupling, and the triangular solve ``T[n:]^-1 Tm[n:]`` it is built
     from, which maps an input to the cofactor increment of its step (see
     ``steer``).
 
-    Assembled with two triangular solves against the upper-triangular bottom
-    block; no explicit inverse is formed.  Singular exactly when the
+    ``T`` is ``toeplitz_stack(num, n)``, its bottom block upper triangular,
+    and ``x`` the float state, of length n or less for a lower degree;
+    neither is checked.  No inverse is formed.  Singular exactly when the
     polynomial of ``x`` shares a root with the numerator.
     """
-    n = factors.dim
-    x = np.asarray(x, dtype=float)
-    _check_finite(x)
-    if x.size > n:
-        raise ValueError(f"degree {x.size} exceeds stack dimension {n}")
+    n = T.shape[1]
     # the stacked convolution matrix of monic(x), as toeplitz_stack builds it
     padded = np.zeros(3 * n + 1)
     padded[n : n + x.size] = x[::-1]
     padded[n + x.size] = 1.0
-    Tm = padded[factors.index]
+    Tm = padded[_stack_index(n)]
     # trtrs on the transpose, the call solve_triangular makes for a C-ordered
     # matrix, without its per-call checks; lower = trans = 1, passed by
     # position, which the wrapper parses faster than keywords
-    lower, info = dtrtrs(factors.bottom.T, Tm[n:], 1, 1)
+    lower, info = dtrtrs(T[n:].T, Tm[n:], 1, 1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
     # the difference overwrites the top half of Tm, which nothing reads again
     delta = Tm[:n]
-    delta -= factors.top @ lower
+    delta -= T[:n] @ lower
     return delta, lower
 
 
@@ -391,7 +363,6 @@ def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
     the constructive target ``round(_fallback_center)``, at most
     ``MAX_CANDIDATES`` points with ``round(x0)``; then that target.
     """
-    x0 = np.asarray(x0, dtype=float)
     start = x0.round()
     sides = active.sides(start)
     if active.feasible(start, sides):
@@ -430,7 +401,7 @@ def control_input(x: np.ndarray, x_star: np.ndarray, delta: np.ndarray,
     ``_lu_solve`` requires, and ``mu`` lies in (0, 1), as
     ``SteeringConfig`` checks.
     """
-    d = _lu_solve(delta, np.asarray(x_star, dtype=float) - np.asarray(x, dtype=float))
+    d = _lu_solve(delta, x_star - x)
     norm = vec_1norm(d)
     if norm < 1.0:
         return ControlStep(d, True)

@@ -15,9 +15,9 @@ import pytest
 from intctrl import Polynomial, converter, stabilizer
 from intctrl.bezout import coprime_check, solve_diophantine
 from intctrl.numeric import vec_1norm
-from intctrl.poly import monic_from_vector, vector_from_monic
-from intctrl.target import (DeltaFactors, active_index_set, build_hyperplanes,
-                            delta_matrix, find_integer_target)
+from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
+from intctrl.target import (active_index_set, build_hyperplanes, delta_matrix,
+                            find_integer_target)
 from intctrl.fixtures import pendulum_plant, pendulum_pre_controller
 
 
@@ -254,12 +254,12 @@ def _predicted_iterations(x0, x_star, num, n, mu=0.99, samples=33):
     dist = vec_1norm(x_star - x0)
     if dist == 0.0:
         return 0
-    factors = DeltaFactors.from_numerator(num, n)
+    T = toeplitz_stack(num, n)
     sigma = 0.0
     for rho in np.linspace(0.0, 1.0, samples):
         x = rho * x0 + (1.0 - rho) * x_star
         try:
-            inv = np.linalg.inv(delta_matrix(x, factors)[0])
+            inv = np.linalg.inv(delta_matrix(x, T)[0])
         except np.linalg.LinAlgError:
             return 10 ** 9
         sigma = max(sigma, float(np.max(np.sum(np.abs(inv), axis=0))))

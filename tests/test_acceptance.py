@@ -19,8 +19,8 @@ from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               pendulum_plant, pendulum_pre_controller)
 from intctrl.numeric import (SingularMatrixError, _lu_solve, schur_check,
                              vec_1norm)
-from intctrl.poly import monic_from_vector, vector_from_monic
-from intctrl.target import DeltaFactors, delta_matrix
+from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
+from intctrl.target import delta_matrix
 
 from conftest import random_roots, well_posed_plant
 
@@ -146,8 +146,8 @@ def test_c4_update_equivalence_oracle():
         m = Polynomial(rng.normal(size=deg_m + 1))
         if m.is_zero or abs(m.coeffs[0]) < 0.3 * m.max_abs():
             continue
-        factors = DeltaFactors.from_numerator(m, n)
-        vec_route = x + delta_matrix(x, factors)[0] @ u
+        T = toeplitz_stack(m, n)
+        vec_route = x + delta_matrix(x, T)[0] @ u
         prod = (monic_from_vector(x) * monic_from_vector(u)).shifted(shift)
         poly_route = solve_diophantine(Polynomial.monomial(shift + n), prod, m).r
         err = float(np.max(np.abs(vec_route - vector_from_monic(poly_route, n)))
@@ -171,12 +171,12 @@ def test_c5_invertibility_both_directions():
         m = Polynomial.from_roots(roots, leading=float(rng.uniform(0.3, 2.0)))
         if abs(m.coeffs[0]) < 1e-3:
             continue
-        factors = DeltaFactors.from_numerator(m, n)
+        T = toeplitz_stack(m, n)
         if planted_done < 100 and real_roots:
             extra = random_roots(rng, n - 1, 1.4)
             planted = Polynomial.from_roots([real_roots[0]] + extra)
             x = vector_from_monic(planted, n)
-            if np.linalg.cond(delta_matrix(x, factors)[0]) <= 1e8:
+            if np.linalg.cond(delta_matrix(x, T)[0]) <= 1e8:
                 mis += 1
             planted_done += 1
         if coprime_done < 100:
@@ -184,7 +184,7 @@ def test_c5_invertibility_both_directions():
             if coprime_check(monic_from_vector(x), m).quality <= 1e-4:
                 continue
             try:
-                _lu_solve(delta_matrix(x, factors)[0], np.ones(n))
+                _lu_solve(delta_matrix(x, T)[0], np.ones(n))
             except SingularMatrixError:
                 mis += 1
             coprime_done += 1

@@ -10,7 +10,7 @@ from intctrl import Polynomial, bezout
 from intctrl.bezout import (NotCoprimeError, _dense_solve,
                             coprime_check, solve_diophantine)
 from intctrl.numeric import SingularMatrixError, _lu_solve
-from intctrl.poly import _trimmed
+from intctrl.poly import trim
 
 Z = Polynomial([0, 1])
 
@@ -165,7 +165,7 @@ def test_dense_solve_matches_column_oracle(monkeypatch, dq_extra):
         x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
         dr = dq - dp
         assert r.coeffs.tobytes() == Polynomial(x[: dr + 1]).coeffs.tobytes()
-        assert s.coeffs.tobytes() == _trimmed(x[dr + 1 :]).coeffs.tobytes()
+        assert s.coeffs.tobytes() == trim(Polynomial(x[dr + 1 :])).coeffs.tobytes()
         checked += 1
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_plant, schur_factor_product, sweep_plant
-from intctrl import Polynomial, cli, numeric, stabilizer, target, verify
+from intctrl import (Polynomial, cli, convert_controller, numeric, stabilizer,
+                     target, verify)
 from intctrl.cli import main, parse_problem_file, ProblemFileError
 from intctrl.fixtures import fixture_path
 from intctrl.numeric import SingularMatrixError
@@ -116,6 +117,42 @@ def test_solution_may_carry_power_shift(tmp_path, capsys):
     f.write_text(json.dumps(problem))
     assert main(["analyze", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize("ordering", ["descending", "ascending"])
+def test_written_blocks_read_back_bit_for_bit(ordering, tmp_path):
+    # stabilize's solution block and convert's controller and solution
+    # blocks, written by the table that parse_problem_file reads them by
+    den, num = parse_problem_file(PENDULUM)["plant"]
+    pre = parse_problem_file(CONVERSION)["controller"]
+
+    def coeffs(p):
+        return p.coeffs.tolist()[::-1 if ordering == "descending" else 1]
+
+    def written(blocks, command, names):
+        # the problem file with the blocks ``names`` of the command's result
+        f, out = tmp_path / "problem.json", tmp_path / "out.json"
+        f.write_text(json.dumps({"ordering": ordering, **blocks}))
+        assert main([command, str(f), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        f.write_text(json.dumps({"ordering": ordering, **blocks,
+                                 **{name: payload[name] for name in names}}))
+        return parse_problem_file(str(f))
+
+    def bits(polys):
+        return [p.coeffs.tobytes() for p in polys]
+
+    plant = {"plant": {"den": coeffs(den), "num": coeffs(num)}}
+    result = run_algorithm1(den, num)
+    assert (bits(written(plant, "stabilize", ["solution"])["solution"])
+            == bits([result.alpha, result.beta, result.gamma]))
+    conv = convert_controller(pre, den, num)
+    problem = written({**plant, "controller": {
+        "den": coeffs(pre.den), "num_y": coeffs(pre.num_y),
+        "num_r": coeffs(pre.num_r)}}, "convert", ["controller", "solution"])
+    assert (bits([*vars(problem["controller"]).values(), *problem["solution"]])
+            == bits([conv.den, conv.num_y, conv.num_r, conv.alpha, conv.beta,
+                     conv.gamma]))
 
 
 @pytest.mark.parametrize("command, text, flags, message", [
@@ -575,6 +612,61 @@ def test_analyze_overflowing_companion_row_prints_no_warning(tmp_path, capsys):
     assert payload["certificate"]["warnings"][0] == (
         "gamma is not judged Schur: its root finding failed "
         "(LinAlgError: Array must not contain infs or NaNs)")
+
+
+FINITE_ERROR = "validation error: polynomial coefficients must be finite\n"
+
+
+@pytest.mark.parametrize("command, problem, flags, code, err", [
+    # the plant's division by its leading coefficient overflows
+    ("stabilize", {"plant": {"den": [1e-300, -1.238, 1.604, 1e200],
+                             "num": [1, 0.5, 0.292]}}, [], 2, FINITE_ERROR),
+    # sides0 * sides of the target search overflows
+    ("convert", {"plant": {"den": [2.394, 2.982], "num": [1e-200, 0.671]},
+                 "controller": {"den": [1, -2.25, -0.0, -0.705],
+                                "num_y": [7.5, 0.244],
+                                "num_r": [0.54, -0.804, -1.473]}},
+     [], 4, "certificate failed\n"),
+    # the direct term d0 * den overflows
+    ("simulate", {"plant": {"den": [-0.107, 1e200], "num": [1e300, 0.5]},
+                  "controller": {"den": [1, -2.83, 1e300, 2.018, 1e200],
+                                 "num_y": [1e-300, -2.965, -1.734],
+                                 "num_r": [0, 0.271]}}, [], 2, FINITE_ERROR),
+    # the controller's division by its leading coefficient overflows
+    ("simulate", {"plant": {"den": [1e-12, -0.414, 2, 1.136],
+                            "num": [1e-200, 1e300, -0.801]},
+                  "controller": {"den": [1, 1e-12, 1.541, 0.054, 1.117],
+                                 "num_y": [1e-200, 1e-12], "num_r": [-0.544]}},
+     [], 2, FINITE_ERROR),
+    # the closed loop's outer products overflow
+    ("simulate", {"plant": {"den": [0.5, -1.796, 2, -0.0, -2.25],
+                            "num": [2.248, 0.831, 1e200]},
+                  "controller": {"den": [1, 0.5, 1e200],
+                                 "num_y": [-0.464, -1, -1],
+                                 "num_r": [-1.725, -0.071]}},
+     ["--steps", "50"], 0, ""),
+], ids=["stabilize-plant-scale", "convert-target-sides",
+        "simulate-direct-term", "simulate-controller-scale",
+        "simulate-closed-loop"])
+def test_extreme_magnitudes_print_no_numpy_warning(command, problem, flags,
+                                                   code, err, tmp_path, capsys):
+    # numpy's RuntimeWarnings used to reach stderr ahead of these outcomes
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(problem))
+    assert main([command, str(f), *flags]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 2:
+        assert out == ""
+    elif command == "convert":
+        cert = json.loads(out)["certificate"]
+        failed = [k for k, ok in cert["conditions"].items() if not ok]
+        assert failed == ["internally_stable"]
+        assert json.loads(out)["controller"]["den"] == [1, -2, 0, 0, 0, 0]
+    else:
+        payload = json.loads(out)
+        assert payload["steps"] == 2 and payload["diverged"] is True
+        assert math.isnan(payload["final_y"]) and math.isnan(payload["final_u"])
 
 
 def test_analyze_closed_loop_radius_agrees_with_the_certificate(tmp_path):

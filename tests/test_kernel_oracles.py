@@ -32,11 +32,10 @@ from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
 from intctrl.numeric import (IMAG_TOL, RootFindingError, SchurResult,
                              SingularMatrixError, vec_1norm)
-from intctrl.poly import _trim_length, toeplitz_stack
-from intctrl.target import (ACTIVE_TOL, ActiveSet, DeltaFactors,
-                            HyperplaneSet, InconsistentActiveSetError,
-                            IntegerTarget, SIDE_TOL, TargetSearchError,
-                            build_hyperplanes)
+from intctrl.poly import _trim_length
+from intctrl.target import (ACTIVE_TOL, ActiveSet, HyperplaneSet,
+                            InconsistentActiveSetError, IntegerTarget,
+                            SIDE_TOL, TargetSearchError, build_hyperplanes)
 
 from conftest import exact_residual_ratios, random_plant
 
@@ -285,12 +284,17 @@ def oracle_find_integer_target(x0, planes, active):
         candidate=center, margins=distances[list(active)].tolist())
 
 
-def oracle_from_numerator(num, n):
-    if num.is_zero or num(0.0) == 0.0:
-        raise ValueError("numerator must be nonzero with num(0) != 0")
-    T = toeplitz_stack(num, n)
-    index = np.arange(2 * n, 0, -1)[:, None] + np.arange(n)
-    return DeltaFactors(T[:n], T[n:], n, index)
+def oracle_toeplitz_stack(a, n):
+    # entry (i, j), 0-based, is the coefficient of z^(n - i + j)
+    deg = a.coeffs.size - 1
+    if deg > n:
+        raise ValueError(f"degree {deg} exceeds stack dimension {n}")
+    T = np.zeros((2 * n, n))
+    for i in range(2 * n):
+        for j in range(n):
+            if 0 <= n - i + j <= deg:
+                T[i, j] = a.coeffs[n - i + j]
+    return T
 
 
 # -- bezout -------------------------------------------------------------------
@@ -552,9 +556,6 @@ def fingerprint(obj):
     if isinstance(obj, HyperplaneSet):
         return fingerprint((obj.normals, obj.offsets, obj.roots, obj.n_real,
                             obj.num))
-    if isinstance(obj, DeltaFactors):
-        return (fingerprint(obj.top), fingerprint(obj.bottom), obj.dim,
-                fingerprint(obj.index))
     if isinstance(obj, Certificate):
         # the bound proved from gamma's factors is compared apart, within the
         # reference's allowance
@@ -575,7 +576,7 @@ ORACLES = {
     "build_hyperplanes": oracle_build_hyperplanes,
     "active_index_set": oracle_active_index_set,
     "find_integer_target": oracle_find_integer_target,
-    "from_numerator": oracle_from_numerator,
+    "toeplitz_stack": oracle_toeplitz_stack,
     "certify_stabilization": oracle_certify_stabilization,
 }
 
@@ -588,6 +589,7 @@ CALL_SITES = [
     (verify, "poly_roots"), (verify, "schur_check"),
     (stabilizer, "build_hyperplanes"), (stabilizer, "active_index_set"),
     (stabilizer, "find_integer_target"), (stabilizer, "certify_stabilization"),
+    (stabilizer, "toeplitz_stack"),
 ]
 
 
@@ -611,8 +613,6 @@ def kernel_calls(monkeypatch):
 
     for module, name in CALL_SITES:
         monkeypatch.setattr(module, name, recorder(getattr(module, name), name))
-    monkeypatch.setattr(DeltaFactors, "from_numerator", staticmethod(
-        recorder(DeltaFactors.from_numerator, "from_numerator")))
     return calls
 
 
@@ -798,8 +798,6 @@ def test_numerator_vanishing_at_zero_is_rejected_like_oracle():
         for n in (2, 3):
             assert (_outcome(build_hyperplanes, num, n)
                     == _outcome(oracle_build_hyperplanes, num, n))
-            assert (_outcome(DeltaFactors.from_numerator, num, n)
-                    == _outcome(oracle_from_numerator, num, n))
 
 
 def test_default_configuration_is_the_default_constructed_one(pendulum):

@@ -1,22 +1,22 @@
-"""The one-call LAPACK kernels against the calls they replaced, bit for bit.
+"""The one-call LAPACK solve against the calls it replaced, bit for bit,
+and how an SVD failure is reported.
 
 ``numeric._lu_solve`` makes one ``dgesv`` call, LAPACK's getrf then getrs,
 where it called ``dgetrf`` and then ``dgetrs``.  Results, or the
 exception class and message, must agree.  ``bezout.coprime_check`` calls
 ``np.linalg.svd(S, compute_uv=False)``, whose failure the CLI reports as a
-synthesis failure.
+synthesis failure; its quality is compared with a Sylvester oracle bit for
+bit in ``test_bezout.py``.
 """
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from intctrl import Polynomial, numeric
-from intctrl.bezout import _sylvester, coprime_check
+from intctrl.bezout import coprime_check
 from intctrl.cli import main
 from intctrl.fixtures import fixture_path
 from intctrl.numeric import SOLVE_RCOND, SingularMatrixError
-
-from conftest import random_plant
 
 
 def two_call_solve(A, b):
@@ -100,28 +100,6 @@ def test_singular_solve_names_pivot_and_scale():
         numeric._lu_solve(A, np.ones(2))
     assert str(err.value) == str(outcome(two_call_solve, A, np.ones(2))[1])
     assert err.value.pivot == 0.0 and err.value.scale == 2.0
-
-
-def numpy_quality(a, b):
-    """coprime_check's quality with the SVD through np.linalg.svd."""
-    S = _sylvester(a.coeffs / a.max_abs(), b.coeffs / b.max_abs())
-    sv = np.linalg.svd(S, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-
-
-def test_coprime_quality_equals_numpy_svd_on_random_pairs():
-    # the benchmark sweep's plants and the suite's default random plants
-    checked = 0
-    for seed, n_max in ((7, 8), (11, 6)):
-        rng = np.random.default_rng(seed)
-        for _ in range(300):
-            den, num = random_plant(rng, n_max=n_max)
-            if num.coeffs.size < 2:
-                continue
-            got = coprime_check(den, num)
-            assert got.quality.hex() == numpy_quality(den, num).hex()
-            checked += 1
-    assert checked > 400
 
 
 def test_svd_that_does_not_converge_exits_3(monkeypatch, capsys):

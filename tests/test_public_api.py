@@ -8,7 +8,7 @@ import inspect
 import pytest
 
 import intctrl
-from intctrl import bezout, numeric, stabilizer
+from intctrl import bezout, numeric, poly, stabilizer, target
 
 PUBLIC = {
     "run_algorithm1", "StabilizationConfig", "StabilizationResult",
@@ -45,9 +45,20 @@ def _parameters(fn):
     return set(inspect.signature(fn).parameters)
 
 
-# each one was called or set only by tests: division (the realizations take
-# the direct term themselves), properness, the checked solve, the Sylvester
-# wrapper, initial simulation states and steer's cofactor
+def _hashable(obj):
+    try:
+        hash(obj)
+    except TypeError:
+        return False
+    return True
+
+
+# the first seven were called or set only by tests: division (the
+# realizations take the direct term themselves), properness, the checked
+# solve, the Sylvester wrapper, initial simulation states and steer's
+# cofactor.  The rest did a job twice or for no caller: steer's stacked
+# matrix is the one toeplitz_stack builds, a trim is trim(Polynomial(...)),
+# a default configuration is built per call, and nothing hashes a Polynomial
 REMOVED = {
     "Polynomial.__divmod__":
         lambda: hasattr(intctrl.Polynomial, "__divmod__"),
@@ -60,6 +71,10 @@ REMOVED = {
     "simulate_loop(x0_*)":
         lambda: bool({"x0_plant", "x0_ctrl"} & _parameters(intctrl.simulate_loop)),
     "steer(q)": lambda: "q" in _parameters(stabilizer.steer),
+    "target.DeltaFactors": lambda: hasattr(target, "DeltaFactors"),
+    "poly._trimmed": lambda: hasattr(poly, "_trimmed"),
+    "stabilizer._DEFAULT_CONFIG": lambda: hasattr(stabilizer, "_DEFAULT_CONFIG"),
+    "Polynomial.__hash__": lambda: _hashable(intctrl.Polynomial([1.0])),
 }
 
 

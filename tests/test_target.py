@@ -13,9 +13,9 @@ from intctrl.bezout import coprime_check, solve_diophantine
 from intctrl.numeric import (SingularMatrixError, _lu_solve, schur_check,
                              vec_1norm)
 from intctrl.poly import monic_from_vector, toeplitz_stack, vector_from_monic
-from intctrl.target import (DeltaFactors, InconsistentActiveSetError,
-                            IntegerTarget, TargetSearchError, _slab_points,
-                            _slabs, active_index_set, build_hyperplanes, control_input,
+from intctrl.target import (InconsistentActiveSetError, IntegerTarget,
+                            TargetSearchError, _slab_points, _slabs,
+                            active_index_set, build_hyperplanes, control_input,
                             delta_matrix, find_integer_target)
 
 from conftest import random_plant, sweep_plant
@@ -207,21 +207,21 @@ def test_active_set_nan_side_counts_as_vanishing():
 
 
 def test_delta_scalar_constant_numerator():
-    factors = DeltaFactors.from_numerator(Polynomial([3.0]), 1)
-    assert_allclose(delta_matrix(np.array([7.0]), factors)[0], [[1.0]])
+    T = toeplitz_stack(Polynomial([3.0]), 1)
+    assert_allclose(delta_matrix(np.array([7.0]), T)[0], [[1.0]])
 
 
 def test_delta_constant_numerator_unit_lower_triangular():
     # hand expansion: stacked matrix of [1; x] has unit diagonal and x1 below
-    factors = DeltaFactors.from_numerator(Polynomial([2.0]), 2)
-    out = delta_matrix(np.array([5.0, -3.0]), factors)[0]
+    T = toeplitz_stack(Polynomial([2.0]), 2)
+    out = delta_matrix(np.array([5.0, -3.0]), T)[0]
     assert_allclose(out, [[1.0, 0.0], [5.0, 1.0]])
 
 
 def test_delta_bottom_block_upper_triangular(pendulum):
     _, num = pendulum
-    factors = DeltaFactors.from_numerator(num, 4)
-    bottom = factors.bottom
+    T = toeplitz_stack(num, 4)
+    bottom = T[4:]
     assert_allclose(bottom, np.triu(bottom))
     assert_allclose(np.diag(bottom), num(0.0) * np.ones(4))
 
@@ -235,12 +235,12 @@ def test_delta_matches_solve_triangular_oracle():
             num = Polynomial(rng.normal(size=int(rng.integers(1, n + 2))))
             if num.is_zero or num(0.0) == 0.0:
                 continue
-            factors = DeltaFactors.from_numerator(num, n)
+            T = toeplitz_stack(num, n)
             x = rng.normal(size=n) * 3.0
             Tm = toeplitz_stack(monic_from_vector(x), n)
-            lower = scipy.linalg.solve_triangular(factors.bottom, Tm[n:])
-            want = Tm[:n] - factors.top @ lower
-            assert delta_matrix(x, factors)[0].tobytes() == want.tobytes()
+            lower = scipy.linalg.solve_triangular(T[n:], Tm[n:])
+            want = Tm[:n] - T[:n] @ lower
+            assert delta_matrix(x, T)[0].tobytes() == want.tobytes()
 
 
 def test_delta_singular_iff_shared_root():
@@ -249,20 +249,20 @@ def test_delta_singular_iff_shared_root():
         n = 4
         roots = [rng.uniform(-1.4, 1.4) for _ in range(3)]
         num = Polynomial.from_roots(roots, leading=float(rng.uniform(0.3, 2)))
-        factors = DeltaFactors.from_numerator(num, n)
+        T = toeplitz_stack(num, n)
         if abs(num(0.0)) < 1e-3:
             continue
         # planted shared root: delta singular to tolerance
         shared = Polynomial.from_roots([roots[0]] + [rng.uniform(-1.4, 1.4)
                                                      for _ in range(n - 1)])
         x_bad = vector_from_monic(shared, n)
-        cond = np.linalg.cond(delta_matrix(x_bad, factors)[0])
+        cond = np.linalg.cond(delta_matrix(x_bad, T)[0])
         assert cond > 1e8
         # coprime vector: the update matrix must be solvable
         x_ok = rng.normal(size=n)
         if coprime_check(monic_from_vector(x_ok), num).quality < 1e-4:
             continue
-        _lu_solve(delta_matrix(x_ok, factors)[0], np.ones(n))
+        _lu_solve(delta_matrix(x_ok, T)[0], np.ones(n))
 
 
 def test_update_matches_polynomial_route():
@@ -280,8 +280,8 @@ def test_update_matches_polynomial_route():
         # origin root cluster with m; keep the instances well-posed
         if m.is_zero or abs(m.coeffs[0]) < 0.3 * m.max_abs():
             continue
-        factors = DeltaFactors.from_numerator(m, n)
-        vec_route = x + delta_matrix(x, factors)[0] @ u
+        T = toeplitz_stack(m, n)
+        vec_route = x + delta_matrix(x, T)[0] @ u
         prod = (monic_from_vector(x) * monic_from_vector(u)).shifted(shift)
         poly_route = solve_diophantine(Polynomial.monomial(shift + n), prod, m).r
         assert_allclose(vec_route, vector_from_monic(poly_route, n),
