@@ -165,7 +165,7 @@ def _shared_roots(a: Polynomial, b: Polynomial) -> list[str]:
         return []
     try:
         ra, rb = poly_roots(a), poly_roots(b)
-    except RootFindingError:  # the hint is best effort
+    except (RootFindingError, np.linalg.LinAlgError):  # the hint is best effort
         return []
     shared = []
     for r in ra:

@@ -115,6 +115,8 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
         raise ValueError("controller denominator must be monic")
     if num.is_zero:
         raise ValueError("plant numerator must be nonzero")
+    if n == 0:
+        raise ValueError("plant denominator must have degree >= 1")
 
     # strip z^l so the steering geometry sees num(0) != 0
     reduced, shift = split_z_power(num)

@@ -205,7 +205,7 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
         warnings.append(
             f"hyperplane functional(s) {skipped} vanish at the initial vector "
             "and are excluded from the same-side constraints")
-    found = find_integer_target(x0, planes, active)
+    found = find_integer_target(x0, num, active)
     x_star = found.x_star
     cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
     T = toeplitz_stack(num, n)

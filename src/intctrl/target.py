@@ -51,20 +51,13 @@ class HyperplaneSet:
     ``roots[t]`` is the source root of row ``t``.  The first ``n_real`` rows
     are real-root rows, on which a vector's polynomial vanishes at the root;
     a conjugate pair gives the real and then the imaginary part of its value
-    at the root.  ``num`` is the numerator the roots were found from.
+    at the root.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     roots: tuple[complex, ...]
     n_real: int
-    num: Polynomial
-
-    def sides(self, x: np.ndarray) -> np.ndarray:
-        """Signed functionals ``normals . x - offsets``, each row's ``row @
-        x``: a single matrix-vector product would round differently."""
-        return np.fromiter(map(x.dot, self.normals), float,
-                           self.offsets.size) - self.offsets
 
 
 def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
@@ -113,7 +106,7 @@ def build_hyperplanes(num: Polynomial, n: int) -> HyperplaneSet:
     power = np.array(rows).reshape(len(rows), n + 1)
     roots = [complex(lam) for lam in reals] + [eta for eta in pairs for _ in "ri"]
     return HyperplaneSet(power[:, 1:].copy(), -power[:, 0], tuple(roots),
-                         len(reals), num)
+                         len(reals))
 
 
 class ActiveSet(NamedTuple):
@@ -126,28 +119,23 @@ class ActiveSet(NamedTuple):
     sides0: np.ndarray
 
     def first_feasible(self, cands: np.ndarray) -> int | None:
-        """Index of the first row of ``cands`` strictly on the side of
+        """Index of the first column of ``cands`` strictly on the side of
         ``x0`` of every plane, by a margin.  The plane functionals are
-        affine, so the whole segment from ``x0`` to that row stays on the
-        same sides too."""
+        affine, so the whole segment from ``x0`` to that column stays on
+        the same sides too.  With no planes every column passes."""
         sides = self.sides(cands)
-        sup = np.maximum(1.0, _reduce_rows(np.maximum, np.abs(cands)))
-        margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
+        sup = np.maximum(1.0, np.maximum.reduce(np.abs(cands), axis=0))
+        margin = SIDE_TOL * (1.0 + self.norms[:, None] * sup)
         # sides0 * sides without its overflow: a product that underflows to
         # zero has a side within the margin, and a NaN side still passes
-        bad = (np.sign(self.sides0) * sides <= 0.0) | (np.abs(sides) <= margin)
-        good = np.flatnonzero(~_reduce_rows(np.logical_or, bad))
+        bad = ((np.sign(self.sides0)[:, None] * sides <= 0.0)
+               | (np.abs(sides) <= margin))
+        good = (~np.logical_or.reduce(bad, axis=0)).nonzero()[0]
         return int(good[0]) if good.size else None
 
-    def sides(self, cand: np.ndarray) -> np.ndarray:
-        return cand @ self.normals.T - self.offsets
-
-    def feasible(self, cand: np.ndarray, sides: np.ndarray) -> bool:
-        # first_feasible of one candidate and its sides without the block
-        # machinery; max(sup, 1.0) keeps a NaN sup, as np.maximum does
-        margin = SIDE_TOL * (1.0 + max(_max_abs(cand), 1.0) * self.norms)
-        bad = (np.sign(self.sides0) * sides <= 0.0) | (np.abs(sides) <= margin)
-        return np.count_nonzero(bad) == 0
+    def sides(self, cands: np.ndarray) -> np.ndarray:
+        """Signed functionals of the columns of ``cands``, a row per plane."""
+        return self.normals @ cands - self.offsets[:, None]
 
 
 def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
@@ -159,7 +147,10 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
     coprimality of the base point's polynomial and raises
     :class:`InconsistentActiveSetError`.
     """
-    sides = planes.sides(x0)
+    # each row's row @ x0: a single matrix-vector product would round
+    # differently
+    sides = np.fromiter(map(x0.dot, planes.normals), float,
+                        planes.offsets.size) - planes.offsets
     # one reduction sums each row as vec_1norm does
     norms = np.add.reduce(np.abs(planes.normals), axis=1)
     active = np.abs(sides) > ACTIVE_TOL * (1.0 + norms * max(1.0, _max_abs(x0)))
@@ -224,16 +215,6 @@ _FIRST_SLAB = 64
 MAX_CANDIDATES = 200_000
 
 
-def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=1)`` for an exact, order-free ufunc (maximum,
-    logical or), one column at a time: numpy reduces a short inner axis
-    element by element, several times slower than whole-column calls."""
-    out = a[:, 0].copy()
-    for col in a.T[1:]:
-        ufunc(out, col, out=out)
-    return out
-
-
 def _slabs(radius: int, dim: int):
     """The cube of offsets in ``[-radius, radius]**dim``, in
     ``itertools.product`` order, as slabs ``(lead, level)``: a slab of level
@@ -264,22 +245,22 @@ def _slabs(radius: int, dim: int):
 
 @functools.lru_cache(maxsize=16)
 def _slab_points(radius: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets a slab of ``level`` runs, as float rows in product order:
-    those on the shell, with an offset of magnitude ``radius``, then all of
-    them.  Read-only, since they are cached."""
-    grid = np.indices((2 * radius + 1,) * level).reshape(level, -1).T - radius
-    shell = grid[_reduce_rows(np.maximum, np.abs(grid)) == radius]
+    """The offsets a slab of ``level`` runs, as float columns in product
+    order: those on the shell, with an offset of magnitude ``radius``, then
+    all of them.  Read-only, since they are cached."""
+    grid = np.indices((2 * radius + 1,) * level).reshape(level, -1) - radius
+    shell = grid[:, np.maximum.reduce(np.abs(grid), axis=0) == radius]
     points = shell.astype(float), grid.astype(float)
-    for rows in points:
-        rows.flags.writeable = False
+    for cols in points:
+        cols.flags.writeable = False
     return points
 
 
-def _search_around(center: np.ndarray, sides: np.ndarray, max_radius: float,
+def _search_around(center: np.ndarray, max_radius: float,
                    planes: ActiveSet) -> tuple[np.ndarray | None, int]:
     """First feasible point on the shells of radius 1 to ``max_radius``
-    around ``center`` (its sides ``sides``), in product order, and the shell
-    points examined through it, at most ``MAX_CANDIDATES - 1``.
+    around ``center``, in product order, and the shell points examined
+    through it, at most ``MAX_CANDIDATES - 1``.
 
     Each shell is walked slab by slab (see ``_slabs``).  The signed side
     ``sign_t (normal_t . x - offset_t)`` of a slab point, ``sign_t`` its sign
@@ -305,7 +286,8 @@ def _search_around(center: np.ndarray, sides: np.ndarray, max_radius: float,
     sign = np.sign(planes.sides0[rows])
     normals = sign[:, None] * planes.normals[rows]
     # the signed sides at center plus the slack
-    lift = sign * sides[rows] + ((dim + 2) * 2.0 ** -48 * scale[rows] + 1e-300)
+    sides = planes.sides(center[:, None])[rows, 0]
+    lift = sign * sides + ((dim + 2) * 2.0 ** -48 * scale[rows] + 1e-300)
     # a shell holds 2 points or more, so the budget ends any longer walk
     for radius in range(1, last + 1):
         grids = {}
@@ -314,20 +296,20 @@ def _search_around(center: np.ndarray, sides: np.ndarray, max_radius: float,
             key = level, radius in lead or -radius in lead
             if key not in grids:
                 points = _slab_points(radius, level)[key[1]]
-                grids[key] = points, normals[:, dim - level:] @ points.T
+                grids[key] = points, normals[:, dim - level:] @ points
             points, slab = grids[key]
             floor = -(lift + normals[:, :dim - level] @ lead)
             count = min(slab.shape[1], budget - examined)
             kept = np.logical_and.reduce(
                 slab[:, :count] >= floor[:, None], axis=0).nonzero()[0]
             if kept.size:
-                off = np.empty((kept.size, dim))
-                off[:, :dim - level] = lead
-                off[:, dim - level:] = points[kept]
-                cands = center + off
+                off = np.empty((dim, kept.size))
+                off[:dim - level] = np.reshape(lead, (-1, 1))
+                off[dim - level:] = points[:, kept]
+                cands = center[:, None] + off
                 hit = planes.first_feasible(cands)
                 if hit is not None:
-                    return cands[hit].copy(), examined + int(kept[hit]) + 1
+                    return cands[:, hit].copy(), examined + int(kept[hit]) + 1
             examined += count
             if examined == budget:
                 return None, examined
@@ -355,27 +337,27 @@ def _fallback_center(x0: np.ndarray, num: Polynomial,
     return (x0 - v) / float(ratio[ratio.argmin()]) + v
 
 
-def find_integer_target(x0: np.ndarray, planes: HyperplaneSet,
+def find_integer_target(x0: np.ndarray, num: Polynomial,
                         active: ActiveSet) -> IntegerTarget:
-    """Integer vector strictly on the same side as ``x0`` of every active plane.
+    """Integer vector strictly on the same side as ``x0`` of every active plane
+    of ``active``, the planes of the numerator ``num``.
 
     Search order: ``round(x0)``; its Chebyshev shells out to the radius of
     the constructive target ``round(_fallback_center)``, at most
     ``MAX_CANDIDATES`` points with ``round(x0)``; then that target.
     """
     start = x0.round()
-    sides = active.sides(start)
-    if active.feasible(start, sides):
+    if active.first_feasible(start[:, None]) is not None:
         return IntegerTarget(start, "round", 1)
 
-    center = _fallback_center(x0, planes.num, active).round()
-    cand, count = _search_around(start, sides, _max_abs(center - start), active)
+    center = _fallback_center(x0, num, active).round()
+    cand, count = _search_around(start, _max_abs(center - start), active)
     examined = 1 + count
     if cand is not None:
         return IntegerTarget(cand, "shell", examined)
-    if active.feasible(center, active.sides(center)):
+    if active.first_feasible(center[:, None]) is not None:
         return IntegerTarget(center, "fallback", examined + 1)
-    distances = np.abs(planes.sides(center))[list(active.index)] / active.norms
+    distances = np.abs(active.sides(center[:, None])[:, 0]) / active.norms
     raise TargetSearchError(
         "integer-target search exhausted: not even the constructive target "
         "lies on the side of x0 of every active plane, as it does in exact "

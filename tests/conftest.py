@@ -242,7 +242,7 @@ def well_posed_plant(rng, n_max=6, quality_min=1e-4, pred_iter_max=6,
         planes = build_hyperplanes(num, n)
         try:
             active = active_index_set(x0, planes)
-            x_star = find_integer_target(x0, planes, active).x_star
+            x_star = find_integer_target(x0, num, active).x_star
         except Exception:
             continue
         if _predicted_iterations(x0, x_star, num, n) > pred_iter_max:

@@ -71,6 +71,28 @@ def test_not_coprime_plant_whose_roots_miss_the_bound_is_a_validation_error(
     assert "shared root" not in err and "Traceback" not in err
 
 
+#: descending plants whose companion rows overflow: the shared-root hint's
+#: eigensolve meets infinities and raises LinAlgError, not RootFindingError
+OVERFLOWING_PLANTS = [
+    {"den": [1e-300, 1e-08, 1e-300, 1e+300, 1e-300], "num": [1e-200, 1]},
+    {"den": [1e-200, -0.824, 2, 1e+300, 1.952, 1e-08],
+     "num": [1e+200, 1, -1, 0.995]},
+]
+
+
+@pytest.mark.parametrize("plant", OVERFLOWING_PLANTS)
+@pytest.mark.parametrize("command", ["stabilize", "convert", "analyze", "simulate"])
+def test_not_coprime_plant_whose_roots_overflow_is_a_validation_error(
+        command, plant, tmp_path, capsys):
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": plant}))
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: field 'plant': den and num are "
+                          "not coprime (quality ")
+    assert "Traceback" not in err
+
+
 def test_parse_rejects_unknown_field(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"plant": {"den": [1.0], "num": [1.0]},
@@ -89,6 +111,7 @@ def test_parse_rejects_improper(tmp_path):
 
 PLANT = {"den": [1, 0.5, -2], "num": [1, 0.3]}
 CONTROLLER = {"den": [1, 0.2], "num_y": [0.3], "num_r": [1]}
+STATIC_PLANT = {"den": [2.0], "num": [0.5]}
 
 
 @pytest.mark.parametrize("block, key", [
@@ -170,9 +193,15 @@ def test_written_blocks_read_back_bit_for_bit(ordering, tmp_path):
      "analyze requires a 'solution' block"),
     ("simulate", json.dumps({"plant": PLANT}), [],
      "simulate requires a 'controller' block"),
+    ("stabilize", json.dumps({"plant": STATIC_PLANT}), [],
+     "plant denominator must have degree >= 1"),
+    ("convert", json.dumps({"plant": STATIC_PLANT, "controller": {
+        "den": [1, -0.5], "num_y": [0.3], "num_r": [1]}}), [],
+     "plant denominator must have degree >= 1"),
 ], ids=["bad-ordering", "not-an-object", "no-plant", "zero-den",
         "block-not-an-object", "bad-root-list", "analyze-no-solution",
-        "simulate-no-controller"])
+        "simulate-no-controller", "stabilize-static-plant",
+        "convert-static-plant"])
 def test_problem_file_error_exits_2(command, text, flags, message, tmp_path,
                                     capsys):
     f = tmp_path / "problem.json"

@@ -237,6 +237,16 @@ def test_conversion_rejects_shared_roots():
         run_algorithm2(ctrl_den, num, 2, ConversionConfig())
 
 
+def test_conversion_rejects_a_static_plant():
+    # a plant denominator of degree 0 leaves no coefficients to steer, as in
+    # the stabilizing synthesis
+    pre = PreController(Polynomial([-0.5, 1.0]), Polynomial([0.3]),
+                        Polynomial([1.0]))
+    with pytest.raises(ValueError,
+                       match=r"^plant denominator must have degree >= 1$"):
+        convert_controller(pre, Polynomial([2.0]), Polynomial([0.5]))
+
+
 def test_alpha_ini_degree_requirement():
     # deg(alpha) must reach n - deg(ctrl_den); short root lists are rejected
     with pytest.raises(ValueError):

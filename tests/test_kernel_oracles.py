@@ -184,7 +184,7 @@ def oracle_build_hyperplanes(num, n):
     power = np.array(rows).reshape(len(rows), n + 1)
     normals = power[:, 1:].copy()
     # the fields a HyperplaneSet is fingerprinted by
-    return normals, -power[:, 0], tuple(roots), len(reals), num
+    return normals, -power[:, 0], tuple(roots), len(reals)
 
 
 def oracle_classify_roots(roots):
@@ -233,55 +233,60 @@ def oracle_active_index_set(x0, planes):
 
 
 class OracleActivePlanes:
-    """The active planes, every candidate tested as a block."""
+    """The given planes, every candidate tested as a row of a block.  The
+    shell walk hands its candidates over as columns: they are copied into
+    C-ordered rows first, so that the products round as a row layout does."""
 
-    def __init__(self, x0, planes, active):
-        rows = list(active)
-        self.normals = planes.normals[rows]
-        self.offsets = planes.offsets[rows]
-        self.norms = oracle_norms(planes.normals)[rows]
-        self.sides0 = oracle_sides(planes.normals, planes.offsets, x0)[rows]
+    def __init__(self, x0, normals, offsets):
+        self.normals, self.offsets = normals, offsets
+        self.norms = oracle_norms(normals)
+        self.sides0 = oracle_sides(normals, offsets, x0)
+
+    def _row_sides(self, rows):
+        return rows @ self.normals.T - self.offsets
 
     def first_feasible(self, cands):
-        sides = cands @ self.normals.T - self.offsets
-        sup = np.maximum(1.0, target._reduce_rows(np.maximum, np.abs(cands)))
+        rows = np.ascontiguousarray(cands.T)
+        sides = self._row_sides(rows)
+        sup = np.maximum(1.0, np.maximum.reduce(np.abs(rows), axis=1))
         margin = SIDE_TOL * (1.0 + sup[:, None] * self.norms)
         bad = (self.sides0 * sides <= 0.0) | (np.abs(sides) <= margin)
-        good = np.flatnonzero(~target._reduce_rows(np.logical_or, bad))
+        good = np.flatnonzero(~np.logical_or.reduce(bad, axis=1))
         return int(good[0]) if good.size else None
+
+    def sides(self, cands):
+        return self._row_sides(np.ascontiguousarray(cands.T)).T
 
     def feasible(self, cand):
         # with no active plane every candidate is a target
         return (not self.norms.size
-                or self.first_feasible(cand[None, :]) is not None)
+                or self.first_feasible(cand[:, None]) is not None)
 
 
-def oracle_find_integer_target(x0, planes, active):
+def oracle_find_integer_target(x0, num, active):
     # the sides and norms are computed again, not read from active
     x0 = np.asarray(x0, dtype=float)
-    active = active.index
-    stacked = OracleActivePlanes(x0, planes, active)
+    stacked = OracleActivePlanes(x0, active.normals, active.offsets)
     start = np.round(x0)
     examined = 1
     if stacked.feasible(start):
         return IntegerTarget(start, "round", examined)
-    center = np.round(target._fallback_center(x0, planes.num, stacked))
+    center = np.round(target._fallback_center(x0, num, stacked))
     radius = float(np.max(np.abs(center - start)))
-    sides = start @ stacked.normals.T - stacked.offsets
-    cand, count = target._search_around(start, sides, radius, stacked)
+    cand, count = target._search_around(start, radius, stacked)
     examined += count
     if cand is not None:
         return IntegerTarget(cand, "shell", examined)
     examined += 1
     if stacked.feasible(center):
         return IntegerTarget(center, "fallback", examined)
-    distances = (np.abs(oracle_sides(planes.normals, planes.offsets, center))
-                 / oracle_norms(planes.normals))
+    distances = (np.abs(oracle_sides(active.normals, active.offsets, center))
+                 / oracle_norms(active.normals))
     raise TargetSearchError(
         "integer-target search exhausted: not even the constructive target "
         "lies on the side of x0 of every active plane, as it does in exact "
         "arithmetic, so the plane geometry broke down numerically",
-        candidate=center, margins=distances[list(active)].tolist())
+        candidate=center, margins=distances.tolist())
 
 
 def oracle_toeplitz_stack(a, n):
@@ -554,8 +559,7 @@ def fingerprint(obj):
     if isinstance(obj, Polynomial):
         return "poly", obj.coeffs.tobytes()
     if isinstance(obj, HyperplaneSet):
-        return fingerprint((obj.normals, obj.offsets, obj.roots, obj.n_real,
-                            obj.num))
+        return fingerprint((obj.normals, obj.offsets, obj.roots, obj.n_real))
     if isinstance(obj, Certificate):
         # the bound proved from gamma's factors is compared apart, within the
         # reference's allowance
@@ -757,9 +761,10 @@ def test_trim_keeps_a_non_finite_maximum():
 
 
 def test_single_candidate_test_matches_block_oracle_at_the_margin():
-    # sides placed at the margin SIDE_TOL * (1 + max(1, |cand|_inf) * norm)
-    # and fractions and multiples of it, on either side of x0; then a NaN
-    # candidate, whose sup the block route keeps as NaN
+    # first_feasible of one column against the oracle's row test: sides
+    # placed at the margin SIDE_TOL * (1 + max(1, |cand|_inf) * norm) and
+    # fractions and multiples of it, on either side of x0; then a NaN
+    # candidate, whose sup both routes keep as NaN, and the origin
     rng = np.random.default_rng(1212)
     for _ in range(300):
         n = int(rng.integers(1, 6))
@@ -772,12 +777,12 @@ def test_single_candidate_test_matches_block_oracle_at_the_margin():
             * rng.choice([-1.0, 1.0], k)
         offsets = cand @ normals.T - want_sides
         x0 = cand + rng.normal(size=n)
-        planes = HyperplaneSet(normals, offsets, (0j,) * k, 0,
-                               Polynomial.one())
+        planes = HyperplaneSet(normals, offsets, (0j,) * k, 0)
         got = target.active_index_set(x0, planes)
-        want = OracleActivePlanes(x0, planes, got.index)
+        want = OracleActivePlanes(x0, got.normals, got.offsets)
         for c in (cand, np.full(n, np.nan), np.zeros(n)):
-            assert got.feasible(c, got.sides(c)) == want.feasible(c)
+            got_feasible = got.first_feasible(c[:, None]) is not None
+            assert got_feasible == want.feasible(c)
             assert got.sides0.tobytes() == want.sides0.tobytes()
 
 

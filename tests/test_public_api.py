@@ -3,6 +3,7 @@ results and errors, the certificates and closed-loop helpers, the
 simulator and the polynomial types.  Every entry of ``intctrl.__all__``
 exists, and a star import brings in exactly those names; the kernels stay
 in their modules, and the names removed as test-only stay gone."""
+import dataclasses
 import inspect
 
 import pytest
@@ -58,7 +59,9 @@ def _hashable(obj):
 # solve, the Sylvester wrapper, initial simulation states and steer's
 # cofactor.  The rest did a job twice or for no caller: steer's stacked
 # matrix is the one toeplitz_stack builds, a trim is trim(Polynomial(...)),
-# a default configuration is built per call, and nothing hashes a Polynomial
+# a default configuration is built per call, and nothing hashes a Polynomial.
+# The last four served a candidates-as-rows layout: a column-loop reduction,
+# a one-candidate copy of the side test, and plane data read once only
 REMOVED = {
     "Polynomial.__divmod__":
         lambda: hasattr(intctrl.Polynomial, "__divmod__"),
@@ -75,6 +78,11 @@ REMOVED = {
     "poly._trimmed": lambda: hasattr(poly, "_trimmed"),
     "stabilizer._DEFAULT_CONFIG": lambda: hasattr(stabilizer, "_DEFAULT_CONFIG"),
     "Polynomial.__hash__": lambda: _hashable(intctrl.Polynomial([1.0])),
+    "target._reduce_rows": lambda: hasattr(target, "_reduce_rows"),
+    "ActiveSet.feasible": lambda: hasattr(target.ActiveSet, "feasible"),
+    "HyperplaneSet.sides": lambda: hasattr(target.HyperplaneSet, "sides"),
+    "HyperplaneSet.num": lambda: "num" in {
+        f.name for f in dataclasses.fields(target.HyperplaneSet)},
 }
 
 

@@ -62,7 +62,9 @@ def test_hyperplane_sides_match_polynomial_values():
     for _ in range(50):
         x = rng.normal(size=n) * 3
         p = monic_from_vector(x)
-        sides = planes.sides(x)
+        active = active_index_set(x, planes)
+        assert active.index == (0, 1, 2, 3)
+        sides = active.sides0
         for t, root in enumerate(planes.roots):
             val = p(root)
             want = val.imag if t == 3 else val.real
@@ -70,7 +72,6 @@ def test_hyperplane_sides_match_polynomial_values():
             # one dot product per row, bit for bit
             row_side = planes.normals[t] @ x - planes.offsets[t]
             assert sides[t].tobytes() == row_side.tobytes()
-        active = active_index_set(x, planes)
         assert_allclose(active.norms, np.abs(
             planes.normals[list(active.index)]).sum(axis=1))
 
@@ -173,7 +174,8 @@ def test_active_set_excludes_vanishing_imag_part():
     assert active.normals.tobytes() == planes.normals[:1].tobytes()
     assert active.offsets.tobytes() == planes.offsets[:1].tobytes()
     assert active.norms.tolist() == [vec_1norm(planes.normals[0])]
-    assert active.sides0.tobytes() == planes.sides(x)[:1].tobytes()
+    side = planes.normals[0] @ x - planes.offsets[0]
+    assert active.sides0.tobytes() == np.array([side]).tobytes()
 
 
 def test_active_set_pendulum_all_real(pendulum):
@@ -289,14 +291,22 @@ def test_update_matches_polynomial_route():
 
 
 def test_find_target_no_constraints_rounds():
-    planes = build_hyperplanes(Polynomial([1.0]), 3)
+    num = Polynomial([1.0])
+    planes = build_hyperplanes(num, 3)
     x0 = np.array([0.2, -1.7, 2.5])
     active = active_index_set(x0, planes)
     assert active.index == ()
-    found = find_integer_target(x0, planes, active)
+    found = find_integer_target(x0, num, active)
     assert_allclose(found.x_star, [0.0, -2.0, 2.0])
     assert found == IntegerTarget(found.x_star, "round", 1)
-    assert_matches_oracle(x0, planes, active)
+    assert_matches_oracle(x0, num, planes, active)
+
+
+def test_first_feasible_without_planes_takes_the_first_column():
+    # the or-reduction over no planes leaves every column feasible
+    planes = build_hyperplanes(Polynomial([1.0]), 2)
+    active = active_index_set(np.zeros(2), planes)
+    assert active.first_feasible(np.array([[3.0, -1.0], [0.5, np.nan]])) == 0
 
 
 def test_find_target_integer_start_is_fixed_point(pendulum):
@@ -305,7 +315,7 @@ def test_find_target_integer_start_is_fixed_point(pendulum):
     planes = build_hyperplanes(num, n)
     x0 = np.array([-1.0, -13.0, -4.0, 10.0])
     active = active_index_set(x0, planes)
-    found = find_integer_target(x0, planes, active)
+    found = find_integer_target(x0, num, active)
     assert np.array_equal(found.x_star, x0)
     assert found.candidates_examined == 1
 
@@ -319,7 +329,7 @@ def test_find_target_pendulum_rounds(pendulum):
         num).r, n)
     planes = build_hyperplanes(num, n)
     active = active_index_set(x0, planes)
-    found = find_integer_target(x0, planes, active)
+    found = find_integer_target(x0, num, active)
     assert_allclose(found.x_star, [-1.0, -13.0, -4.0, 10.0])
     assert found.strategy == "round" and found.candidates_examined == 1
 
@@ -331,7 +341,7 @@ def test_find_target_round_failure_walks_shells():
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
     x0 = np.array([-0.75])
-    found = find_integer_target(x0, planes, active_index_set(x0, planes))
+    found = find_integer_target(x0, num, active_index_set(x0, planes))
     assert found.x_star[0] == 0.0
     assert found.strategy == "shell" and found.candidates_examined == 3
 
@@ -342,17 +352,18 @@ def _squeezed_2d(root=-5.0):
     num = Polynomial.from_roots([0.31, 0.33], leading=1.0)
     planes = build_hyperplanes(num, 2)
     x0 = vector_from_monic(Polynomial.from_roots([0.32, root]), 2)
-    return x0, planes, active_index_set(x0, planes)
+    return x0, num, planes, active_index_set(x0, planes)
 
 
 def test_find_target_fallback_recentre(monkeypatch):
     # squeeze x0 between two nearby parallel-ish planes and give the walk a
     # budget of round(x0) alone: it fails, and the constructive target holds
     monkeypatch.setattr(target, "MAX_CANDIDATES", 1)
-    x0, planes, active = _squeezed_2d()
-    found = find_integer_target(x0, planes, active)
+    x0, num, _, active = _squeezed_2d()
+    found = find_integer_target(x0, num, active)
     assert found.strategy == "fallback" and found.candidates_examined == 2
-    assert np.all(planes.sides(found.x_star) * planes.sides(x0) > 0)
+    assert active.index == (0, 1)
+    assert np.all(active.sides(found.x_star[:, None])[:, 0] * active.sides0 > 0)
 
 
 def test_walk_passes_radius_8_toward_the_constructive_target():
@@ -360,8 +371,7 @@ def test_walk_passes_radius_8_toward_the_constructive_target():
     # the walk is [-13, 4], the 14th point of the radius-10 shell, after the
     # 1 + 360 points of radius 0 to 9; the constructive target [-134, 43]
     # lies at radius 131
-    x0, planes, active = _squeezed_2d(3.0)
-    found = assert_matches_oracle(x0, planes, active)
+    found = assert_matches_oracle(*_squeezed_2d(3.0))
     assert found.x_star.tolist() == [-13.0, 4.0]
     assert (found.strategy, found.candidates_examined) == ("shell", 375)
 
@@ -381,23 +391,24 @@ def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
     monkeypatch.setattr(target, "_slabs", recording)
     # the plane x = -0.8 of the root 0.8, x0 = 3.2 at distance 4: c = -0.8
     # + (3.2 + 0.8) / 4 rounds to 0, on the radius-3 shell around 3
-    planes = build_hyperplanes(Polynomial.from_roots([0.8]), 1)
+    num = Polynomial.from_roots([0.8])
+    planes = build_hyperplanes(num, 1)
     x0 = np.array([3.2])
     active = active_index_set(x0, planes)
     with pytest.raises(TargetSearchError) as err:
-        find_integer_target(x0, planes, active)
+        find_integer_target(x0, num, active)
     assert walked == [1, 2, 3]
     assert err.value.candidate.tolist() == [0.0]
-    assert oracle_find_integer_target(x0, planes, active) is None
+    assert oracle_find_integer_target(x0, num, planes, active) is None
 
 
 def test_search_exhaustion_reports_every_active_plane(monkeypatch):
     # a side margin no candidate clears and a budget of a few points
     monkeypatch.setattr(target, "SIDE_TOL", math.inf)
     monkeypatch.setattr(target, "MAX_CANDIDATES", 5)
-    x0, planes, active = _squeezed_3d()
+    x0, num, _, active = _squeezed_3d()
     with pytest.raises(TargetSearchError) as err:
-        find_integer_target(x0, planes, active)
+        find_integer_target(x0, num, active)
     message = str(err.value)
     assert message.startswith("integer-target search exhausted")
     assert "numerically" in message
@@ -483,8 +494,7 @@ def _oracle_shells(start, max_radius):
         radius += 1
 
 
-def _oracle_fallback_center(x0, planes, active):
-    num = planes.num
+def _oracle_fallback_center(x0, num, planes, active):
     n, m = x0.size, num.coeffs.size - 1
     v = Polynomial(num.coeffs / num.leading).shifted(n - m).coeffs[-2::-1]
     dist = min(abs(_oracle_side(planes, t, x0)) / vec_1norm(planes.normals[t])
@@ -492,7 +502,7 @@ def _oracle_fallback_center(x0, planes, active):
     return np.round((x0 - v) / dist + v)
 
 
-def oracle_find_integer_target(x0, planes, active):
+def oracle_find_integer_target(x0, num, planes, active):
     """The search written out point by point; None when it is exhausted."""
     x0 = np.asarray(x0, dtype=float)
     feasible = _oracle_same_side(x0, planes, active)
@@ -500,7 +510,7 @@ def oracle_find_integer_target(x0, planes, active):
     examined = 1
     if feasible(start):
         return IntegerTarget(start, "round", examined)
-    center = _oracle_fallback_center(x0, planes, active)
+    center = _oracle_fallback_center(x0, num, planes, active)
     shells = _oracle_shells(start, float(np.max(np.abs(center - start))))
     for cand in itertools.islice(shells, target.MAX_CANDIDATES - 1):
         examined += 1
@@ -511,15 +521,15 @@ def oracle_find_integer_target(x0, planes, active):
     return None
 
 
-def assert_matches_oracle(x0, planes, active):
+def assert_matches_oracle(x0, num, planes, active):
     """Same target bit for bit, same strategy and count, or both exhausted;
     returns the oracle's target, or None when both were exhausted."""
-    want = oracle_find_integer_target(x0, planes, active)
+    want = oracle_find_integer_target(x0, num, planes, active)
     if want is None:
         with pytest.raises(TargetSearchError):
-            find_integer_target(x0, planes, active)
+            find_integer_target(x0, num, active)
         return None
-    got = find_integer_target(x0, planes, active)
+    got = find_integer_target(x0, num, active)
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert got.strategy == want.strategy
     assert got.candidates_examined == want.candidates_examined
@@ -532,14 +542,14 @@ def _squeezed_3d():
     num = Polynomial.from_roots([0.31, 0.33, -0.5])
     planes = build_hyperplanes(num, 3)
     x0 = vector_from_monic(Polynomial.from_roots([0.32, -5.0, 0.1]), 3)
-    return x0, planes, active_index_set(x0, planes)
+    return x0, num, planes, active_index_set(x0, planes)
 
 
 def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
     num = Polynomial.from_roots([0.8])
     planes = build_hyperplanes(num, 1)
     x0 = np.array([-0.75])
-    assert assert_matches_oracle(x0, planes, active_index_set(
+    assert assert_matches_oracle(x0, num, planes, active_index_set(
         x0, planes)).strategy == "shell"
 
     found = assert_matches_oracle(*_squeezed_2d())
@@ -554,7 +564,7 @@ def test_block_search_matches_oracle_on_hand_cases(pendulum, monkeypatch):
              0.9168 + 0.199j, 0.9168 - 0.199j, 0.965 + 0.1j, 0.965 - 0.1j])):
         x0 = vector_from_monic(solve_diophantine(den, gamma, num).r, 4)
         planes = build_hyperplanes(num, 4)
-        assert_matches_oracle(x0, planes, active_index_set(x0, planes))
+        assert_matches_oracle(x0, num, planes, active_index_set(x0, planes))
 
     # a budget of round(x0) alone: it fails and the constructive target holds
     monkeypatch.setattr(target, "MAX_CANDIDATES", 1)
@@ -580,7 +590,7 @@ def test_block_search_matches_oracle_on_random_plants(monkeypatch):
             active = active_index_set(x0, planes)
         except ValueError:  # not coprime, or a real-root plane through x0
             continue
-        found = assert_matches_oracle(x0, planes, active)
+        found = assert_matches_oracle(x0, num, planes, active)
         strategies.append(found.strategy if found else "exhausted")
     assert strategies.count("shell") >= 40
     assert strategies.count("round") >= 100
@@ -594,8 +604,8 @@ SCHEDULES = [(64, 8192), (1, 3), (3, 9)]
 
 
 def first_feasible_calls(monkeypatch):
-    """The candidates each first-feasible test receives, one array per
-    call."""
+    """The candidates each first-feasible test receives, one array of
+    columns per call."""
     calls = []
     real = target.ActiveSet.first_feasible
 
@@ -611,12 +621,12 @@ def first_feasible_calls(monkeypatch):
 def test_slab_search_budget_matches_oracle(monkeypatch, first, slab):
     monkeypatch.setattr(target, "_FIRST_SLAB", first)
     monkeypatch.setattr(target, "SLAB", slab)
-    x0, planes, active = _squeezed_3d()
+    squeezed = _squeezed_3d()
     # budgets up to 22 end the walk before its target, then the
     # constructive target holds; they end inside slabs and on their edges
     for budget in range(1, 27):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = assert_matches_oracle(x0, planes, active)
+        found = assert_matches_oracle(*squeezed)
         assert found.strategy == ("fallback" if budget <= 22 else "shell")
     # a side margin that rejects the first six points the bounds keep: the
     # exact test, not the bound, decides them, and the target is the second
@@ -625,7 +635,7 @@ def test_slab_search_budget_matches_oracle(monkeypatch, first, slab):
     monkeypatch.setattr(target, "SIDE_TOL", 0.005)
     for budget in (5, 4834, 4835, 200_000):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = assert_matches_oracle(x0, planes, active)
+        found = assert_matches_oracle(*squeezed)
         assert (found is not None) == (budget >= 4835)
     assert (found.strategy, found.candidates_examined) == ("shell", 4835)
 
@@ -638,26 +648,31 @@ def test_budget_ends_on_and_inside_a_slab(monkeypatch):
     monkeypatch.setattr(target, "SLAB", 9)
     assert [(lead, level) for lead, level in _slabs(1, 3)] == [
         ([-1, -1], 1), ([-1, 0], 1), ([-1, 1], 1), ([0], 2), ([1], 2)]
-    x0, planes, active = _squeezed_3d()
+    x0, num, planes, active = _squeezed_3d()
     start = np.round(x0)
     tested = first_feasible_calls(monkeypatch)
     # the walk examines round(x0), then up to MAX_CANDIDATES - 1 shell
     # points.  Every point before the target is skipped by its bounds,
-    # so a walk that ends before it tests no candidate: inside the first
-    # slab (1 shell point), on its edge (3), inside the fourth (10), on the
-    # edge of the fourth (17), and inside the last, before the target (20)
+    # so a walk that ends before it tests no shell point, only round(x0)
+    # and the constructive target: inside the first slab (1 shell point),
+    # on its edge (3), inside the fourth (10), on the edge of the fourth
+    # (17), and inside the last, before the target (20)
     for budget in (2, 4, 11, 18, 21):
         monkeypatch.setattr(target, "MAX_CANDIDATES", budget)
-        found = find_integer_target(x0, planes, active)
+        tested.clear()
+        found = find_integer_target(x0, num, active)
         assert (found.strategy, found.candidates_examined) == ("fallback",
                                                                budget + 1)
-        assert tested == []
-        assert_matches_oracle(x0, planes, active)
-    # inside the last slab on the target: it alone is tested
+        assert [cols.T.tolist() for cols in tested] == [
+            [start.tolist()], [found.x_star.tolist()]]
+        assert_matches_oracle(x0, num, planes, active)
+    # inside the last slab on the target: it alone is tested after round(x0)
     monkeypatch.setattr(target, "MAX_CANDIDATES", 23)
-    found = find_integer_target(x0, planes, active)
+    tested.clear()
+    found = find_integer_target(x0, num, active)
     assert (found.strategy, found.candidates_examined) == ("shell", 23)
-    assert [(rows - start).tolist() for rows in tested] == [[[1.0, 0.0, 0.0]]]
+    assert [(cols.T - start).tolist() for cols in tested] == [
+        [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]]
 
 
 def test_budget_exhausting_sweep_walk_matches_oracle(monkeypatch):
@@ -677,12 +692,15 @@ def test_budget_exhausting_sweep_walk_matches_oracle(monkeypatch):
     monkeypatch.setattr(stabilizer, "find_integer_target", recording)
     with pytest.raises(Recorded):
         run_algorithm1(*sweep_plant(533))
-    (x0, planes, active), = searches
+    (x0, num, active), = searches
+    planes = build_hyperplanes(num, x0.size)
     tested = first_feasible_calls(monkeypatch)
-    found = assert_matches_oracle(x0, planes, active)
+    found = assert_matches_oracle(x0, num, planes, active)
     assert (found.strategy, found.candidates_examined) == ("fallback", 200_001)
-    # the bounds skip every walked point
-    assert tested == []
+    # the bounds skip every walked point: round(x0) and the constructive
+    # target alone are tested
+    assert [cols.T.tolist() for cols in tested] == [
+        [np.round(x0).tolist()], [found.x_star.tolist()]]
 
 
 def test_non_finite_sides_skip_no_point():
@@ -695,28 +713,28 @@ def test_non_finite_sides_skip_no_point():
     # the first such shell point around round(x0) = (17, -17, 0), (18, -18,
     # -1) at walk index 18, has the NaN side and is the target
     planes = target.HyperplaneSet(np.array([[1.0, 0.0, 0.0], huge]),
-                                  np.array([17.3, np.inf]), (0.5, 0.5), 2, num)
+                                  np.array([17.3, np.inf]), (0.5, 0.5), 2)
     x0 = np.array([17.4, -17.1, 0.3])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert planes.sides(x0)[1] == -np.inf
-        assert np.isnan(planes.sides(np.array([18.0, -18.0, -1.0]))[1])
         active = active_index_set(x0, planes)
         assert active.index == (0, 1)
-        found = assert_matches_oracle(x0, planes, active)
+        assert active.sides0[1] == -np.inf
+        assert np.isnan(active.sides(np.array([[18.0], [-18.0], [-1.0]]))[1, 0])
+        found = assert_matches_oracle(x0, num, planes, active)
     assert found.x_star.tolist() == [18.0, -18.0, -1.0]
     assert (found.strategy, found.candidates_examined) == ("shell", 19)
     # y = -16.9 holds only y = -16 on the side of x0 = (17.6, -16.8, 0.3),
     # and the side of the huge plane is NaN at round(x0) = (18, -17, 0)
     # itself; the target is (17, -16, -1), at walk index 7
     planes = target.HyperplaneSet(np.array([[0.0, 1.0, 0.0], huge]),
-                                  np.array([-16.9, np.inf]), (0.5, 0.5), 2, num)
+                                  np.array([-16.9, np.inf]), (0.5, 0.5), 2)
     x0 = np.array([17.6, -16.8, 0.3])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert planes.sides(x0)[1] == -np.inf
-        assert np.isnan(planes.sides(np.round(x0))[1])
         active = active_index_set(x0, planes)
         assert active.index == (0, 1)
-        found = assert_matches_oracle(x0, planes, active)
+        assert active.sides0[1] == -np.inf
+        assert np.isnan(active.sides(np.round(x0)[:, None])[1, 0])
+        found = assert_matches_oracle(x0, num, planes, active)
     assert found.x_star.tolist() == [17.0, -16.0, -1.0]
     assert (found.strategy, found.candidates_examined) == ("shell", 8)
 
@@ -734,9 +752,10 @@ def test_slabs_follow_product_order(monkeypatch, first, slab, dim):
             shell, grid = _slab_points(radius, level)
             # a slab starts where its level divides the flat index
             assert len(points) % width ** level == 0
-            rows = [tuple(int(v) for v in row) for row in grid]
+            # one column per point
+            rows = [tuple(int(v) for v in row) for row in grid.T]
             points += [tuple(lead) + row for row in rows]
-            assert [tuple(int(v) for v in row) for row in shell] == [
+            assert [tuple(int(v) for v in row) for row in shell.T] == [
                 row for row in rows if max(map(abs, row)) == radius]
             levels.append(level)
         assert points == list(itertools.product(range(-radius, radius + 1),
@@ -758,7 +777,7 @@ def test_slabs_beyond_index_range():
     slabs = itertools.islice(_slabs(1, 45), 12)
     points = itertools.chain.from_iterable(
         (tuple(lead) + tuple(int(v) for v in row)
-         for row in _slab_points(1, level)[1]) for lead, level in slabs)
+         for row in _slab_points(1, level)[1].T) for lead, level in slabs)
     points = list(points)
     want = itertools.islice(itertools.product((-1, 0, 1), repeat=45),
                             len(points))
