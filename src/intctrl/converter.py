@@ -17,9 +17,9 @@ import numpy as np
 
 from .bezout import NotCoprimeError, coprime_check, solve_diophantine
 from .numeric import SchurFactors
-from .poly import (Polynomial, monic_from_vector, split_z_power, trim,
-                   vector_from_monic)
-from .stabilizer import SteeringConfig, TraceStep, schur_factor, steer
+from .poly import Polynomial, monic_from_vector, split_z_power
+from .stabilizer import (SteeringConfig, TraceStep, _initial_state,
+                         schur_factor, steer)
 from .verify import Certificate, certify_conversion
 
 
@@ -130,7 +130,7 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     big_n = (alpha_ini.coeffs.size - 1) + (ctrl_den.coeffs.size - 1) - n
     r0, s0 = solve_diophantine(Polynomial.monomial(big_n),
                                alpha_ini * ctrl_den, reduced)
-    x0 = vector_from_monic(trim(r0), n)
+    x0 = _initial_state(r0, n)
     # the roles swap against the stabilizing synthesis: the Schur factors
     # pile into alpha, and z^N r + s num = alpha ctrl_den with r the integer
     # target gives gamma = z^N r and beta = -s

@@ -185,8 +185,8 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     powers[:, 1:] = roots[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply.accumulate(powers, axis=1, out=powers)
-        res = np.abs(powers @ c)
-        scale = np.abs(powers) @ np.abs(c)
+        res = np.abs(powers.dot(c))
+        scale = np.abs(powers).dot(np.abs(c))
         bad = res > ROOT_TOL * scale
     if np.count_nonzero(bad):
         raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
@@ -424,7 +424,7 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
                    * _DOWN - base_err * _UP)
     # per factor, upper bounds of the Rouche sum against z^n, the 1-norm and
     # the Lipschitz constant
-    sums = np.abs(steps) @ _factor_weights(n)
+    sums = np.abs(steps).dot(_factor_weights(n))
     inside = (sums[:, 0] < 1.0) & (steps[:, n] == 1.0)
     if np.count_nonzero(inside) != k_count:
         return SchurProof(0.0, f"the roots of factor {int(inside.argmin()) + 1} "
@@ -451,7 +451,7 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
     slack = (4 * n + 4) * _U * sums[:, 1] * _UP
     m = ARC_SAMPLES
     while True:
-        values = _arc_powers(m, n) @ steps.T
+        values = _arc_powers(m, n).dot(steps.T)
         moduli = np.hypot(values[:m], values[m:])
         reach = (np.pi / (2 * m) + _POINT_ERR) * _UP
         # rows 0..m-1 bound each factor below on the arcs; rows m..2m-1 are

@@ -174,9 +174,12 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     if plant.D[0, 0] != 0.0 and controller.D[0, 0] != 0.0:
         raise AlgebraicLoopError(
             "both plant and controller feedback channel have direct terms")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     ref = np.asarray(reference, dtype=float)
+    if ref.ndim > 1:
+        raise ValueError("reference must be a number or a one-dimensional "
+                         f"sequence, got shape {ref.shape}")
     if not np.isfinite(ref).all():
         raise ValueError("reference must be finite")
     r_seq = np.full(steps, float(ref)) if ref.ndim == 0 else ref
@@ -186,22 +189,22 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     n = ab.shape[0]
     # rows hold [z_k; r_k] for one block plus the state that starts the next
     w = np.zeros((BLOCK_STEPS + 1, n + 1))
-    pairs = [(w[j], w[j + 1, :n]) for j in range(BLOCK_STEPS)]
+    pairs = tuple(zip(w[:-1], w[1:, :n]))
     y = np.empty(steps)
     u = np.empty(steps)
-    dot = np.dot
+    step = ab.dot  # np.dot's C routine, bit for bit, without its dispatch
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, BLOCK_STEPS):
             m = min(BLOCK_STEPS, steps - k0)
-            w[:m, n] = r_seq[k0:k0 + m]
+            block, yb = w[:m], y[k0:k0 + m]
+            block[:, n] = r_seq[k0:k0 + m]
             for z, z_next in pairs[:m]:
-                dot(ab, z, out=z_next)
-            dot(w[:m], cy, out=y[k0:k0 + m])
-            dot(w[:m], cu, out=u[k0:k0 + m])
-            # |y| <= limit also rejects NaN
-            bad = ~(np.abs(y[k0:k0 + m]) <= DIVERGENCE_LIMIT)
-            if bad.any():
-                k = k0 + int(bad.argmax())
+                step(z, out=z_next)
+            block.dot(cy, out=yb)
+            block.dot(cu, out=u[k0:k0 + m])
+            # |y| <= limit also rejects NaN, which max propagates
+            if not np.abs(yb).max() <= DIVERGENCE_LIMIT:
+                k = k0 + int((np.abs(yb) <= DIVERGENCE_LIMIT).argmin())
                 return SimulationResult(y[: k + 1], u[: k + 1],
                                         r_seq[: k + 1], True, k + 1)
             w[0, :n] = w[m, :n]

@@ -157,6 +157,16 @@ def make_gamma_ini(n: int, num: Polynomial,
     return schur_factor(roots, num), roots
 
 
+def _initial_state(r0: Polynomial, n: int) -> np.ndarray:
+    """The steering state of the initial solve's quotient ``r0``, which is
+    monic of degree ``n`` unless the solve broke down numerically."""
+    try:
+        return vector_from_monic(trim(r0), n)
+    except ValueError as exc:
+        raise SynthesisError(
+            f"the initial Diophantine solve broke down: {exc}") from None
+
+
 def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
           x0: np.ndarray, s0: Polynomial, cfg: SteeringConfig
           ) -> tuple[Polynomial, int, np.ndarray, Polynomial,
@@ -225,10 +235,10 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
                 f"'{found.strategy}')")
         delta, lower = delta_matrix(x, T)
         u, hit = control_input(x, x_star, delta, cfg.mu)
-        increments.append(lower @ u)
+        increments.append(lower.dot(u))
         # on hit the next state is assigned exactly so the loop exit test is
         # exact equality, matching the first branch of the input law
-        x = x_star.copy() if hit else x + delta @ u
+        x = x_star.copy() if hit else x + delta.dot(u)
         states.append(x)
         inputs.append(u)
         hits.append(hit)
@@ -277,7 +287,7 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
 
     gamma_ini, base = make_gamma_ini(n, plant.num, cfg.gamma_ini_roots)
     alpha_ini, beta_ini = solve_diophantine(plant.den, gamma_ini, plant.num)
-    x0 = vector_from_monic(trim(alpha_ini), n)
+    x0 = _initial_state(alpha_ini, n)
     gamma, big_n, x_star, beta, trace, warnings, steps = steer(
         plant.den, gamma_ini, 0, plant.num, x0, beta_ini, cfg)
 

@@ -135,7 +135,7 @@ class ActiveSet(NamedTuple):
 
     def sides(self, cands: np.ndarray) -> np.ndarray:
         """Signed functionals of the columns of ``cands``, a row per plane."""
-        return self.normals @ cands - self.offsets[:, None]
+        return self.normals.dot(cands) - self.offsets[:, None]
 
 
 def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
@@ -190,7 +190,7 @@ def delta_matrix(x: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
     # the difference overwrites the top half of Tm, which nothing reads again
     delta = Tm[:n]
-    delta -= T[:n] @ lower
+    delta -= T[:n].dot(lower)
     return delta, lower
 
 
@@ -280,7 +280,7 @@ def _search_around(center: np.ndarray, max_radius: float,
     last = int(min(max_radius, MAX_CANDIDATES))
     # the scale of the last shell bounds every shell's
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = (np.abs(planes.normals) @ (np.abs(center) + last)
+        scale = (np.abs(planes.normals).dot(np.abs(center) + last)
                  + np.abs(planes.offsets))
     rows = (scale < 1e300).nonzero()[0]
     sign = np.sign(planes.sides0[rows])
@@ -296,9 +296,9 @@ def _search_around(center: np.ndarray, max_radius: float,
             key = level, radius in lead or -radius in lead
             if key not in grids:
                 points = _slab_points(radius, level)[key[1]]
-                grids[key] = points, normals[:, dim - level:] @ points
+                grids[key] = points, normals[:, dim - level:].dot(points)
             points, slab = grids[key]
-            floor = -(lift + normals[:, :dim - level] @ lead)
+            floor = -(lift + normals[:, :dim - level].dot(lead))
             count = min(slab.shape[1], budget - examined)
             kept = np.logical_and.reduce(
                 slab[:, :count] >= floor[:, None], axis=0).nonzero()[0]

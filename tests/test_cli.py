@@ -303,6 +303,38 @@ def test_convert_overflowing_plane_row_exits_3(den, num, root, tmp_path, capsys)
     assert main(["stabilize", str(f), "--out", str(out)]) == 0
 
 
+def test_convert_initial_solve_breakdown_exits_3(tmp_path, capsys):
+    # the controller denominator's 1e300 coefficient breaks the conversion's
+    # initial solve down: its quotient is not monic, a numerical breakdown
+    # (exit 3), not a validation error
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps({
+        "plant": {"den": [0.233, 1e-200, 1, -2.154], "num": [1, -1]},
+        "controller": {"den": [1, 3.7, 0.863, 1e+300, 0.839],
+                       "num_y": [-1.542], "num_r": [1.927, 3.7, 3.7, 2]}}))
+    out = tmp_path / "res.json"
+    assert main(["convert", str(f), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "synthesis failed: the initial Diophantine solve broke down: expected "
+        "a monic polynomial, got Polynomial([1e+300])\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quotient, reason", [
+    (Polynomial([1e300]), "expected a monic polynomial, got Polynomial([1e+300])"),
+    (Polynomial([0.5, 1.0]), "expected degree 4, got 1"),
+], ids=["not-monic", "wrong-degree"])
+def test_stabilize_initial_solve_breakdown_exits_3(quotient, reason, monkeypatch,
+                                                   tmp_path, capsys):
+    monkeypatch.setattr(stabilizer, "solve_diophantine",
+                        lambda *args: (quotient, Polynomial.zero()))
+    out = tmp_path / "res.json"
+    assert main(["stabilize", PENDULUM, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"synthesis failed: the initial Diophantine solve broke down: {reason}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 def test_singular_steering_step_exits_3(command, monkeypatch, tmp_path, capsys):
     def singular(*args):

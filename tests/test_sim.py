@@ -6,12 +6,14 @@ from numpy.polynomial.polynomial import polydiv
 from numpy.testing import assert_allclose
 
 from intctrl import (Polynomial, RationalTF, StabilizationConfig,
-                     convert_controller, realize_controller, realize_tf,
-                     run_algorithm1, simulate_loop)
+                     closed_loop_poly, convert_controller, realize_controller,
+                     realize_tf, run_algorithm1, simulate_loop)
 from intctrl.converter import ConversionConfig
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
-from intctrl.sim import AlgebraicLoopError, StateSpace, write_trajectory_csv
+from intctrl.sim import (BLOCK_STEPS, DIVERGENCE_LIMIT, AlgebraicLoopError,
+                         SimulationResult, StateSpace, _closed_loop,
+                         write_trajectory_csv)
 
 
 def test_realize_first_order():
@@ -373,11 +375,103 @@ def test_matches_two_system_loop(case):
     assert out.r.size == out.steps
 
 
+def oracle_simulate_loop(plant, ctrl, reference, steps):
+    """simulate_loop's earlier stepping, the bitwise reference: ``np.dot``
+    for every product and a scan of each whole block for divergence."""
+    ref = np.asarray(reference, dtype=float)
+    r_seq = np.full(steps, float(ref)) if ref.ndim == 0 else ref
+    ab, cy, cu = _closed_loop(plant, ctrl)
+    n = ab.shape[0]
+    w = np.zeros((BLOCK_STEPS + 1, n + 1))
+    pairs = [(w[j], w[j + 1, :n]) for j in range(BLOCK_STEPS)]
+    y = np.empty(steps)
+    u = np.empty(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, steps, BLOCK_STEPS):
+            m = min(BLOCK_STEPS, steps - k0)
+            w[:m, n] = r_seq[k0:k0 + m]
+            for z, z_next in pairs[:m]:
+                np.dot(ab, z, out=z_next)
+            np.dot(w[:m], cy, out=y[k0:k0 + m])
+            np.dot(w[:m], cu, out=u[k0:k0 + m])
+            bad = ~(np.abs(y[k0:k0 + m]) <= DIVERGENCE_LIMIT)
+            if bad.any():
+                k = k0 + int(bad.argmax())
+                return SimulationResult(y[: k + 1], u[: k + 1],
+                                        r_seq[: k + 1], True, k + 1)
+            w[0, :n] = w[m, :n]
+    return SimulationResult(y, u, r_seq[:steps], False, steps)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(pendulum, pre_controller):
+    """Loops and horizons to replay against the oracle, by name."""
+    den, num = pendulum
+    plant = realize_tf(RationalTF(num, den))
+    # the benchmark's pendulum-sim loops at seed 1
+    stab = run_algorithm1(den, num, StabilizationConfig(
+        gamma_ini_roots=PENDULUM_GAMMA_INI_ROOTS))
+    loop = closed_loop_poly(den, num, stab.controller_den, stab.controller_num)
+    prefilter = Polynomial([loop(1.0).real / num(1.0).real])
+    refs = np.random.default_rng(1).uniform(0.5, 2.5, size=3)
+    fixture = convert_controller(pre_controller, den, num, ConversionConfig(
+        alpha_ini_roots=CONVERSION_ALPHA_INI_ROOTS))
+    default = convert_controller(pre_controller, den, num)
+    converted = realize_controller(fixture.den, fixture.num_y, fixture.num_r)
+    cases = {
+        "pendulum-stabilized": (plant, realize_controller(
+            stab.controller_den, stab.controller_num, prefilter), refs[0], 1000),
+        "pendulum-converted": (plant, converted, refs[1], 1000),
+        "pendulum-sign-flipped": (plant, realize_controller(
+            stab.controller_den, -stab.controller_num, prefilter), refs[2],
+            1000),
+        "conversion-fixture": (plant, converted, 2.0, 2500),
+        "default-conversion": (plant, realize_controller(
+            default.den, default.num_y, default.num_r), 1.0, 1000),
+    }
+    for name, (p, c, reference) in _equivalence_cases().items():
+        cases[name] = p, c, reference, 700
+    p, c, reference = _equivalence_cases()["time-varying-reference"]
+    for steps in (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
+        cases[f"horizon-{steps}"] = p, c, reference, steps
+    # the same lag plant under the gain 10: the closed-loop pole is at
+    # 0.8 - 0.4 * 10 = -3.2, and |y| passes 1e12 at step 27
+    static = realize_controller(Polynomial([1.0]), Polynomial([-10.0]),
+                                Polynomial([1.0]))
+    cases["diverges-in-first-block"] = p, static, 1.0, 1000
+    return cases
+
+
+ORACLE_CASES = [
+    "pendulum-stabilized", "pendulum-converted", "pendulum-sign-flipped",
+    "conversion-fixture", "default-conversion", *sorted(_equivalence_cases()),
+    "horizon-0", "horizon-1", f"horizon-{BLOCK_STEPS - 1}",
+    f"horizon-{BLOCK_STEPS}", f"horizon-{BLOCK_STEPS + 1}",
+    "diverges-in-first-block"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_matches_oracle_bit_for_bit(case, oracle_cases):
+    plant, ctrl, reference, steps = oracle_cases[case]
+    got = simulate_loop(plant, ctrl, reference, steps)
+    want = oracle_simulate_loop(plant, ctrl, reference, steps)
+    assert (got.steps, got.diverged) == (want.steps, want.diverged)
+    for a, b in zip(got[:3], want[:3]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    if case == "diverges-in-first-block":
+        assert got.diverged and got.steps < BLOCK_STEPS
+    if case == "default-conversion":
+        assert plant.n_states + ctrl.n_states == 82
+
+
 @pytest.mark.parametrize("steps, reference, name", [
     (-3, 1.0, "steps"),
     (10, float("nan"), "reference"),
     (0, float("-inf"), "reference"),
     (10, np.r_[np.ones(9), np.inf], "reference"),
+    (10, np.ones((10, 1)), "reference"),
+    (2.5, 1.0, "steps"),
 ])
 def test_rejects_negative_steps_and_non_finite_reference(steps, reference, name):
     plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
