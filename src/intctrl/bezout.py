@@ -9,7 +9,7 @@ square system is well-posed exactly when the coprimality holds.
 """
 from __future__ import annotations
 
-from math import copysign
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -99,24 +99,12 @@ def _identity_residual(a: Polynomial, b: Polynomial, c: Polynomial,
 
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
-    dp = p.coeffs.size - 1
-    dq = q.coeffs.size - 1
-    dr = dq - dp
-    dim = dq + 1
     # column j < dr + 1 holds p from row j down, column dr + 1 + i holds the
-    # modulus from row i down: coefficient k of either sits on a diagonal,
-    # which is one strided slice of the flat matrix
-    A = np.zeros((dim, dim))
-    flat = A.reshape(-1)
-    step = dim + 1
-    for k, c in enumerate(p.coeffs.tolist()):
-        # the matrix already holds +0.0, such as the zeros of a p = z^N;
-        # a -0.0 is written like any other coefficient
-        if c or copysign(1.0, c) < 0.0:
-            flat[k * dim : k * dim + (dr + 1) * step : step] = c
-    for k, c in enumerate(modulus.coeffs.tolist()):
-        start = k * dim + dr + 1
-        flat[start : start + dp * step : step] = c
+    # modulus from row i down
+    dp = p.coeffs.size - 1
+    dr = q.coeffs.size - 1 - dp
+    A = np.concatenate(([0.0], p.coeffs, modulus.coeffs))[
+        _band_index((dp, modulus.coeffs.size - 1), (dr + 1, dp))]
     try:
         x = _lu_solve(A, q.coeffs)
     except SingularMatrixError as exc:
@@ -126,17 +114,31 @@ def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):
     return Polynomial(x[: dr + 1]), trim(Polynomial(x[dr + 1 :]))
 
 
+@functools.lru_cache(maxsize=128)
+def _band_index(degrees: tuple[int, ...], widths: tuple[int, ...]) -> np.ndarray:
+    """Gather index of a square matrix of column bands, one per polynomial,
+    from ``[0, coefficients of each polynomial...]``: column ``j`` of the
+    band of the polynomial of degree ``degrees[b]``, ``widths[b]`` columns
+    wide, holds its coefficients from row ``j`` down, every other entry the
+    leading zero.  Read-only.
+    """
+    rows = np.arange(sum(widths))[:, None]
+    bands, start = [], 1
+    for degree, width in zip(degrees, widths):
+        k = rows - np.arange(width)  # the coefficient that entry (i, j) holds
+        bands.append(np.where((k >= 0) & (k <= degree), start + k, 0))
+        start += degree + 1
+    index = np.hstack(bands)
+    index.setflags(write=False)
+    return index
+
+
 def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Classical Sylvester matrix of two ascending coefficient arrays of
-    degree at least 1 whose top entries are nonzero."""
+    degree at least 1 whose top entries are nonzero: ``deg(b)`` columns of
+    ``a`` and ``deg(a)`` of ``b``, descending from the diagonal down."""
     da, db = a.size - 1, b.size - 1
-    S = np.zeros((da + db, da + db))
-    a_desc, b_desc = a[::-1], b[::-1]
-    for i in range(db):
-        S[i : i + da + 1, i] = a_desc
-    for i in range(da):
-        S[i : i + db + 1, db + i] = b_desc
-    return S
+    return np.concatenate(([0.0], a[::-1], b[::-1]))[_band_index((da, db), (db, da))]
 
 
 def coprime_check(a: Polynomial, b: Polynomial) -> CoprimalityResult:

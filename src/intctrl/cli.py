@@ -7,11 +7,13 @@ numerical breakdown included), 4 certificate failure.  ``stabilize``,
 ``convert`` and ``analyze`` write their result JSON whenever a
 certificate was made, and exit 4 when it fails; a certificate's root
 finding that breaks down fails its condition, with a warning.  The
-closed-loop spectral radius that ``stabilize`` and ``analyze`` report for
-information is written as null when its root finding breaks down, with a
-warning.  Result JSON is byte-stable across runs for identical inputs and
-flags: ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
-which ``--out`` overwrites in place.
+closed-loop spectral radius that ``analyze`` reports for information is
+written as null when its root finding breaks down, with a warning;
+``stabilize`` reports none, since its loop is the plant's leading
+coefficient times ``z^shift * gamma``, which the certificate proves Schur
+from its factors.  Result JSON is byte-stable across runs for identical
+inputs and flags: ``json.dumps(payload, indent=2, sort_keys=True)`` and a
+newline, which ``--out`` overwrites in place.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 import numpy as np
 
@@ -121,7 +122,8 @@ def parse_problem_file(path: str) -> dict:
     polynomials are usually written out).
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path) as fp:
+            raw = json.loads(fp.read())
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file {path}: {exc.strerror}")
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -253,8 +255,6 @@ def _cmd_stabilize(args) -> int:
     roots = _parse_complex_list(args.gamma_ini_roots) if args.gamma_ini_roots else None
     cfg = StabilizationConfig(gamma_ini_roots=roots, mu=args.mu)
     result = run_algorithm1(den, num, cfg)
-    radius, radius_warnings = _spectral_radius(closed_loop_poly(
-        den, num, result.controller_den, result.controller_num))
     payload = {
         "command": "stabilize",
         "ordering": ordering,
@@ -268,9 +268,8 @@ def _cmd_stabilize(args) -> int:
         "x_star": result.x_star.tolist(),
         "iterations": result.iterations,
         "trace": _trace_out(result.trace),
-        "closed_loop": {"spectral_radius": radius},
         "certificate": result.certificate.to_dict(),
-        "warnings": list(result.warnings) + radius_warnings,
+        "warnings": list(result.warnings),
     }
     return _emit_certified(payload, args.out, result.certificate)
 

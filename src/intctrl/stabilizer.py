@@ -91,7 +91,6 @@ class StabilizationResult:
         return -self.beta
 
 
-@np.errstate(over="ignore")  # Polynomial rejects a quotient that overflows
 def preprocess_plant(den: Polynomial, num: Polynomial) -> PreprocessedPlant:
     """Monicize the denominator and strip the numerator's z^l factor.
 
@@ -110,14 +109,19 @@ def preprocess_plant(den: Polynomial, num: Polynomial) -> PreprocessedPlant:
             f"plant denominator and numerator are not coprime "
             f"(quality {quality:.3e} <= {COPRIME_TOL:.1e})")
     scale = den.leading
-    reduced, shift = split_z_power(trim(Polynomial(num.coeffs / scale)))
-    return PreprocessedPlant(Polynomial(den.coeffs / scale), reduced, shift,
+    with np.errstate(over="ignore"):  # Polynomial rejects a quotient that overflows
+        num_scaled, den_scaled = num.coeffs / scale, den.coeffs / scale
+    reduced, shift = split_z_power(trim(Polynomial(num_scaled)))
+    return PreprocessedPlant(Polynomial(den_scaled), reduced, shift,
                              float(scale), quality)
 
 
 def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
     """Monic polynomial with the given roots, which must lie strictly inside
-    the unit circle and share none with the numerator."""
+    the unit circle and share none with the numerator: at each root ``r``,
+    ``|num(r)|`` must exceed ``COPRIME_TOL * sum_i |c_i| |r|^i``, ``c`` the
+    numerator's coefficients scaled to unit maximum as ``coprime_check``
+    scales them (neither side then over- or underflows)."""
     # a NaN fails no comparison and max skips it unless it comes first
     bad = [r for r in roots if not cmath.isfinite(r)]
     if bad:
@@ -130,12 +134,17 @@ def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
     prod, _, closed = _expanded_roots(roots)
     if not closed:
         raise ValueError("roots are not closed under conjugation")
-    factor = Polynomial(prod)
-    ok, quality = coprime_check(factor, num)
-    if not ok:
-        raise NotCoprimeError(f"initial factor shares a root with the "
-                              f"numerator (quality {quality:.3e})")
-    return factor
+    # Horner's rule for num(r) and for the bound, on |r| and |c_i|
+    coeffs = (num.coeffs / num.max_abs()).tolist()[::-1]
+    for r in roots:
+        value, bound, radius = 0j, 0.0, abs(r)
+        for c in coeffs:
+            value, bound = value * r + c, bound * radius + abs(c)
+        if abs(value) <= COPRIME_TOL * bound:
+            raise NotCoprimeError(
+                f"initial factor root {r:.6g} is a root of the numerator "
+                f"(|num(r)| {abs(value):.3e} <= {COPRIME_TOL:.1e} * {bound:.3e})")
+    return Polynomial(prod)
 
 
 def make_gamma_ini(n: int, num: Polynomial,

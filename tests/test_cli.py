@@ -224,7 +224,42 @@ def test_stabilize_cli_end_to_end(tmp_path, capsys):
     # descending integer controller denominator z^4 (z^4 - z^3 - 13z^2 - 4z + 10)
     assert payload["controller"]["den"] == [1.0, -1.0, -13.0, -4.0, 10.0,
                                             0.0, 0.0, 0.0, 0.0]
-    assert abs(payload["closed_loop"]["spectral_radius"] - 0.9701) < 2e-3
+    # the loop is the plant's leading coefficient times z^shift * gamma,
+    # which the certificate proves Schur from its factors: no radius is
+    # found for it
+    assert "closed_loop" not in payload
+    assert payload["certificate"]["witnesses"]["gamma_min_modulus_bound"] > 0.0
+
+
+@pytest.mark.parametrize("roots", [None, GAMMA_ROOTS],
+                         ids=["default", "fixture-roots"])
+def test_stabilize_finds_only_the_numerator_roots_and_makes_two_svds(
+        roots, monkeypatch, tmp_path):
+    # the certificate proves gamma from its factors with the plant's quality
+    # from preprocess_plant, initial roots are checked where they are given,
+    # and the loop gets no radius: the one root finding is of the reduced
+    # numerator, for the hyperplanes, and the two Sylvester SVDs are the
+    # problem file's plant check and preprocess_plant's
+    den, num = parse_problem_file(PENDULUM)["plant"]
+    reduced = preprocess_plant(den, num).num
+    rooted, svds = [], []
+    real_roots, real_svd = numeric.poly_roots, np.linalg.svd
+
+    def counting_roots(p):
+        rooted.append(p)
+        return real_roots(p)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    for module in (numeric, target, verify, cli):
+        monkeypatch.setattr(module, "poly_roots", counting_roots)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    argv = ["stabilize", PENDULUM, "--out", str(tmp_path / "res.json")]
+    assert main(argv + (["--gamma-ini-roots=" + roots] if roots else [])) == 0
+    assert rooted == [reduced]
+    assert svds == [(7, 7), (7, 7)]
 
 
 def test_stabilize_cli_validation_exit_code(tmp_path, capsys):
@@ -356,9 +391,8 @@ def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
     # 229 (n = 8) they were gamma's, inside the certificate, which now proves
     # gamma from its factors without roots: that proof does not decide, so
     # the result is written and fails its certificate.  Plant 16 (n = 6)
-    # certifies, and only the roots of its closed-loop polynomial, whose
-    # spectral radius the JSON reports for information, miss it: the result
-    # is written with a null radius
+    # certifies, and only the roots of its closed-loop polynomial miss it;
+    # stabilize no longer finds those, so it exits 0 without a warning
     den, num = sweep_plant(index)
     f = tmp_path / "plant.json"
     f.write_text(json.dumps({"plant": {"den": den.coeffs.tolist(),
@@ -379,9 +413,8 @@ def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
         return
     assert code == 0 and err == ""
     assert payload["certificate"]["passed"] is True
-    assert payload["closed_loop"]["spectral_radius"] is None
-    assert payload["warnings"][-1].startswith(
-        "closed-loop spectral radius not computed: root residuals exceed tolerance")
+    assert "closed_loop" not in payload
+    assert not any("spectral radius" in w for w in payload["warnings"])
 
 
 def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
@@ -476,6 +509,32 @@ def test_removed_search_flag_is_rejected(command, flag, value, tmp_path,
         main([command, problem, *args, "--out", str(out)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, roots", [
+    ("stabilize", "--gamma-ini-roots", GAMMA_ROOTS),
+    ("convert", "--alpha-ini-roots", ALPHA_ROOTS)], ids=["stabilize", "convert"])
+@pytest.mark.parametrize("offset", [0.0, 1e-12], ids=["root", "within-tolerance"])
+def test_initial_root_of_the_numerator_is_not_coprime(command, flag, roots,
+                                                      offset, tmp_path, capsys):
+    # the plant numerator's root inside the unit circle, or one 1e-12
+    # relative away, replaces the second (real) initial root: the initial
+    # factor shares that root with the numerator to tolerance
+    _, num = parse_problem_file(PENDULUM)["plant"]
+    [inside] = [r for r in numeric.poly_roots(num).tolist() if abs(r) < 0.9]
+    root = inside * (1 + offset)
+    tokens = roots.split(",")
+    tokens[1] = repr(root)
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    out = tmp_path / "res.json"
+    assert main([command, problem, f"{flag}={','.join(tokens)}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: initial factor root "
+                          f"{complex(root):.6g} is a root of the numerator "
+                          "(|num(r)| ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

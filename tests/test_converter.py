@@ -273,8 +273,9 @@ def test_conversion_finds_only_the_loop_roots_and_checks_each_pair_once(
         pendulum, pre_controller, monkeypatch):
     # the certificate proves alpha from its factors and takes the
     # controller/numerator quality from run_algorithm2: it finds the roots
-    # of the loop only, and the conversion runs one Sylvester SVD per pair
-    # (that one, and the initial factor's against the numerator)
+    # of the loop only, and the conversion runs one Sylvester SVD, for the
+    # controller/numerator pair; the initial factor is checked against the
+    # numerator at its given roots
     rooted, pairs = [], []
 
     def counting_roots(p):
@@ -294,8 +295,7 @@ def test_conversion_finds_only_the_loop_roots_and_checks_each_pair_once(
     assert conv.certificate.passed
     loop = closed_loop_poly(den, num, conv.den, conv.num_y)
     assert len(rooted) == 1 and rooted[0] == loop
-    assert len(pairs) == 2
-    assert (pre_controller.den, num) in pairs
+    assert pairs == [(pre_controller.den, num)]
     assert conv.certificate.witnesses["den_num_coprimality_quality"] == \
         coprime_check(pre_controller.den, num).quality
 

@@ -305,7 +305,10 @@ def oracle_toeplitz_stack(a, n):
 # -- bezout -------------------------------------------------------------------
 
 
-def oracle_dense_solve(p, q, modulus):
+def oracle_dense_matrix(p, q, modulus):
+    # column j < dr + 1 holds p from row j down, column dr + 1 + i holds the
+    # modulus from row i down: coefficient k of either sits on a diagonal,
+    # one strided slice of the flat matrix, written where it is not +0.0
     dp = p.coeffs.size - 1
     dq = q.coeffs.size - 1
     dr = dq - dp
@@ -319,6 +322,12 @@ def oracle_dense_solve(p, q, modulus):
     for k, c in enumerate(modulus.coeffs.tolist()):
         start = k * dim + dr + 1
         flat[start : start + dp * step : step] = c
+    return A
+
+
+def oracle_dense_solve(p, q, modulus):
+    dr = q.coeffs.size - p.coeffs.size
+    A = oracle_dense_matrix(p, q, modulus)
     try:
         x = oracle_lu_solve(A, q.coeffs)
     except SingularMatrixError as exc:
@@ -354,6 +363,17 @@ def oracle_solve_diophantine(p, q, modulus):
     return DiophantineSolution(r, s)
 
 
+def oracle_sylvester(a, b):
+    da, db = a.size - 1, b.size - 1
+    S = np.zeros((da + db, da + db))
+    a_desc, b_desc = a[::-1], b[::-1]
+    for i in range(db):
+        S[i : i + da + 1, i] = a_desc
+    for i in range(da):
+        S[i : i + db + 1, db + i] = b_desc
+    return S
+
+
 def oracle_coprime_check(a, b):
     if a.is_zero or b.is_zero:
         raise ValueError("coprimality of a zero polynomial is undefined")
@@ -363,8 +383,7 @@ def oracle_coprime_check(a, b):
     bn = Polynomial(b.coeffs / oracle_max_abs(b)).coeffs
     if an.size < 2 or bn.size < 2:
         raise ValueError("both polynomials must have degree >= 1")
-    S = bezout._sylvester(an, bn)
-    sv = np.linalg.svd(S, compute_uv=False)
+    sv = np.linalg.svd(oracle_sylvester(an, bn), compute_uv=False)
     quality = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     return CoprimalityResult(quality > 1e-8, quality)
 
@@ -710,6 +729,58 @@ def test_lu_solve_matches_oracle_on_singular_and_random_systems():
             except Exception as exc:
                 out.append(fingerprint(exc))
         assert got == want
+
+
+def _signed_zeros(rng, coeffs):
+    """``coeffs`` with about a third of its entries below the top set to
+    +0.0 or -0.0."""
+    out = coeffs.copy()
+    hit = rng.random(out.size - 1) < 0.35
+    out[:-1][hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    return out
+
+
+def test_structured_matrices_match_the_slice_writes_bit_for_bit(monkeypatch):
+    # the Sylvester matrix and the Diophantine system matrix are gathered
+    # through a cached index; over random degrees, with p = z^N, a p holding
+    # -0.0 coefficients and a modulus holding zero entries, they are the
+    # slice-written matrices, byte for byte and C-ordered
+    rng = np.random.default_rng(1212)
+    systems = []
+    monkeypatch.setattr(bezout, "_lu_solve",
+                        lambda A, b: systems.append(A) or np.ones(b.size))
+    negative_zeros = Counter()
+    for i in range(600):
+        da, db = (int(d) for d in rng.integers(1, 11, size=2))
+        a, b = rng.normal(size=da + 1), rng.normal(size=db + 1)
+        if i % 2:
+            a, b = _signed_zeros(rng, a), _signed_zeros(rng, b)
+        got, want = bezout._sylvester(a, b), oracle_sylvester(a, b)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+        dp, dm = (int(d) for d in rng.integers(0, 10, size=2))
+        dq = max(dp, dp - 1 + dm) + int(rng.integers(0, 3))
+        p = np.append(rng.normal(size=dp), 1.0)
+        modulus = rng.normal(size=dm + 1)
+        kind = ("random", "z^N", "signed-zero p", "zero modulus entries")[i % 4]
+        if kind == "z^N":
+            p = np.append(np.zeros(dp), 1.0)
+        elif kind == "signed-zero p":
+            p = _signed_zeros(rng, p)
+        elif kind == "zero modulus entries":
+            modulus = _signed_zeros(rng, modulus)
+        args = Polynomial(p), Polynomial(rng.normal(size=dq + 1)), Polynomial(modulus)
+        bezout._dense_solve(*args)
+        want = oracle_dense_matrix(*args)
+        assert systems[-1].flags.c_contiguous
+        assert systems[-1].tobytes() == want.tobytes(), (kind, args)
+        negative_zeros[kind] += bool((np.signbit(want) & (want == 0.0)).any())
+    # the -0.0 coefficients reach the system matrices
+    assert min(negative_zeros["signed-zero p"],
+               negative_zeros["zero modulus entries"]) > 50, negative_zeros
+    index = bezout._band_index((3, 2), (2, 3))
+    assert index is bezout._band_index((3, 2), (2, 3))
+    assert not index.flags.writeable
 
 
 def test_closed_loop_poly_matches_oracle_where_no_trim_drops_the_top():

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,12 +10,14 @@ from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
                      convert_controller, numeric, run_algorithm1, stabilizer)
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
+from intctrl.bezout import coprime_check
 from intctrl.numeric import schur_check, vec_1norm
 from intctrl.poly import monic_from_vector
 from intctrl.stabilizer import make_gamma_ini, preprocess_plant, steer
 from intctrl.target import InconsistentActiveSetError
 
-from conftest import invariant_breach, sweep_plant, well_posed_plant
+from conftest import (invariant_breach, random_roots, sweep_plant,
+                      well_posed_plant)
 
 Z = Polynomial([0, 1])
 
@@ -97,6 +102,75 @@ def test_gamma_ini_validates():
         make_gamma_ini(1, Polynomial([1.0]), roots=[1.1, 0.0])  # not Schur
     with pytest.raises(NotCoprimeError):
         make_gamma_ini(1, Polynomial.from_roots([0.5]), roots=[0.5, 0.0])
+
+
+def test_initial_root_check_names_the_shared_root_and_passes_the_fixtures(
+        pendulum):
+    # the numerator's root inside the unit circle, exactly or within the
+    # tolerance, is rejected by name; 1e-6 away it passes, as the fixture
+    # roots do, and the factor is the cached expansion of the roots
+    _, num = pendulum
+    [inside] = [r for r in numeric.poly_roots(num).tolist() if abs(r) < 0.9]
+    for root in (inside, inside * (1 + 1e-12)):
+        roots = (complex(root), 0j)
+        with pytest.raises(NotCoprimeError, match="^" + re.escape(
+                f"initial factor root {complex(root):.6g} is a root of the "
+                "numerator (|num(r)| ")):
+            stabilizer.schur_factor(roots, num)
+    roots = (complex(inside + 1e-6), 0j)
+    assert stabilizer.schur_factor(roots, num).coeffs.tobytes() == \
+        numeric._expanded_roots(roots)[0].tobytes()
+    for roots in (PENDULUM_GAMMA_INI_ROOTS, CONVERSION_ALPHA_INI_ROOTS):
+        factor = stabilizer.schur_factor(roots, num)
+        assert factor.coeffs.tobytes() == numeric._expanded_roots(roots)[0].tobytes()
+
+
+@pytest.mark.parametrize("delta, shared", [(0.9e-8, True), (1.1e-8, False)])
+@pytest.mark.parametrize("scale", [1.0, 4.0, 2.0 ** -1050])
+def test_initial_root_check_at_the_threshold(delta, shared, scale):
+    # num = scale * (z - 0.5) at r = 0.5 + delta: |num(r)| = delta against
+    # COPRIME_TOL * (0.5 + |r|), about 1e-8, whatever the scale; a subnormal
+    # one (a power of two, so scaling to unit maximum is exact) would
+    # underflow both sides of the test on the unscaled coefficients
+    num = Polynomial([-0.5 * scale, scale])
+    roots = (complex(0.5 + delta), 0j)
+    if shared:
+        with pytest.raises(NotCoprimeError):
+            stabilizer.schur_factor(roots, num)
+    else:
+        stabilizer.schur_factor(roots, num)
+
+
+def test_initial_root_check_agrees_with_the_sylvester_verdict():
+    # random numerators and random Schur root lists, half of them holding a
+    # numerator root (exactly, or 1e-12 relative away): the verdict at the
+    # given roots is the Sylvester verdict on the expanded factor wherever
+    # the Sylvester quality lies outside a factor 100 of COPRIME_TOL
+    rng = np.random.default_rng(321)
+    verdicts, near = Counter(), 0
+    for _ in range(400):
+        num = Polynomial.from_roots(
+            random_roots(rng, int(rng.integers(0, 7)), 1.5),
+            leading=rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
+        roots = random_roots(rng, int(rng.integers(1, 9)), 0.65)
+        inside = [complex(r) for r in numeric.poly_roots(num).tolist()
+                  if abs(r) < 0.9] if num.coeffs.size > 1 else []
+        if inside and rng.random() < 0.5:
+            r = inside[int(rng.integers(len(inside)))] * (1 + rng.choice([0.0, 1e-12]))
+            roots += [r, r.conjugate()] if r.imag else [r]
+        roots = tuple(complex(r) for r in roots)
+        try:
+            stabilizer.schur_factor(roots, num)
+            coprime = True
+        except NotCoprimeError:
+            coprime = False
+        sylvester = coprime_check(Polynomial(numeric._expanded_roots(roots)[0]), num)
+        if 1e-10 < sylvester.quality < 1e-6:
+            near += 1
+            continue
+        assert coprime is sylvester.coprime, (roots, num, sylvester)
+        verdicts[coprime] += 1
+    assert near <= 8 and verdicts[True] > 150 and verdicts[False] > 100, (near, verdicts)
 
 
 def test_gamma_ini_rejects_roots_not_closed_under_conjugation():
