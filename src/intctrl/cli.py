@@ -178,8 +178,9 @@ def _shared_roots(a: Polynomial, b: Polynomial) -> list[str]:
 
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
     try:
-        return tuple(complex(tok.strip().replace("i", "j"))
-                     for tok in text.split(",") if tok.strip())
+        # only a trailing imaginary unit is rewritten: "inf" keeps its i
+        return tuple(complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+                     for tok in map(str.strip, text.split(",")) if tok)
     except ValueError as exc:
         raise ProblemFileError(f"cannot parse root list {text!r}: {exc}")
 

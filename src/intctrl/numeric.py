@@ -159,17 +159,19 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     # companion matrix of c with its zero low-order coefficients split off,
     # followed by one zero root per split coefficient
     zeros = int((c != 0.0).argmax())
-    desc = c[zeros:][::-1]
-    if desc.size > 1:
-        A = np.zeros((desc.size - 1, desc.size - 1))
-        A.reshape(-1)[desc.size - 1 :: desc.size] = 1.0
+    k = c.size - 1 - zeros
+    if k:
+        A = np.zeros((k, k))
+        A.reshape(-1)[k :: k + 1] = 1.0
         # one error state for the row and the eigensolve: a quotient that
         # overflows is left to the finiteness check, and finite
         # coefficients over a nonzero leading one raise no invalid flag, so
         # only a failed eigensolve calls _eigvals_failed
         with np.errstate(call=_eigvals_failed, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
-            A[0, :] = -desc[1:] / desc[0]
+            # -c_i / lead as c_i / -lead, written in place: the same
+            # correctly rounded quotient, signed zeros included
+            np.divide(c[zeros:-1][::-1], -c[-1], out=A[0])
             # np.linalg.eigvals(A) without the wrapper's checks, which cost
             # more than a small solve; only the first row can be non-finite
             if np.count_nonzero(np.isfinite(A[0])) != A.shape[1]:
@@ -423,28 +425,31 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
         base_lo = (float(np.multiply.reduce(inner)) * (1.0 - roots.size * _EPS)
                    * _DOWN - base_err * _UP)
     # per factor, upper bounds of the Rouche sum against z^n, the 1-norm and
-    # the Lipschitz constant
+    # the Lipschitz constant; the per-factor scalars below are Python floats,
+    # rounded as the same operations on arrays round them
     sums = np.abs(steps).dot(_factor_weights(n))
-    inside = (sums[:, 0] < 1.0) & (steps[:, n] == 1.0)
-    if np.count_nonzero(inside) != k_count:
-        return SchurProof(0.0, f"the roots of factor {int(inside.argmin()) + 1} "
-                               f"of {k_count} are not proved inside the circle")
-    # |f| >= rho^n (1 - Rouche sum) on all of the circle
-    floor = np.maximum((_DOWN - sums[:, 0] * _UP) * _rho_power_lo(n) * _DOWN,
-                       0.0)
+    rho_n, floor = _rho_power_lo(n), []
+    for k, ((rouche, _, _), top) in enumerate(zip(sums.tolist(),
+                                                  steps[:, n].tolist())):
+        if not (rouche < 1.0 and top == 1.0):
+            return SchurProof(0.0, f"the roots of factor {k + 1} of {k_count} "
+                                   "are not proved inside the circle")
+        # |f| >= rho^n (1 - Rouche sum) on all of the circle
+        floor.append(max((_DOWN - rouche * _UP) * rho_n * _DOWN, 0.0))
     # the partial products, multiplied as steering multiplied them
     partials = [prod]
     for f in steps:
         partials.append(_convolve(f, partials[-1]))
     prod = partials.pop()
-    partial = np.array([_norm_up(q) for q in partials])
     if (p.size != prod.size + shift or np.count_nonzero(p[:shift])
             or np.count_nonzero(p[shift:] != prod)):
         return SchurProof(0.0, "it is not the product of its factors")
-    err = (n + 1) * _U / (1.0 - (n + 1) * _U) * sums[:, 1] * partial * _UP
+    gamma = (n + 1) * _U / (1.0 - (n + 1) * _U)
+    err = [gamma * norm * _norm_up(q) * _UP
+           for norm, q in zip(sums[:, 1].tolist(), partials)]
     # one bound for the whole circle from the floors first
     bound = base_lo
-    for rate, e in zip(floor.tolist(), err.tolist()):
+    for rate, e in zip(floor, err):
         bound = rate * bound * _DOWN - e
     if bound > 0.0:
         return SchurProof(bound * _rho_power_lo(shift) * _DOWN, "")
@@ -466,7 +471,7 @@ def schur_product_proof(p: np.ndarray, factors: SchurFactors) -> SchurProof:
         # a row at or below 0 (or NaN) stays so: rates are >= 0 (or NaN) and
         # error terms > 0 (argmin finds a NaN first)
         bound, sampled = state[:m], state[m:]
-        for rate, e in zip(rates.T, err.tolist()):
+        for rate, e in zip(rates.T, err):
             state *= rate
             state -= e
             if not (sampled[sampled.argmin()] > 0.0 or bound[bound.argmin()] > 0.0):

@@ -174,7 +174,8 @@ def simulate_loop(plant: StateSpace, controller: StateSpace,
     if plant.D[0, 0] != 0.0 and controller.D[0, 0] != 0.0:
         raise AlgebraicLoopError(
             "both plant and controller feedback channel have direct terms")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if (not isinstance(steps, (int, np.integer)) or isinstance(steps, bool)
+            or steps < 0):
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     ref = np.asarray(reference, dtype=float)
     if ref.ndim > 1:

@@ -11,6 +11,7 @@ are assigned from the integer target, never recomputed through arithmetic.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -20,8 +21,8 @@ from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
 from .numeric import (SCHUR_MARGIN, SchurFactors, _convolve, _expanded_roots,
                       vec_1norm)
-from .poly import (Polynomial, monic_from_vector, split_z_power,
-                   toeplitz_stack, trim, vector_from_monic)
+from .poly import (Polynomial, split_z_power, toeplitz_stack, trim,
+                   vector_from_monic)
 from .target import (active_index_set, build_hyperplanes, control_input,
                      delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
@@ -226,7 +227,7 @@ def steer(p: Polynomial, factor: Polynomial, shift: int, num: Polynomial,
             "and are excluded from the same-side constraints")
     found = find_integer_target(x0, num, active)
     x_star = found.x_star
-    cap = 10 * int(np.ceil(vec_1norm(x_star - x0))) + 10
+    cap = 10 * math.ceil(vec_1norm(x_star - x0)) + 10
     T = toeplitz_stack(num, n)
     # the loop keeps the kernels and the state update; the trace, the step
     # rows and the products are built from what it keeps after it
@@ -302,7 +303,11 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
 
     # lift the numerator's z^l factor back in: (z^l a, b, z^l g) solves the
     # original problem whenever (a, b, g) solves the reduced one
-    alpha = monic_from_vector(x_star).shifted(big_n + plant.power_shift)
+    lift = big_n + plant.power_shift
+    coeffs = np.zeros(lift + n + 1)
+    coeffs[lift:-1] = x_star[::-1]
+    coeffs[-1] = 1.0
+    alpha = Polynomial(coeffs)
     gamma = gamma.shifted(plant.power_shift)
 
     # gamma is proved Schur from the factors steer multiplied, and the

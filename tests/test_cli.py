@@ -555,6 +555,25 @@ def test_non_finite_initial_root_is_a_validation_error(command, flag, roots,
                    "got [(nan+0j)]\n")
 
 
+@pytest.mark.parametrize("command, flag, roots", [
+    ("stabilize", "--gamma-ini-roots", GAMMA_ROOTS),
+    ("convert", "--alpha-ini-roots", ALPHA_ROOTS)], ids=["stabilize", "convert"])
+@pytest.mark.parametrize("token, parsed", [
+    ("inf", "(inf+0j)"), ("-inf", "(-inf+0j)"), ("1+infi", "(1+infj)")],
+    ids=["inf", "-inf", "1+infi"])
+def test_infinite_initial_root_is_a_validation_error(command, flag, roots,
+                                                     token, parsed, capsys):
+    # only a trailing i is an imaginary unit: the i of inf is kept, so an
+    # infinite root gets the message a NaN gets, not a parse error
+    tokens = roots.split(",")
+    tokens[3] = token
+    problem = PENDULUM if command == "stabilize" else CONVERSION
+    assert main([command, problem, f"{flag}={','.join(tokens)}"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("validation error: initial factor roots must be finite, "
+                   f"got [{parsed}]\n")
+
+
 def test_convert_cli_end_to_end(tmp_path):
     out = tmp_path / "result.json"
     code = main(["convert", CONVERSION, "--alpha-ini-roots=" + ALPHA_ROOTS,

@@ -925,3 +925,215 @@ def test_schur_proof_matches_reference_on_hand_cases(base, steps, shift):
     assert got.reason == reason
     assert (got.min_modulus > 0.0) == (bound > 0.0)
     assert abs(got.min_modulus - bound) <= allowance
+
+
+# -- the kernels as they were before their set-up was trimmed -----------------
+#
+# poly_roots wrote the companion row as -c_i / lead through a temporary, and
+# schur_product_proof took its floors, factor checks and error terms as array
+# operations; the rewrites must give the same bits, exceptions and messages.
+
+from intctrl.numeric import (ARC_SAMPLES, ARC_SAMPLES_MAX, ROOT_TOL,  # noqa: E402
+                             SchurProof, _arc_powers, _base_bounds,
+                             _convolve, _eigvals_failed, _expanded_roots,
+                             _factor_weights, _norm_up, _rho_power_lo)
+from intctrl.numeric import _DOWN, _EPS, _POINT_ERR, _RHO, _U, _UP  # noqa: E402
+
+
+def earlier_poly_roots(p):
+    if p.is_zero or p.coeffs.size < 2:
+        raise ValueError("root finding requires degree >= 1")
+    c = p.coeffs
+    # np.roots(c[::-1]) without its wrappers: the eigenvalues of the same
+    # companion matrix of c with its zero low-order coefficients split off,
+    # followed by one zero root per split coefficient
+    zeros = int((c != 0.0).argmax())
+    desc = c[zeros:][::-1]
+    if desc.size > 1:
+        A = np.zeros((desc.size - 1, desc.size - 1))
+        A.reshape(-1)[desc.size - 1 :: desc.size] = 1.0
+        # one error state for the row and the eigensolve: a quotient that
+        # overflows is left to the finiteness check, and finite
+        # coefficients over a nonzero leading one raise no invalid flag, so
+        # only a failed eigensolve calls _eigvals_failed
+        with np.errstate(call=_eigvals_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            A[0, :] = -desc[1:] / desc[0]
+            # np.linalg.eigvals(A) without the wrapper's checks, which cost
+            # more than a small solve; only the first row can be non-finite
+            if np.count_nonzero(np.isfinite(A[0])) != A.shape[1]:
+                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+            roots = np.linalg._umath_linalg.eigvals(A, signature="d->D")
+        roots = roots if np.count_nonzero(roots.imag) else roots.real
+    else:
+        roots = np.zeros(0)
+    # the split-off zero roots are not checked: at 0 the residual and its
+    # scale are both |c_0| = 0
+    powers = np.empty((roots.size, c.size), roots.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = roots[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        res = np.abs(powers.dot(c))
+        scale = np.abs(powers).dot(np.abs(c))
+        bad = res > ROOT_TOL * scale
+    if np.count_nonzero(bad):
+        raise RootFindingError([(complex(roots[i]), float(res[i]) / float(scale[i]))
+                                for i in np.flatnonzero(bad)])
+    if zeros:
+        roots = np.concatenate((roots, np.zeros(zeros, roots.dtype)))
+    return roots
+
+
+def earlier_schur_product_proof(p, factors):
+    steps, shift = factors.steps, factors.shift
+    k_count, n = steps.shape[0], steps.shape[1] - 1
+    if isinstance(factors.base, (int, np.integer)):
+        roots = None
+        prod = np.zeros(factors.base + 1)
+        prod[-1] = 1.0
+        base_lo = _rho_power_lo(factors.base)
+    else:
+        roots = np.array(factors.base, dtype=complex)
+        inner = (_RHO - np.abs(roots) * _UP) * _DOWN
+        if np.count_nonzero(inner > 0.0) != roots.size:
+            return SchurProof(0.0, "an initial root is not inside the circle")
+        prod, base_err, _ = _expanded_roots(roots)
+        base_lo = (float(np.multiply.reduce(inner)) * (1.0 - roots.size * _EPS)
+                   * _DOWN - base_err * _UP)
+    # per factor, upper bounds of the Rouche sum against z^n, the 1-norm and
+    # the Lipschitz constant
+    sums = np.abs(steps).dot(_factor_weights(n))
+    inside = (sums[:, 0] < 1.0) & (steps[:, n] == 1.0)
+    if np.count_nonzero(inside) != k_count:
+        return SchurProof(0.0, f"the roots of factor {int(inside.argmin()) + 1} "
+                               f"of {k_count} are not proved inside the circle")
+    # |f| >= rho^n (1 - Rouche sum) on all of the circle
+    floor = np.maximum((_DOWN - sums[:, 0] * _UP) * _rho_power_lo(n) * _DOWN,
+                       0.0)
+    # the partial products, multiplied as steering multiplied them
+    partials = [prod]
+    for f in steps:
+        partials.append(_convolve(f, partials[-1]))
+    prod = partials.pop()
+    partial = np.array([_norm_up(q) for q in partials])
+    if (p.size != prod.size + shift or np.count_nonzero(p[:shift])
+            or np.count_nonzero(p[shift:] != prod)):
+        return SchurProof(0.0, "it is not the product of its factors")
+    err = (n + 1) * _U / (1.0 - (n + 1) * _U) * sums[:, 1] * partial * _UP
+    # one bound for the whole circle from the floors first
+    bound = base_lo
+    for rate, e in zip(floor.tolist(), err.tolist()):
+        bound = rate * bound * _DOWN - e
+    if bound > 0.0:
+        return SchurProof(bound * _rho_power_lo(shift) * _DOWN, "")
+    slack = (4 * n + 4) * _U * sums[:, 1] * _UP
+    m = ARC_SAMPLES
+    while True:
+        values = _arc_powers(m, n).dot(steps.T)
+        moduli = np.hypot(values[:m], values[m:])
+        reach = (np.pi / (2 * m) + _POINT_ERR) * _UP
+        # rows 0..m-1 bound each factor below on the arcs; rows m..2m-1 are
+        # its sampled moduli, without the arc slack
+        rates = np.concatenate((np.maximum(
+            moduli * _DOWN - (slack + sums[:, 2] * reach) * _UP, floor) * _DOWN,
+            moduli))
+        if roots is None:
+            state = np.full(2 * m, base_lo)
+        else:
+            state = _base_bounds(roots, inner, m, n, reach, base_err)
+        # a row at or below 0 (or NaN) stays so: rates are >= 0 (or NaN) and
+        # error terms > 0 (argmin finds a NaN first)
+        bound, sampled = state[:m], state[m:]
+        for rate, e in zip(rates.T, err.tolist()):
+            state *= rate
+            state -= e
+            if not (sampled[sampled.argmin()] > 0.0 or bound[bound.argmin()] > 0.0):
+                break
+        least = float(bound[bound.argmin()])
+        if least > 0.0:
+            return SchurProof(least * _rho_power_lo(shift) * _DOWN, "")
+        if not sampled[sampled.argmin()] > 0.0 or m >= ARC_SAMPLES_MAX:
+            return SchurProof(0.0, "the stepwise Rouche bound of its modulus "
+                                   "on the circle does not stay positive")
+        m *= 2
+
+
+@pytest.fixture
+def proof_calls(monkeypatch):
+    """Every call a synthesis makes to poly_roots and schur_product_proof,
+    with its arguments."""
+    calls = []
+    for module, name in ((target, "poly_roots"), (verify, "poly_roots"),
+                         (numeric, "poly_roots"),
+                         (verify, "schur_product_proof")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
+                            calls.append((_name, a)) or _real(*a))
+    return calls
+
+
+EARLIER = {"poly_roots": (numeric.poly_roots, earlier_poly_roots),
+           "schur_product_proof": (numeric.schur_product_proof,
+                                   earlier_schur_product_proof)}
+
+
+def _exact(fn, *args):
+    """Bytes of an outcome, the ratios of a RootFindingError included."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return fingerprint(out) if isinstance(out, np.ndarray) else repr(out)
+
+
+def test_trimmed_kernels_match_their_earlier_versions(proof_calls, pendulum,
+                                                      pre_controller):
+    # every call of the seed-7 sweep's 600 plants and of the pendulum
+    # fixtures, with and without their initial roots
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        try:
+            run_algorithm1(*random_plant(rng, n_max=8))
+        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            pass
+    den, num = pendulum
+    for roots in (None, PENDULUM_GAMMA_INI_ROOTS):
+        run_algorithm1(den, num, StabilizationConfig(gamma_ini_roots=roots))
+    for roots in (None, CONVERSION_ALPHA_INI_ROOTS):
+        convert_controller(pre_controller, den, num,
+                           ConversionConfig(alpha_ini_roots=roots))
+    seen = Counter()
+    for name, args in proof_calls:
+        now, earlier = EARLIER[name]
+        assert _exact(now, *args) == _exact(earlier, *args), (name, args)
+        seen[name] += 1
+    assert seen["poly_roots"] > 400 and seen["schur_product_proof"] > 300, seen
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.0, 0.0, 1.0, -2.0], [-0.0, 3.0, -0.0, 1e-300], [1e300, 1e-300],
+    [1.0, 1e300, 1e-300], [5e-324, 1.0], [1.0, -0.0, 0.0, 2.0],
+    [1e-200, 0.0, 0.0, 1e200]])
+def test_poly_roots_matches_its_earlier_version_at_the_extremes(coeffs):
+    p = Polynomial(coeffs)
+    with np.errstate(over="ignore"):
+        assert _exact(numeric.poly_roots, p) == _exact(earlier_poly_roots, p)
+
+
+@pytest.mark.parametrize("base, steps, shift", [
+    (4, [[0.1, -0.2, 1.0], [0.3, 0.1, 1.0]], 3),
+    (4, [[0.45, -0.5, 1.0]] * 12, 1),
+    (2, [[-0.98, 1.0]] * 16, 0),
+    (2, [[0.1, 1.0], [1.5, 1.0]], 0),
+    (2, [[0.1, 1.0], [0.2, 2.0]], 0),
+    ((0.6, 0.3 + 0.5j, 0.3 - 0.5j), [[0.45, -0.5, 1.0]] * 10, 5),
+    ((1.2,), [[0.1, 1.0]], 0),
+], ids=["floors", "arcs", "undecided", "outside", "not-monic", "roots-arcs",
+        "root-outside"])
+def test_schur_proof_matches_its_earlier_version_on_hand_cases(base, steps,
+                                                               shift):
+    p, factors = _factored(base, np.array(steps), shift)
+    for q in (p, p * (1.0 + 2.0 ** -52)):
+        assert (_exact(numeric.schur_product_proof, q, factors)
+                == _exact(earlier_schur_product_proof, q, factors))

@@ -472,6 +472,9 @@ def test_matches_oracle_bit_for_bit(case, oracle_cases):
     (10, np.r_[np.ones(9), np.inf], "reference"),
     (10, np.ones((10, 1)), "reference"),
     (2.5, 1.0, "steps"),
+    # bool is an int, but not a step count
+    (True, 1.0, "steps"),
+    (False, 1.0, "steps"),
 ])
 def test_rejects_negative_steps_and_non_finite_reference(steps, reference, name):
     plant = realize_tf(RationalTF(Polynomial([1.0]), Polynomial([-0.5, 1.0])))
