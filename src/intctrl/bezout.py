@@ -95,7 +95,9 @@ def _identity_residual(a: Polynomial, b: Polynomial, c: Polynomial,
     Raises ValueError when the identity overflows the float range."""
     ab, cd = _product(a, b), _product(c, d)
     residual = _sum_residual(ab, cd, q.coeffs)
-    return residual, max(1.0, q.max_abs(), _max_abs(ab), _max_abs(cd))
+    # all three are finite once the residual is: one maximum of their
+    # magnitudes, exact as each of the three is
+    return residual, max(1.0, _max_abs(np.concatenate((q.coeffs, ab, cd))))
 
 
 def _dense_solve(p: Polynomial, q: Polynomial, modulus: Polynomial):

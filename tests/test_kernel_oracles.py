@@ -929,15 +929,17 @@ def test_schur_proof_matches_reference_on_hand_cases(base, steps, shift):
 
 # -- the kernels as they were before their set-up was trimmed -----------------
 #
-# poly_roots wrote the companion row as -c_i / lead through a temporary, and
+# poly_roots wrote the companion row as -c_i / lead through a temporary,
 # schur_product_proof took its floors, factor checks and error terms as array
-# operations; the rewrites must give the same bits, exceptions and messages.
+# operations, and _identity_residual took three maxima for its scale; the
+# rewrites must give the same bits, exceptions and messages.
 
 from intctrl.numeric import (ARC_SAMPLES, ARC_SAMPLES_MAX, ROOT_TOL,  # noqa: E402
                              SchurProof, _arc_powers, _base_bounds,
                              _convolve, _eigvals_failed, _expanded_roots,
                              _factor_weights, _norm_up, _rho_power_lo)
 from intctrl.numeric import _DOWN, _EPS, _POINT_ERR, _RHO, _U, _UP  # noqa: E402
+from intctrl.poly import _max_abs, _sum_residual  # noqa: E402
 
 
 def earlier_poly_roots(p):
@@ -1066,14 +1068,24 @@ def proof_calls(monkeypatch):
     calls = []
     for module, name in ((target, "poly_roots"), (verify, "poly_roots"),
                          (numeric, "poly_roots"),
-                         (verify, "schur_product_proof")):
+                         (verify, "schur_product_proof"),
+                         (bezout, "_identity_residual"),
+                         (verify, "_identity_residual")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
                             calls.append((_name, a)) or _real(*a))
     return calls
 
 
-EARLIER = {"poly_roots": (numeric.poly_roots, earlier_poly_roots),
+def earlier_identity_residual(a, b, c, d, q):
+    ab, cd = bezout._product(a, b), bezout._product(c, d)
+    residual = _sum_residual(ab, cd, q.coeffs)
+    return residual, max(1.0, q.max_abs(), _max_abs(ab), _max_abs(cd))
+
+
+EARLIER = {"_identity_residual": (bezout._identity_residual,
+                                  earlier_identity_residual),
+           "poly_roots": (numeric.poly_roots, earlier_poly_roots),
            "schur_product_proof": (numeric.schur_product_proof,
                                    earlier_schur_product_proof)}
 
@@ -1109,6 +1121,7 @@ def test_trimmed_kernels_match_their_earlier_versions(proof_calls, pendulum,
         assert _exact(now, *args) == _exact(earlier, *args), (name, args)
         seen[name] += 1
     assert seen["poly_roots"] > 400 and seen["schur_product_proof"] > 300, seen
+    assert seen["_identity_residual"] > 700, seen
 
 
 @pytest.mark.parametrize("coeffs", [
