@@ -163,8 +163,6 @@ def parse_problem_file(path: str) -> dict:
 
 
 def _shared_roots(a: Polynomial, b: Polynomial) -> list[str]:
-    if a.coeffs.size < 2 or b.coeffs.size < 2:
-        return []
     try:
         ra, rb = poly_roots(a), poly_roots(b)
     except (RootFindingError, np.linalg.LinAlgError):  # the hint is best effort

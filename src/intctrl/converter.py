@@ -115,6 +115,8 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
         raise ValueError("controller denominator must be monic")
     if num.is_zero:
         raise ValueError("plant numerator must be nonzero")
+    if num.coeffs.size - 1 > n:
+        raise ValueError("improper plant: deg(num) > deg(den)")
     if n == 0:
         raise ValueError("plant denominator must have degree >= 1")
 
@@ -136,10 +138,9 @@ def run_algorithm2(ctrl_den: Polynomial, num: Polynomial, n: int,
     # target gives gamma = z^N r and beta = -s
     alpha, big_n, x_star, s, trace, warnings, steps = steer(
         Polynomial.one(), alpha_ini, big_n, reduced, x0, s0, cfg)
-    gamma = monic_from_vector(x_star).shifted(big_n)
+    gamma = monic_from_vector(x_star, big_n + shift)
     if shift:
         alpha = alpha.shifted(shift)
-        gamma = gamma.shifted(shift)
         warnings.append(
             f"plant numerator carries z^{shift}; the solution was lifted from "
             "the reduced problem")

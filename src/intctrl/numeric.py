@@ -143,7 +143,8 @@ def _eigvals_failed(err, flag):
 
 
 def poly_roots(p: Polynomial) -> np.ndarray:
-    """All roots of ``p`` with multiplicity, via companion-matrix eigenvalues.
+    """All roots of ``p`` with multiplicity, via companion-matrix eigenvalues;
+    none for a nonzero constant.
 
     Each root ``r`` is checked once: one table of its powers gives
     ``|p(r)|`` and ``S = sum_i |c_i| |r|^i``, and :class:`RootFindingError`
@@ -152,8 +153,8 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     while the powers and terms ``c_i r^i`` stay normal doubles; a root whose
     powers or scale overflow has an infinite or NaN scale and passes.
     """
-    if p.is_zero or p.coeffs.size < 2:
-        raise ValueError("root finding requires degree >= 1")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no finite root set")
     c = p.coeffs
     # np.roots(c[::-1]) without its wrappers: the eigenvalues of the same
     # companion matrix of c with its zero low-order coefficients split off,
@@ -215,8 +216,6 @@ def schur_check(p: Polynomial) -> SchurResult:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no stability verdict")
-    if p.coeffs.size == 1:
-        return SchurResult(True, 0.0, False)
     return _schur_verdict(poly_roots(p))
 
 

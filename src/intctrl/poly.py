@@ -292,10 +292,13 @@ def vector_from_monic(p: Polynomial, n: int | None = None) -> np.ndarray:
     return p.coeffs[-2::-1].copy()
 
 
-def monic_from_vector(x: np.ndarray) -> Polynomial:
-    """Inverse of :func:`vector_from_monic`: ``[a_{n-1},...,a_0] -> z^n + ...``."""
-    x = np.asarray(x, dtype=float)
-    return Polynomial(np.concatenate([x[::-1], [1.0]]))
+def monic_from_vector(x: np.ndarray, shift: int = 0) -> Polynomial:
+    """Inverse of :func:`vector_from_monic`: ``[a_{n-1},...,a_0] -> z^n + ...``,
+    times ``z**shift``, in one array."""
+    coeffs = np.zeros(shift + len(x) + 1)
+    coeffs[shift:-1] = x[::-1]
+    coeffs[-1] = 1.0
+    return Polynomial(coeffs)
 
 
 def toeplitz_stack(a: Polynomial, n: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from .bezout import (COPRIME_TOL, NotCoprimeError, coprime_check,
                      solve_diophantine)
 from .numeric import (SCHUR_MARGIN, SchurFactors, _convolve, _expanded_roots,
                       vec_1norm)
-from .poly import (Polynomial, split_z_power, toeplitz_stack, trim,
-                   vector_from_monic)
+from .poly import (Polynomial, monic_from_vector, split_z_power,
+                   toeplitz_stack, trim, vector_from_monic)
 from .target import (active_index_set, build_hyperplanes, control_input,
                      delta_matrix, find_integer_target)
 from .verify import Certificate, certify_stabilization
@@ -65,7 +65,6 @@ class PreprocessedPlant:
     den: Polynomial          # monic
     num: Polynomial          # num(0) != 0
     power_shift: int         # number of z factors removed from the numerator
-    scale: float             # original leading denominator coefficient
     quality: float           # coprimality quality of the original pair
 
 
@@ -113,8 +112,7 @@ def preprocess_plant(den: Polynomial, num: Polynomial) -> PreprocessedPlant:
     with np.errstate(over="ignore"):  # Polynomial rejects a quotient that overflows
         num_scaled, den_scaled = num.coeffs / scale, den.coeffs / scale
     reduced, shift = split_z_power(trim(Polynomial(num_scaled)))
-    return PreprocessedPlant(Polynomial(den_scaled), reduced, shift,
-                             float(scale), quality)
+    return PreprocessedPlant(Polynomial(den_scaled), reduced, shift, quality)
 
 
 def schur_factor(roots: Sequence[complex], num: Polynomial) -> Polynomial:
@@ -303,17 +301,13 @@ def run_algorithm1(den: Polynomial, num: Polynomial,
 
     # lift the numerator's z^l factor back in: (z^l a, b, z^l g) solves the
     # original problem whenever (a, b, g) solves the reduced one
-    lift = big_n + plant.power_shift
-    coeffs = np.zeros(lift + n + 1)
-    coeffs[lift:-1] = x_star[::-1]
-    coeffs[-1] = 1.0
-    alpha = Polynomial(coeffs)
+    alpha = monic_from_vector(x_star, big_n + plant.power_shift)
     gamma = gamma.shifted(plant.power_shift)
 
     # gamma is proved Schur from the factors steer multiplied, and the
     # plant's coprimality quality is the one preprocess_plant measured
     cert = certify_stabilization(
-        plant.den, Polynomial(num.coeffs / plant.scale), alpha, beta, gamma,
+        den, num, alpha, beta, gamma,
         factors=SchurFactors(base, steps, plant.power_shift),
         quality=plant.quality)
     cert.warnings.extend(warnings)

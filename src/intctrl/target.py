@@ -19,7 +19,7 @@ import numpy as np
 from .numeric import IMAG_TOL, _lu_solve, dtrtrs, poly_roots, vec_1norm
 from .poly import Polynomial, _check_finite, _max_abs, _stack_index
 
-ACTIVE_TOL = 1e-9
+#: a side's margin, relative to its plane's scale, at x0 and at a candidate
 SIDE_TOL = 1e-9
 
 
@@ -141,11 +141,11 @@ class ActiveSet(NamedTuple):
 def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
     """The planes whose functional is nonzero at ``x0``.
 
-    A plane is active when ``|side(x0)| > ACTIVE_TOL * (1 + |normal|_1
-    max(1, |x0|_inf))``.  Only the imaginary/real parts of a complex pair may
-    legitimately vanish; a vanishing (or NaN) real-root side contradicts the
-    coprimality of the base point's polynomial and raises
-    :class:`InconsistentActiveSetError`.
+    A plane is active when ``|side(x0)| > SIDE_TOL * (1 + |normal|_1
+    max(1, |x0|_inf))``, the margin a candidate must clear.  Only the
+    imaginary/real parts of a complex pair may legitimately vanish; a
+    vanishing (or NaN) real-root side contradicts the coprimality of the
+    base point's polynomial and raises :class:`InconsistentActiveSetError`.
     """
     # each row's row @ x0: a single matrix-vector product would round
     # differently
@@ -153,7 +153,7 @@ def active_index_set(x0: np.ndarray, planes: HyperplaneSet) -> ActiveSet:
                         planes.offsets.size) - planes.offsets
     # one reduction sums each row as vec_1norm does
     norms = np.add.reduce(np.abs(planes.normals), axis=1)
-    active = np.abs(sides) > ACTIVE_TOL * (1.0 + norms * max(1.0, _max_abs(x0)))
+    active = np.abs(sides) > SIDE_TOL * (1.0 + norms * max(1.0, _max_abs(x0)))
     real = active[:planes.n_real].tolist()
     if False in real:
         t = real.index(False)

@@ -115,9 +115,11 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
                           gamma: Polynomial, *,
                           factors: SchurFactors | None = None,
                           quality: float | None = None) -> Certificate:
-    """Check ``alpha*plant_den + beta*plant_num = gamma`` and the side
-    conditions: alpha integer monic, gamma Schur monic, deg(beta) < deg(alpha).
-    Raises ValueError when the identity overflows the float range.
+    """Check ``alpha*plant_den + beta*plant_num = gamma`` for the plant
+    scaled to a monic denominator, the problem the synthesis solves, and the
+    side conditions: alpha integer monic, gamma Schur monic, deg(beta) <
+    deg(alpha).  Raises ValueError when the scaled plant or the identity
+    overflows the float range.
 
     With the ``factors`` that built gamma, gamma is proved Schur by
     :func:`schur_product_proof` without finding a root, and the witness
@@ -126,9 +128,13 @@ def certify_stabilization(plant_den: Polynomial, plant_num: Polynomial,
     why).  Without them gamma's roots decide, with the witness
     ``gamma_spectral_radius``; a root finding that breaks down fails
     ``gamma_schur`` without it.  ``quality`` is the plant pair's coprimality
-    quality when the caller has measured it.
+    quality when the caller has measured it; else it is measured on the
+    pair as given.
     """
-    residual, scale = _identity_residual(alpha, plant_den, beta, plant_num, gamma)
+    lead = plant_den.leading
+    with np.errstate(over="ignore"):  # Polynomial rejects a quotient that overflows
+        den, num = Polynomial(plant_den.coeffs / lead), Polynomial(plant_num.coeffs / lead)
+    residual, scale = _identity_residual(alpha, den, beta, num, gamma)
     cert = Certificate("stabilization", residual, IDENTITY_RTOL * scale)
 
     int_dev = _integer_deviation(alpha)
@@ -222,11 +228,8 @@ def certify_conversion(plant_den: Polynomial, plant_num: Polynomial,
     # as without factors
     asch = None
     proved = conv.factors is not None and _proved(cert, "alpha", alpha, conv.factors)
-    if not proved:
-        if alpha.coeffs.size == 1:
-            asch = schur_check(alpha)
-        elif (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
-            asch = _schur_verdict(found)
+    if not proved and (found := _by_roots(cert, "alpha", poly_roots, alpha)) is not None:
+        asch = _schur_verdict(found)
     cert.conditions["alpha_schur"] = proved or (asch is not None and asch.is_schur)
     if asch is not None:
         cert.witnesses["alpha_spectral_radius"] = asch.spectral_radius

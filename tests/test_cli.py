@@ -287,10 +287,11 @@ def test_stabilize_cli_synthesis_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["stabilize", "convert"])
 def test_target_search_exhaustion_exits_3(command, monkeypatch, tmp_path,
                                           capsys):
-    # a side margin no candidate clears and a budget of a few points
-    # exhaust the target search: a numerical breakdown, not a validation
-    # error
-    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
+    # a feasibility test that rejects every candidate and a budget of a few
+    # points exhaust the target search: a numerical breakdown, not a
+    # validation error
+    monkeypatch.setattr(target.ActiveSet, "first_feasible",
+                        lambda self, cands: None)
     monkeypatch.setattr(target, "MAX_CANDIDATES", 5)
     out = tmp_path / "res.json"
     problem = PENDULUM if command == "stabilize" else CONVERSION
@@ -418,15 +419,14 @@ def test_stabilize_root_finding_failure_exits_3(index, tmp_path, capsys):
 
 
 def test_analyze_reports_null_radius_when_only_it_fails(tmp_path, capsys):
-    # the certified solution of sweep plant 16, on its normalized plant: the
-    # certificate passes, the closed-loop roots miss the residual bound
+    # the certified solution of sweep plant 16, whose denominator is monic:
+    # the certificate passes, the closed-loop roots miss the residual bound
     den, num = sweep_plant(16)
+    assert den.is_monic(0.0)
     result = run_algorithm1(den, num)
-    plant = preprocess_plant(den, num)
     f = tmp_path / "solution.json"
     f.write_text(json.dumps({
-        "plant": {"den": plant.den.coeffs.tolist(),
-                  "num": (num.coeffs / plant.scale).tolist()},
+        "plant": {"den": den.coeffs.tolist(), "num": num.coeffs.tolist()},
         "solution": {k: getattr(result, k).coeffs.tolist()
                      for k in ("alpha", "beta", "gamma")},
         "ordering": "ascending"}))
@@ -661,6 +661,27 @@ def test_analyze_pass_and_fail(tmp_path):
     f2 = tmp_path / "bad.json"
     f2.write_text(json.dumps(bad))
     assert main(["analyze", str(f2), "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("den", [[2.0, 1.0, -3.0], [-0.5, -0.25, 0.75]])
+def test_analyze_certifies_what_stabilize_wrote(den, tmp_path, capsys):
+    # a denominator that is not monic: analyze checks the identity for the
+    # plant scaled to a monic denominator, as stabilize solved it; against
+    # the plant as given its residual is of order 1
+    plant = {"den": den, "num": [1.0, 0.5]}
+    f = tmp_path / "plant.json"
+    f.write_text(json.dumps({"plant": plant}))
+    written = tmp_path / "stabilized.json"
+    assert main(["stabilize", str(f), "--out", str(written)]) == 0
+    result = json.loads(written.read_text())
+    code, payload = _analyze(tmp_path, {"plant": plant,
+                                        "ordering": result["ordering"],
+                                        "solution": result["solution"]})
+    assert code == 0 and capsys.readouterr().err == ""
+    cert = payload["certificate"]
+    assert cert["passed"] is True
+    assert cert["identity_residual"] <= cert["residual_tol"] < 1e-7
+    assert payload["closed_loop"]["spectral_radius"] < 1.0
 
 
 def test_analyze_root_finding_failure_exits_4(tmp_path, capsys):

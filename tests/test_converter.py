@@ -247,6 +247,20 @@ def test_conversion_rejects_a_static_plant():
         convert_controller(pre, Polynomial([2.0]), Polynomial([0.5]))
 
 
+def test_conversion_names_an_improper_plant(monkeypatch):
+    # den z + 0.5, num z^2 + 1: rejected before any work, with the message
+    # of the stabilizing synthesis, not from the plane geometry of steering
+    den, num = Polynomial([0.5, 1.0]), Polynomial([1.0, 0.0, 1.0])
+    pre = PreController(Polynomial([-0.5, 1.0]), Polynomial([0.3]),
+                        Polynomial([1.0]))
+    message = r"^improper plant: deg\(num\) > deg\(den\)$"
+    with pytest.raises(ValueError, match=message):
+        run_algorithm1(den, num)
+    monkeypatch.setattr(converter, "coprime_check", None)
+    with pytest.raises(ValueError, match=message):
+        convert_controller(pre, den, num)
+
+
 def test_alpha_ini_degree_requirement():
     # deg(alpha) must reach n - deg(ctrl_den); short root lists are rejected
     with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
 from intctrl.numeric import (IMAG_TOL, RootFindingError, SchurResult,
                              SingularMatrixError, vec_1norm)
 from intctrl.poly import _trim_length
-from intctrl.target import (ACTIVE_TOL, ActiveSet, HyperplaneSet,
+from intctrl.target import (ActiveSet, HyperplaneSet,
                             InconsistentActiveSetError, IntegerTarget,
                             SIDE_TOL, TargetSearchError, build_hyperplanes)
 
@@ -120,8 +120,8 @@ def oracle_lu_solve(A, b, rcond=1e-13):
 
 
 def oracle_poly_roots(p, tol_root=1e-6):
-    if p.is_zero or p.coeffs.size < 2:
-        raise ValueError("root finding requires degree >= 1")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no finite root set")
     c = p.coeffs
     zeros = int((c != 0.0).argmax())
     desc = c[zeros:][::-1]
@@ -217,7 +217,7 @@ def oracle_classify_roots(roots):
 def oracle_active_index_set(x0, planes):
     x0 = np.asarray(x0, dtype=float)
     sup = float(np.max(np.abs(x0), initial=0.0))
-    thresh = ACTIVE_TOL * (1.0 + oracle_norms(planes.normals) * max(1.0, sup))
+    thresh = SIDE_TOL * (1.0 + oracle_norms(planes.normals) * max(1.0, sup))
     active = np.abs(oracle_sides(planes.normals, planes.offsets, x0)) > thresh
     vanished = np.flatnonzero(~active[:planes.n_real])
     if vanished.size:

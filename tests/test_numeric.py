@@ -4,8 +4,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from intctrl import Polynomial, numeric
-from intctrl.numeric import (RootFindingError, SingularMatrixError, _lu_solve,
-                             poly_roots, schur_check, vec_1norm)
+from intctrl.numeric import (RootFindingError, SchurResult,
+                             SingularMatrixError, _lu_solve, poly_roots,
+                             schur_check, vec_1norm)
 
 from conftest import exact_residual_ratios, schur_factor_product
 
@@ -217,9 +218,16 @@ def test_roots_whose_powers_overflow_pass():
     assert 1e200 not in listed
 
 
-def test_roots_requires_degree():
+def test_roots_of_a_constant():
+    # a nonzero constant has no roots, of any magnitude, so schur_check
+    # calls it Schur with radius 0, off the boundary band; the zero
+    # polynomial has no finite root set
+    for c in (3.0, -0.25, 1e-300, -1e300):
+        roots = poly_roots(Polynomial([c]))
+        assert isinstance(roots, np.ndarray) and roots.size == 0
+        assert schur_check(Polynomial([c])) == SchurResult(True, 0.0, False)
     with pytest.raises(ValueError):
-        poly_roots(Polynomial([1.0]))
+        poly_roots(Polynomial.zero())
 
 
 def test_roots_overflowing_companion_row_raises_without_warning():

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from intctrl import (ConversionConfig, NotCoprimeError, Polynomial,
-                     StabilizationConfig, SynthesisError, closed_loop_poly,
+                     StabilizationConfig, SynthesisError,
+                     certify_stabilization, closed_loop_poly,
                      convert_controller, numeric, run_algorithm1, stabilizer)
 from intctrl.fixtures import (CONVERSION_ALPHA_INI_ROOTS,
                               PENDULUM_GAMMA_INI_ROOTS)
@@ -39,7 +40,7 @@ def test_preprocess_identity_for_clean_plant():
     den = Polynomial.from_roots([0.5, -0.25])
     num = Polynomial([1.0, 0.5])
     plant = preprocess_plant(den, num)
-    assert plant.power_shift == 0 and plant.scale == 1.0
+    assert plant.power_shift == 0
     assert plant.den == den and plant.num == num
 
 
@@ -47,7 +48,7 @@ def test_preprocess_normalizes_leading():
     den = Polynomial([1.0, -3.0, 2.0])  # leading 2
     num = Polynomial([4.0])
     plant = preprocess_plant(den, num)
-    assert plant.scale == 2.0
+    assert plant.den.coeffs.tolist() == [0.5, -1.5, 1.0]
     assert plant.den.is_monic()
     assert_allclose(plant.num.coeffs, [2.0])
 
@@ -56,7 +57,7 @@ def test_preprocess_pendulum(pendulum):
     den, num = pendulum
     plant = preprocess_plant(den, num)
     assert plant.power_shift == 0
-    assert plant.scale == 1.0
+    assert plant.den == den and plant.num == num
     assert abs(plant.num(0.0)) > 1e-3 * plant.num.max_abs()
 
 
@@ -352,12 +353,30 @@ def test_iteration_cap_raises():
         "1.796e-03 (target strategy 'round')")
 
 
+@pytest.mark.parametrize("lead", [2.0, -0.5])
+def test_solution_certifies_for_the_plant_as_given(lead):
+    # the certificate scales the plant to a monic denominator itself, so the
+    # solution of a plant whose denominator is not monic certifies again
+    # from the plant as given, with the same residual and verdicts
+    den = lead * Polynomial([-1.5, 0.5, 1.0])
+    num = Polynomial([0.5, 1.0])
+    result = run_algorithm1(den, num)
+    again = certify_stabilization(den, num, result.alpha, result.beta,
+                                  result.gamma)
+    assert result.certificate.passed and again.passed
+    assert again.identity_residual == result.certificate.identity_residual
+    assert again.residual_tol == result.certificate.residual_tol
+    assert again.conditions == result.certificate.conditions
+
+
 def test_scaled_plant_certificate():
     # non-monic denominator: the certificate is against the normalized pair
     den = 2.0 * Polynomial.from_roots([0.5, -0.5])
     num = Polynomial([1.0, 0.2])
     result = run_algorithm1(den, num)
-    assert preprocess_plant(den, num).scale == 2.0
+    plant = preprocess_plant(den, num)
+    assert plant.den.coeffs.tolist() == (den.coeffs / 2.0).tolist()
+    assert plant.num.coeffs.tolist() == (num.coeffs / 2.0).tolist()
     assert result.certificate.passed
     # closed loop of the original plant is gamma scaled by the leading coeff
     cl = closed_loop_poly(den, num, result.controller_den, result.controller_num)

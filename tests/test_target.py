@@ -379,8 +379,8 @@ def test_walk_passes_radius_8_toward_the_constructive_target():
 def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
     # a side margin no candidate clears: the walk covers the shells of
     # radius 1 to D = |c - round(x0)|_inf, c's own, tests c once more and
-    # reports it with its distances to every active plane
-    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
+    # reports it with its distances to every active plane; the active set is
+    # built before the margin is raised, which would empty it
     walked = []
     real = target._slabs
 
@@ -395,6 +395,7 @@ def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
     planes = build_hyperplanes(num, 1)
     x0 = np.array([3.2])
     active = active_index_set(x0, planes)
+    monkeypatch.setattr(target, "SIDE_TOL", math.inf)
     with pytest.raises(TargetSearchError) as err:
         find_integer_target(x0, num, active)
     assert walked == [1, 2, 3]
@@ -403,10 +404,11 @@ def test_walk_ends_on_the_constructive_targets_shell(monkeypatch):
 
 
 def test_search_exhaustion_reports_every_active_plane(monkeypatch):
-    # a side margin no candidate clears and a budget of a few points
+    # a side margin no candidate clears and a budget of a few points, set
+    # after the active set is built
+    x0, num, _, active = _squeezed_3d()
     monkeypatch.setattr(target, "SIDE_TOL", math.inf)
     monkeypatch.setattr(target, "MAX_CANDIDATES", 5)
-    x0, num, _, active = _squeezed_3d()
     with pytest.raises(TargetSearchError) as err:
         find_integer_target(x0, num, active)
     message = str(err.value)

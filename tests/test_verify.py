@@ -140,6 +140,28 @@ def test_certify_conversion_identity_case():
                                None)
     cert = certify_conversion(den, num, pre, conv)
     assert cert.passed, cert.conditions
+    # without factors, alpha = 1 is judged by its roots, of which it has
+    # none: Schur with radius 0 and no warning, on a loop built by hand
+    den, num = Polynomial([-0.5, 1.0]), Polynomial.one()
+    pre = PreController(Z, Polynomial([-0.25]), Polynomial.one())
+    conv = ConvertedController(Z, pre.num_y, pre.num_r, Polynomial.one(),
+                               Polynomial.zero(), Z, None)
+    assert conv.factors is None
+    cert = certify_conversion(den, num, pre, conv)
+    assert cert.to_dict() == {
+        "kind": "conversion", "passed": True, "identity_residual": 0.0,
+        "residual_tol": 1e-08, "warnings": [],
+        "conditions": dict.fromkeys(
+            ["converted_den_integer", "converted_den_monic",
+             "converted_den_matches_gamma", "alpha_schur", "alpha_monic",
+             "degree_gap", "tf_preserved", "internally_stable",
+             "loop_factorization"], True),
+        "witnesses": {"gamma_integer_deviation": 0.0,
+                      "alpha_spectral_radius": 0.0, "beta_degree": -1.0,
+                      "gamma_degree": 1.0, "closed_loop_spectral_radius": 0.5,
+                      "loop_factorization_residual": 0.0,
+                      "dc_gain": 1.3333333333333333,
+                      "den_num_coprimality_quality": 1.0}}
 
 
 def test_certify_conversion_rejects_unstable_factor():
